@@ -47,7 +47,7 @@ def git_rev() -> str | None:
 
 
 def word_bill(label: str, result) -> dict:
-    """One schema-shaped word bill from a Run/AsyncRunResult."""
+    """One schema-shaped word bill from a ``RunResult`` (any runtime)."""
     return {
         "label": label,
         "n": result.config.n,

@@ -7,43 +7,20 @@ regresses, exhaustive proofs that take seconds today quietly become
 minutes (the full n=4 perm_cap=6 space is ~154k runs; perm_cap=2/3
 keep CI-sized spaces at CI size).
 
-``perf_floor.json`` pins the pre-optimization schedule rate; the report
-test fails if the explorer drops back below it (see also
-``benchmarks/perf_smoke.py``, the standalone CI leg).
+Explorer *speed* across commits is the perf ledger's job (the
+``mc_explore`` workload of ``perfledger/``, guarded per metric by
+``BENCHMARK.json``); this bench publishes the pruning table.
 """
 
-import json
 import time
-from pathlib import Path
 
 from benchmarks._harness import publish, time_percentiles
 from repro.mc.explore import explore_exhaustive, explore_random
 from repro.mc.scenario import make_scenario
 
-PERF_FLOOR = json.loads(
-    (Path(__file__).parent / "perf_floor.json").read_text()
-)
-
 
 def _scenario(perm_cap=2):
     return make_scenario("weak-ba", n=4, t=1, max_ticks=12, perm_cap=perm_cap)
-
-
-def _floor_rate(repeats=3):
-    """Best-of-N CPU-time schedule rate on the floor workload.
-
-    CPU time (not wall clock) and best-of-N both exist to keep the
-    measurement honest on noisy shared runners: we are asking "can this
-    code still go that fast", not "was the box busy".
-    """
-    best = 0.0
-    for _ in range(repeats):
-        start = time.process_time()
-        result = explore_exhaustive(_scenario(), max_runs=50_000)
-        elapsed = time.process_time() - start
-        assert result.complete and result.ok
-        best = max(best, result.stats.runs / elapsed if elapsed else 0.0)
-    return best
 
 
 def test_exhaustive_schedule_rate(benchmark):
@@ -60,15 +37,6 @@ def test_random_walk_rate(benchmark):
     )
     assert result.ok
     assert result.stats.terminal == 50
-
-
-def test_schedule_rate_above_checked_in_floor():
-    """The explorer must stay above the pre-optimization baseline."""
-    rate = _floor_rate()
-    assert rate >= PERF_FLOOR["mc_sched_per_sec"], (
-        f"{rate:.0f} sched/s is below the checked-in floor of "
-        f"{PERF_FLOOR['mc_sched_per_sec']:.0f} ({PERF_FLOOR['workload']})"
-    )
 
 
 def test_pruning_leverage_report(benchmark):
@@ -105,19 +73,14 @@ def test_pruning_leverage_report(benchmark):
     stats = pruned_result.stats
     assert stats.pruned > stats.terminal
 
-    floor_rate = _floor_rate()
     publish(
         "mc_throughput",
         "model-checker throughput (weak-ba, n=4, t=1, <=12 ticks)",
         "\n".join(rows),
-        f"floor workload best-of-3 CPU rate: {floor_rate:.0f} sched/s"
-        f" (checked-in floor {PERF_FLOOR['mc_sched_per_sec']:.0f})",
         scenario={
             "scenario": "weak-ba n=4 t=1 max_ticks=12",
             "perm_caps": [2, 3],
             "prune_modes": ["behavior", "history", "none"],
-            "floor_sched_per_sec": PERF_FLOOR["mc_sched_per_sec"],
-            "floor_workload": PERF_FLOOR["workload"],
         },
         wall_clock=time_percentiles(
             lambda: explore_exhaustive(_scenario(), max_runs=10_000),

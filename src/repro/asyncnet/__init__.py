@@ -9,10 +9,12 @@ messages travel through in-memory queues with optional artificial
 latency (must stay below ``delta``, per the synchronous model).
 
 This demonstrates transport-independence: the simulator of
-:mod:`repro.runtime` and this runner execute identical protocol code.
+:mod:`repro.runtime` and this runner execute identical protocol code
+against the same context type, and both return a
+:class:`~repro.runtime.result.RunResult`.
 """
 
-from repro.asyncnet.runner import AsyncNetwork, AsyncRunResult, run_async
+from repro.asyncnet.runner import AsyncNetwork, run_async
 from repro.asyncnet.tcp import run_over_tcp
 
-__all__ = ["AsyncNetwork", "AsyncRunResult", "run_async", "run_over_tcp"]
+__all__ = ["AsyncNetwork", "run_async", "run_over_tcp"]

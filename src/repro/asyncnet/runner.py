@@ -11,9 +11,15 @@ multi-party step reads from a :class:`~repro.runtime.pool.MessagePool`
 
 Messages are delivered through per-process ``asyncio.Queue``s after an
 optional artificial ``latency`` (keep it under ``tick_duration``, the
-synchrony bound).  Word accounting and tracing reuse the simulator's
-:class:`~repro.metrics.words.WordLedger` and
-:class:`~repro.runtime.trace.Trace`.
+synchrony bound).  Nothing protocol-facing is re-implemented here:
+:class:`AsyncNetwork` is a *host* (:mod:`repro.runtime.host`) for the
+simulator's own :class:`~repro.runtime.context.ProcessContext` and
+:class:`~repro.runtime.byzantine.ByzantineApi`, and runs return the
+simulator's :class:`~repro.runtime.result.RunResult`.  The localhost TCP
+transport (:mod:`repro.asyncnet.tcp`) shares this module's driver loop
+and send path; a transport only decides how one envelope copy reaches
+the receiver's queue and what a node does when its process crashes and
+rejoins.
 
 Synchrony models
 ----------------
@@ -23,11 +29,11 @@ A non-trivial :class:`~repro.runtime.synchrony.SynchronyModel` changes
 drivers keep their absolute shared clock (one round per
 ``tick_duration``), and the model's delivery law — ``delta`` bounds,
 GST partial synchrony with seeded pre-GST delays — is realized through
-the ``delivered_at`` stamp that :func:`_drain_due` partitions on, so a
-held-back message simply waits in ``pending`` for its due round.  Tick
-coordinates scale by ``delta`` (round ``k`` sends at tick ``k *
-delta``), which keeps the stamps numerically identical to the tick
-scheduler's.  Certificate-early round advancement is a simulator
+the ``delivered_at`` stamp that :meth:`AsyncNetwork.enter_round`
+partitions on, so a held-back message simply waits in ``pending`` for
+its due round.  Tick coordinates scale by ``delta`` (round ``k`` sends
+at tick ``k * delta``), which keeps the stamps numerically identical to
+the tick scheduler's.  Certificate-early round advancement is a simulator
 feature: over real transports rounds are paced by the shared clock
 alone, which is exactly the timeout half of certificate-∨-timeout.
 """
@@ -35,83 +41,33 @@ alone, which is exactly the timeout half of certificate-∨-timeout.
 from __future__ import annotations
 
 import asyncio
-import random
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterator
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.config import ProcessId, SystemConfig
 from repro.crypto.certificates import CryptoSuite
-from repro.crypto.keys import Signer
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, TerminationViolation
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.words import WordLedger
 from repro.obs.observer import Observer, active_or_none
+from repro.runtime.byzantine import ByzantineApi
+from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
-from repro.runtime.synchrony import LOCKSTEP, SynchronyModel
+from repro.runtime.host import (
+    close_recovery,
+    note_crash,
+    rejoin_from_wal,
+    resolve_synchrony,
+)
+from repro.runtime.result import RunResult
+from repro.runtime.synchrony import SynchronyModel
 from repro.runtime.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.manager import RecoveryManager
-    from repro.recovery.replay import ReplayCursor
-
-
-@dataclass
-class AsyncRunResult:
-    """Mirror of :class:`~repro.runtime.result.RunResult` for async runs."""
-
-    config: SystemConfig
-    decisions: dict[ProcessId, Any]
-    corrupted: frozenset[ProcessId]
-    ledger: WordLedger
-    trace: Trace
-    elapsed: float
-    observer: Observer | None = None
-    """Telemetry observer that watched the run (``None`` = uninstrumented)."""
-
-    recovered: frozenset[ProcessId] = frozenset()
-    """Processes that crashed, replayed their WAL, and rejoined."""
-
-    @property
-    def correct_words(self) -> int:
-        return self.ledger.correct_words
-
-    # The accessors below mirror RunResult so that
-    # :func:`repro.verify.checker.verify_run` audits async/TCP runs too.
-
-    @property
-    def f(self) -> int:
-        """Actual number of corrupted processes in the run."""
-        return len(self.corrupted)
-
-    @property
-    def correct_pids(self) -> list[ProcessId]:
-        return [p for p in self.config.processes if p not in self.corrupted]
-
-    def fallback_was_used(self) -> bool:
-        """Whether any correct process entered a fallback execution."""
-        return self.trace.any("fallback_started")
-
-    def unanimous_decision(self) -> Any:
-        from repro.errors import AgreementViolation
-
-        correct = [p for p in self.config.processes if p not in self.corrupted]
-        missing = [p for p in correct if p not in self.decisions]
-        if missing:
-            raise AgreementViolation(f"processes {missing} did not decide")
-        values = [self.decisions[p] for p in correct]
-        for pid, value in zip(correct, values):
-            if value != values[0]:
-                raise AgreementViolation(
-                    f"{correct[0]} decided {values[0]!r}, {pid} decided {value!r}"
-                )
-        return values[0]
 
 
 class AsyncNetwork:
-    """Shared state of one asyncio protocol run."""
+    """Shared state of one wall-clock protocol run (asyncio or TCP)."""
 
     def __init__(
         self,
@@ -125,22 +81,7 @@ class AsyncNetwork:
         recovery: "RecoveryManager | None" = None,
         synchrony: SynchronyModel | None = None,
     ) -> None:
-        if fault_plan is not None and fault_plan.crashes and recovery is None:
-            raise SchedulerError(
-                "the fault plan schedules crash/restart faults but the "
-                "network has no RecoveryManager (pass recovery=...)"
-            )
-        self.synchrony = synchrony if synchrony is not None else LOCKSTEP
-        if not isinstance(self.synchrony, SynchronyModel):
-            raise SchedulerError(
-                f"synchrony must be a SynchronyModel, got "
-                f"{type(self.synchrony).__name__}"
-            )
-        if not self.synchrony.trivial and recovery is not None:
-            raise SchedulerError(
-                "crash recovery requires the lockstep delta=1 model: WAL "
-                "replay is round-aligned and a paced delivery law is not"
-            )
+        self.synchrony = resolve_synchrony(synchrony, fault_plan, recovery)
         if latency >= tick_duration:
             raise SchedulerError(
                 f"latency ({latency}) must stay below the synchrony bound "
@@ -168,24 +109,55 @@ class AsyncNetwork:
         self.queues: dict[ProcessId, asyncio.Queue] = {}
         self.corrupted: set[ProcessId] = set()
         self.recovered: set[ProcessId] = set()
-        self.global_tick = 0
+        self.rounds: dict[ProcessId, int] = {}
+        """The round each process (or behavior) is currently executing —
+        what ``ctx.now`` reports.  Wall-clock rounds are per-process:
+        tasks cross a boundary one after another, not atomically."""
+        self.nodes: dict[ProcessId, Any] = {}
+        """Per-process transport nodes (:func:`~repro.asyncnet.tcp.
+        run_over_tcp` installs its ``TcpProcessNode``s); a sender
+        without one delivers straight into the receiver's queue."""
+        self.start_time = 0.0
+        """Loop time of round 0; round ``k`` begins at ``start_time + k
+        * tick_duration`` for every task (set by :func:`run_cluster`)."""
         self._edge_seq: dict[tuple[ProcessId, ProcessId, int], int] = {}
         """Per-(edge, round) send counter: the synchrony model's seeded
         delivery draws are pure in ``(sender, receiver, sent_at, seq)``."""
         self._timers: set[asyncio.TimerHandle] = set()
-        """Outstanding sub-round delivery timers (fault-plan delays).
-        Cancelled by :meth:`cancel_timers` on teardown so no callback
-        outlives its run."""
+        """Outstanding sub-round delivery timers (latency, fault-plan
+        delays).  Cancelled by :meth:`cancel_timers` on teardown so no
+        callback outlives its run."""
+
+    # -- host surface (what ProcessContext / ByzantineApi call) ----------
+
+    @property
+    def corrupted_now(self) -> set[ProcessId]:
+        return self.corrupted
+
+    def process_now(self, pid: ProcessId) -> int:
+        return self.rounds.get(pid, 0)
+
+    def enqueue_send(
+        self, sender: ProcessId, to: ProcessId, payload: object, scope: str
+    ) -> None:
+        self.post(sender, to, payload, tick=self.process_now(sender), scope=scope)
+
+    def enqueue_byzantine_send(
+        self, sender: ProcessId, to: ProcessId, payload: object
+    ) -> None:
+        self.enqueue_send(sender, to, payload, "byzantine")
+
+    # -- the send path ---------------------------------------------------
 
     def delivery_round(
         self, sender: ProcessId, to: ProcessId, tick: int
     ) -> int:
         """The round a message sent in round ``tick`` is due — ``tick +
-        1`` under the trivial model, otherwise the model's delivery law
-        with round coordinates scaled by ``delta`` (round ``k`` = tick
-        ``k * delta``), rounded up to the boundary the delivery tick
-        falls inside."""
-        if self.synchrony.trivial:
+        1`` under the trivial model and for self-delivery, otherwise the
+        model's delivery law with round coordinates scaled by ``delta``
+        (round ``k`` = tick ``k * delta``), rounded up to the boundary
+        the delivery tick falls inside."""
+        if self.synchrony.trivial or sender == to:
             return tick + 1
         delta = self.synchrony.delta
         edge = (sender, to, tick)
@@ -195,24 +167,6 @@ class AsyncNetwork:
             sender, to, tick * delta, seq
         )
         return max(tick + 1, -(-delivered_tick // delta))
-
-    def schedule_delivery(
-        self, delay: float, deliver: Callable[[], None]
-    ) -> None:
-        """Run ``deliver`` after ``delay`` seconds on a tracked timer
-        (immediately when the delay is zero)."""
-        if delay <= 0:
-            deliver()
-            return
-        loop = asyncio.get_running_loop()
-        handle: asyncio.TimerHandle | None = None
-
-        def fire() -> None:
-            self._timers.discard(handle)
-            deliver()
-
-        handle = loop.call_later(delay, fire)
-        self._timers.add(handle)
 
     def cancel_timers(self) -> None:
         """Teardown: cancel every outstanding delivery timer."""
@@ -225,39 +179,27 @@ class AsyncNetwork:
             self.queues[pid] = asyncio.Queue()
         return self.queues[pid]
 
-    def order_inbox(
-        self, pid: ProcessId, tick: int, envelopes: list[Envelope]
-    ) -> list[Envelope]:
-        """Canonical per-round inbox order: sender sort, or the fault
-        plan's seeded within-``delta`` reordering when one is active.
-        Canonicalizing first makes the order independent of real arrival
-        timing, which keeps same-seed runs trace-identical."""
-        if self.fault_plan is not None:
-            return self.fault_plan.order_inbox(pid, tick, envelopes)
-        return sorted(envelopes, key=lambda e: e.sender)
-
     def post(
         self, sender: ProcessId, to: ProcessId, payload: object, *, tick: int,
         scope: str,
     ) -> None:
+        """The one send path of the wall-clock runtimes: bill the send,
+        tell the observer, log the WAL highwater mark, then put the
+        envelope on the sender's transport."""
         if to not in self.config.processes:
             raise SchedulerError(f"send to unknown process {to}")
+        sender_correct = sender not in self.corrupted
         record = self.ledger.record(
             tick=tick,
             sender=sender,
             receiver=to,
             payload=payload,
             scope=scope,
-            sender_correct=sender not in self.corrupted,
+            sender_correct=sender_correct,
         )
-        obs = self.observer
-        if obs is not None and record is not None:
-            obs.on_send(record)
-        if (
-            self.recovery is not None
-            and record is not None
-            and sender not in self.corrupted
-        ):
+        if self.observer is not None and record is not None:
+            self.observer.on_send(record)
+        if sender_correct and record is not None and self.recovery is not None:
             # Highwater marks count billed sends only (self-delivery is
             # free), keeping replay comparable to the word ledger.
             self.recovery.on_send(sender, tick)
@@ -266,244 +208,166 @@ class AsyncNetwork:
             receiver=to,
             payload=payload,
             sent_at=tick,
-            delivered_at=(
-                tick + 1 if sender == to
-                else self.delivery_round(sender, to, tick)
-            ),
+            delivered_at=self.delivery_round(sender, to, tick),
         )
+        node = self.nodes.get(sender)
+        if node is None:
+            self.wire(envelope, self.queue_for(to).put_nowait)
+        else:
+            node.transmit(envelope)
+
+    def wire(
+        self, envelope: Envelope, deliver: Callable[[Envelope], None]
+    ) -> None:
+        """Apply the fault plan to one billed send and hand each
+        surviving copy to ``deliver`` after its sub-round delay.  The
+        ledger billed the send; faults act on the wire."""
         if self.injector is None:
             copies = [0.0]
-        else:  # the ledger billed the send; faults act on the wire
-            copies = self.injector.copies(sender, to, tick)
-            if obs is not None:
-                if not copies:
-                    obs.on_fault("dropped")
-                else:
-                    if len(copies) > 1:
-                        obs.on_fault("duplicated", len(copies) - 1)
-                    if any(delay > 0 for delay in copies):
-                        obs.on_fault("delayed")
-        queue = self.queue_for(to)
+        else:
+            copies = self.injector.copies(
+                envelope.sender, envelope.receiver, envelope.sent_at
+            )
+            if self.observer is not None:
+                self.observer.on_copies(copies)
         for delay_fraction in copies:
             delay = self.latency + delay_fraction * self.tick_duration
-            self.schedule_delivery(delay, lambda: queue.put_nowait(envelope))
+            if delay <= 0:
+                deliver(envelope)
+            else:
+                self._deliver_later(delay, deliver, envelope)
 
+    def _deliver_later(
+        self, delay: float, deliver: Callable[[Envelope], None], envelope: Envelope
+    ) -> None:
+        """Deliver on a tracked timer: cancelled on teardown, so a
+        delayed copy never fires into a closed transport, and forgotten
+        once fired, so a long run does not pin every delayed envelope."""
+        handle: asyncio.TimerHandle | None = None
 
-class AsyncContext:
-    """Duck-type of :class:`~repro.runtime.context.ProcessContext`.
+        def fire() -> None:
+            self._timers.discard(handle)
+            deliver(envelope)
 
-    Protocol generators only use the attribute surface implemented
-    here, so they run unmodified.
-    """
+        handle = asyncio.get_running_loop().call_later(delay, fire)
+        self._timers.add(handle)
 
-    def __init__(self, network: AsyncNetwork, pid: ProcessId) -> None:
-        self._network = network
-        self._pid = pid
-        self._tick = 0
-        self._scopes: list[str] = []
-        self._replay: "ReplayCursor | None" = None
-        self.inbox: list[Envelope] = []
-        self.rng = random.Random((network.seed * 1_000_003 + pid) & 0xFFFFFFFF)
+    # -- the wall clock --------------------------------------------------
 
-    @property
-    def pid(self) -> ProcessId:
-        return self._pid
+    async def wait_for_round(self, tick: int) -> None:
+        """Sleep until round ``tick`` begins.  Boundaries are pinned to
+        the *absolute* shared clock rather than relative sleeps —
+        otherwise tasks with heavier per-round work (leaders) would
+        drift behind their peers and break the synchrony bound."""
+        loop = asyncio.get_running_loop()
+        delay = self.start_time + tick * self.tick_duration - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
 
-    @property
-    def config(self) -> SystemConfig:
-        return self._network.config
+    def enter_round(
+        self, pid: ProcessId, tick: int, pending: list[Envelope]
+    ) -> list[Envelope]:
+        """Move ``pid``'s clock to round ``tick`` and return the round's
+        inbox: its queue drained into ``pending``, the envelopes due by
+        ``tick`` taken out and canonically ordered.
 
-    @property
-    def suite(self) -> CryptoSuite:
-        return self._network.suite
+        On a shared event loop a peer that wakes first at a round
+        boundary can get its round-``tick`` sends enqueued *before* this
+        process drains for round ``tick`` — wall-clock arrival order is
+        not a round number, and which task wins that race varies run to
+        run.  Partitioning on the ``delivered_at`` stamp makes round
+        membership deterministic on the early side: an early arrival
+        waits in ``pending`` for its due round.  A genuine straggler
+        (arriving after its due round was collected) still joins the
+        first round after it lands, which only the synchrony bound can
+        prevent.  The order is the sender sort, or the fault plan's
+        seeded within-``delta`` reordering when one is active;
+        canonicalizing makes it independent of real arrival timing,
+        which keeps same-seed runs trace-identical.
+        """
+        self.rounds[pid] = tick
+        queue = self.queue_for(pid)
+        while not queue.empty():
+            pending.append(queue.get_nowait())
+        due = [e for e in pending if e.delivered_at <= tick]
+        pending[:] = [e for e in pending if e.delivered_at > tick]
+        if self.fault_plan is not None:
+            return self.fault_plan.order_inbox(pid, tick, due)
+        return sorted(due, key=lambda e: e.sender)
 
-    @property
-    def signer(self) -> Signer:
-        return self._network.suite.signer(self._pid)
-
-    @property
-    def now(self) -> int:
-        if self._replay is not None:
-            return self._replay.tick
-        return self._tick
-
-    @property
-    def scope_path(self) -> str:
-        return "/".join(self._scopes) or "top"
-
-    def send(self, to: ProcessId, payload: object) -> None:
-        if self._replay is not None:
-            if to != self._pid:  # self-delivery is free, never billed
-                self._replay.note_send()
-            return
-        self._network.post(
-            self._pid, to, payload, tick=self._tick, scope=self.scope_path
+    def result(
+        self, outcomes: list[tuple[ProcessId, Any, int]], elapsed: float
+    ) -> RunResult:
+        """The run's :class:`RunResult` from the drivers' ``(pid,
+        decision, halting round)`` triples."""
+        halted_at = {pid: tick for pid, _, tick in outcomes}
+        return RunResult(
+            config=self.config,
+            decisions={pid: decision for pid, decision, _ in outcomes},
+            corrupted=frozenset(self.corrupted),
+            ledger=self.ledger,
+            trace=self.trace,
+            ticks=max(halted_at.values(), default=-1) + 1,
+            halted_at=halted_at,
+            observer=self.observer,
+            recovered=frozenset(self.recovered),
+            elapsed=elapsed,
         )
-
-    def broadcast(self, payload: object, include_self: bool = True) -> None:
-        for to in self.config.processes:
-            if to == self._pid and not include_self:
-                continue
-            self.send(to, payload)
-
-    def emit(self, name: str, **data: Any) -> None:
-        if self._replay is not None:
-            self._replay.note_event()
-            return
-        self._network.trace.emit(
-            tick=self._tick,
-            pid=self._pid,
-            scope=self.scope_path,
-            name=name,
-            **data,
-        )
-        recovery = self._network.recovery
-        if recovery is not None:
-            recovery.on_event(
-                self._pid, self._tick, self.scope_path, name,
-                tuple(sorted(data.items())),
-            )
-
-    @contextmanager
-    def scope(self, name: str) -> Iterator[None]:
-        self._scopes.append(name)
-        try:
-            yield
-        finally:
-            self._scopes.pop()
-
-    # -- crash recovery (see repro.recovery.replay) ----------------------
-
-    def begin_replay(self, cursor: "ReplayCursor") -> None:
-        self._replay = cursor
-
-    def end_replay(self) -> None:
-        self._replay = None
-
-    @property
-    def replaying(self) -> bool:
-        return self._replay is not None
-
-    def sleep(self, ticks: int) -> Generator[None, None, list[Envelope]]:
-        collected: list[Envelope] = []
-        for _ in range(ticks):
-            yield
-            collected.extend(self.inbox)
-        return collected
-
-    def next_round(self) -> Generator[None, None, list[Envelope]]:
-        return (yield from self.sleep(1))
-
-    # -- driver hooks ----------------------------------------------------
-
-    def advance(self, envelopes: list[Envelope]) -> None:
-        self._tick += 1
-        self.inbox = envelopes
-
-    def rejoin(self, tick: int, envelopes: list[Envelope]) -> None:
-        """Pin a freshly replayed context to the live clock."""
-        self._tick = tick
-        self.inbox = envelopes
-
-
-def _drain_due(
-    queue: "asyncio.Queue[Envelope]", pending: list[Envelope], tick: int
-) -> list[Envelope]:
-    """Drain ``queue`` and return the envelopes due by round ``tick``.
-
-    On a shared event loop a peer that wakes first at a round boundary
-    can get its round-``tick`` sends enqueued *before* this process
-    drains its inbox for round ``tick`` — wall-clock arrival order is
-    not a round number, and which task wins that race varies run to run.
-    Partitioning on the envelope's ``delivered_at`` stamp makes round
-    membership deterministic on the early side: an early arrival waits
-    in ``pending`` for its due round.  A genuine straggler (arriving
-    after its due round was collected) still joins the first round after
-    it lands, which only the synchrony bound can prevent.
-    """
-    while not queue.empty():
-        pending.append(queue.get_nowait())
-    due = [e for e in pending if e.delivered_at <= tick]
-    pending[:] = [e for e in pending if e.delivered_at > tick]
-    return due
 
 
 async def _drive_process(
     network: AsyncNetwork,
     pid: ProcessId,
-    factory: Callable[[AsyncContext], Generator[None, None, Any]],
-    start_time: float,
-) -> tuple[ProcessId, Any]:
-    """Drive one protocol generator, one round per ``tick_duration``.
-
-    Round boundaries are pinned to the *absolute* shared clock
-    (``start_time + k * tick_duration``) rather than relative sleeps —
-    otherwise tasks with heavier per-round work (leaders) would drift
-    behind their peers and break the synchrony bound.
-    """
-    loop = asyncio.get_running_loop()
-    ctx = AsyncContext(network, pid)
+    factory: Callable[[ProcessContext], Generator[None, None, Any]],
+) -> tuple[ProcessId, Any, int]:
+    """Drive one protocol generator, one round per ``tick_duration``,
+    through its scheduled crash windows; returns ``(pid, decision,
+    halting round)``."""
+    ctx = ProcessContext(network, pid)
     generator = factory(ctx)
-    queue = network.queue_for(pid)
     recovery = network.recovery
     plan = network.fault_plan
-    crashes = (
-        sorted(
-            (c for c in plan.crashes if c.pid == pid),
-            key=lambda c: c.at_tick,
-        )
-        if plan is not None
-        else []
-    )
+    # One pid's crash windows never overlap (FaultPlan validates that),
+    # so the opening round identifies the window.
+    windows = plan.crashes if plan is not None else ()
+    crashes = {c.at_tick: c for c in windows if c.pid == pid}
     tick_index = 0
     pending: list[Envelope] = []
     while True:
-        if crashes and tick_index == crashes[0].at_tick:
-            crash = crashes.pop(0)
-            revived = await _crash_and_recover(
-                network, pid, factory, crash, start_time,
-                make_ctx=lambda: AsyncContext(network, pid),
-                pending=pending,
+        crash = crashes.get(tick_index)
+        if crash is not None:
+            generator, ctx, report = await _crash_and_recover(
+                network, pid, factory, crash, pending
             )
-            if revived[0] is None:  # the protocol completed during replay
-                return pid, revived[1]
-            generator, ctx = revived
             tick_index = crash.restart_tick
+            if generator is None:  # the protocol completed during replay
+                return pid, report.decision, tick_index
         if recovery is not None:
+            # Write-ahead: the inbox is durable before the protocol
+            # acts on it.
             recovery.on_inbox(pid, tick_index, ctx.inbox)
         try:
             next(generator)
         except StopIteration as stop:
             if recovery is not None:
                 recovery.flush(pid)
-            return pid, stop.value
+            return pid, stop.value, tick_index
         if recovery is not None:
             # One fsync batch per round, after the round's sends: the
             # inbox and the send highwater marks it produced become
             # durable together (the tick scheduler's end_tick cadence).
             recovery.flush(pid)
         tick_index += 1
-        delay = start_time + tick_index * network.tick_duration - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        ctx.advance(
-            network.order_inbox(
-                pid, tick_index, _drain_due(queue, pending, tick_index)
-            )
-        )
+        await network.wait_for_round(tick_index)
+        ctx.inbox = network.enter_round(pid, tick_index, pending)
 
 
 async def _crash_and_recover(
     network: AsyncNetwork,
     pid: ProcessId,
-    factory: Callable[[AsyncContext], Generator[None, None, Any]],
+    factory: Callable[[ProcessContext], Generator[None, None, Any]],
     crash: Any,
-    start_time: float,
-    *,
-    make_ctx: Callable[[], AsyncContext],
     pending: list[Envelope],
-    on_down: Callable[[], Any] | None = None,
-    on_up: Callable[[], Any] | None = None,
 ):
     """Take ``pid`` down for ``[at_tick, restart_tick)`` and rejoin it.
 
@@ -514,150 +378,108 @@ async def _crash_and_recover(
     the WAL with sends suppressed, then pins the fresh context to the
     live clock.
 
-    ``make_ctx`` builds the transport-appropriate fresh context;
-    ``on_down`` / ``on_up`` are optional async hooks for transports with
-    machine state to tear down and re-establish (the TCP node closes its
-    outgoing sessions on crash and re-dials peers with a bumped epoch on
-    restart).
+    A transport node with machine state tears it down in ``crash()`` and
+    re-establishes it in ``rejoin()`` (the TCP node closes its outgoing
+    sessions and re-dials peers with a bumped epoch).
 
-    Returns ``(generator, ctx)``; when the protocol completed during
-    replay, returns ``(None, decision)`` instead.
+    Returns :func:`~repro.runtime.host.rejoin_from_wal`'s ``(generator,
+    ctx, report)``; the generator is ``None`` when the protocol
+    completed during replay.
     """
-    from repro.recovery.replay import replay_generator
-
-    loop = asyncio.get_running_loop()
     queue = network.queue_for(pid)
-    recovery = network.recovery
-    obs = network.observer
-    recovery.on_crash(pid, crash.at_tick)
-    network.trace.emit(
-        tick=crash.at_tick, pid=pid, scope="faults", name="crashed"
-    )
-    if obs is not None:
-        obs.event("crashed", pid=pid, tick=crash.at_tick)
-        obs.on_recovery("crash")
-    if on_down is not None:
-        await on_down()
+    node = network.nodes.get(pid)
+    note_crash(network, pid, crash.at_tick)
+    if node is not None:
+        await node.crash()
     pending.clear()  # held-over deliveries die with the down window
     for k in range(crash.at_tick, crash.restart_tick):
-        delay = start_time + (k + 1) * network.tick_duration - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
+        await network.wait_for_round(k + 1)
         if k + 1 < crash.restart_tick:
             while not queue.empty():  # lost while down
                 queue.get_nowait()
-    if on_up is not None:
-        await on_up()
-    recovery.on_restart(pid, crash.restart_tick, crash.at_tick)
-    history = recovery.load(pid)
-    ctx = make_ctx()
-    generator, report = replay_generator(
-        factory, ctx, history, until_tick=crash.restart_tick
+    if node is not None:
+        await node.rejoin()
+    generator, ctx, report = rejoin_from_wal(
+        network, pid, factory,
+        tick=crash.restart_tick, down_since=crash.at_tick,
     )
-    recovery.note_replay(report)
     network.recovered.add(pid)
-    network.trace.emit(
-        tick=crash.restart_tick, pid=pid, scope="faults", name="recovered",
-        replayed_ticks=report.ticks_replayed,
-        replayed_sends=report.sends_replayed,
-    )
-    if obs is not None:
-        obs.event(
-            "recovered", pid=pid, tick=crash.restart_tick,
-            replayed_ticks=report.ticks_replayed,
-        )
-        obs.on_recovery("restart")
-        obs.on_recovery("replayed_ticks", report.ticks_replayed)
-    if report.decided:
-        return None, report.decision
-    ctx.rejoin(
-        crash.restart_tick,
-        network.order_inbox(
-            pid,
-            crash.restart_tick,
-            _drain_due(queue, pending, crash.restart_tick),
-        ),
-    )
-    return generator, ctx
-
-
-class _AsyncByzantineApi:
-    """The :class:`~repro.runtime.byzantine.ByzantineApi` surface for
-    behaviors running over the asyncio transport."""
-
-    def __init__(
-        self,
-        network: AsyncNetwork,
-        pid: ProcessId,
-        tick: int,
-        inbox: list[Envelope],
-    ) -> None:
-        self._network = network
-        self._pid = pid
-        self.now = tick
-        self.inbox = inbox
-        self.rushed: list[Envelope] = []  # no rushing over real transports
-
-    @property
-    def pid(self) -> ProcessId:
-        return self._pid
-
-    @property
-    def config(self) -> SystemConfig:
-        return self._network.config
-
-    @property
-    def suite(self) -> CryptoSuite:
-        return self._network.suite
-
-    @property
-    def signer(self) -> Signer:
-        return self._network.suite.signer(self._pid)
-
-    @property
-    def corrupted(self) -> frozenset[ProcessId]:
-        return frozenset(self._network.corrupted)
-
-    def send(self, to: ProcessId, payload: object) -> None:
-        self._network.post(
-            self._pid, to, payload, tick=self.now, scope="byzantine"
-        )
-
-    def broadcast(self, payload: object) -> None:
-        for to in self.config.processes:
-            if to != self._pid:
-                self.send(to, payload)
-
-    def emit(self, name: str, **data: Any) -> None:
-        self._network.trace.emit(
-            tick=self.now, pid=self._pid, scope="byzantine", name=name, **data
-        )
+    if generator is not None:
+        ctx.inbox = network.enter_round(pid, crash.restart_tick, pending)
+    return generator, ctx, report
 
 
 async def _drive_behavior(
-    network: AsyncNetwork,
-    pid: ProcessId,
-    behavior: Any,
-    start_time: float,
-    stop: asyncio.Event,
+    network: AsyncNetwork, pid: ProcessId, behavior: Any
 ) -> None:
-    """Step a Byzantine behavior once per round until the run ends."""
-    loop = asyncio.get_running_loop()
-    queue = network.queue_for(pid)
+    """Step a Byzantine behavior once per round until cancelled (the
+    run ends).  Its inbox goes through the same due-round drain as a
+    correct process's; ``rushed`` stays empty — real transports offer
+    no rushing visibility."""
     tick = 0
-    while not stop.is_set():
-        envelopes: list[Envelope] = []
-        while not queue.empty():
-            envelopes.append(queue.get_nowait())
-        envelopes = network.order_inbox(pid, tick, envelopes)
-        behavior.step(_AsyncByzantineApi(network, pid, tick, envelopes))
+    pending: list[Envelope] = []
+    while True:
+        inbox = network.enter_round(pid, tick, pending)
+        behavior.step(ByzantineApi(network, pid, inbox, rushed=[]))
         tick += 1
-        delay = start_time + tick * network.tick_duration - loop.time()
-        if delay > 0:
-            try:
-                await asyncio.wait_for(stop.wait(), timeout=delay)
-            except asyncio.TimeoutError:
-                pass
+        await network.wait_for_round(tick)
+
+
+def admit(
+    network: AsyncNetwork,
+    factories: dict[ProcessId, Callable],
+    corrupted: set[ProcessId],
+) -> None:
+    """Fix the run's population before anything starts: every process
+    is corrupted (crashed or Byzantine) or has a protocol."""
+    network.corrupted = corrupted
+    missing = [
+        pid
+        for pid in network.config.processes
+        if pid not in factories and pid not in corrupted
+    ]
+    if missing:
+        raise SchedulerError(f"processes {missing} have no protocol")
+    if network.recovery is not None:
+        network.recovery.describe(
+            n=network.config.n, t=network.config.t, seed=network.seed
+        )
+
+
+async def run_cluster(
+    network: AsyncNetwork,
+    factories: dict[ProcessId, Callable],
+    byzantine: dict[ProcessId, Any],
+    timeout: float | None,
+) -> list[tuple[ProcessId, Any, int]]:
+    """Run every correct process (and behavior) on one shared wall
+    clock until all processes decided; tasks and delivery timers are
+    reaped and the WALs closed on every path.  ``timeout`` bounds the
+    run in seconds."""
+    loop = asyncio.get_running_loop()
+    network.start_time = loop.time() + network.tick_duration
+    tasks = [
+        asyncio.create_task(_drive_process(network, pid, factories[pid]))
+        for pid in network.config.processes
+        if pid not in network.corrupted
+    ]
+    tasks_and_behaviors = tasks + [
+        asyncio.create_task(_drive_behavior(network, pid, behavior))
+        for pid, behavior in byzantine.items()
+    ]
+    try:
+        return await asyncio.wait_for(asyncio.gather(*tasks), timeout)
+    except asyncio.TimeoutError:
+        raise TerminationViolation(
+            f"run exceeded timeout={timeout}s before every live process "
+            f"decided"
+        ) from None
+    finally:
+        for task in tasks_and_behaviors:
+            task.cancel()
+        await asyncio.gather(*tasks_and_behaviors, return_exceptions=True)
+        network.cancel_timers()
+        close_recovery(network)
 
 
 async def run_async(
@@ -673,7 +495,7 @@ async def run_async(
     observer: Observer | None = None,
     recovery: "RecoveryManager | None" = None,
     synchrony: SynchronyModel | None = None,
-) -> AsyncRunResult:
+) -> RunResult:
     """Run one protocol instance over asyncio.
 
     ``factories`` maps every correct pid to its protocol factory;
@@ -702,52 +524,6 @@ async def run_async(
         recovery=recovery,
         synchrony=synchrony,
     )
-    if recovery is not None:
-        recovery.describe(n=config.n, t=config.t, seed=seed)
-    network.corrupted = set(crashed) | set(byzantine)
-    missing = [
-        pid
-        for pid in config.processes
-        if pid not in factories and pid not in network.corrupted
-    ]
-    if missing:
-        raise SchedulerError(f"processes {missing} have no protocol")
-    start_time = loop.time() + tick_duration
-    tasks = [
-        asyncio.create_task(
-            _drive_process(network, pid, factories[pid], start_time)
-        )
-        for pid in config.processes
-        if pid not in network.corrupted
-    ]
-    stop = asyncio.Event()
-    behavior_tasks = [
-        asyncio.create_task(
-            _drive_behavior(network, pid, behavior, start_time, stop)
-        )
-        for pid, behavior in byzantine.items()
-    ]
-    try:
-        results = await asyncio.gather(*tasks)
-    finally:
-        stop.set()
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, *behavior_tasks, return_exceptions=True)
-        network.cancel_timers()
-        if recovery is not None:
-            recovery.close()
-            if network.observer is not None:
-                network.observer.gauge(
-                    "recovery.wal_bytes", recovery.wal_bytes()
-                )
-    return AsyncRunResult(
-        config=config,
-        decisions=dict(results),
-        corrupted=frozenset(network.corrupted),
-        ledger=network.ledger,
-        trace=network.trace,
-        elapsed=loop.time() - started,
-        observer=network.observer,
-        recovered=frozenset(network.recovered),
-    )
+    admit(network, factories, set(crashed) | set(byzantine))
+    outcomes = await run_cluster(network, factories, byzantine, None)
+    return network.result(outcomes, loop.time() - started)

@@ -2,10 +2,11 @@
 
 Each process runs an asyncio TCP server on ``127.0.0.1``; peers hold
 one outgoing connection per neighbor and exchange length-prefixed
-pickled envelopes.  Round pacing reuses the absolute-clock driver of
-:mod:`repro.asyncnet.runner`: the synchrony bound ``tick_duration``
-must dominate localhost RTT + serialization, which it does by orders of
-magnitude at the defaults.
+pickled envelopes.  The driver loop, the send path and crash/rejoin are
+those of :mod:`repro.asyncnet.runner`; this module supplies only the
+transport node (how a copy travels, what a crash tears down).  The
+synchrony bound ``tick_duration`` must dominate localhost RTT +
+serialization, which it does by orders of magnitude at the defaults.
 
 Transport robustness
 --------------------
@@ -64,20 +65,14 @@ import asyncio
 import pickle
 import struct
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.asyncnet.runner import (
-    AsyncContext,
-    AsyncNetwork,
-    AsyncRunResult,
-    _crash_and_recover,
-    _drain_due,
-)
+from repro.asyncnet.runner import AsyncNetwork, admit, run_cluster
 from repro.config import ProcessId, SystemConfig, derive_rng
-from repro.errors import SchedulerError, TerminationViolation
 from repro.faults import FaultPlan
 from repro.obs.observer import Observer
 from repro.runtime.envelope import Envelope
+from repro.runtime.result import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.manager import RecoveryManager
@@ -417,9 +412,10 @@ class TcpProcessNode:
         self.epoch = 0
         """This process's incarnation; bumped on crash so peers can tell
         a restarted sender from a resumed connection."""
-        self.sessions: dict[ProcessId, list[int]] = {}
-        """Receive-side dedup state, ``sender -> [epoch, last_seq]`` —
-        process memory, cleared when this process crashes."""
+        self.sessions: dict[ProcessId, list] = {}
+        """Receive-side dedup state, ``sender -> [epoch, floor, above]``
+        (the receive window of :meth:`_handle_connection`) — process
+        memory, cleared when this process crashes."""
         self.ports: dict[ProcessId, int] = {}
         self._handlers: set[asyncio.Task] = set()
 
@@ -552,36 +548,23 @@ class TcpProcessNode:
         return record
 
     def transmit(self, envelope: Envelope) -> None:
+        """Put one billed send on the wire (the network's send path
+        calls this for senders that have a node)."""
         injector = self.network.injector
-        if injector is None:
-            self._dispatch(envelope)
-            return
+        peer = self.peers.get(envelope.receiver)
         # Connection faults first: an injected reset fires on the next
         # send over its edge, so the frame below exercises reconnect.
-        obs = self.network.observer
-        peer = self.peers.get(envelope.receiver)
-        if peer is not None and injector.take_reset(
-            self.pid, envelope.receiver, envelope.sent_at
+        if (
+            injector is not None
+            and peer is not None
+            and injector.take_reset(
+                self.pid, envelope.receiver, envelope.sent_at
+            )
         ):
             peer.inject_reset()
-            if obs is not None:
-                obs.on_fault("reset")
-        copies = injector.copies(self.pid, envelope.receiver, envelope.sent_at)
-        if obs is not None:
-            if not copies:
-                obs.on_fault("dropped")
-            else:
-                if len(copies) > 1:
-                    obs.on_fault("duplicated", len(copies) - 1)
-                if any(fraction > 0 for fraction in copies):
-                    obs.on_fault("delayed")
-        for delay_fraction in copies:
-            delay = delay_fraction * self.network.tick_duration
-            # Tracked timers: the network cancels them on teardown, so a
-            # delayed copy never fires into a closed transport.
-            self.network.schedule_delivery(
-                delay, lambda: self._dispatch(envelope)
-            )
+            if self.network.observer is not None:
+                self.network.observer.on_fault("reset")
+        self.network.wire(envelope, self._dispatch)
 
     def _dispatch(self, envelope: Envelope) -> None:
         if envelope.receiver == self.pid:
@@ -603,11 +586,11 @@ class TcpProcessNode:
 
     async def close_incoming(self) -> None:
         """Phase 2 of shutdown: stop listening and reap accepted
-        connections.  Once every node ran :meth:`close_outgoing`, our
-        handlers have all seen EOF — await them; cancellation is only a
-        last resort for connections that never died (it trips a noisy
-        ``asyncio.streams`` callback on 3.11, so avoid it on the normal
-        path)."""
+        connections.  Call it only after *every* node of the cluster ran
+        :meth:`close_outgoing`: our handlers have then all seen EOF —
+        await them; cancellation is only a last resort for connections
+        that never died (it trips a noisy ``asyncio.streams`` callback
+        on 3.11, so avoid it on the normal path)."""
         if self.server is not None:
             self.server.close()
             await self.server.wait_closed()
@@ -618,115 +601,6 @@ class TcpProcessNode:
                 handler.cancel()
             if still_open:
                 await asyncio.gather(*still_open, return_exceptions=True)
-
-    async def close(self) -> None:
-        """Release every socket this node owns, awaiting each close.
-
-        For whole-cluster shutdown, call :meth:`close_outgoing` on every
-        node *before* any :meth:`close_incoming` — otherwise the first
-        node must cancel handlers whose remote writers are still open.
-        """
-        await self.close_outgoing()
-        await self.close_incoming()
-
-
-class _TcpContext(AsyncContext):
-    """AsyncContext whose sends go through a TCP node."""
-
-    def __init__(self, network: AsyncNetwork, node: TcpProcessNode) -> None:
-        super().__init__(network, node.pid)
-        self._node = node
-
-    def send(self, to: ProcessId, payload: object) -> None:
-        if self._replay is not None:
-            if to != self.pid:  # self-delivery is free, never billed
-                self._replay.note_send()  # the network already saw it
-            return
-        if to not in self.config.processes:
-            raise SchedulerError(f"send to unknown process {to}")
-        record = self._network.ledger.record(
-            tick=self.now,
-            sender=self.pid,
-            receiver=to,
-            payload=payload,
-            scope=self.scope_path,
-            sender_correct=True,
-        )
-        obs = self._network.observer
-        if obs is not None and record is not None:
-            obs.on_send(record)
-        if self._network.recovery is not None and record is not None:
-            # Highwater marks count billed sends only (self-delivery is
-            # free), keeping replay comparable to the word ledger.
-            self._network.recovery.on_send(self.pid, self.now)
-        self._node.transmit(
-            Envelope(
-                sender=self.pid,
-                receiver=to,
-                payload=payload,
-                sent_at=self.now,
-                delivered_at=(
-                    self.now + 1 if to == self.pid
-                    else self._network.delivery_round(self.pid, to, self.now)
-                ),
-            )
-        )
-
-
-async def _drive_tcp_process(
-    network: AsyncNetwork,
-    node: TcpProcessNode,
-    factory: Callable,
-    start_time: float,
-) -> tuple[ProcessId, Any]:
-    loop = asyncio.get_running_loop()
-    ctx = _TcpContext(network, node)
-    generator = factory(ctx)
-    recovery = network.recovery
-    plan = network.fault_plan
-    crashes = (
-        sorted(
-            (c for c in plan.crashes if c.pid == node.pid),
-            key=lambda c: c.at_tick,
-        )
-        if plan is not None
-        else []
-    )
-    tick_index = 0
-    pending: list[Envelope] = []
-    while True:
-        if crashes and tick_index == crashes[0].at_tick:
-            crash = crashes.pop(0)
-            revived = await _crash_and_recover(
-                network, node.pid, factory, crash, start_time,
-                make_ctx=lambda: _TcpContext(network, node),
-                pending=pending,
-                on_down=node.crash,
-                on_up=node.rejoin,
-            )
-            if revived[0] is None:  # the protocol completed during replay
-                return node.pid, revived[1]
-            generator, ctx = revived
-            tick_index = crash.restart_tick
-        if recovery is not None:
-            recovery.on_inbox(node.pid, tick_index, ctx.inbox)
-        try:
-            next(generator)
-        except StopIteration as stop:
-            if recovery is not None:
-                recovery.flush(node.pid)
-            return node.pid, stop.value
-        if recovery is not None:
-            recovery.flush(node.pid)
-        tick_index += 1
-        delay = start_time + tick_index * network.tick_duration - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        ctx.advance(
-            network.order_inbox(
-                node.pid, tick_index, _drain_due(node.queue, pending, tick_index)
-            )
-        )
 
 
 async def run_over_tcp(
@@ -741,7 +615,7 @@ async def run_over_tcp(
     observer: "Observer | None" = None,
     recovery: "RecoveryManager | None" = None,
     synchrony: "SynchronyModel | None" = None,
-) -> AsyncRunResult:
+) -> RunResult:
     """Run one protocol instance over localhost TCP sockets.
 
     ``crashed`` processes get no node at all — their peers simply never
@@ -763,65 +637,23 @@ async def run_over_tcp(
         config, seed=seed, tick_duration=tick_duration, fault_plan=fault_plan,
         observer=observer, recovery=recovery, synchrony=synchrony,
     )
-    if recovery is not None:
-        recovery.describe(n=config.n, t=config.t, seed=seed)
-    network.corrupted = set(crashed)
-    live = [pid for pid in config.processes if pid not in crashed]
-    missing = [pid for pid in live if pid not in factories]
-    if missing:
-        raise SchedulerError(f"processes {missing} have no protocol")
-
-    nodes: dict[ProcessId, TcpProcessNode] = {}
-    tasks: list[asyncio.Task] = []
+    admit(network, factories, set(crashed))
+    nodes = network.nodes = {  # these processes' sends go by socket
+        pid: TcpProcessNode(network, pid)
+        for pid in config.processes
+        if pid not in crashed
+    }
     try:
-        nodes = {pid: TcpProcessNode(network, pid) for pid in live}
         ports = {pid: await node.start_server() for pid, node in nodes.items()}
         for node in nodes.values():
             await node.connect_peers(ports)
-
-        start_time = loop.time() + tick_duration
-        tasks = [
-            asyncio.create_task(
-                _drive_tcp_process(network, nodes[pid], factories[pid], start_time)
-            )
-            for pid in live
-        ]
-        gathered = asyncio.gather(*tasks)
-        try:
-            if timeout is not None:
-                results = await asyncio.wait_for(gathered, timeout)
-            else:
-                results = await gathered
-        except asyncio.TimeoutError:
-            raise TerminationViolation(
-                f"TCP run exceeded timeout={timeout}s before every live "
-                f"process decided"
-            ) from None
+        outcomes = await run_cluster(network, factories, {}, timeout)
     finally:
         # Guaranteed teardown on every path: success, protocol error,
-        # timeout, or cancellation of this coroutine itself.
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        network.cancel_timers()
+        # timeout, or cancellation of this coroutine itself
+        # (run_cluster has already reaped its tasks, timers and WALs).
         for node in nodes.values():
             await node.close_outgoing()
         for node in nodes.values():
             await node.close_incoming()
-        if recovery is not None:
-            recovery.close()
-            if network.observer is not None:
-                network.observer.gauge(
-                    "recovery.wal_bytes", recovery.wal_bytes()
-                )
-    return AsyncRunResult(
-        config=config,
-        decisions=dict(results),
-        corrupted=frozenset(crashed),
-        ledger=network.ledger,
-        trace=network.trace,
-        elapsed=loop.time() - started,
-        observer=network.observer,
-        recovered=frozenset(network.recovered),
-    )
+    return network.result(outcomes, loop.time() - started)

@@ -133,6 +133,18 @@ class Observer:
         ``delayed``/``reset``)."""
         self.count(f"faults.{kind}", amount)
 
+    def on_copies(self, copies: list[float]) -> None:
+        """Account a fault injector's verdict on one send: ``copies``
+        holds the sub-``delta`` delay of each wire copy (empty =
+        dropped, more than one = duplicated)."""
+        if not copies:
+            self.on_fault("dropped")
+            return
+        if len(copies) > 1:
+            self.on_fault("duplicated", len(copies) - 1)
+        if any(delay > 0 for delay in copies):
+            self.on_fault("delayed")
+
     def on_transport(self, kind: str, amount: int = 1) -> None:
         """Account one transport-level incident (e.g. ``reconnected``)."""
         self.count(f"transport.{kind}", amount)

@@ -250,9 +250,15 @@ def factory_from_meta(meta: dict) -> Callable:
     """Rebuild the protocol factory a WAL's ``meta`` record describes."""
     name = meta.get("protocol")
     if not name:
+        # The run_* drivers stamp this themselves; run_async /
+        # run_over_tcp / a hand-populated Simulation take caller-built
+        # factories and can only stamp n/t/seed.
         raise RecoveryError(
             "WAL metadata names no protocol; cannot rebuild its state "
-            "machine (was the run driver given a RecoveryManager?)"
+            "machine.  Runs with hand-built factories must stamp it "
+            "before starting: RecoveryManager.describe(protocol=...) "
+            "plus describe_process(pid, input=...) for per-process "
+            "inputs — or pass replay_wal(..., factory=...)"
         )
     builder = _PROTOCOLS.get(name)
     if builder is None:

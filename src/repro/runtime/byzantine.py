@@ -64,7 +64,9 @@ class ByzantineApi:
 
     @property
     def now(self) -> int:
-        return self._simulation.tick
+        """The host's clock for this pid: the global tick on the
+        simulator, the behavior's own round on a wall-clock host."""
+        return self._simulation.process_now(self._pid)
 
     @property
     def corrupted(self) -> frozenset[ProcessId]:

@@ -33,7 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ProcessContext:
-    """Everything a correct process can see and do."""
+    """Everything a correct process can see and do.
+
+    ``simulation`` is the host driving the process — the tick scheduler
+    or the wall-clock network of :mod:`repro.asyncnet`; the context uses
+    only the host surface listed in :mod:`repro.runtime.host`."""
 
     def __init__(self, simulation: "Simulation", pid: ProcessId) -> None:
         self._simulation = simulation

@@ -1,4 +1,4 @@
-"""The outcome of one simulation run."""
+"""The outcome of one run, on any of the three runtimes."""
 
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ class RunResult:
     ledger: WordLedger
     trace: Trace
     ticks: int
+    """Rounds the run took: the simulator's final tick, or on the
+    wall-clock runtimes the last round any process reached, plus one."""
+
     halted_at: dict[ProcessId, int] = field(default_factory=dict)
     envelopes: tuple = ()
     """Raw sent envelopes (populated when the simulation was created
@@ -46,6 +49,10 @@ class RunResult:
     Disjoint from ``corrupted``: a recovered process stayed honest the
     whole time, so agreement and validity still bind it — but it does
     count toward a fault plan's ``faulty`` set for word budgets."""
+
+    elapsed: float = 0.0
+    """Wall-clock seconds the run took on the asyncio/TCP runtimes
+    (``0.0`` on the tick simulator, which has no wall clock)."""
 
     # ------------------------------------------------------------------
     # Convenience accessors used throughout tests and benchmarks
@@ -74,29 +81,19 @@ class RunResult:
             If correct processes decided differently (or some did not
             decide) — callers use this as the agreement check.
         """
-        values = [self.decisions.get(p, _MISSING) for p in self.correct_pids]
-        if any(v is _MISSING for v in values):
-            missing = [
-                p for p in self.correct_pids if self.decisions.get(p, _MISSING) is _MISSING
-            ]
+        correct = self.correct_pids
+        missing = [p for p in correct if p not in self.decisions]
+        if missing:
             raise AgreementViolation(f"processes {missing} did not decide")
-        first = values[0]
-        for pid, value in zip(self.correct_pids, values):
-            if value != first:
+        first = self.decisions[correct[0]]
+        for pid in correct:
+            if self.decisions[pid] != first:
                 raise AgreementViolation(
-                    f"process {self.correct_pids[0]} decided {first!r} but "
-                    f"process {pid} decided {value!r}"
+                    f"process {correct[0]} decided {first!r} but "
+                    f"process {pid} decided {self.decisions[pid]!r}"
                 )
         return first
 
     def fallback_was_used(self) -> bool:
         """Whether any correct process entered a fallback execution."""
         return self.trace.any("fallback_started")
-
-
-class _Missing:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<missing>"
-
-
-_MISSING = _Missing()

@@ -43,8 +43,14 @@ from repro.obs.observer import Observer, active_or_none
 from repro.runtime.byzantine import ByzantineApi, ByzantineBehavior
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
+from repro.runtime.host import (
+    close_recovery,
+    note_crash,
+    rejoin_from_wal,
+    resolve_synchrony,
+)
 from repro.runtime.result import RunResult
-from repro.runtime.synchrony import LOCKSTEP, SynchronyModel
+from repro.runtime.synchrony import SynchronyModel
 from repro.runtime.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a cycle via repro.mc
@@ -232,12 +238,7 @@ class Simulation:
         else:
             self._injector = None
         self.stop_on_horizon = stop_on_horizon
-        self.synchrony = synchrony if synchrony is not None else LOCKSTEP
-        if not isinstance(self.synchrony, SynchronyModel):
-            raise SchedulerError(
-                f"synchrony must be a SynchronyModel, got "
-                f"{type(self.synchrony).__name__}"
-            )
+        self.synchrony = resolve_synchrony(synchrony, fault_plan, recovery)
         self._paced = not self.synchrony.trivial
         self._clock: _RoundClock | None = (
             _RoundClock(self.synchrony.timeout_base()) if self._paced else None
@@ -250,19 +251,7 @@ class Simulation:
         """Per-tick, per-edge send counter for the synchrony model's
         seeded/choice-point delivery draws (cleared every tick, so the
         draw coordinates ``(sender, receiver, tick, seq)`` stay pure)."""
-        if self._paced and recovery is not None:
-            raise SchedulerError(
-                "crash recovery requires the lockstep delta=1 model: WAL "
-                "replay is tick-aligned, paced rounds are not (run "
-                "recovery scenarios under the default synchrony)"
-            )
         self.recovery = recovery
-        if fault_plan is not None and fault_plan.crashes and recovery is None:
-            raise SchedulerError(
-                "the fault plan schedules crash/restart faults but the "
-                "simulation has no RecoveryManager: a crashed process can "
-                "only rejoin by replaying durable state (pass recovery=...)"
-            )
         if choices is not None and recovery is not None:
             raise SchedulerError(
                 "recovery is not supported under a ChoiceSource: model-"
@@ -390,13 +379,7 @@ class Simulation:
         else:  # the ledger bills the *send*; faults act on the wire
             copies = self._injector.copies(sender, to, self.tick, payload=payload)
             if obs is not None:
-                if not copies:
-                    obs.on_fault("dropped")
-                else:
-                    if len(copies) > 1:
-                        obs.on_fault("duplicated", len(copies) - 1)
-                    if any(delay > 0 for delay in copies):
-                        obs.on_fault("delayed")
+                obs.on_copies(copies)
         if copies:
             self._slot_copies(envelope, copies)
         if self.record_envelopes:
@@ -654,8 +637,9 @@ class Simulation:
                 for crash in self.fault_plan.restart_at(self.tick):
                     if crash.pid not in down:
                         continue
-                    gen, ctx, report = self._restart_process(
-                        crash.pid, down.pop(crash.pid)
+                    gen, ctx, report = rejoin_from_wal(
+                        self, crash.pid, self._factories[crash.pid],
+                        tick=self.tick, down_since=down.pop(crash.pid),
                     )
                     ever_recovered.add(crash.pid)
                     if report.decided:
@@ -674,16 +658,7 @@ class Simulation:
                     generators.pop(crash.pid)
                     contexts.pop(crash.pid)
                     down[crash.pid] = self.tick
-                    self.recovery.on_crash(crash.pid, self.tick)
-                    self.trace.emit(
-                        tick=self.tick, pid=crash.pid, scope="faults",
-                        name="crashed",
-                    )
-                    if self.observer is not None:
-                        self.observer.event(
-                            "crashed", pid=crash.pid, tick=self.tick
-                        )
-                        self.observer.on_recovery("crash")
+                    note_crash(self, crash.pid, self.tick)
 
             pending = self._pending_at(self.tick, down)
             inboxes: dict[ProcessId, list[Envelope]] = {}
@@ -783,12 +758,7 @@ class Simulation:
                 self.recovery.end_tick(self.tick)
             self.tick += 1
 
-        if self.recovery is not None:
-            self.recovery.close()
-            if self.observer is not None:
-                self.observer.gauge(
-                    "recovery.wal_bytes", self.recovery.wal_bytes()
-                )
+        close_recovery(self)
         if self.observer is not None:
             self.observer.gauge("sim.final_tick", self.tick)
             if truncated:
@@ -806,41 +776,6 @@ class Simulation:
             observer=self.observer,
             recovered=frozenset(ever_recovered),
         )
-
-    def _restart_process(self, pid: ProcessId, down_since: int):
-        """Rebuild a crashed process from its WAL and rejoin it.
-
-        Replays the durable history through every tick before ``now``
-        (down-window ticks replay as empty inboxes, keeping the
-        generator tick-aligned with the cluster) and returns
-        ``(generator, context, report)``; the generator's next resume
-        executes the current tick live.
-        """
-        from repro.recovery.replay import replay_generator
-
-        assert self.recovery is not None
-        self.recovery.on_restart(pid, self.tick, down_since)
-        history = self.recovery.load(pid)
-        ctx = ProcessContext(self, pid)
-        gen, report = replay_generator(
-            self._factories[pid], ctx, history, until_tick=self.tick
-        )
-        self.recovery.note_replay(report)
-        self.trace.emit(
-            tick=self.tick, pid=pid, scope="faults", name="recovered",
-            replayed_ticks=report.ticks_replayed,
-            replayed_sends=report.sends_replayed,
-        )
-        if self.observer is not None:
-            self.observer.event(
-                "recovered", pid=pid, tick=self.tick,
-                replayed_ticks=report.ticks_replayed,
-            )
-            self.observer.on_recovery("restart")
-            self.observer.on_recovery(
-                "replayed_ticks", report.ticks_replayed
-            )
-        return gen, ctx, report
 
     def _validate_population(self) -> None:
         scheduled = {

@@ -249,7 +249,7 @@ def _collect(
         rejoins=rejoins,
         resets=len(spec.plan.resets) if spec.plan is not None else 0,
         reconnects=result.trace.count("reconnected"),
-        ticks=getattr(result, "ticks", 0),
+        ticks=result.ticks,
         retries=retries,
         inject=spec.inject,
     )

@@ -111,8 +111,8 @@ def verify_under_plan(
     the synchronous network was always allowed to do that — so they
     tighten nothing: every safety property must hold verbatim.
 
-    Accepts both the simulator's :class:`RunResult` and the transports'
-    :class:`~repro.asyncnet.runner.AsyncRunResult` (same surface).
+    Audits runs of all three runtimes alike: the asyncio and TCP
+    transports return the simulator's :class:`RunResult`.
     """
     effective_f = len(frozenset(result.corrupted) | plan.faulty)
 

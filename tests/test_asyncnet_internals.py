@@ -1,46 +1,15 @@
-"""Unit tests for asyncnet internals (network, context, result)."""
+"""Unit tests for asyncnet internals (the network host and its drivers).
+
+The result surface is covered by ``test_runtime_support.TestRunResult``:
+async runs return the simulator's ``RunResult``."""
 
 import asyncio
 
 import pytest
 
-from repro.asyncnet.runner import AsyncNetwork, AsyncRunResult
-from repro.errors import AgreementViolation, SchedulerError
-from repro.metrics.words import WordLedger
-from repro.runtime.trace import Trace
-
-
-def make_result(config5, decisions, corrupted=frozenset()):
-    return AsyncRunResult(
-        config=config5,
-        decisions=decisions,
-        corrupted=frozenset(corrupted),
-        ledger=WordLedger(),
-        trace=Trace(),
-        elapsed=0.1,
-    )
-
-
-class TestAsyncRunResult:
-    def test_unanimous(self, config5):
-        result = make_result(config5, {p: "v" for p in range(5)})
-        assert result.unanimous_decision() == "v"
-
-    def test_disagreement_raises(self, config5):
-        decisions = {p: "v" for p in range(5)}
-        decisions[2] = "w"
-        with pytest.raises(AgreementViolation):
-            make_result(config5, decisions).unanimous_decision()
-
-    def test_missing_decision_raises(self, config5):
-        with pytest.raises(AgreementViolation):
-            make_result(config5, {0: "v"}).unanimous_decision()
-
-    def test_corrupted_excluded(self, config5):
-        result = make_result(
-            config5, {p: "v" for p in range(4)}, corrupted={4}
-        )
-        assert result.unanimous_decision() == "v"
+from repro.asyncnet.runner import AsyncNetwork, _drive_behavior
+from repro.errors import SchedulerError
+from repro.runtime.envelope import Envelope
 
 
 class TestAsyncNetwork:
@@ -92,3 +61,44 @@ class TestAsyncNetwork:
             assert network.ledger.total_words == 1
 
         asyncio.run(scenario())
+
+
+class TestByzantineInboxDrain:
+    def test_early_envelope_waits_for_its_due_round(self, config5):
+        """A peer that wakes first at the round-``k`` boundary enqueues
+        its round-``k`` sends (due ``k + 1``) before the behavior drains
+        for round ``k``; the behavior must not see them a round early."""
+        k = 1
+        seen: dict[int, list[str]] = {}
+        rushed: list = []  # real transports offer no rushing view
+
+        class Recorder:
+            def step(self, api):
+                seen[api.now] = [e.payload for e in api.inbox]
+                rushed.extend(api.rushed)
+
+        def stamped(payload, delivered_at):
+            return Envelope(
+                sender=0, receiver=4, payload=payload,
+                sent_at=delivered_at - 1, delivered_at=delivered_at,
+            )
+
+        async def scenario():
+            network = AsyncNetwork(config5, tick_duration=0.01)
+            network.corrupted = {4}
+            queue = network.queue_for(4)
+            queue.put_nowait(stamped("due-k", k))
+            queue.put_nowait(stamped("early", k + 1))
+            # Round 0 begins now: the behavior drains for round 0 at
+            # once and for rounds k and k + 1 one tick_duration apart.
+            network.start_time = asyncio.get_running_loop().time()
+            task = asyncio.create_task(_drive_behavior(network, 4, Recorder()))
+            await asyncio.sleep(0.05)
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+
+        asyncio.run(scenario())
+        assert seen[0] == []
+        assert seen[k] == ["due-k"]
+        assert seen[k + 1] == ["early"]
+        assert rushed == []

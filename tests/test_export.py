@@ -51,6 +51,30 @@ class TestRoundTrip:
         assert raw["format_version"] == 2
         assert raw["summary"]["fallback_used"] == result.fallback_was_used()
 
+    def test_async_run_round_trips(self, config5, tmp_path):
+        """asyncio/TCP runs return the simulator's ``RunResult`` (with
+        ``ticks`` and ``halted_at``), so they export like any other."""
+        import asyncio
+
+        from repro.asyncnet import run_async
+        from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
+
+        def factory(ctx):
+            return byzantine_broadcast_protocol(ctx, 0, "v")
+
+        sim = run_byzantine_broadcast(config5, sender=0, value="v")
+        result = asyncio.run(
+            run_async(config5, {p: factory for p in config5.processes})
+        )
+        path = save_run(result, tmp_path / "run.json")
+        loaded = load_run(path)
+        assert loaded.ticks == result.ticks == sim.ticks
+        assert result.halted_at == sim.halted_at
+        assert json.loads(path.read_text())["halted_at"] == {
+            str(pid): tick for pid, tick in sim.halted_at.items()
+        }
+        assert loaded.correct_words == sim.correct_words
+
     def test_flows_work_on_loaded_runs(self, result, tmp_path):
         """Offline analysis: the flow helpers accept a loaded ledger."""
         from repro.analysis.flows import flow_matrix, words_per_tick

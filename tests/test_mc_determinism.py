@@ -15,10 +15,16 @@ These property tests pin both:
 
 import asyncio
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asyncnet import run_async
+from repro.apps.clients import ClientWorkload, assign_queues
+from repro.apps.pipelined import (
+    pipelined_smr_replica_protocol,
+    run_pipelined_smr,
+)
+from repro.asyncnet import run_async, run_over_tcp
 from repro.config import SystemConfig
 from repro.core.validity import ExternalValidity
 from repro.core.weak_ba import weak_ba_protocol
@@ -78,6 +84,38 @@ class TestCrossRuntimeDeterminism:
         assert replayed.trace.canonical() == reference
         assert asynced.trace.canonical() == reference
         assert replayed.decisions == sim.decisions == asynced.decisions
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_join_based_protocol_agrees_on_all_three_runtimes(self, n):
+        """Pipelined SMR interleaves its BB slots with
+        ``runtime.concurrency.join``, which swaps the context's scope
+        stack: the wall-clock runtimes must offer the very same context
+        (their hand-copied one lacked ``swap_scope_stack``)."""
+        config = SystemConfig(n=n, t=(n - 1) // 2)
+        workloads = [
+            ClientWorkload(
+                client=f"c{i}", ops=(("set", f"k{i}", i),), replicas=(i % n,)
+            )
+            for i in range(2)
+        ]
+        sim = run_pipelined_smr(config, workloads, 2, window=2, seed=5)
+        assert sim.unanimous_decision().log
+
+        queues = assign_queues(workloads, config)
+        factories = {
+            pid: lambda ctx, q=tuple(queues[pid]): (
+                pipelined_smr_replica_protocol(ctx, q, 2, window=2)
+            )
+            for pid in config.processes
+        }
+        for run, tick_duration in ((run_async, 0.02), (run_over_tcp, 0.05)):
+            result = asyncio.run(
+                run(config, factories, seed=5, tick_duration=tick_duration)
+            )
+            assert result.decisions == sim.decisions
+            assert result.trace.canonical() == sim.trace.canonical()
+            assert result.correct_words == sim.correct_words
+            assert result.ticks == sim.ticks
 
     @settings(max_examples=10, deadline=None)
     @given(seeds)

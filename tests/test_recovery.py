@@ -154,6 +154,28 @@ class TestAsyncRuntimes:
         report = replay_wal(tmp_path / "p2")
         assert report.decided and report.decision == "v"
 
+    def test_offline_replay_of_wall_clock_wals_needs_describe(self, tmp_path):
+        """run_async takes hand-built factories, so it can stamp only
+        n/t/seed: an unstamped WAL must name the remedy, and a
+        describe()-stamped one replays offline to the live decision."""
+
+        def run(wal_dir, **meta):
+            recovery = RecoveryManager(wal_dir)
+            recovery.describe(**meta)
+            return asyncio.run(
+                run_async(
+                    CONFIG, self.factories(), seed=SEED,
+                    tick_duration=0.02, recovery=recovery,
+                )
+            )
+
+        run(tmp_path / "bare")
+        with pytest.raises(RecoveryError, match=r"describe\(protocol="):
+            replay_wal(tmp_path / "bare" / "p0")
+        result = run(tmp_path / "stamped", protocol="weak_ba", input="v")
+        report = replay_wal(tmp_path / "stamped" / "p0")
+        assert report.decided and report.decision == result.decisions[0] == "v"
+
     def test_tcp_runner_recovers_with_bumped_epoch(self, tmp_path):
         recovery = RecoveryManager(tmp_path)
         result = asyncio.run(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asyncnet.runner import AsyncNetwork
 from repro.errors import AgreementViolation
 from repro.metrics.words import WordLedger
 from repro.runtime.envelope import Envelope
@@ -115,3 +116,39 @@ class TestRunResult:
             tick=3, pid=0, scope="weak_ba/fallback", name="fallback_started"
         )
         assert result.fallback_was_used()
+
+    # The asyncio/TCP runtimes return the same RunResult, built by
+    # AsyncNetwork.result from the drivers' (pid, decision, halting
+    # round) triples; the agreement surface must behave identically.
+
+    def _async_result(self, config5, decisions, corrupted=frozenset()):
+        network = AsyncNetwork(config5)
+        network.corrupted = set(corrupted)
+        outcomes = [(pid, value, 3 + pid) for pid, value in decisions.items()]
+        return network.result(outcomes, elapsed=0.1)
+
+    def test_async_built_unanimous(self, config5):
+        result = self._async_result(config5, {p: "v" for p in range(5)})
+        assert isinstance(result, RunResult)
+        assert result.unanimous_decision() == "v"
+        assert result.halted_at == {p: 3 + p for p in range(5)}
+        assert result.ticks == 8  # last round reached + 1
+        assert result.elapsed == 0.1
+
+    def test_async_built_disagreement_raises(self, config5):
+        decisions = {p: "v" for p in range(5)}
+        decisions[2] = "w"
+        with pytest.raises(AgreementViolation):
+            self._async_result(config5, decisions).unanimous_decision()
+
+    def test_async_built_missing_decision_raises(self, config5):
+        with pytest.raises(AgreementViolation):
+            self._async_result(config5, {0: "v"}).unanimous_decision()
+
+    def test_async_built_corrupted_excluded(self, config5):
+        result = self._async_result(
+            config5, {p: "v" for p in range(4)}, corrupted={4}
+        )
+        assert result.unanimous_decision() == "v"
+        assert result.f == 1
+        assert result.correct_pids == [0, 1, 2, 3]
