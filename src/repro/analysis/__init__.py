@@ -27,6 +27,7 @@ from repro.analysis.montecarlo import (
 from repro.analysis.report import collect_claims, render_report
 from repro.analysis.sweeps import (
     SweepPoint,
+    sweep,
     sweep_byzantine_broadcast,
     sweep_dolev_strong,
     sweep_fallback_ba,
@@ -40,6 +41,7 @@ __all__ = [
     "fit_slope_vs",
     "crossover_point",
     "SweepPoint",
+    "sweep",
     "sweep_byzantine_broadcast",
     "sweep_weak_ba",
     "sweep_strong_ba",

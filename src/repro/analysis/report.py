@@ -21,9 +21,9 @@ from repro.analysis.sweeps import (
 )
 from repro.config import SystemConfig
 from repro.core.strong_ba import run_strong_ba
-from repro.core.validity import ExternalValidity
 from repro.core.weak_ba import run_weak_ba
 from repro.fallback.dolev_strong import run_dolev_strong
+from repro.protocols.table import string_validity
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,12 @@ def collect_claims(ns=(5, 9, 13, 17)) -> list[ClaimResult]:
 
     # Lemma 6 boundary at n=13.
     config = SystemConfig.with_optimal_resilience(13)
-    validity = lambda suite, cfg: ExternalValidity(lambda v: isinstance(v, str))
     boundary_ok = True
     activations = []
     for f in range(config.t + 1):
         byzantine = {p: SilentBehavior() for p in range(1, f + 1)}
         inputs = {p: "v" for p in config.processes if p not in byzantine}
-        result = run_weak_ba(config, inputs, validity, byzantine=byzantine)
+        result = run_weak_ba(config, inputs, string_validity, byzantine=byzantine)
         used = result.fallback_was_used()
         activations.append((f, used))
         if f < config.fallback_failure_threshold and used:

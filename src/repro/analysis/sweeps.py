@@ -11,21 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.adversary.strategies import (
-    AdversaryStrategy,
-    CorruptionPlan,
-    SilentStrategy,
-    apply_strategy,
-)
-from repro.config import ProcessId, SystemConfig
-from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
-from repro.core.strong_ba import strong_ba_protocol
-from repro.core.validity import ExternalValidity
-from repro.core.weak_ba import weak_ba_protocol
-from repro.fallback.dolev_strong import dolev_strong_protocol
-from repro.fallback.recursive_ba import fallback_ba
+from repro.adversary.strategies import AdversaryStrategy, SilentStrategy
+from repro.config import ProcessId, RunParameters, SystemConfig
+from repro.protocols.table import get_protocol, run_protocol, string_validity
 from repro.runtime.result import RunResult
-from repro.runtime.scheduler import Simulation
 from repro.runtime.synchrony import SynchronyModel, parse_synchrony
 
 
@@ -83,29 +72,6 @@ def _measure(
     )
 
 
-def _run_with_strategy(
-    protocol: str,
-    config: SystemConfig,
-    strategy: AdversaryStrategy,
-    f: int,
-    seed: int,
-    protocol_factory: Callable[[ProcessId], object],
-    *,
-    max_ticks: int = 200_000,
-    synchrony: SynchronyModel | None = None,
-) -> SweepPoint:
-    plan: CorruptionPlan = strategy.plan(config, f, seed)
-    # Reseed the timing model per grid point so seeded sub-schedules
-    # (pre-GST delays, link latencies, drift) vary with the sweep seed.
-    model = synchrony.reseeded(seed) if synchrony is not None else None
-    simulation = Simulation(
-        config, seed=seed, max_ticks=max_ticks, synchrony=model
-    )
-    apply_strategy(simulation, plan, protocol_factory)
-    result = simulation.run()
-    return _measure(protocol, result, seed, config.n, config.t)
-
-
 def _default_grid(
     ns: Sequence[int], fs: Callable[[SystemConfig], Iterable[int]] | None
 ) -> list[tuple[SystemConfig, int]]:
@@ -120,146 +86,60 @@ def _default_grid(
     return grid
 
 
-def sweep_byzantine_broadcast(
+def sweep(
+    protocol: str,
     ns: Sequence[int],
     *,
     fs: Callable[[SystemConfig], Iterable[int]] | None = None,
     strategy: AdversaryStrategy | None = None,
     seeds: Sequence[int] = (0,),
-    value: object = "payload",
+    value: object = None,
     synchrony: SynchronyModel | None = None,
 ) -> list[SweepPoint]:
-    """Run adaptive BB over the grid; the sender (process 0) stays correct."""
+    """Run table entry ``protocol`` (canonical name or CLI spelling)
+    over the ``(n, f)`` grid.
+
+    Every correct process proposes ``value`` (a callable ``pid ->
+    input`` varies it; default: the entry's ``proposal``).  The default
+    adversary silences ``f`` processes, never the entry's sender or
+    leader.
+    """
+    entry = get_protocol(protocol)
+    strategy = strategy or SilentStrategy(avoid=entry.shielded)
+    proposal = entry.proposal if value is None else value
     points = []
     for config, f in _default_grid(ns, fs):
-        strat = strategy or SilentStrategy(avoid=frozenset({0}))
+        metas = entry.metas(config.processes, proposal)
         for seed in seeds:
-            points.append(
-                _run_with_strategy(
-                    "bb",
-                    config,
-                    strat,
-                    f,
-                    seed,
-                    lambda pid: lambda ctx: byzantine_broadcast_protocol(
-                        ctx, 0, value
-                    ),
-                    synchrony=synchrony,
-                )
+            plan = strategy.plan(config, f, seed)
+            # Reseed the timing model per grid point so seeded
+            # sub-schedules (pre-GST delays, link latencies, drift)
+            # vary with the sweep seed.
+            model = synchrony.reseeded(seed) if synchrony is not None else None
+            result = run_protocol(
+                entry.name, config, metas, seed=seed,
+                byzantine=plan.initial, scheduled=plan.scheduled,
+                params=RunParameters(max_ticks=200_000, synchrony=model),
+                validity=string_validity,
             )
+            points.append(_measure(entry.name, result, seed, config.n, config.t))
     return points
-
-
-def sweep_weak_ba(
-    ns: Sequence[int],
-    *,
-    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
-    strategy: AdversaryStrategy | None = None,
-    seeds: Sequence[int] = (0,),
-    value: object = "proposal",
-    synchrony: SynchronyModel | None = None,
-) -> list[SweepPoint]:
-    """Run weak BA (all correct processes propose ``value``)."""
-    validity = ExternalValidity(lambda v: isinstance(v, str))
-    points = []
-    for config, f in _default_grid(ns, fs):
-        strat = strategy or SilentStrategy()
-        for seed in seeds:
-            points.append(
-                _run_with_strategy(
-                    "weak_ba",
-                    config,
-                    strat,
-                    f,
-                    seed,
-                    lambda pid: lambda ctx: weak_ba_protocol(ctx, value, validity),
-                    synchrony=synchrony,
-                )
-            )
-    return points
-
-
-def sweep_strong_ba(
-    ns: Sequence[int],
-    *,
-    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
-    strategy: AdversaryStrategy | None = None,
-    seeds: Sequence[int] = (0,),
-    inputs: Callable[[ProcessId], int] = lambda pid: 1,
-    synchrony: SynchronyModel | None = None,
-) -> list[SweepPoint]:
-    """Run Algorithm 5 (binary strong BA)."""
-    points = []
-    for config, f in _default_grid(ns, fs):
-        strat = strategy or SilentStrategy(avoid=frozenset({0}))
-        for seed in seeds:
-            points.append(
-                _run_with_strategy(
-                    "strong_ba",
-                    config,
-                    strat,
-                    f,
-                    seed,
-                    lambda pid: lambda ctx, v=inputs(pid): strong_ba_protocol(
-                        ctx, v
-                    ),
-                    synchrony=synchrony,
-                )
-            )
-    return points
-
-
-def sweep_fallback_ba(
-    ns: Sequence[int],
-    *,
-    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
-    strategy: AdversaryStrategy | None = None,
-    seeds: Sequence[int] = (0,),
-    value: object = "v",
-    synchrony: SynchronyModel | None = None,
-) -> list[SweepPoint]:
-    """Run the quadratic ``Afallback`` directly (the Momose–Ren row)."""
-    points = []
-    for config, f in _default_grid(ns, fs):
-        strat = strategy or SilentStrategy()
-        for seed in seeds:
-            points.append(
-                _run_with_strategy(
-                    "fallback_ba",
-                    config,
-                    strat,
-                    f,
-                    seed,
-                    lambda pid: lambda ctx: fallback_ba(
-                        ctx, value, round_ticks=1
-                    ),
-                    synchrony=synchrony,
-                )
-            )
-    return points
-
-
-_SWEEPS: dict[str, Callable[..., list["SweepPoint"]]] = {}
-"""Sweep functions by protocol key, for the parallel driver and CLI."""
 
 
 def _sweep_task(args: tuple[str, int, int, int, str | None]) -> SweepPoint:
-    """Run one grid point of a named sweep (worker entry point).
+    """Run one grid point of a sweep (worker entry point).
 
-    Module-level so multiprocessing can pickle it; the sweep's default
+    Module-level so multiprocessing can pickle it; the default
     adversary strategy — and the synchrony model, shipped as its CLI
     spec string — are rebuilt inside the worker.  One point per task
     keeps shards balanced — large-``n`` runs dominate, and a per-``n``
     split would leave workers idle behind the biggest one.
     """
     protocol, n, f, seed, spec = args
-    sweep = _SWEEPS[protocol]
-    config = SystemConfig.with_optimal_resilience(n)
     model = parse_synchrony(spec) if spec is not None else None
     (point,) = sweep(
-        [n], fs=lambda _config: [f], seeds=[seed], synchrony=model
+        protocol, [n], fs=lambda _config: [f], seeds=[seed], synchrony=model
     )
-    assert point.n == config.n and point.seed == seed
     return point
 
 
@@ -272,37 +152,83 @@ def sweep_parallel(
     jobs: int = 1,
     synchrony: str | None = None,
 ) -> list[SweepPoint]:
-    """Run a named sweep with its grid points fanned out over ``jobs``
+    """:func:`sweep` with its grid points fanned out over ``jobs``
     worker processes.  ``synchrony`` is a :func:`parse_synchrony` spec
     string (specs pickle across workers; model objects need not).
 
     Points come back in the same (n, f, seed) order as the serial sweep
-    functions produce, and each point's run is bit-identical to its
-    serial counterpart (every run is seeded and self-contained — the
-    processes share nothing).  Only the sweeps' *default* adversary
-    strategies are supported here; custom strategy objects stay on the
-    serial API.
+    produces, and each point's run is bit-identical to its serial
+    counterpart (every run is seeded and self-contained — the processes
+    share nothing).  Only the default adversary strategy and proposal
+    are supported here; custom ones stay on the serial API.
     """
-    # Accept the CLI's hyphenated spellings alongside the ledger's
-    # protocol keys ("weak-ba" == "weak_ba", "fallback" == "fallback_ba").
-    key = protocol.replace("-", "_")
-    if key == "fallback":
-        key = "fallback_ba"
-    protocol = key
-    if protocol not in _SWEEPS:
-        raise ValueError(
-            f"unknown sweep protocol {protocol!r}; "
-            f"known: {sorted(_SWEEPS)}"
-        )
+    name = get_protocol(protocol).name  # fail fast, before any worker spawns
     if synchrony is not None:
-        parse_synchrony(synchrony)  # fail fast, before any worker spawns
+        parse_synchrony(synchrony)
     from repro.runtime.pool import parallel_map
 
-    tasks: list[tuple[str, int, int, int, str | None]] = []
-    for config, f in _default_grid(ns, fs):
-        for seed in seeds:
-            tasks.append((protocol, config.n, f, seed, synchrony))
+    tasks = [
+        (name, config.n, f, seed, synchrony)
+        for config, f in _default_grid(ns, fs)
+        for seed in seeds
+    ]
     return parallel_map(_sweep_task, tasks, jobs)
+
+
+def sweep_byzantine_broadcast(
+    ns: Sequence[int],
+    *,
+    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
+    strategy: AdversaryStrategy | None = None,
+    seeds: Sequence[int] = (0,),
+    value: object = "payload",
+    synchrony: SynchronyModel | None = None,
+) -> list[SweepPoint]:
+    """Run adaptive BB over the grid; the sender (process 0) stays correct."""
+    return sweep("bb", ns, fs=fs, strategy=strategy, seeds=seeds,
+                 value=value, synchrony=synchrony)
+
+
+def sweep_weak_ba(
+    ns: Sequence[int],
+    *,
+    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
+    strategy: AdversaryStrategy | None = None,
+    seeds: Sequence[int] = (0,),
+    value: object = "proposal",
+    synchrony: SynchronyModel | None = None,
+) -> list[SweepPoint]:
+    """Run weak BA (all correct processes propose ``value``)."""
+    return sweep("weak_ba", ns, fs=fs, strategy=strategy, seeds=seeds,
+                 value=value, synchrony=synchrony)
+
+
+def sweep_strong_ba(
+    ns: Sequence[int],
+    *,
+    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
+    strategy: AdversaryStrategy | None = None,
+    seeds: Sequence[int] = (0,),
+    inputs: Callable[[ProcessId], int] = lambda pid: 1,
+    synchrony: SynchronyModel | None = None,
+) -> list[SweepPoint]:
+    """Run Algorithm 5 (binary strong BA); the leader stays correct."""
+    return sweep("strong_ba", ns, fs=fs, strategy=strategy, seeds=seeds,
+                 value=inputs, synchrony=synchrony)
+
+
+def sweep_fallback_ba(
+    ns: Sequence[int],
+    *,
+    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
+    strategy: AdversaryStrategy | None = None,
+    seeds: Sequence[int] = (0,),
+    value: object = "v",
+    synchrony: SynchronyModel | None = None,
+) -> list[SweepPoint]:
+    """Run the quadratic ``Afallback`` directly (the Momose–Ren row)."""
+    return sweep("recursive_ba", ns, fs=fs, strategy=strategy, seeds=seeds,
+                 value=value, synchrony=synchrony)
 
 
 def sweep_dolev_strong(
@@ -315,30 +241,5 @@ def sweep_dolev_strong(
     synchrony: SynchronyModel | None = None,
 ) -> list[SweepPoint]:
     """Run the Dolev–Strong baseline (sender 0 stays correct)."""
-    points = []
-    for config, f in _default_grid(ns, fs):
-        strat = strategy or SilentStrategy(avoid=frozenset({0}))
-        for seed in seeds:
-            points.append(
-                _run_with_strategy(
-                    "dolev_strong",
-                    config,
-                    strat,
-                    f,
-                    seed,
-                    lambda pid: lambda ctx: dolev_strong_protocol(ctx, 0, value),
-                    synchrony=synchrony,
-                )
-            )
-    return points
-
-
-_SWEEPS.update(
-    {
-        "bb": sweep_byzantine_broadcast,
-        "weak_ba": sweep_weak_ba,
-        "strong_ba": sweep_strong_ba,
-        "fallback_ba": sweep_fallback_ba,
-        "dolev_strong": sweep_dolev_strong,
-    }
-)
+    return sweep("dolev_strong", ns, fs=fs, strategy=strategy, seeds=seeds,
+                 value=value, synchrony=synchrony)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Sequence
 
 from repro.apps.smr import KeyValueStore, SmrOutcome
-from repro.config import ProcessId, SystemConfig
+from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
 from repro.core.values import BOTTOM
 from repro.runtime.context import ProcessContext
@@ -121,6 +121,16 @@ def batched_smr_replica_protocol(
         )
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: batched_smr_replica_protocol(
+        ctx,
+        meta.get("queue", ()),
+        meta["num_slots"],
+        batch_size=meta.get("batch_size", 4),
+    )
+
+
 def run_batched_smr(
     config: SystemConfig,
     workloads: Sequence[ClientWorkload],
@@ -132,20 +142,17 @@ def run_batched_smr(
     max_ticks: int = 500_000,
 ):
     """Drive a batched, client-fed SMR run over the simulator."""
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    queues = assign_queues(workloads, config)
-    simulation = Simulation(config, seed=seed, max_ticks=max_ticks)
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            pending = tuple(queues[pid])
-            simulation.add_process(
-                pid,
-                lambda ctx, q=pending: batched_smr_replica_protocol(
-                    ctx, q, num_slots, batch_size=batch_size
-                ),
-            )
-    return simulation.run()
+    metas = {
+        pid: {
+            "num_slots": num_slots,
+            "batch_size": batch_size,
+            "queue": tuple(queue),
+        }
+        for pid, queue in assign_queues(workloads, config).items()
+    }
+    return run_protocol(
+        "batched_smr", config, metas, seed=seed, byzantine=byzantine,
+        params=RunParameters(max_ticks=max_ticks),
+    )

@@ -18,7 +18,7 @@ from typing import Any, Generator, Sequence
 
 from repro.apps.clients import ClientWorkload, Command, assign_queues
 from repro.apps.smr import KeyValueStore, SmrOutcome
-from repro.config import ProcessId, SystemConfig
+from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
 from repro.core.values import BOTTOM
 from repro.runtime.concurrency import join
@@ -93,6 +93,17 @@ def pipelined_smr_replica_protocol(
         )
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: pipelined_smr_replica_protocol(
+        ctx,
+        meta.get("queue", ()),
+        meta["num_slots"],
+        window=meta.get("window", 4),
+        batch_size=meta.get("batch_size", 4),
+    )
+
+
 def run_pipelined_smr(
     config: SystemConfig,
     workloads: Sequence[ClientWorkload],
@@ -103,7 +114,7 @@ def run_pipelined_smr(
     seed: int = 0,
     byzantine: dict[ProcessId, Any] | None = None,
     max_ticks: int = 500_000,
-    params: "RunParameters | None" = None,
+    params: RunParameters | None = None,
 ):
     """Drive a pipelined SMR run over the simulator.
 
@@ -111,32 +122,18 @@ def run_pipelined_smr(
     crash/restart faults, observer, recovery manager) through the
     pipeline — a crashed replica replays its WAL and rejoins with its
     in-flight window reconstructed."""
-    from repro.config import RunParameters
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    queues = assign_queues(workloads, config)
-    params = params or RunParameters(max_ticks=max_ticks)
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+    metas = {
+        pid: {
+            "num_slots": num_slots,
+            "window": window,
+            "batch_size": batch_size,
+            "queue": tuple(queue),
+        }
+        for pid, queue in assign_queues(workloads, config).items()
+    }
+    return run_protocol(
+        "pipelined_smr", config, metas, seed=seed, byzantine=byzantine,
+        params=params or RunParameters(max_ticks=max_ticks),
     )
-    if params.recovery is not None:
-        params.recovery.describe(
-            protocol="pipelined_smr", num_slots=num_slots,
-            window=window, batch_size=batch_size,
-        )
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            pending = tuple(queues[pid])
-            simulation.add_process(
-                pid,
-                lambda ctx, q=pending: pipelined_smr_replica_protocol(
-                    ctx, q, num_slots, window=window, batch_size=batch_size
-                ),
-            )
-    return simulation.run()

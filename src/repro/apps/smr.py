@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Sequence
 
-from repro.config import ProcessId, SystemConfig
+from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
 from repro.core.values import BOTTOM
 from repro.runtime.context import ProcessContext
@@ -104,6 +104,13 @@ def smr_replica_protocol(
         )
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: smr_replica_protocol(
+        ctx, meta.get("commands", ()), meta["num_slots"]
+    )
+
+
 def run_smr(
     config: SystemConfig,
     commands: dict[ProcessId, Sequence[object]],
@@ -112,7 +119,7 @@ def run_smr(
     seed: int = 0,
     byzantine: dict[ProcessId, Any] | None = None,
     max_ticks: int = 500_000,
-    params: "RunParameters | None" = None,
+    params: RunParameters | None = None,
 ):
     """Drive a full SMR run over the simulator.
 
@@ -124,28 +131,13 @@ def run_smr(
     manager) through the long-lived service — a crashed replica replays
     its WAL, re-derives its log and store, and rejoins mid-slot.
     """
-    from repro.config import RunParameters
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    params = params or RunParameters(max_ticks=max_ticks)
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+    metas = {
+        pid: {"num_slots": num_slots, "commands": tuple(commands.get(pid, ()))}
+        for pid in config.processes
+    }
+    return run_protocol(
+        "smr", config, metas, seed=seed, byzantine=byzantine,
+        params=params or RunParameters(max_ticks=max_ticks),
     )
-    if params.recovery is not None:
-        params.recovery.describe(protocol="smr", num_slots=num_slots)
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            queue = tuple(commands.get(pid, ()))
-            if params.recovery is not None:
-                params.recovery.describe_process(pid, commands=queue)
-            simulation.add_process(
-                pid,
-                lambda ctx, q=queue: smr_replica_protocol(ctx, q, num_slots),
-            )
-    return simulation.run()

@@ -337,7 +337,7 @@ async def _drive_process(
         crash = crashes.get(tick_index)
         if crash is not None:
             generator, ctx, report = await _crash_and_recover(
-                network, pid, factory, crash, pending
+                network, pid, factory, crash, pending, generator
             )
             tick_index = crash.restart_tick
             if generator is None:  # the protocol completed during replay
@@ -368,6 +368,7 @@ async def _crash_and_recover(
     factory: Callable[[ProcessContext], Generator[None, None, Any]],
     crash: Any,
     pending: list[Envelope],
+    crashed: Generator[None, None, Any],
 ):
     """Take ``pid`` down for ``[at_tick, restart_tick)`` and rejoin it.
 
@@ -388,7 +389,7 @@ async def _crash_and_recover(
     """
     queue = network.queue_for(pid)
     node = network.nodes.get(pid)
-    note_crash(network, pid, crash.at_tick)
+    note_crash(network, pid, crash.at_tick, crashed)
     if node is not None:
         await node.crash()
     pending.clear()  # held-over deliveries die with the down window

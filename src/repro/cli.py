@@ -31,25 +31,17 @@ from typing import Sequence
 
 from repro.adversary.behaviors import GarbageSpammer, SilentBehavior
 from repro.adversary.protocol_attacks import WeakBaTeasingLeader
-from repro.adversary.strategies import (
-    SilentStrategy,
-)
+from repro.adversary.strategies import SilentStrategy, StaticStrategy
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import (
-    sweep_byzantine_broadcast,
-    sweep_dolev_strong,
-    sweep_fallback_ba,
-    sweep_strong_ba,
-    sweep_weak_ba,
-)
+from repro.analysis.sweeps import sweep, sweep_parallel
 from repro.analysis.tables import format_table, render_points
 from repro.config import RunParameters, SystemConfig
-from repro.core.byzantine_broadcast import run_byzantine_broadcast
-from repro.core.strong_ba import run_strong_ba
-from repro.core.validity import ExternalValidity
-from repro.core.weak_ba import run_weak_ba
-from repro.fallback.dolev_strong import run_dolev_strong
-from repro.fallback.recursive_ba import run_fallback_ba
+from repro.protocols.table import (
+    PROTOCOLS,
+    get_protocol,
+    run_protocol,
+    string_validity,
+)
 from repro.runtime.synchrony import parse_synchrony
 
 ADVERSARIES = {
@@ -58,24 +50,8 @@ ADVERSARIES = {
     "teasing": lambda pid: WeakBaTeasingLeader(value="tease"),
 }
 
-SWEEPS = {
-    "bb": sweep_byzantine_broadcast,
-    "weak-ba": sweep_weak_ba,
-    "strong-ba": sweep_strong_ba,
-    "fallback": sweep_fallback_ba,
-    "dolev-strong": sweep_dolev_strong,
-}
-
-
-def _byzantine_map(config: SystemConfig, f: int, kind: str, seed: int, avoid):
-    import random
-
-    rng = random.Random(seed)
-    candidates = [p for p in config.processes if p not in avoid]
-    config.validate_failures(f)
-    targets = sorted(rng.sample(candidates, f))
-    factory = ADVERSARIES[kind]
-    return {pid: factory(pid) for pid in targets}
+CLI_PROTOCOLS = [entry.cli for entry in PROTOCOLS.values() if entry.cli]
+"""What ``repro run`` and ``repro sweep`` accept, in table order."""
 
 
 def _report(result, label: str) -> None:
@@ -130,93 +106,14 @@ def _fault_plan(args: argparse.Namespace):
     )
 
 
-def _protocol_runners():
-    """CLI protocol name -> runner, resolved through the backend
-    registry (``repro.protocols``): ``run`` dispatches by backend name
-    instead of importing protocol modules directly, so a new backend
-    only has to register itself to become runnable.  The pre-backend
-    single-shot protocols (bb, fallback, dolev-strong) keep their
-    direct entry points."""
-    import repro.protocols as protocols
-
-    cohen = protocols.get_backend("cohen")
-    civit = protocols.get_backend("civit")
-
-    def weak_ba(backend):
-        def run(config, byzantine, args, params):
-            validity = lambda suite, cfg: ExternalValidity(
-                lambda v: isinstance(v, str)
-            )
-            inputs = {
-                p: args.value for p in config.processes if p not in byzantine
-            }
-            return backend.run_weak_ba(
-                config, inputs, validity, byzantine=byzantine,
-                seed=args.seed, params=params,
-            )
-
-        return run
-
-    def strong_ba(backend):
-        def run(config, byzantine, args, params):
-            inputs = {
-                p: args.bit for p in config.processes if p not in byzantine
-            }
-            return backend.run_strong_ba(
-                config, inputs, byzantine=byzantine, seed=args.seed,
-                params=params,
-            )
-
-        return run
-
-    def adaptive_strong_ba(backend):
-        def run(config, byzantine, args, params):
-            inputs = {
-                p: args.value for p in config.processes if p not in byzantine
-            }
-            return backend.run_adaptive_strong_ba(
-                config, inputs, byzantine=byzantine, seed=args.seed,
-                params=params,
-            )
-
-        return run
-
-    def bb(config, byzantine, args, params):
-        return run_byzantine_broadcast(
-            config, sender=0, value=args.value, byzantine=byzantine,
-            seed=args.seed, params=params,
-        )
-
-    def fallback(config, byzantine, args, params):
-        inputs = {
-            p: args.value for p in config.processes if p not in byzantine
-        }
-        return run_fallback_ba(
-            config, inputs, byzantine=byzantine, seed=args.seed, params=params
-        )
-
-    def dolev_strong(config, byzantine, args, params):
-        return run_dolev_strong(
-            config, sender=0, value=args.value, byzantine=byzantine,
-            seed=args.seed, params=params,
-        )
-
-    return {
-        "bb": bb,
-        "weak-ba": weak_ba(cohen),
-        "strong-ba": strong_ba(cohen),
-        "adaptive-strong-ba": adaptive_strong_ba(cohen),
-        "civit-strong-ba": strong_ba(civit),
-        "civit-adaptive-strong-ba": adaptive_strong_ba(civit),
-        "fallback": fallback,
-        "dolev-strong": dolev_strong,
-    }
-
-
 def cmd_run(args: argparse.Namespace) -> int:
+    entry = get_protocol(args.protocol)
     config = SystemConfig.with_optimal_resilience(args.n)
-    avoid = frozenset({0}) if args.protocol in ("bb", "dolev-strong") else frozenset()
-    byzantine = _byzantine_map(config, args.f, args.adversary, args.seed, avoid)
+    byzantine = (
+        StaticStrategy(ADVERSARIES[args.adversary], avoid=entry.shielded)
+        .plan(config, args.f, args.seed)
+        .initial
+    )
     plan = _fault_plan(args)
     observer = None
     if args.obs_log or args.export:
@@ -250,10 +147,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed, fault_plan=plan, observer=observer, recovery=recovery,
         synchrony=synchrony,
     )
-    runner = _protocol_runners().get(args.protocol)
-    if runner is None:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown protocol {args.protocol}")
-    result = runner(config, byzantine, args, params)
+    result = run_protocol(
+        entry.name,
+        config,
+        entry.metas(config.processes, args.bit if entry.binary else args.value),
+        seed=args.seed,
+        byzantine=byzantine,
+        params=params,
+        validity=string_validity,
+    )
     _report(result, f"{args.protocol} (n={config.n}, t={config.t})")
     if recovery is not None:
         stats = recovery.stats
@@ -263,9 +165,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"replay_seconds={stats.replay_seconds:.6f}, "
             f"wal_bytes={recovery.wal_bytes()}"
         )
-        recovered = getattr(result, "recovered", frozenset())
-        if recovered:
-            print(f"  recovered processes: {sorted(recovered)}")
+        if result.recovered:
+            print(f"  recovered processes: {sorted(result.recovered)}")
         print(
             f"  WALs under {args.wal_dir}: "
             + ", ".join(f"p{pid}" for pid in recovery.pids())
@@ -305,29 +206,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.jobs > 1:
-        from repro.analysis.sweeps import sweep_parallel
-
-        points = sweep_parallel(
-            args.protocol,
-            args.ns,
-            fs=lambda c: range(0, min(args.max_f, c.t) + 1),
-            seeds=tuple(range(args.seeds)),
-            jobs=args.jobs,
-            synchrony=args.synchrony,
-        )
-    else:
-        sweep = SWEEPS[args.protocol]
-        points = sweep(
-            args.ns,
-            fs=lambda c: range(0, min(args.max_f, c.t) + 1),
-            seeds=tuple(range(args.seeds)),
-            synchrony=(
-                parse_synchrony(args.synchrony)
-                if args.synchrony is not None
-                else None
-            ),
-        )
+    points = sweep_parallel(
+        args.protocol,
+        args.ns,
+        fs=lambda c: range(0, min(args.max_f, c.t) + 1),
+        seeds=tuple(range(args.seeds)),
+        jobs=args.jobs,
+        synchrony=args.synchrony,
+    )
     print(render_points(points))
     failure_free = [p for p in points if p.f == 0]
     if len({p.n for p in failure_free}) >= 2:
@@ -369,11 +255,11 @@ def cmd_flows(args: argparse.Namespace) -> int:
 def cmd_table1(args: argparse.Namespace) -> int:
     ns = args.ns
     rows = []
-    bb0 = sweep_byzantine_broadcast(ns, fs=lambda c: [0])
-    bbt = sweep_byzantine_broadcast(ns, fs=lambda c: [c.t])
-    wba0 = sweep_weak_ba(ns, fs=lambda c: [0])
-    sba0 = sweep_strong_ba(ns, fs=lambda c: [0])
-    fb = sweep_fallback_ba(ns, fs=lambda c: [0])
+    bb0 = sweep("bb", ns, fs=lambda c: [0])
+    bbt = sweep("bb", ns, fs=lambda c: [c.t])
+    wba0 = sweep("weak_ba", ns, fs=lambda c: [0])
+    sba0 = sweep("strong_ba", ns, fs=lambda c: [0])
+    fb = sweep("recursive_ba", ns, fs=lambda c: [0])
 
     def slope(points):
         return fit_slope_vs(points, lambda p: p.n, lambda p: p.words).slope
@@ -749,19 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run one protocol instance")
-    run_parser.add_argument(
-        "protocol",
-        choices=[
-            "bb",
-            "weak-ba",
-            "strong-ba",
-            "adaptive-strong-ba",
-            "civit-strong-ba",
-            "civit-adaptive-strong-ba",
-            "fallback",
-            "dolev-strong",
-        ],
-    )
+    run_parser.add_argument("protocol", choices=CLI_PROTOCOLS)
     run_parser.add_argument("--n", type=int, default=7, help="odd, n = 2t+1")
     run_parser.add_argument("--f", type=int, default=0, help="actual failures")
     run_parser.add_argument(
@@ -818,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(func=cmd_run)
 
     sweep_parser = sub.add_parser("sweep", help="sweep (n, f) and fit slopes")
-    sweep_parser.add_argument("protocol", choices=sorted(SWEEPS))
+    sweep_parser.add_argument("protocol", choices=CLI_PROTOCOLS)
     sweep_parser.add_argument("--ns", type=int, nargs="+", default=[5, 9, 13])
     sweep_parser.add_argument("--max-f", type=int, default=1)
     sweep_parser.add_argument("--seeds", type=int, default=1)

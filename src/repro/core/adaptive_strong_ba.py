@@ -247,6 +247,16 @@ def adaptive_strong_ba_protocol(
         return decision
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: adaptive_strong_ba_protocol(
+        ctx,
+        meta.get("input"),
+        session=meta.get("session", "asba"),
+        num_phases=meta.get("num_phases"),
+    )
+
+
 def run_adaptive_strong_ba(
     config: SystemConfig,
     inputs: dict[ProcessId, Any],
@@ -256,31 +266,10 @@ def run_adaptive_strong_ba(
     params: RunParameters | None = None,
 ):
     """Standalone driver for the extension protocol."""
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    params = params or RunParameters()
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+    metas = {pid: {"input": value} for pid, value in inputs.items()}
+    return run_protocol(
+        "adaptive_strong_ba", config, metas, seed=seed, byzantine=byzantine,
+        params=params,
     )
-    if params.recovery is not None:
-        params.recovery.describe(
-            protocol="adaptive_strong_ba", num_phases=params.num_phases
-        )
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            value = inputs[pid]
-            if params.recovery is not None:
-                params.recovery.describe_process(pid, input=value)
-            simulation.add_process(
-                pid,
-                lambda ctx, v=value: adaptive_strong_ba_protocol(
-                    ctx, v, num_phases=params.num_phases
-                ),
-            )
-    return simulation.run()

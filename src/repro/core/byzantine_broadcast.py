@@ -312,6 +312,17 @@ def byzantine_broadcast_protocol(
         return decision
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: byzantine_broadcast_protocol(
+        ctx,
+        meta["sender"],
+        meta.get("input"),
+        session=meta.get("session", "bb"),
+        num_phases=meta.get("num_phases"),
+    )
+
+
 def run_byzantine_broadcast(
     config: SystemConfig,
     sender: ProcessId,
@@ -322,29 +333,10 @@ def run_byzantine_broadcast(
     params: RunParameters | None = None,
 ):
     """Standalone driver: run adaptive BB over the simulator."""
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    params = params or RunParameters()
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+    meta = {"sender": sender, "input": value}
+    return run_protocol(
+        "bb", config, dict.fromkeys(config.processes, meta), seed=seed,
+        byzantine=byzantine, params=params,
     )
-    if params.recovery is not None:
-        params.recovery.describe(
-            protocol="bb", sender=sender, input=value,
-            num_phases=params.num_phases,
-        )
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            simulation.add_process(
-                pid,
-                lambda ctx: byzantine_broadcast_protocol(
-                    ctx, sender, value, num_phases=params.num_phases
-                ),
-            )
-    return simulation.run()

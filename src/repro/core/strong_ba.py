@@ -344,6 +344,16 @@ def strong_ba_protocol(
         return decision
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: strong_ba_protocol(
+        ctx,
+        meta.get("input"),
+        session=meta.get("session", "sba"),
+        leader=meta.get("leader", 0),
+    )
+
+
 def run_strong_ba(
     config: SystemConfig,
     inputs: dict[ProcessId, int],
@@ -353,27 +363,10 @@ def run_strong_ba(
     params: RunParameters | None = None,
 ):
     """Standalone driver: run Algorithm 5 over the simulator."""
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    params = params or RunParameters()
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+    metas = {pid: {"input": value} for pid, value in inputs.items()}
+    return run_protocol(
+        "strong_ba", config, metas, seed=seed, byzantine=byzantine,
+        params=params,
     )
-    if params.recovery is not None:
-        params.recovery.describe(protocol="strong_ba")
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            value = inputs[pid]
-            if params.recovery is not None:
-                params.recovery.describe_process(pid, input=value)
-            simulation.add_process(
-                pid,
-                lambda ctx, v=value: strong_ba_protocol(ctx, v),
-            )
-    return simulation.run()

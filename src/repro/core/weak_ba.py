@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator
 
 from repro.config import ProcessId, RunParameters, SystemConfig
-from repro.core.validity import ValidityPredicate
+from repro.core.validity import ExternalValidity, ValidityPredicate
 from repro.core.values import BOTTOM, UNDECIDED
 from repro.crypto.certificates import (
     CertificateCollector,
@@ -729,6 +729,24 @@ def weak_ba_protocol(
         return decision
 
 
+def build(meta: dict, *, validity: ValidityPredicate | None = None, **_code):
+    """``meta -> factory(ctx)``, the table row's builder.
+
+    The validity predicate is code and cannot live in a WAL; without
+    one (offline replay) the process accepts everything.  If the live
+    predicate ever rejected a value, the replayed send counts diverge
+    from the highwater marks and replay refuses — a loud failure, not
+    silently wrong state.
+    """
+    return lambda ctx: weak_ba_protocol(
+        ctx,
+        meta.get("input"),
+        validity or ExternalValidity(lambda value: True),
+        session=meta.get("session", "wba"),
+        num_phases=meta.get("num_phases"),
+    )
+
+
 def run_weak_ba(
     config: SystemConfig,
     inputs: dict[ProcessId, Any],
@@ -744,32 +762,10 @@ def run_weak_ba(
     usually needs the deployment's crypto suite); ``inputs`` maps every
     correct pid to its (valid) proposal.
     """
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    params = params or RunParameters()
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+    metas = {pid: {"input": value} for pid, value in inputs.items()}
+    return run_protocol(
+        "weak_ba", config, metas, seed=seed, byzantine=byzantine,
+        params=params, validity=validity_factory,
     )
-    validity = validity_factory(simulation.suite, config)
-    if params.recovery is not None:
-        params.recovery.describe(
-            protocol="weak_ba", num_phases=params.num_phases
-        )
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            value = inputs[pid]
-            if params.recovery is not None:
-                params.recovery.describe_process(pid, input=value)
-            simulation.add_process(
-                pid,
-                lambda ctx, v=value: weak_ba_protocol(
-                    ctx, v, validity, num_phases=params.num_phases
-                ),
-            )
-    return simulation.run()

@@ -122,6 +122,13 @@ def dolev_strong_protocol(
         return decision
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: dolev_strong_protocol(
+        ctx, meta["sender"], meta.get("input")
+    )
+
+
 def run_dolev_strong(
     config: SystemConfig,
     sender: ProcessId,
@@ -132,26 +139,10 @@ def run_dolev_strong(
     params: RunParameters | None = None,
 ):
     """Standalone driver for the baseline; returns the run result."""
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    params = params or RunParameters()
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+    meta = {"sender": sender, "input": value}
+    return run_protocol(
+        "dolev_strong", config, dict.fromkeys(config.processes, meta),
+        seed=seed, byzantine=byzantine, params=params,
     )
-    if params.recovery is not None:
-        params.recovery.describe(
-            protocol="dolev_strong", sender=sender, input=value
-        )
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            simulation.add_process(
-                pid,
-                lambda ctx: dolev_strong_protocol(ctx, sender, value),
-            )
-    return simulation.run()

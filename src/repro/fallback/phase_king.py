@@ -145,6 +145,13 @@ def phase_king_protocol(
         return preference
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: phase_king_protocol(
+        ctx, meta.get("input"), session=meta.get("session", "pk")
+    )
+
+
 def run_phase_king(
     config: SystemConfig,
     inputs: dict[ProcessId, int],
@@ -153,17 +160,10 @@ def run_phase_king(
     byzantine: dict[ProcessId, Any] | None = None,
 ):
     """Standalone driver for the Phase-King baseline."""
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
     check_phase_king_resilience(config)
-    byzantine = byzantine or {}
-    simulation = Simulation(config, seed=seed)
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            value = inputs[pid]
-            simulation.add_process(
-                pid, lambda ctx, v=value: phase_king_protocol(ctx, v)
-            )
-    return simulation.run()
+    metas = {pid: {"input": value} for pid, value in inputs.items()}
+    return run_protocol(
+        "phase_king", config, metas, seed=seed, byzantine=byzantine
+    )

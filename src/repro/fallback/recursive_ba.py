@@ -244,6 +244,17 @@ def fallback_ba(
         return decision
 
 
+def build(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder; a meta without
+    ``round_ticks`` runs one tick per round, as the standalone driver."""
+    return lambda ctx: fallback_ba(
+        ctx,
+        meta.get("input"),
+        session=meta.get("session", "fallback"),
+        round_ticks=meta.get("round_ticks", 1),
+    )
+
+
 def run_fallback_ba(
     config: SystemConfig,
     inputs: dict[ProcessId, Any],
@@ -259,27 +270,13 @@ def run_fallback_ba(
     maps corrupted pids to behavior objects.  Returns the
     :class:`~repro.runtime.result.RunResult`.
     """
-    from repro.runtime.scheduler import Simulation
+    from repro.protocols.table import run_protocol
 
-    byzantine = byzantine or {}
-    params = params or RunParameters()
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+    metas = {
+        pid: {"input": value, "round_ticks": round_ticks}
+        for pid, value in inputs.items()
+    }
+    return run_protocol(
+        "recursive_ba", config, metas, seed=seed, byzantine=byzantine,
+        params=params,
     )
-    if params.recovery is not None:
-        params.recovery.describe(protocol="recursive_ba")
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            value = inputs[pid]
-            simulation.add_process(
-                pid,
-                lambda ctx, v=value: fallback_ba(
-                    ctx, v, round_ticks=round_ticks
-                ),
-            )
-    return simulation.run()

@@ -2,12 +2,13 @@
 
 ``import repro.protocols`` is the single switch-on point — it imports
 the known backend modules (each registers itself via
-:func:`~repro.protocols.base.register_backend`) and pushes their
-WAL-replay builders into :mod:`repro.recovery.replay`'s protocol
-registry.  Consumers that must stay importable without the backends
-(``repro.recovery.replay``, ``repro.mc.scenario``) instead import this
-package *lazily* on a registry miss, which breaks the would-be cycle
+:func:`~repro.protocols.base.register_backend`).  ``repro.mc.scenario``
+must stay importable without the backends, so it imports this package
+*lazily* on a registry miss, which breaks the would-be cycle
 ``protocols -> mc.scenario -> protocols``.
+
+Which protocols exist, and how a name plus a WAL-serialisable meta
+becomes a process's generator, is :mod:`repro.protocols.table`.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ __all__ = [
 ]
 
 
-def _wire_replay_builders() -> None:
-    from repro.recovery.replay import _PROTOCOLS, register_protocol
-
-    for backend in all_backends():
-        for protocol, builder in backend.replay_builders.items():
-            if _PROTOCOLS.get(protocol) is not builder:
-                register_protocol(protocol, builder)
-
-
 def mc_scenarios() -> dict[str, object]:
     """Every backend-contributed scenario factory, keyed by registry
     name — what :func:`repro.mc.scenario.make_scenario` merges in on a
@@ -51,5 +43,3 @@ def mc_scenarios() -> dict[str, object]:
         merged.update(backend.mc_scenarios)
     return merged
 
-
-_wire_replay_builders()

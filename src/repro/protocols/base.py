@@ -3,10 +3,9 @@
 A :class:`Backend` bundles one paper's protocol stack — weak BA,
 strong BA, the adaptive strong-BA extension — behind a uniform surface
 so every consumer in the repo (the tick simulator drivers, the asyncio
-and TCP runtimes, the recovery replay registry, the model-checker
-scenarios, the soak fleet, benchmarks, and the differential conformance
-suite) dispatches **by backend name** instead of importing protocol
-modules directly.
+and TCP runtimes, the model-checker scenarios, benchmarks, and the
+differential conformance suite) dispatches **by backend name** instead
+of importing protocol modules directly.
 
 Two kinds of members live on a backend:
 
@@ -35,10 +34,6 @@ from typing import Any, Callable, Mapping
 from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 
-ProtocolBuilder = Callable[[dict], Callable]
-"""``builder(meta) -> factory``; ``factory(ctx)`` is the generator —
-the shape :mod:`repro.recovery.replay` consumes."""
-
 ScenarioFactory = Callable[..., Any]
 """A :class:`repro.mc.scenario.Scenario` factory (JSON-serializable
 keyword params only)."""
@@ -64,20 +59,12 @@ class Backend:
     strong_ba_protocol: Callable
     adaptive_strong_ba_protocol: Callable
 
-    # -- recovery: WAL-replay builders keyed by the protocol name the
-    #    run driver stamps into WAL metadata ---------------------------
-    replay_builders: Mapping[str, ProtocolBuilder] = field(default_factory=dict)
-
     # -- model checking: scenario factories this backend contributes ---
     mc_scenarios: Mapping[str, ScenarioFactory] = field(default_factory=dict)
     mc_strong_scenario: str | None = None
     """Registry name of this backend's strong-BA mutant scenario."""
 
     # -- capabilities / envelopes consumed by the shared test bodies ---
-    strong_ba_multivalued: bool = False
-    """Whether ``run_strong_ba`` accepts non-binary inputs."""
-    strong_ba_never_bottom: bool = False
-    """Whether strong BA guarantees a non-``⊥`` decision in every run."""
     silent_leader_forces_fallback: bool = True
     """Does silencing one coordinator push the strong BA into its
     quadratic fallback?  True for Algorithm 5's fixed leader; False for

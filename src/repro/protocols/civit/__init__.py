@@ -40,30 +40,6 @@ __all__ = [
 ]
 
 
-def _build_civit_strong_ba(meta: dict):
-    def factory(ctx):
-        return civit_strong_ba_protocol(
-            ctx,
-            meta.get("input"),
-            session=meta.get("session", "civit"),
-            num_phases=meta.get("num_phases"),
-        )
-
-    return factory
-
-
-def _build_civit_adaptive_strong_ba(meta: dict):
-    def factory(ctx):
-        return civit_adaptive_strong_ba_protocol(
-            ctx,
-            meta.get("input"),
-            session=meta.get("session", "civit-asba"),
-            num_phases=meta.get("num_phases"),
-        )
-
-    return factory
-
-
 def _strong_ba_tick_bound(config: SystemConfig) -> int:
     # t+1 certification views (3 ticks each) + the full weak-BA round
     # structure (6 ticks per phase, n phases, help + grace epilogue).
@@ -99,14 +75,8 @@ CIVIT = register_backend(
         weak_ba_protocol=weak_ba_protocol,
         strong_ba_protocol=civit_strong_ba_protocol,
         adaptive_strong_ba_protocol=civit_adaptive_strong_ba_protocol,
-        replay_builders={
-            "civit_strong_ba": _build_civit_strong_ba,
-            "civit_adaptive_strong_ba": _build_civit_adaptive_strong_ba,
-        },
         mc_scenarios=_mc_scenarios(),
         mc_strong_scenario="civit-strong-ba",
-        strong_ba_multivalued=False,
-        strong_ba_never_bottom=True,
         silent_leader_forces_fallback=False,
         strong_ba_degrades_quadratically=False,
         weak_ba_shares_core_with="cohen",

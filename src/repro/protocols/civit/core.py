@@ -422,43 +422,28 @@ def civit_adaptive_strong_ba_protocol(
 
 
 # ----------------------------------------------------------------------
-# Standalone simulator drivers (standard repo signature)
+# Table builders and standalone simulator drivers (standard signature)
 # ----------------------------------------------------------------------
 
 
-def _run(
-    config: SystemConfig,
-    inputs: dict[ProcessId, Any],
-    *,
-    seed: int,
-    byzantine: dict[ProcessId, Any] | None,
-    params: RunParameters | None,
-    protocol_name: str,
-    factory,
-):
-    from repro.runtime.scheduler import Simulation
-
-    byzantine = byzantine or {}
-    params = params or RunParameters()
-    simulation = Simulation(
-        config, seed=seed, max_ticks=params.max_ticks,
-        fault_plan=params.fault_plan, observer=params.observer,
-        recovery=params.recovery,
-        synchrony=params.synchrony,
+def build_strong_ba(meta: dict, **_code):
+    """``meta -> factory(ctx)``, the table row's builder."""
+    return lambda ctx: civit_strong_ba_protocol(
+        ctx,
+        meta.get("input"),
+        session=meta.get("session", "civit"),
+        num_phases=meta.get("num_phases"),
     )
-    if params.recovery is not None:
-        params.recovery.describe(
-            protocol=protocol_name, num_phases=params.num_phases
-        )
-    for pid in config.processes:
-        if pid in byzantine:
-            simulation.add_byzantine(pid, byzantine[pid])
-        else:
-            value = inputs[pid]
-            if params.recovery is not None:
-                params.recovery.describe_process(pid, input=value)
-            simulation.add_process(pid, factory(value, params))
-    return simulation.run()
+
+
+def build_adaptive_strong_ba(meta: dict, **_code):
+    """``meta -> factory(ctx)`` for the multivalued variant."""
+    return lambda ctx: civit_adaptive_strong_ba_protocol(
+        ctx,
+        meta.get("input"),
+        session=meta.get("session", "civit-asba"),
+        num_phases=meta.get("num_phases"),
+    )
 
 
 def run_civit_strong_ba(
@@ -475,18 +460,12 @@ def run_civit_strong_ba(
             raise ConfigurationError(
                 f"civit strong BA is binary; p{pid} proposes {value!r}"
             )
-    return _run(
-        config,
-        inputs,
-        seed=seed,
-        byzantine=byzantine,
+    from repro.protocols.table import run_protocol
+
+    metas = {pid: {"input": value} for pid, value in inputs.items()}
+    return run_protocol(
+        "civit_strong_ba", config, metas, seed=seed, byzantine=byzantine,
         params=params,
-        protocol_name="civit_strong_ba",
-        factory=lambda value, p: (
-            lambda ctx, v=value: civit_strong_ba_protocol(
-                ctx, v, num_phases=p.num_phases
-            )
-        ),
     )
 
 
@@ -499,16 +478,10 @@ def run_civit_adaptive_strong_ba(
     params: RunParameters | None = None,
 ):
     """Standalone driver for the multivalued adaptive variant."""
-    return _run(
-        config,
-        inputs,
-        seed=seed,
-        byzantine=byzantine,
-        params=params,
-        protocol_name="civit_adaptive_strong_ba",
-        factory=lambda value, p: (
-            lambda ctx, v=value: civit_adaptive_strong_ba_protocol(
-                ctx, v, num_phases=p.num_phases
-            )
-        ),
+    from repro.protocols.table import run_protocol
+
+    metas = {pid: {"input": value} for pid, value in inputs.items()}
+    return run_protocol(
+        "civit_adaptive_strong_ba", config, metas, seed=seed,
+        byzantine=byzantine, params=params,
     )

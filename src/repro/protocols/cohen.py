@@ -1,7 +1,7 @@
 """The Cohen–Keidar–Spiegelman backend: the paper this repo reproduces.
 
-Pure wiring — every driver, factory, and replay builder already lives
-in :mod:`repro.core` / :mod:`repro.recovery`; this module lifts them
+Pure wiring — every driver and factory already lives in
+:mod:`repro.core`; this module lifts them
 behind the shared :class:`~repro.protocols.base.Backend` surface so
 runtimes and the conformance suite can dispatch on ``"cohen"``.  The
 protocol code paths are untouched, which is what keeps pre-refactor
@@ -20,12 +20,6 @@ from repro.core.adaptive_strong_ba import (
 from repro.core.strong_ba import run_strong_ba, strong_ba_protocol
 from repro.core.weak_ba import run_weak_ba, weak_ba_protocol
 from repro.protocols.base import Backend, register_backend
-from repro.recovery.replay import (
-    _build_adaptive_strong_ba,
-    _build_bb,
-    _build_strong_ba,
-    _build_weak_ba,
-)
 
 
 def _strong_ba_tick_bound(config: SystemConfig) -> int:
@@ -54,16 +48,8 @@ COHEN = register_backend(
         weak_ba_protocol=weak_ba_protocol,
         strong_ba_protocol=strong_ba_protocol,
         adaptive_strong_ba_protocol=adaptive_strong_ba_protocol,
-        replay_builders={
-            "weak_ba": _build_weak_ba,
-            "bb": _build_bb,
-            "strong_ba": _build_strong_ba,
-            "adaptive_strong_ba": _build_adaptive_strong_ba,
-        },
         mc_scenarios={},  # "weak-ba" predates backends; it stays in repro.mc
         mc_strong_scenario="weak-ba",
-        strong_ba_multivalued=False,
-        strong_ba_never_bottom=False,
         silent_leader_forces_fallback=True,
         strong_ba_degrades_quadratically=True,
         weak_ba_shares_core_with=None,

@@ -1,0 +1,155 @@
+"""The protocol table and the one simulator driver.
+
+One decision lives here: *protocol name + WAL-serialisable meta ->
+``factory(ctx)``*.  Each :class:`Protocol` row points at the
+``build(meta)`` written once, beside the generator it builds; the live
+run (:func:`run_protocol`), offline WAL replay
+(:func:`repro.recovery.replay.factory_from_meta`), the sweeps, the CLI
+and the soak worker all call it, so a WAL any driver writes replays.
+
+A *meta* is a flat dict of plain values (``input``, ``sender``,
+``num_slots`` ...), one per correct process.  What cannot be
+serialised — weak BA's validity predicate — rides alongside as a
+keyword *code argument*; builders ignore the ones they do not take and
+default the rest to what offline replay uses (``docs/recovery.md``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Mapping
+
+from repro.apps import clients, pipelined, smr
+from repro.config import ProcessId, RunParameters, SystemConfig
+from repro.core import adaptive_strong_ba, byzantine_broadcast, strong_ba, weak_ba
+from repro.core.validity import ExternalValidity
+from repro.fallback import dolev_strong, phase_king, recursive_ba
+from repro.protocols.civit import core as civit
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One row of the table."""
+
+    name: str
+    """Canonical name: what runs stamp into their WALs."""
+    build: Callable[..., Callable]
+    """``build(meta, **code) -> factory``; ``factory(ctx)`` is a correct
+    process's generator."""
+    cli: str | None = None
+    """``repro run`` / ``repro sweep`` spelling; ``None`` = library only."""
+    roles: Mapping[str, ProcessId] = field(default_factory=dict)
+    """Meta keys naming a distinguished pid (BB's sender, Algorithm 5's
+    leader).  Generic callers stamp them into every meta and their
+    default adversaries never corrupt those pids."""
+    binary: bool = False
+    """Inputs are bits."""
+    proposal: object = None
+    """What every correct process proposes in a sweep that names no
+    value; ``None`` for the replicated logs, whose input is a command
+    queue rather than one value."""
+
+    @property
+    def shielded(self) -> frozenset[ProcessId]:
+        return frozenset(self.roles.values())
+
+    def metas(
+        self, pids: Iterable[ProcessId], proposal: object
+    ) -> dict[ProcessId, dict]:
+        """One meta per pid for a single-value run: ``proposal`` is the
+        common input, or a callable ``pid -> input``."""
+        value_of = proposal if callable(proposal) else lambda pid: proposal
+        return {pid: {**self.roles, "input": value_of(pid)} for pid in pids}
+
+
+PROTOCOLS: dict[str, Protocol] = {
+    entry.name: entry
+    for entry in (
+        Protocol("bb", byzantine_broadcast.build, cli="bb",
+                 roles={"sender": 0}, proposal="payload"),
+        Protocol("weak_ba", weak_ba.build, cli="weak-ba", proposal="proposal"),
+        Protocol("strong_ba", strong_ba.build, cli="strong-ba",
+                 roles={"leader": 0}, binary=True, proposal=1),
+        Protocol("adaptive_strong_ba", adaptive_strong_ba.build,
+                 cli="adaptive-strong-ba", proposal="v"),
+        Protocol("civit_strong_ba", civit.build_strong_ba,
+                 cli="civit-strong-ba", binary=True, proposal=1),
+        Protocol("civit_adaptive_strong_ba", civit.build_adaptive_strong_ba,
+                 cli="civit-adaptive-strong-ba", proposal="v"),
+        Protocol("recursive_ba", recursive_ba.build, cli="fallback",
+                 proposal="v"),
+        Protocol("dolev_strong", dolev_strong.build, cli="dolev-strong",
+                 roles={"sender": 0}, proposal="payload"),
+        Protocol("phase_king", phase_king.build, binary=True, proposal=1),
+        Protocol("smr", smr.build),
+        Protocol("batched_smr", clients.build),
+        Protocol("pipelined_smr", pipelined.build),
+    )
+}
+
+
+def get_protocol(name: str) -> Protocol:
+    """Look an entry up by its canonical name or its CLI spelling."""
+    for entry in PROTOCOLS.values():
+        if name in (entry.name, entry.cli):
+            return entry
+    raise ValueError(
+        f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}"
+    )
+
+
+def string_validity(suite: Any = None, config: Any = None) -> ExternalValidity:
+    """The ``validity`` code argument of callers whose proposals are
+    all strings (CLI, sweeps, soak); needs neither argument."""
+    return ExternalValidity(lambda value: isinstance(value, str))
+
+
+def run_protocol(
+    name: str,
+    config: SystemConfig,
+    metas: Mapping[ProcessId, dict],
+    *,
+    seed: int = 0,
+    byzantine: Mapping[ProcessId, Any] | None = None,
+    scheduled: Iterable[tuple[int, ProcessId, Any]] = (),
+    params: RunParameters | None = None,
+    **code: Callable[[Any, SystemConfig], Any],
+):
+    """Run table entry ``name`` over the tick simulator.
+
+    ``metas[pid]`` is the meta of every correct ``pid`` (plus
+    ``params.num_phases`` when set); it is stamped into the pid's WAL
+    and handed to the entry's ``build`` — the call offline replay
+    repeats.  ``byzantine`` maps corrupted pids to behaviors,
+    ``scheduled`` lists mid-run ``(tick, pid, behavior)`` corruptions.
+    Each code argument is given as ``make(suite, config)`` and built
+    once per run, because it usually needs the deployment's crypto
+    suite.  Returns the :class:`~repro.runtime.result.RunResult`.
+    """
+    from repro.runtime.scheduler import Simulation
+
+    build = PROTOCOLS[name].build
+    byzantine = byzantine or {}
+    params = params or RunParameters()
+    simulation = Simulation(
+        config, seed=seed, max_ticks=params.max_ticks,
+        fault_plan=params.fault_plan, observer=params.observer,
+        recovery=params.recovery,
+        synchrony=params.synchrony,
+    )
+    built = {key: make(simulation.suite, config) for key, make in code.items()}
+    if params.recovery is not None:
+        params.recovery.describe(protocol=name)
+    for pid in config.processes:
+        if pid in byzantine:
+            simulation.add_byzantine(pid, byzantine[pid])
+        else:
+            meta = metas[pid]
+            if params.num_phases is not None:
+                meta = {"num_phases": params.num_phases, **meta}
+            if params.recovery is not None:
+                params.recovery.describe_process(pid, **meta)
+            simulation.add_process(pid, build(meta, **built))
+    for tick, pid, behavior in scheduled:
+        simulation.schedule_corruption(tick, pid, behavior)
+    return simulation.run()

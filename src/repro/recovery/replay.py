@@ -164,95 +164,25 @@ def replay_generator(
 # Offline replay (``repro recover replay``): factory from WAL metadata
 # ----------------------------------------------------------------------
 
-ProtocolBuilder = Callable[[dict], Callable]
-"""``builder(meta) -> factory``; ``factory(ctx)`` is the generator."""
 
-_PROTOCOLS: dict[str, ProtocolBuilder] = {}
+def register_protocol(name: str, builder: Callable[[dict], Callable]) -> None:
+    """Add ``builder(meta) -> factory(ctx)`` to the protocol table under
+    ``name``, so WALs stamped ``protocol=name`` replay offline."""
+    from repro.protocols.table import PROTOCOLS, Protocol
 
-
-def register_protocol(name: str, builder: ProtocolBuilder) -> None:
-    """Register a builder that reconstructs a protocol factory from the
-    deployment metadata a run driver stamped into the WAL."""
-    _PROTOCOLS[name] = builder
-
-
-def _build_weak_ba(meta: dict) -> Callable:
-    from repro.core.validity import ExternalValidity
-    from repro.core.weak_ba import weak_ba_protocol
-
-    # The live run's validity predicate is code and cannot live in the
-    # WAL; offline replay substitutes accept-everything.  If the live
-    # predicate ever rejected a value, the replayed send counts diverge
-    # from the highwater marks and replay refuses — a loud failure, not
-    # silently wrong state.
-    def factory(ctx):
-        return weak_ba_protocol(
-            ctx,
-            meta.get("input"),
-            ExternalValidity(lambda value: True),
-            session=meta.get("session", "wba"),
-            num_phases=meta.get("num_phases"),
-        )
-
-    return factory
-
-
-def _build_bb(meta: dict) -> Callable:
-    from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
-
-    def factory(ctx):
-        return byzantine_broadcast_protocol(
-            ctx,
-            meta["sender"],
-            meta.get("input"),
-            session=meta.get("session", "bb"),
-            num_phases=meta.get("num_phases"),
-        )
-
-    return factory
-
-
-def _build_strong_ba(meta: dict) -> Callable:
-    from repro.core.strong_ba import strong_ba_protocol
-
-    def factory(ctx):
-        return strong_ba_protocol(
-            ctx,
-            meta.get("input"),
-            session=meta.get("session", "sba"),
-            leader=meta.get("leader", 0),
-        )
-
-    return factory
-
-
-def _build_adaptive_strong_ba(meta: dict) -> Callable:
-    from repro.core.adaptive_strong_ba import adaptive_strong_ba_protocol
-
-    def factory(ctx):
-        return adaptive_strong_ba_protocol(
-            ctx,
-            meta.get("input"),
-            session=meta.get("session", "asba"),
-            num_phases=meta.get("num_phases"),
-        )
-
-    return factory
-
-
-register_protocol("weak_ba", _build_weak_ba)
-register_protocol("bb", _build_bb)
-register_protocol("strong_ba", _build_strong_ba)
-register_protocol("adaptive_strong_ba", _build_adaptive_strong_ba)
+    PROTOCOLS[name] = Protocol(name, builder)
 
 
 def factory_from_meta(meta: dict) -> Callable:
-    """Rebuild the protocol factory a WAL's ``meta`` record describes."""
+    """Rebuild the protocol factory a WAL's ``meta`` record describes:
+    the table entry's ``build(meta)``, the call the live run made."""
+    from repro.protocols.table import PROTOCOLS
+
     name = meta.get("protocol")
     if not name:
-        # The run_* drivers stamp this themselves; run_async /
-        # run_over_tcp / a hand-populated Simulation take caller-built
-        # factories and can only stamp n/t/seed.
+        # run_protocol stamps this itself; run_async / run_over_tcp / a
+        # hand-populated Simulation take caller-built factories and can
+        # only stamp n/t/seed.
         raise RecoveryError(
             "WAL metadata names no protocol; cannot rebuild its state "
             "machine.  Runs with hand-built factories must stamp it "
@@ -260,22 +190,13 @@ def factory_from_meta(meta: dict) -> Callable:
             "plus describe_process(pid, input=...) for per-process "
             "inputs — or pass replay_wal(..., factory=...)"
         )
-    builder = _PROTOCOLS.get(name)
-    if builder is None:
-        # Backend packages register their builders when repro.protocols
-        # is imported; a WAL from a backend-dispatched run must replay
-        # without requiring the caller to pre-import anything.  The
-        # import is lazy here to keep replay importable from backend
-        # modules without a cycle.
-        import repro.protocols  # noqa: F401
-
-        builder = _PROTOCOLS.get(name)
-    if builder is None:
+    entry = PROTOCOLS.get(name)
+    if entry is None:
         raise RecoveryError(
             f"no replay builder registered for protocol {name!r} "
-            f"(known: {sorted(_PROTOCOLS)})"
+            f"(known: {sorted(PROTOCOLS)})"
         )
-    return builder(meta)
+    return entry.build(meta)
 
 
 def replay_wal(

@@ -48,21 +48,35 @@ def join(
     base_stack = ctx.swap_scope_stack(list())
     ctx.swap_scope_stack(base_stack)
 
-    while any(r is _PENDING for r in results):
+    try:
+        while any(r is _PENDING for r in results):
+            for index, branch in enumerate(branches):
+                if results[index] is not _PENDING:
+                    continue
+                yield_stack = ctx.swap_scope_stack(
+                    list(base_stack) + stacks[index]
+                )
+                try:
+                    next(branch)
+                except StopIteration as stop:
+                    results[index] = stop.value
+                finally:
+                    # Park this branch's scope additions for its next turn.
+                    parked = ctx.swap_scope_stack(yield_stack)
+                    stacks[index] = parked[len(base_stack):]
+            if any(r is _PENDING for r in results):
+                yield
+    finally:
+        # Closed mid-wave (the process crashed) or a branch raised:
+        # unwind every in-flight branch under its own parked stack, not
+        # later in the GC against whatever stack is swapped in by then.
         for index, branch in enumerate(branches):
-            if results[index] is not _PENDING:
-                continue
-            previous = ctx.swap_scope_stack(
-                list(base_stack) + stacks[index]
-            )
-            try:
-                next(branch)
-                # Park this branch's scope additions for its next turn.
-                full = ctx.swap_scope_stack(previous)
-                stacks[index] = full[len(base_stack):]
-            except StopIteration as stop:
-                ctx.swap_scope_stack(previous)
-                results[index] = stop.value
-        if any(r is _PENDING for r in results):
-            yield
+            if results[index] is _PENDING:
+                yield_stack = ctx.swap_scope_stack(
+                    list(base_stack) + stacks[index]
+                )
+                try:
+                    branch.close()
+                finally:
+                    ctx.swap_scope_stack(yield_stack)
     return list(results)

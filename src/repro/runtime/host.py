@@ -53,9 +53,13 @@ def resolve_synchrony(
     return model
 
 
-def note_crash(host: Any, pid: ProcessId, tick: int) -> None:
-    """``pid`` goes down at ``tick``: its unflushed WAL tail dies with
+def note_crash(
+    host: Any, pid: ProcessId, tick: int, generator: Generator
+) -> None:
+    """``pid`` goes down at ``tick``: its state machine is unwound now
+    (not whenever the GC finds it), its unflushed WAL tail dies with
     it, and the trace/observer record the crash."""
+    generator.close()
     host.recovery.on_crash(pid, tick)
     host.trace.emit(tick=tick, pid=pid, scope="faults", name="crashed")
     if host.observer is not None:

@@ -615,7 +615,7 @@ class Simulation:
 
             for pid, behavior in self._scheduled_corruptions.pop(self.tick, []):
                 if pid in generators:
-                    generators.pop(pid)
+                    generators.pop(pid).close()
                     contexts.pop(pid)
                     self._pacers.pop(pid, None)
                 if pid not in self._behaviors:
@@ -655,10 +655,11 @@ class Simulation:
                 for crash in self.fault_plan.crash_at(self.tick):
                     if crash.pid not in generators:
                         continue  # already decided, corrupted, or down
-                    generators.pop(crash.pid)
                     contexts.pop(crash.pid)
                     down[crash.pid] = self.tick
-                    note_crash(self, crash.pid, self.tick)
+                    note_crash(
+                        self, crash.pid, self.tick, generators.pop(crash.pid)
+                    )
 
             pending = self._pending_at(self.tick, down)
             inboxes: dict[ProcessId, list[Envelope]] = {}

@@ -33,7 +33,6 @@ _INDEX_MIX = 0x9E3779B1
 WEAK_BA = "weak_ba"
 SMR = "smr"
 CIVIT_SBA = "civit_strong_ba"
-PROTOCOLS = (WEAK_BA, SMR, CIVIT_SBA)
 
 DEFAULT_TICK = 0.03
 """Round length for soak instances — generous enough that localhost
@@ -152,6 +151,24 @@ class InstanceSpec:
     inject: str | None = None
     """Deliberate accounting sabotage for auditor tests — see
     :mod:`repro.soak.worker` for the recognized tags."""
+
+    def metas(self) -> dict[int, dict]:
+        """One protocol-table meta per pid: what both the simulator
+        oracle and the TCP run build their factories from."""
+        from repro.protocols.table import PROTOCOLS
+
+        if self.protocol == SMR:
+            return {
+                pid: {"num_slots": self.num_slots, "commands": queue}
+                for pid, queue in enumerate(self.commands)
+            }
+        entry = PROTOCOLS[self.protocol]
+        inputs = self.inputs
+        if entry.binary:
+            # The derivation predates backends; reusing its proposal
+            # strings keeps replay to (master_seed, index, profile).
+            inputs = [int(value != "v-even") for value in inputs]
+        return entry.metas(range(self.n), inputs.__getitem__)
 
 
 def derive_instance(

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.config import RunParameters, SystemConfig
-from repro.soak.plan import CIVIT_SBA, SMR, WEAK_BA, InstanceSpec
+from repro.soak.plan import InstanceSpec
 
 TICK_ESCALATION = (1.0, 2.0, 4.0)
 """Tick multipliers tried before a billed-vs-predicted mismatch is
@@ -90,107 +90,49 @@ def _decision_repr(result) -> str:
     )
 
 
-def _validity_predicate(value: object) -> bool:
-    return isinstance(value, str)
+def _recovery(spec: InstanceSpec, wal_dir: str):
+    """A WAL per process when the plan crashes one, else none."""
+    from repro.recovery.manager import RecoveryManager
 
-
-def _binary_input(proposal: str) -> int:
-    """Map a derived weak-BA proposal string onto the civit binary
-    domain (the spec derivation predates backends; reusing its strings
-    keeps the replay contract to ``(master_seed, index, profile)``)."""
-    return 0 if proposal == "v-even" else 1
+    if spec.plan is not None and spec.plan.crashes:
+        return RecoveryManager(wal_dir)
+    return None
 
 
 def _run_sim(spec: InstanceSpec, wal_dir: str):
     """The oracle run: tick simulator, same seed and fault plan."""
-    from repro.core.validity import ExternalValidity
-    from repro.recovery.manager import RecoveryManager
+    from repro.protocols.table import run_protocol, string_validity
 
-    config = SystemConfig(n=spec.n, t=spec.t)
-    recovery = None
-    if spec.plan is not None and spec.plan.crashes:
-        recovery = RecoveryManager(wal_dir)
-    params = RunParameters(
-        seed=spec.seed, fault_plan=spec.plan, recovery=recovery
-    )
-    if spec.protocol == WEAK_BA:
-        from repro.core.weak_ba import run_weak_ba
-
-        inputs = {pid: spec.inputs[pid] for pid in config.processes}
-        return run_weak_ba(
-            config,
-            inputs,
-            lambda suite, cfg: ExternalValidity(_validity_predicate),
-            seed=spec.seed,
-            params=params,
-        )
-    if spec.protocol == CIVIT_SBA:
-        from repro.protocols.civit import run_civit_strong_ba
-
-        inputs = {
-            pid: _binary_input(spec.inputs[pid]) for pid in config.processes
-        }
-        return run_civit_strong_ba(
-            config, inputs, seed=spec.seed, params=params
-        )
-    from repro.apps.smr import run_smr
-
-    commands = {pid: spec.commands[pid] for pid in config.processes}
-    return run_smr(
-        config,
-        commands,
-        num_slots=spec.num_slots,
+    return run_protocol(
+        spec.protocol,
+        SystemConfig(n=spec.n, t=spec.t),
+        spec.metas(),
         seed=spec.seed,
-        params=params,
+        params=RunParameters(
+            seed=spec.seed,
+            fault_plan=spec.plan,
+            recovery=_recovery(spec, wal_dir),
+        ),
+        validity=string_validity,
     )
 
 
 def _run_tcp(spec: InstanceSpec, tick_duration: float, wal_dir: str):
     """The measured run: real sockets, WAL recovery when crashing."""
-    from repro.apps.smr import smr_replica_protocol
     from repro.asyncnet.tcp import run_over_tcp
-    from repro.core.validity import ExternalValidity
-    from repro.core.weak_ba import weak_ba_protocol
-    from repro.recovery.manager import RecoveryManager
+    from repro.protocols.table import PROTOCOLS, string_validity
 
     config = SystemConfig(n=spec.n, t=spec.t)
-    recovery = None
-    if spec.plan is not None and spec.plan.crashes:
-        recovery = RecoveryManager(wal_dir)
-    if spec.protocol == WEAK_BA:
-        validity = ExternalValidity(_validity_predicate)
-        factories = {
-            pid: (
-                lambda ctx, value=spec.inputs[pid]: weak_ba_protocol(
-                    ctx, value, validity
-                )
-            )
-            for pid in config.processes
-        }
-    elif spec.protocol == CIVIT_SBA:
-        from repro.protocols.civit import civit_strong_ba_protocol
-
-        factories = {
-            pid: (
-                lambda ctx, value=_binary_input(
-                    spec.inputs[pid]
-                ): civit_strong_ba_protocol(ctx, value)
-            )
-            for pid in config.processes
-        }
-    else:
-        factories = {
-            pid: (
-                lambda ctx, cmds=spec.commands[pid]: smr_replica_protocol(
-                    ctx, cmds, spec.num_slots
-                )
-            )
-            for pid in config.processes
-        }
+    recovery = _recovery(spec, wal_dir)
+    build = PROTOCOLS[spec.protocol].build
+    validity = string_validity()
     result = asyncio.run(
         run_over_tcp(
             config,
-            factories,
+            {
+                pid: build(meta, validity=validity)
+                for pid, meta in spec.metas().items()
+            },
             seed=spec.seed,
             tick_duration=tick_duration,
             fault_plan=spec.plan,

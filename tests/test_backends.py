@@ -9,7 +9,41 @@ the registry without re-validating five subsystems."""
 import pytest
 
 import repro.protocols as protocols
-from repro.config import SystemConfig
+from repro.apps import (
+    ClientWorkload,
+    batched_smr_replica_protocol,
+    pipelined_smr_replica_protocol,
+    run_batched_smr,
+    run_pipelined_smr,
+    run_smr,
+    smr_replica_protocol,
+)
+from repro.apps.clients import assign_queues
+from repro.config import RunParameters, SystemConfig
+from repro.core.adaptive_strong_ba import adaptive_strong_ba_protocol
+from repro.core.byzantine_broadcast import (
+    byzantine_broadcast_protocol,
+    run_byzantine_broadcast,
+)
+from repro.core.strong_ba import strong_ba_protocol
+from repro.core.weak_ba import weak_ba_protocol
+from repro.fallback import (
+    dolev_strong_protocol,
+    fallback_ba,
+    phase_king_protocol,
+    run_dolev_strong,
+    run_fallback_ba,
+    run_phase_king,
+)
+from repro.protocols.civit import (
+    civit_adaptive_strong_ba_protocol,
+    civit_strong_ba_protocol,
+    run_civit_adaptive_strong_ba,
+    run_civit_strong_ba,
+)
+from repro.protocols.table import PROTOCOLS
+from repro.recovery import RecoveryManager, factory_from_meta, load_history
+from repro.runtime import Simulation
 from repro.core.adaptive_strong_ba import run_adaptive_strong_ba
 from repro.core.strong_ba import run_strong_ba
 from repro.core.validity import ExternalValidity
@@ -63,12 +97,28 @@ class TestRegistry:
                 adaptive_strong_ba_protocol=run_adaptive_strong_ba,
             )
 
-    def test_replay_builders_registered_on_import(self):
-        from repro.recovery.replay import _PROTOCOLS
-
+    def test_replay_builders_registered_on_import(self, config5, tmp_path):
+        """Whatever name a backend's drivers stamp into a WAL is a row
+        of the protocol table, so ``factory_from_meta`` rebuilds it."""
         for backend in protocols.all_backends():
-            for name in backend.replay_builders:
-                assert name in _PROTOCOLS
+            drivers = {
+                "weak": lambda **kw: backend.run_weak_ba(
+                    config5, {p: "v" for p in config5.processes},
+                    lambda suite, cfg: ExternalValidity(lambda v: True), **kw
+                ),
+                "strong": lambda **kw: backend.run_strong_ba(
+                    config5, {p: 1 for p in config5.processes}, **kw
+                ),
+                "adaptive": lambda **kw: backend.run_adaptive_strong_ba(
+                    config5, {p: "v" for p in config5.processes}, **kw
+                ),
+            }
+            for label, driver in drivers.items():
+                wal_dir = tmp_path / backend.name / label
+                driver(params=RunParameters(recovery=RecoveryManager(wal_dir)))
+                meta = load_history(wal_dir / "p0").meta
+                assert meta["protocol"] in PROTOCOLS
+                assert callable(factory_from_meta(meta))
 
     def test_every_backend_publishes_envelopes(self):
         config = SystemConfig.with_optimal_resilience(7)
@@ -127,3 +177,116 @@ class TestDispatchIsByteIdentical:
         second = civit.run_strong_ba(config7, inputs, seed=test_seed)
         assert first.trace.canonical() == second.trace.canonical()
         assert first.correct_words == second.correct_words
+
+
+_ACCEPT_STR = ExternalValidity(lambda v: isinstance(v, str))
+_CLIENTS = [
+    ClientWorkload(client="a", ops=(("set", "x", 1), ("set", "y", 2)), replicas=(0, 1)),
+    ClientWorkload(client="b", ops=(("set", "z", 3), ("del", "x")), replicas=(2, 3, 4)),
+]
+_COMMANDS = {p: [("set", f"k{p}", p)] for p in range(5)}
+_N5 = SystemConfig.with_optimal_resilience(5)
+_PK = SystemConfig(n=5, t=1)  # phase king needs n >= 4t + 1
+_QUEUES = assign_queues(_CLIENTS, _N5)
+
+FOLDED_DRIVERS = {
+    # name: (config, run_*(seed) through the table, pid -> hand-built factory)
+    "weak_ba": (
+        _N5,
+        lambda seed: run_weak_ba(
+            _N5, {p: f"v{p % 2}" for p in range(5)},
+            lambda suite, cfg: _ACCEPT_STR, seed=seed,
+        ),
+        lambda p: lambda ctx: weak_ba_protocol(ctx, f"v{p % 2}", _ACCEPT_STR),
+    ),
+    "bb": (
+        _N5,
+        lambda seed: run_byzantine_broadcast(_N5, 1, "payload", seed=seed),
+        lambda p: lambda ctx: byzantine_broadcast_protocol(ctx, 1, "payload"),
+    ),
+    "strong_ba": (
+        _N5,
+        lambda seed: run_strong_ba(_N5, {p: p % 2 for p in range(5)}, seed=seed),
+        lambda p: lambda ctx: strong_ba_protocol(ctx, p % 2),
+    ),
+    "adaptive_strong_ba": (
+        _N5,
+        lambda seed: run_adaptive_strong_ba(
+            _N5, {p: "V" for p in range(5)}, seed=seed
+        ),
+        lambda p: lambda ctx: adaptive_strong_ba_protocol(ctx, "V"),
+    ),
+    "civit_strong_ba": (
+        _N5,
+        lambda seed: run_civit_strong_ba(
+            _N5, {p: p % 2 for p in range(5)}, seed=seed
+        ),
+        lambda p: lambda ctx: civit_strong_ba_protocol(ctx, p % 2),
+    ),
+    "civit_adaptive_strong_ba": (
+        _N5,
+        lambda seed: run_civit_adaptive_strong_ba(
+            _N5, {p: "V" for p in range(5)}, seed=seed
+        ),
+        lambda p: lambda ctx: civit_adaptive_strong_ba_protocol(ctx, "V"),
+    ),
+    "recursive_ba": (
+        _N5,
+        lambda seed: run_fallback_ba(
+            _N5, {p: f"v{p % 2}" for p in range(5)}, seed=seed, round_ticks=2
+        ),
+        lambda p: lambda ctx: fallback_ba(ctx, f"v{p % 2}", round_ticks=2),
+    ),
+    "dolev_strong": (
+        _N5,
+        lambda seed: run_dolev_strong(_N5, 2, "payload", seed=seed),
+        lambda p: lambda ctx: dolev_strong_protocol(ctx, 2, "payload"),
+    ),
+    "phase_king": (
+        _PK,
+        lambda seed: run_phase_king(_PK, {p: p % 2 for p in range(5)}, seed=seed),
+        lambda p: lambda ctx: phase_king_protocol(ctx, p % 2),
+    ),
+    "smr": (
+        _N5,
+        lambda seed: run_smr(_N5, _COMMANDS, 3, seed=seed),
+        lambda p: lambda ctx: smr_replica_protocol(ctx, _COMMANDS[p], 3),
+    ),
+    "batched_smr": (
+        _N5,
+        lambda seed: run_batched_smr(_N5, _CLIENTS, 3, batch_size=2, seed=seed),
+        lambda p: lambda ctx: batched_smr_replica_protocol(
+            ctx, _QUEUES[p], 3, batch_size=2
+        ),
+    ),
+    "pipelined_smr": (
+        _N5,
+        lambda seed: run_pipelined_smr(
+            _N5, _CLIENTS, 4, window=2, batch_size=2, seed=seed
+        ),
+        lambda p: lambda ctx: pipelined_smr_replica_protocol(
+            ctx, _QUEUES[p], 4, window=2, batch_size=2
+        ),
+    ),
+}
+
+
+class TestFoldIsByteIdentical:
+    """Every public ``run_*`` is "assemble the meta, call the table's
+    driver"; the run it produces must be the run of a hand-populated
+    ``Simulation`` over directly imported generators."""
+
+    def test_covers_the_whole_table(self):
+        assert set(FOLDED_DRIVERS) == set(PROTOCOLS)
+
+    @pytest.mark.parametrize("name", sorted(FOLDED_DRIVERS))
+    def test_driver_equals_hand_built_simulation(self, name, test_seed):
+        config, run, factory_for = FOLDED_DRIVERS[name]
+        folded = run(test_seed)
+        simulation = Simulation(config, seed=test_seed, max_ticks=500_000)
+        for pid in config.processes:
+            simulation.add_process(pid, factory_for(pid))
+        direct = simulation.run()
+        assert folded.trace.canonical() == direct.trace.canonical()
+        assert folded.correct_words == direct.correct_words
+        assert folded.decisions == direct.decisions

@@ -2,20 +2,26 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CLI_PROTOCOLS, build_parser, main
 
 
 class TestRun:
-    @pytest.mark.parametrize(
-        "protocol",
-        ["bb", "weak-ba", "strong-ba", "adaptive-strong-ba", "fallback",
-         "dolev-strong"],
-    )
+    @pytest.mark.parametrize("protocol", CLI_PROTOCOLS)
     def test_run_each_protocol(self, protocol, capsys):
         assert main(["run", protocol, "--n", "5"]) == 0
         out = capsys.readouterr().out
         assert "decided" in out
         assert "words=" in out
+
+    @pytest.mark.parametrize("protocol", ["weak-ba", "fallback"])
+    def test_crashed_run_replays_from_its_wal(self, protocol, tmp_path, capsys):
+        assert main(
+            ["run", protocol, "--n", "5", "--wal-dir", str(tmp_path),
+             "--crash", "2:2:4"]
+        ) == 0
+        assert "recovered processes: [2]" in capsys.readouterr().out
+        assert main(["recover", "replay", str(tmp_path / "p2")]) == 0
+        assert "decided: 'hello'" in capsys.readouterr().out
 
     def test_run_with_failures(self, capsys):
         assert main(["run", "bb", "--n", "7", "--f", "2"]) == 0

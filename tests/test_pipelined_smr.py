@@ -1,9 +1,16 @@
 """Tests for the concurrency combinator and pipelined SMR."""
 
+import gc
+
+import pytest
+
 from repro.adversary.behaviors import SilentBehavior
 from repro.apps.clients import ClientWorkload, run_batched_smr
 from repro.apps.pipelined import run_pipelined_smr
+from repro.config import RunParameters
 from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
+from repro.faults import FaultPlan, ProcessCrash
+from repro.recovery import RecoveryManager
 from repro.runtime.concurrency import join
 from repro.runtime.scheduler import Simulation
 
@@ -161,3 +168,24 @@ class TestPipelinedSmr:
         assert len(outcome.log) == 6
         states = {result.decisions[p].state for p in result.correct_pids}
         assert len(states) == 1
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_crash_inside_join_unwinds_every_branch(self, config5, tmp_path):
+        """A replica crashed mid-wave is inside ``join`` with ``window``
+        BB branches in flight.  Dropping it used to leave the branches
+        to the GC, which finalised each one against whatever scope
+        stack was swapped in: one ``Exception ignored ... IndexError:
+        pop from empty list`` per branch."""
+        workloads = [workload(i, (i % 5, (i + 2) % 5)) for i in range(4)]
+        plan = FaultPlan(
+            seed=0, crashes=(ProcessCrash(pid=2, at_tick=4, restart_tick=7),)
+        )
+        result = run_pipelined_smr(
+            config5, workloads, num_slots=4, window=2,
+            params=RunParameters(
+                fault_plan=plan, recovery=RecoveryManager(tmp_path)
+            ),
+        )
+        gc.collect()  # the unraisable hook fires at finalisation
+        assert result.recovered == frozenset({2})
+        assert len(result.unanimous_decision().log) == 4
