@@ -32,6 +32,8 @@ class SilentBehavior:
     nondeterministic across explorations.
     """
 
+    passive = True
+
     def step(self, api: ByzantineApi) -> None:
         return None
 

@@ -45,7 +45,7 @@ from repro.fallback.graded_consensus import GcClaim
 from repro.runtime.byzantine import ByzantineApi
 
 WBA_PHASE_ROUNDS = 6
-"""Ticks per weak-BA phase (see ``repro.core.weak_ba._invoke_phase``)."""
+"""Ticks per weak-BA phase (see ``repro.core.weak_ba._phase_steps``)."""
 
 BB_PHASE_ROUNDS = 3
 """Ticks per BB vetting phase (see ``repro.core.byzantine_broadcast``)."""

@@ -54,9 +54,11 @@ from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.host import (
     close_recovery,
+    due,
     note_crash,
     rejoin_from_wal,
     resolve_synchrony,
+    wake_tick,
 )
 from repro.runtime.result import RunResult
 from repro.runtime.synchrony import SynchronyModel
@@ -322,7 +324,8 @@ async def _drive_process(
 ) -> tuple[ProcessId, Any, int]:
     """Drive one protocol generator, one round per ``tick_duration``,
     through its scheduled crash windows; returns ``(pid, decision,
-    halting round)``."""
+    halting round)``.  Every round is waited out on the shared clock,
+    but the generator is resumed only in the rounds it is due."""
     ctx = ProcessContext(network, pid)
     generator = factory(ctx)
     recovery = network.recovery
@@ -332,6 +335,7 @@ async def _drive_process(
     windows = plan.crashes if plan is not None else ()
     crashes = {c.at_tick: c for c in windows if c.pid == pid}
     tick_index = 0
+    deadline = 0
     pending: list[Envelope] = []
     while True:
         crash = crashes.get(tick_index)
@@ -340,18 +344,20 @@ async def _drive_process(
                 network, pid, factory, crash, pending, generator
             )
             tick_index = crash.restart_tick
+            deadline = report.wake_at
             if generator is None:  # the protocol completed during replay
                 return pid, report.decision, tick_index
         if recovery is not None:
             # Write-ahead: the inbox is durable before the protocol
             # acts on it.
             recovery.on_inbox(pid, tick_index, ctx.inbox)
-        try:
-            next(generator)
-        except StopIteration as stop:
-            if recovery is not None:
-                recovery.flush(pid)
-            return pid, stop.value, tick_index
+        if due(ctx.inbox, tick_index, deadline):
+            try:
+                deadline = wake_tick(next(generator), tick_index)
+            except StopIteration as stop:
+                if recovery is not None:
+                    recovery.flush(pid)
+                return pid, stop.value, tick_index
         if recovery is not None:
             # One fsync batch per round, after the round's sends: the
             # inbox and the send highwater marks it produced become
@@ -359,6 +365,7 @@ async def _drive_process(
             recovery.flush(pid)
         tick_index += 1
         await network.wait_for_round(tick_index)
+        ctx.now = tick_index
         ctx.inbox = network.enter_round(pid, tick_index, pending)
 
 
@@ -406,6 +413,7 @@ async def _crash_and_recover(
     )
     network.recovered.add(pid)
     if generator is not None:
+        ctx.now = crash.restart_tick
         ctx.inbox = network.enter_round(pid, crash.restart_tick, pending)
     return generator, ctx, report
 

@@ -134,6 +134,11 @@ class SystemConfig:
         """Rotating-leader rule ``leader <- p_{j mod n}`` (Alg. 2/4 line 14/30)."""
         return j % self.n
 
+    def phases_led_by(self, pid: ProcessId, phases: int) -> range:
+        """The phases ``j`` in ``1..phases`` with ``leader_of_phase(j) ==
+        pid`` — the only ones in which ``pid`` may speak unprompted."""
+        return range(pid or self.n, phases + 1, self.n)
+
     def commit_quorum_reachable(self, f: int) -> bool:
         """Whether ``n - f`` correct processes suffice for the commit quorum."""
         return self.n - f >= self.commit_quorum

@@ -50,6 +50,7 @@ from repro.crypto.threshold import PartialSignature
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
+from repro.runtime.rounds import run_phases
 
 CERT_PHASE_ROUNDS = 3
 """Ticks per certificate phase: request, shares, leader broadcast."""
@@ -145,84 +146,89 @@ def adaptive_strong_ba_protocol(
             except Exception:
                 return False
 
-        for phase in range(1, phases + 1):
-            leader = config.leader_of_phase(phase)
-            is_leader = ctx.pid == leader
-
+        def ask(phase: int) -> None:
+            if phase > 1:
+                adopt(phase - 1)
             # Round 1: a certificate-less leader asks for input shares.
-            if is_leader and certificate is None:
+            leader = config.leader_of_phase(phase)
+            if ctx.pid == leader and certificate is None:
                 ctx.emit("asba_phase_non_silent", phase=phase, leader=leader)
                 ctx.broadcast(SbaCertRequest(session=session, phase=phase))
-            pool.extend((yield from ctx.sleep(1)))
 
+        def share(phase: int) -> None:
             # Round 2: everyone answers with its own input share.
-            requests = [
-                e
+            leader = config.leader_of_phase(phase)
+            if not any(
+                e.sender == leader
                 for e in _take_phase(pool, SbaCertRequest, session, phase)
-                if e.sender == leader
-            ]
-            if requests:
-                partial = suite.partial_for_certificate(
-                    ctx.pid,
-                    INPUT_LABEL,
-                    quorum,
-                    input_statement(session, initial_value),
-                )
-                ctx.send(
-                    leader,
-                    SbaInputShare(
-                        session=session,
-                        phase=phase,
-                        value=initial_value,
-                        partial=partial,
-                    ),
-                )
-            pool.extend((yield from ctx.sleep(1)))
+            ):
+                return
+            partial = suite.partial_for_certificate(
+                ctx.pid,
+                INPUT_LABEL,
+                quorum,
+                input_statement(session, initial_value),
+            )
+            ctx.send(
+                leader,
+                SbaInputShare(
+                    session=session,
+                    phase=phase,
+                    value=initial_value,
+                    partial=partial,
+                ),
+            )
 
+        def combine(phase: int) -> None:
             # Round 3: the leader combines and broadcasts a certificate.
-            if is_leader and certificate is None:
-                collectors: dict[object, CertificateCollector] = {}
-                for envelope in _take_phase(
-                    pool, SbaInputShare, session, phase
-                ):
-                    share = envelope.payload
-                    try:
-                        collector = collectors.get(share.value)
-                        if collector is None:
-                            collector = CertificateCollector(
-                                suite,
-                                INPUT_LABEL,
-                                quorum,
-                                input_statement(session, share.value),
-                            )
-                            collectors[share.value] = collector
-                        collector.add(share.partial)
-                    except Exception:
-                        continue
-                for share_value, collector in collectors.items():
-                    if collector.complete:
-                        ctx.broadcast(
-                            SbaInputCert(
-                                session=session,
-                                phase=phase,
-                                value=share_value,
-                                certificate=collector.certificate(),
-                            )
+            if ctx.pid != config.leader_of_phase(phase) or certificate is not None:
+                return
+            collectors: dict[object, CertificateCollector] = {}
+            for envelope in _take_phase(pool, SbaInputShare, session, phase):
+                share = envelope.payload
+                try:
+                    collector = collectors.get(share.value)
+                    if collector is None:
+                        collector = CertificateCollector(
+                            suite,
+                            INPUT_LABEL,
+                            quorum,
+                            input_statement(session, share.value),
                         )
-                        break
-            pool.extend((yield from ctx.sleep(1)))
+                        collectors[share.value] = collector
+                    collector.add(share.partial)
+                except Exception:
+                    continue
+            for share_value, collector in collectors.items():
+                if collector.complete:
+                    ctx.broadcast(
+                        SbaInputCert(
+                            session=session,
+                            phase=phase,
+                            value=share_value,
+                            certificate=collector.certificate(),
+                        )
+                    )
+                    break
 
-            # Adopt any valid certificate seen (delivered next tick; the
-            # shared pool catches it in the following phase too).
-            if certificate is None:
-                for envelope in pool.take_payloads(
-                    SbaInputCert,
-                    lambda e: getattr(e.payload, "session", None) == session,
-                ):
-                    if valid_input_cert(envelope.payload):
-                        certificate = envelope.payload.certificate
-                        ctx.emit("asba_certified", phase=phase)
-                        break
+        def adopt(phase: int) -> None:
+            # Adopt any valid certificate seen (delivered the tick after
+            # round 3, which is the next phase's round 1).
+            nonlocal certificate
+            if certificate is not None:
+                return
+            for envelope in pool.take_payloads(
+                SbaInputCert,
+                lambda e: getattr(e.payload, "session", None) == session,
+            ):
+                if valid_input_cert(envelope.payload):
+                    certificate = envelope.payload.certificate
+                    ctx.emit("asba_certified", phase=phase)
+                    break
+
+        # All but ``ask`` only react to pooled messages.
+        yield from run_phases(ctx, pool, (ask, share, combine), phases)
+        adopt(phases)
 
         # Weak BA over the certificates (Algorithm 3, unmodified).
         ba_decision = yield from weak_ba_protocol(

@@ -31,7 +31,7 @@ a common output is guaranteed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core.validity import IDK_LABEL, BroadcastValidity
@@ -43,6 +43,7 @@ from repro.crypto.threshold import PartialSignature
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
+from repro.runtime.rounds import run_phases
 
 BB_PHASE_ROUNDS = 3
 """Ticks per vetting phase: help_req, replies, leader relay.  The
@@ -148,40 +149,48 @@ def _take_phase(
     )
 
 
-def _vetting_phase(
+@dataclass
+class _Input:
+    """The process's weak-BA input ``v_i`` while the vetting runs."""
+
+    value: object = None  # SignedValue, idk QuorumCertificate, or None
+
+
+def _vetting_steps(
     ctx: ProcessContext,
     pool: MessagePool,
     session: str,
-    phase: int,
-    current_value: object,
+    held: _Input,
     validity: BroadcastValidity,
-) -> Generator[None, None, object]:
-    """Algorithm 2 (``invokePhase``): returns a valid value or ``None``.
-
-    ``None`` plays the role of the pseudocode's ``⊥`` return (line 31):
-    the caller keeps its previous input.
-    """
+) -> tuple[Callable[[int], None], ...]:
+    """Algorithm 2 (``invokePhase``) as ``(ask, answer, relay, accept)``,
+    one ``step(phase)`` per round.  ``accept`` — round 4 — shares its
+    tick with the next phase's round 1, so ``ask`` runs it first and the
+    caller runs it once more after the last phase.  All but ``ask`` only
+    react to pooled messages."""
     config = ctx.config
-    leader = config.leader_of_phase(phase)
-    is_leader = ctx.pid == leader
 
-    # Round 1 (lines 15-16): a leader with no input asks for help.
-    if is_leader and current_value is None:
-        ctx.emit("bb_phase_non_silent", phase=phase, leader=leader)
-        ctx.broadcast(BbHelpReq(session=session, phase=phase))
-    pool.extend((yield from ctx.sleep(1)))
+    def ask(phase: int) -> None:
+        if phase > 1:
+            accept(phase - 1)
+        # Round 1 (lines 15-16): a leader with no input asks for help.
+        leader = config.leader_of_phase(phase)
+        if ctx.pid == leader and held.value is None:
+            ctx.emit("bb_phase_non_silent", phase=phase, leader=leader)
+            ctx.broadcast(BbHelpReq(session=session, phase=phase))
 
-    # Round 2 (lines 17-21): answer the leader.
-    help_reqs = [
-        e
-        for e in _take_phase(pool, BbHelpReq, session, phase)
-        if e.sender == leader
-    ]
-    if help_reqs:
-        if current_value is not None:
+    def answer(phase: int) -> None:
+        # Round 2 (lines 17-21): answer the leader.
+        leader = config.leader_of_phase(phase)
+        if not any(
+            e.sender == leader
+            for e in _take_phase(pool, BbHelpReq, session, phase)
+        ):
+            return
+        if held.value is not None:
             ctx.send(
                 leader,
-                BbValueReply(session=session, phase=phase, value=current_value),
+                BbValueReply(session=session, phase=phase, value=held.value),
             )
         else:
             partial = ctx.suite.partial_for_certificate(
@@ -193,11 +202,12 @@ def _vetting_phase(
             ctx.send(
                 leader, BbIdkReply(session=session, phase=phase, partial=partial)
             )
-    pool.extend((yield from ctx.sleep(1)))
 
-    # Round 3 (lines 22-27): the leader relays a valid value, or batches
-    # t+1 idk signatures into QC_idk.
-    if is_leader and current_value is None:
+    def relay(phase: int) -> None:
+        # Round 3 (lines 22-27): the leader relays a valid value, or
+        # batches t+1 idk signatures into QC_idk.
+        if ctx.pid != config.leader_of_phase(phase) or held.value is not None:
+            return
         relayed = None
         for envelope in _take_phase(pool, BbValueReply, session, phase):
             reply = envelope.payload
@@ -210,34 +220,37 @@ def _vetting_phase(
                     break  # prefer a sender-signed value (line 23)
         if relayed is not None:
             ctx.broadcast(BbPhaseResult(session=session, phase=phase, value=relayed))
-        else:
-            collector = CertificateCollector(
-                ctx.suite,
-                IDK_LABEL,
-                config.small_quorum,
-                idk_statement(session),
-            )
-            for envelope in _take_phase(pool, BbIdkReply, session, phase):
-                try:
-                    collector.add(envelope.payload.partial)
-                except Exception:
-                    continue
-            if collector.complete:
-                ctx.broadcast(
-                    BbPhaseResult(
-                        session=session, phase=phase, value=collector.certificate()
-                    )
+            return
+        collector = CertificateCollector(
+            ctx.suite,
+            IDK_LABEL,
+            config.small_quorum,
+            idk_statement(session),
+        )
+        for envelope in _take_phase(pool, BbIdkReply, session, phase):
+            try:
+                collector.add(envelope.payload.partial)
+            except Exception:
+                continue
+        if collector.complete:
+            ctx.broadcast(
+                BbPhaseResult(
+                    session=session, phase=phase, value=collector.certificate()
                 )
-    pool.extend((yield from ctx.sleep(1)))
+            )
 
-    # Round 4 (lines 28-31): accept the leader's value if BB_valid.
-    for envelope in _take_phase(pool, BbPhaseResult, session, phase):
-        if envelope.sender != leader:
-            continue
-        if validity.validate(envelope.payload.value):
-            return envelope.payload.value
-        break
-    return None
+    def accept(phase: int) -> None:
+        # Round 4 (lines 28-31, line 8): adopt the leader's value if
+        # BB_valid; otherwise keep the previous input.
+        leader = config.leader_of_phase(phase)
+        for envelope in _take_phase(pool, BbPhaseResult, session, phase):
+            if envelope.sender != leader:
+                continue
+            if validity.validate(envelope.payload.value):
+                held.value = envelope.payload.value
+            break
+
+    return ask, answer, relay, accept
 
 
 def byzantine_broadcast_protocol(
@@ -269,30 +282,27 @@ def byzantine_broadcast_protocol(
             ctx.broadcast(
                 BbSenderValue(session=session, signed=sign_value(ctx.signer, value))
             )
-        pool.extend((yield from ctx.sleep(1)))
+        pool.extend((yield from ctx.next_round()))
 
-        current_value: object = None
+        held = _Input()
         for envelope in pool.take_payloads(
             BbSenderValue,
             lambda e: e.payload.session == session and e.sender == sender,
         ):
             signed = envelope.payload.signed
             if validity.validate(signed):
-                current_value = signed  # line 4: v_i <- ⟨v⟩_sender
+                held.value = signed  # line 4: v_i <- ⟨v⟩_sender
                 break
 
         # Lines 5-8: the vetting phases.
-        for phase in range(1, phases + 1):
-            returned = yield from _vetting_phase(
-                ctx, pool, session, phase, current_value, validity
-            )
-            if returned is not None:
-                current_value = returned  # line 8
+        *steps, accept = _vetting_steps(ctx, pool, session, held, validity)
+        yield from run_phases(ctx, pool, steps, phases)
+        accept(phases)
 
         # Line 9: the weak BA under BB_valid.
         ba_decision = yield from weak_ba_protocol(
             ctx,
-            current_value,
+            held.value,
             validity,
             session=f"{session}/wba",
             num_phases=phases,

@@ -39,6 +39,7 @@ from repro.fallback.recursive_ba import FALLBACK_ROUND_TICKS, fallback_ba
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
+from repro.runtime.rounds import run_rounds
 
 GRACE_TICKS = 3
 """Post-fast-path listening window (same rationale as weak BA's)."""
@@ -197,7 +198,7 @@ def strong_ba_protocol(
                 ),
             ),
         )
-        pool.extend((yield from ctx.sleep(1)))
+        pool.extend((yield from ctx.next_round()))
 
         # Round 2 (lines 3-6): the leader proposes a t+1-backed value.
         if is_leader:
@@ -224,7 +225,7 @@ def strong_ba_protocol(
                         )
                     )
                     break
-        pool.extend((yield from ctx.sleep(1)))
+        pool.extend((yield from ctx.next_round()))
 
         # Round 3 (lines 7-8): answer a valid proposal with a decide share.
         for envelope in _take_session(pool, SbaPropose, session):
@@ -252,7 +253,7 @@ def strong_ba_protocol(
                     ),
                 )
                 break  # correct processes sign one decide message
-        pool.extend((yield from ctx.sleep(1)))
+        pool.extend((yield from ctx.next_round()))
 
         # Round 4 (lines 9-12): the leader publishes the n-of-n decision.
         if is_leader:
@@ -279,7 +280,7 @@ def strong_ba_protocol(
                         )
                     )
                     break
-        pool.extend((yield from ctx.sleep(1)))
+        pool.extend((yield from ctx.next_round()))
 
         # Round 5 (lines 13-18): decide, or raise the fallback alarm.
         fallback_start = float("inf")
@@ -300,13 +301,11 @@ def strong_ba_protocol(
         grace_deadline = ctx.now + GRACE_TICKS
         echoed = fallback_start != float("inf")
 
-        def still_waiting() -> bool:
-            if fallback_start == float("inf"):
-                return ctx.now < grace_deadline
-            return ctx.now < fallback_start
+        def window_end() -> int:
+            return grace_deadline if fallback_start == float("inf") else fallback_start
 
-        while still_waiting():
-            pool.extend((yield from ctx.sleep(1)))
+        def listen(_round: int) -> int:
+            nonlocal bu_decision, bu_proof, echoed, fallback_start
             for envelope in _take_session(pool, SbaFallback, session):
                 message = envelope.payload
                 if decision is None and valid_decide_cert(
@@ -323,6 +322,14 @@ def strong_ba_protocol(
                     )
                     echoed = True
                     fallback_start = ctx.now + 2
+            return window_end()
+
+        # Listening starts one tick into the window and includes its
+        # last tick, where a first fallback message reopens it.
+        while ctx.now < window_end():
+            pool.extend((yield from ctx.next_round()))
+            yield from run_rounds(ctx, pool, (listen,), window_end())
+            listen(0)
 
         if fallback_start == float("inf"):
             ctx.emit("decided", value=repr(decision), session=session)

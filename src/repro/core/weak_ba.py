@@ -39,7 +39,7 @@ it is behaviorally equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core.validity import ExternalValidity, ValidityPredicate
@@ -53,6 +53,7 @@ from repro.fallback.recursive_ba import FALLBACK_ROUND_TICKS, fallback_ba
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
+from repro.runtime.rounds import run_phases, run_rounds
 
 GRACE_TICKS = 3
 """Extra listening ticks for late fallback certificates (see module doc)."""
@@ -338,39 +339,43 @@ def _take_session(
     )
 
 
-def _invoke_phase(
+def _phase_steps(
     ctx: ProcessContext,
     pool: MessagePool,
     crypto: _Crypto,
     state: _State,
-    phase: int,
     validity: ValidityPredicate,
-) -> Generator[None, None, None]:
-    """Algorithm 4 (``invokePhase``), six synchronous rounds.
-
-    Updates ``state`` in place: ``decision``/``decide_proof`` if a
-    finalize certificate is observed, and the commit triple when a
-    commit certificate of sufficient level is observed.
-    """
+) -> tuple[Callable[[int], None], ...]:
+    """Algorithm 4 (``invokePhase``) as its six synchronous rounds, one
+    ``step(phase)`` each, built once per protocol instance and run by
+    :func:`~repro.runtime.rounds.run_phases`.  They update ``state`` in
+    place: ``decision``/``decide_proof`` if a finalize certificate is
+    observed, and the commit triple when a commit certificate of
+    sufficient level is observed.  All but ``propose`` only react to
+    pooled messages."""
     session = crypto.session
-    leader = ctx.config.leader_of_phase(phase)
-    is_leader = ctx.pid == leader
+    leader_of = ctx.config.leader_of_phase
 
-    # Round 1 (lines 31-32): an undecided leader proposes its value.
-    if is_leader and state.decision == UNDECIDED:
-        ctx.emit("phase_non_silent", phase=phase, leader=leader)
-        ctx.broadcast(WbaPropose(session=session, phase=phase, value=state.value))
-    pool.extend((yield from ctx.sleep(1)))
+    def propose(phase: int) -> None:
+        # Round 1 (lines 31-32): an undecided leader proposes its value.
+        leader = leader_of(phase)
+        if ctx.pid == leader and state.decision == UNDECIDED:
+            ctx.emit("phase_non_silent", phase=phase, leader=leader)
+            ctx.broadcast(
+                WbaPropose(session=session, phase=phase, value=state.value)
+            )
 
-    # Round 2 (lines 33-36): vote, or report an existing commitment.
-    proposals = [
-        e
-        for e in _take_phase(pool, WbaPropose, session, phase)
-        if e.sender == leader
-    ]
-    if proposals:
-        proposal = proposals[0]  # "for the first time" (line 33)
-        value = proposal.payload.value
+    def vote(phase: int) -> None:
+        # Round 2 (lines 33-36): vote, or report an existing commitment.
+        leader = leader_of(phase)
+        proposals = [
+            e
+            for e in _take_phase(pool, WbaPropose, session, phase)
+            if e.sender == leader
+        ]
+        if not proposals:
+            return
+        value = proposals[0].payload.value  # "for the first time" (line 33)
         if state.commit is None and validity.validate(value):
             partial = ctx.suite.partial_for_certificate(
                 ctx.pid,
@@ -393,10 +398,11 @@ def _invoke_phase(
                     level=state.commit_level,
                 ),
             )
-    pool.extend((yield from ctx.sleep(1)))
 
-    # Round 3 (lines 37-42): the leader relays a commit certificate.
-    if is_leader:
+    def relay_commit(phase: int) -> None:
+        # Round 3 (lines 37-42): the leader relays a commit certificate.
+        if ctx.pid != leader_of(phase):
+            return
         best_info: WbaCommitInfo | None = None
         for envelope in _take_phase(pool, WbaCommitInfo, session, phase):
             info = envelope.payload
@@ -415,87 +421,62 @@ def _invoke_phase(
                     level=best_info.level,
                 )
             )
-        else:
-            votes = _take_phase(pool, WbaVote, session, phase)
-            by_value: dict[object, CertificateCollector] = {}
-            for envelope in votes:
-                vote = envelope.payload
-                try:
-                    collector = by_value.get(vote.value)
-                    if collector is None:
-                        collector = CertificateCollector(
-                            ctx.suite,
-                            crypto.commit_label,
-                            crypto.commit_quorum,
-                            crypto.commit_statement(vote.value, phase),
-                        )
-                        by_value[vote.value] = collector
-                    collector.add(vote.partial)
-                except Exception:
-                    continue
-            for vote_value, collector in by_value.items():
-                if collector.complete:
-                    # Lines 40-42: new commit certificate at level = phase.
-                    ctx.broadcast(
-                        WbaCommitCert(
-                            session=session,
-                            phase=phase,
-                            value=vote_value,
-                            proof=collector.certificate(),
-                            level=phase,
-                        )
+            return
+        for vote_value, collector in _collect(
+            ctx, pool, WbaVote, crypto, crypto.commit_label, phase,
+            crypto.commit_statement,
+        ).items():
+            if collector.complete:
+                # Lines 40-42: new commit certificate at level = phase.
+                ctx.broadcast(
+                    WbaCommitCert(
+                        session=session,
+                        phase=phase,
+                        value=vote_value,
+                        proof=collector.certificate(),
+                        level=phase,
                     )
-                    break
-    pool.extend((yield from ctx.sleep(1)))
+                )
+                break
 
-    # Round 4 (lines 43-47): adopt the commit, send a decide share.
-    commit_certs = [
-        e
-        for e in _take_phase(pool, WbaCommitCert, session, phase)
-        if e.sender == leader
-    ]
-    for envelope in commit_certs[:1]:  # at most one per leader per phase
-        cert = envelope.payload
-        if cert.level < state.commit_level:
-            continue
-        if not crypto.valid_commit_proof(cert.proof, cert.value, cert.level):
-            continue
-        partial = ctx.suite.partial_for_certificate(
-            ctx.pid,
-            crypto.finalize_label,
-            crypto.commit_quorum,
-            crypto.finalize_statement(cert.value, phase),
-        )
-        ctx.send(
-            leader,
-            WbaDecideShare(
-                session=session, phase=phase, value=cert.value, partial=partial
-            ),
-        )
-        state.commit = cert.value
-        state.commit_proof = cert.proof
-        state.commit_level = cert.level
-    pool.extend((yield from ctx.sleep(1)))
-
-    # Round 5 (lines 48-51): the leader publishes a finalize certificate.
-    if is_leader:
-        by_value: dict[object, CertificateCollector] = {}
-        for envelope in _take_phase(pool, WbaDecideShare, session, phase):
-            share = envelope.payload
-            try:
-                collector = by_value.get(share.value)
-                if collector is None:
-                    collector = CertificateCollector(
-                        ctx.suite,
-                        crypto.finalize_label,
-                        crypto.commit_quorum,
-                        crypto.finalize_statement(share.value, phase),
-                    )
-                    by_value[share.value] = collector
-                collector.add(share.partial)
-            except Exception:
+    def adopt_commit(phase: int) -> None:
+        # Round 4 (lines 43-47): adopt the commit, send a decide share.
+        leader = leader_of(phase)
+        commit_certs = [
+            e
+            for e in _take_phase(pool, WbaCommitCert, session, phase)
+            if e.sender == leader
+        ]
+        for envelope in commit_certs[:1]:  # at most one per leader per phase
+            cert = envelope.payload
+            if cert.level < state.commit_level:
                 continue
-        for share_value, collector in by_value.items():
+            if not crypto.valid_commit_proof(cert.proof, cert.value, cert.level):
+                continue
+            partial = ctx.suite.partial_for_certificate(
+                ctx.pid,
+                crypto.finalize_label,
+                crypto.commit_quorum,
+                crypto.finalize_statement(cert.value, phase),
+            )
+            ctx.send(
+                leader,
+                WbaDecideShare(
+                    session=session, phase=phase, value=cert.value, partial=partial
+                ),
+            )
+            state.commit = cert.value
+            state.commit_proof = cert.proof
+            state.commit_level = cert.level
+
+    def finalize(phase: int) -> None:
+        # Round 5 (lines 48-51): the leader publishes a finalize certificate.
+        if ctx.pid != leader_of(phase):
+            return
+        for share_value, collector in _collect(
+            ctx, pool, WbaDecideShare, crypto, crypto.finalize_label, phase,
+            crypto.finalize_statement,
+        ).items():
             if collector.complete:
                 ctx.broadcast(
                     WbaFinalize(
@@ -506,20 +487,51 @@ def _invoke_phase(
                     )
                 )
                 break
-    pool.extend((yield from ctx.sleep(1)))
 
-    # Round 6 (lines 52-54): act on the finalize certificate.
-    for envelope in _take_phase(pool, WbaFinalize, session, phase):
-        final = envelope.payload
-        if not crypto.valid_finalize_proof(final.proof, final.value, phase):
+    def decide(phase: int) -> None:
+        # Round 6 (lines 52-54): act on the finalize certificate.
+        for envelope in _take_phase(pool, WbaFinalize, session, phase):
+            final = envelope.payload
+            if not crypto.valid_finalize_proof(final.proof, final.value, phase):
+                continue
+            if state.decision == UNDECIDED:
+                state.decision = final.value
+                state.decide_proof = final.proof
+                state.decide_phase = phase
+                ctx.emit(
+                    "wba_decided_in_phase", phase=phase, value=repr(final.value)
+                )
+            break
+
+    return propose, vote, relay_commit, adopt_commit, finalize, decide
+
+
+def _collect(
+    ctx: ProcessContext,
+    pool: MessagePool,
+    payload_type: type,
+    crypto: _Crypto,
+    label: str,
+    phase: int,
+    statement: Callable[[object, int], tuple],
+) -> dict[object, CertificateCollector]:
+    """The leader's share collection (rounds 3 and 5): one collector per
+    value among this phase's pooled ``payload_type`` shares."""
+    by_value: dict[object, CertificateCollector] = {}
+    for envelope in _take_phase(pool, payload_type, crypto.session, phase):
+        share = envelope.payload
+        try:
+            collector = by_value.get(share.value)
+            if collector is None:
+                collector = CertificateCollector(
+                    ctx.suite, label, crypto.commit_quorum,
+                    statement(share.value, phase),
+                )
+                by_value[share.value] = collector
+            collector.add(share.partial)
+        except Exception:
             continue
-        if state.decision == UNDECIDED:
-            state.decision = final.value
-            state.decide_proof = final.proof
-            state.decide_phase = phase
-            ctx.emit("wba_decided_in_phase", phase=phase, value=repr(final.value))
-        break
-    pool.extend((yield from ctx.sleep(1)))
+    return by_value
 
 
 def _help_and_fallback(
@@ -544,7 +556,7 @@ def _help_and_fallback(
         )
         ctx.broadcast(WbaHelpReq(session=session, partial=partial))
         ctx.emit("help_req_sent")
-    pool.extend((yield from ctx.sleep(1)))
+    pool.extend((yield from ctx.next_round()))
 
     # Round 2 (lines 7-12): answer help requests; form fallback certs.
     requests = _take_session(pool, WbaHelpReq, session)
@@ -584,7 +596,7 @@ def _help_and_fallback(
             )
         )
         state.fallback_start = ctx.now + 2  # now + 2*delta (line 12)
-    pool.extend((yield from ctx.sleep(1)))
+    pool.extend((yield from ctx.next_round()))
 
     # Round 3 (lines 13-15): adopt helped decisions.
     for envelope in _take_session(pool, WbaHelp, session):
@@ -605,14 +617,7 @@ def _help_and_fallback(
     # Lines 16-23: the safety window.  Listen for fallback certificates,
     # echoing the first one; adopt any proven decision as the fallback
     # input.  Keep listening up to GRACE_TICKS past the help rounds.
-    grace_deadline = ctx.now + GRACE_TICKS
-
-    def still_waiting() -> bool:
-        if state.fallback_start == float("inf"):
-            return ctx.now < grace_deadline
-        return ctx.now < state.fallback_start
-
-    while still_waiting():
+    def listen(_round: int) -> int | None:
         for envelope in _take_session(pool, WbaFallbackCert, session):
             fb = envelope.payload
             if not crypto.valid_fallback_cert(fb.certificate):
@@ -643,10 +648,12 @@ def _help_and_fallback(
                         )
                     )
                 state.fallback_start = ctx.now + 2
-        if still_waiting():
-            pool.extend((yield from ctx.sleep(1)))
-        else:
-            break
+        if state.fallback_start != float("inf"):
+            return state.fallback_start
+
+    yield from run_rounds(
+        ctx, pool, (listen,), min(state.fallback_start, ctx.now + GRACE_TICKS)
+    )
 
     if state.fallback_start == float("inf"):
         return  # no fallback in this run (the common, adaptive case)
@@ -711,8 +718,9 @@ def weak_ba_protocol(
         if pool is None:
             pool = MessagePool()
 
-        for phase in range(1, phases + 1):
-            yield from _invoke_phase(ctx, pool, crypto, state, phase, validity)
+        yield from run_phases(
+            ctx, pool, _phase_steps(ctx, pool, crypto, state, validity), phases
+        )
 
         yield from _help_and_fallback(
             ctx,

@@ -32,8 +32,11 @@ def _bind(label: str, payload: object) -> tuple:
 
 
 _SCHEME_CACHE: dict[tuple[bytes, str, int], ThresholdScheme] = {}
-_SCHEME_CACHE_CAP = 1024
-"""Dealt-scheme memo keyed by ``(master_seed, scheme_id, epoch)``.
+_SCHEME_CACHE_CAP = 128
+"""Dealt-scheme memo keyed by ``(master_seed, scheme_id, epoch)``, oldest
+entry evicted first once it holds ``_SCHEME_CACHE_CAP``: one seed needs a
+handful of entries, and a long-lived process running many seeds must not
+keep every scheme it ever dealt (~46 KB each at ``n = 101``).
 
 Dealing is deterministic in exactly those inputs, so two suites with the
 same master seed (e.g. the thousands of single-run simulations a model-
@@ -197,7 +200,7 @@ class CryptoSuite:
                 )
                 if self._cache_enabled:
                     if len(_SCHEME_CACHE) >= _SCHEME_CACHE_CAP:
-                        _SCHEME_CACHE.clear()
+                        del _SCHEME_CACHE[next(iter(_SCHEME_CACHE))]
                     _SCHEME_CACHE[cache_key] = existing
             self._schemes[scheme_id] = existing
         return existing

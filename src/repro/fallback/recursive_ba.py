@@ -114,8 +114,7 @@ def ba_rounds(m: int) -> int:
 def _sleep_rounds(
     ctx: ProcessContext, rounds: int, round_ticks: int, pool: MessagePool
 ) -> Generator[None, None, None]:
-    for _ in range(rounds):
-        pool.extend((yield from ctx.sleep(round_ticks)))
+    pool.extend((yield from ctx.sleep(rounds * round_ticks)))
 
 
 def _take_session(

@@ -105,24 +105,29 @@ def _chatty_leaders() -> Iterator[None]:
     """The non-silent-leaders mutant: a decided leader re-proposes in
     its phase anyway, discarding the adaptivity mechanism (Algorithm 4
     line 31's silence condition)."""
-    original = weak_ba._invoke_phase
+    original = weak_ba._phase_steps
 
-    def chatty(ctx, pool, crypto, state, phase, validity):
-        leader = ctx.config.leader_of_phase(phase)
-        if ctx.pid == leader and state.decision != UNDECIDED:
-            ctx.emit("phase_non_silent", phase=phase, leader=leader)
-            ctx.broadcast(
-                WbaPropose(
-                    session=crypto.session, phase=phase, value=state.decision
+    def chatty(ctx, pool, crypto, state, validity):
+        propose, *rest = original(ctx, pool, crypto, state, validity)
+
+        def chatty_propose(phase):
+            leader = ctx.config.leader_of_phase(phase)
+            if ctx.pid == leader and state.decision != UNDECIDED:
+                ctx.emit("phase_non_silent", phase=phase, leader=leader)
+                ctx.broadcast(
+                    WbaPropose(
+                        session=crypto.session, phase=phase, value=state.decision
+                    )
                 )
-            )
-        yield from original(ctx, pool, crypto, state, phase, validity)
+            propose(phase)
 
-    weak_ba._invoke_phase = chatty
+        return chatty_propose, *rest
+
+    weak_ba._phase_steps = chatty
     try:
         yield
     finally:
-        weak_ba._invoke_phase = original
+        weak_ba._phase_steps = original
 
 
 def _weak_ba_scenario(

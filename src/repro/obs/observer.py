@@ -61,6 +61,7 @@ class Observer:
         self.events = EventLog()
         self._clock = clock
         self._now = 0.0  # simulated clock, advanced by the runtimes
+        self._tick = -1  # last tick on_tick saw
 
     @classmethod
     def wall(cls) -> "Observer":
@@ -113,8 +114,13 @@ class Observer:
     # ------------------------------------------------------------------
 
     def on_tick(self, tick: int) -> None:
+        """Called once per *visited* tick, in increasing order; the
+        simulator skips ticks in which nothing happens, so ``sim.ticks``
+        totals the ticks elapsed since the previous call, not the calls
+        (a tick not above the last one seen starts another run)."""
         self._now = float(tick) if self._clock is None else self._now
-        self.count("sim.ticks")
+        self.count("sim.ticks", tick - self._tick if tick > self._tick else 1)
+        self._tick = tick
 
     def on_send(self, record: "WordRecord") -> None:
         """Account one billed send (the ledger's view of it)."""

@@ -75,6 +75,7 @@ from repro.errors import ConfigurationError
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
+from repro.runtime.rounds import run_phases
 
 VIEW_ROUNDS = 3
 """Ticks per certification view: solicit, shares, certificate."""
@@ -230,7 +231,10 @@ def certification_views(
     validity = CertifiedValidity(suite, config, session)
     certified: CertifiedValue | None = None
 
-    def adopt(view: int) -> CertifiedValue | None:
+    def adopt(view: int) -> None:
+        nonlocal certified
+        if certified is not None:
+            return
         for envelope in pool.take_payloads(
             CivitInputCert,
             lambda e: getattr(e.payload, "session", None) == session,
@@ -241,73 +245,74 @@ def certification_views(
             )
             if validity.validate(candidate):
                 ctx.emit("civit_certified", view=view)
-                return candidate
-        return None
+                certified = candidate
+                return
 
-    for view in range(1, num_views + 1):
-        certifier = config.leader_of_phase(view)
-        is_certifier = ctx.pid == certifier
-
+    def solicit(view: int) -> None:
+        if view > 1:
+            adopt(view - 1)
         # Round 1: a certificate-less certifier solicits; holders of a
         # certificate keep their view silent (the adaptivity argument).
-        if is_certifier and certified is None:
+        certifier = config.leader_of_phase(view)
+        if ctx.pid == certifier and certified is None:
             ctx.emit("civit_view_non_silent", view=view, certifier=certifier)
             ctx.broadcast(CivitSolicit(session=session, view=view))
-        pool.extend((yield from ctx.sleep(1)))
 
+    def share(view: int) -> None:
         # Round 2: answer the view's certifier with our own input share.
-        solicited = any(
+        certifier = config.leader_of_phase(view)
+        if not any(
             e.sender == certifier
             for e in _take_view(pool, CivitSolicit, session, view)
+        ):
+            return
+        partial = suite.partial_for_certificate(
+            ctx.pid, label, quorum, input_statement(initial_value)
         )
-        if solicited:
-            partial = suite.partial_for_certificate(
-                ctx.pid, label, quorum, input_statement(initial_value)
-            )
-            ctx.send(
-                certifier,
-                CivitInputShare(
-                    session=session,
-                    view=view,
-                    value=initial_value,
-                    partial=partial,
-                ),
-            )
-        pool.extend((yield from ctx.sleep(1)))
+        ctx.send(
+            certifier,
+            CivitInputShare(
+                session=session,
+                view=view,
+                value=initial_value,
+                partial=partial,
+            ),
+        )
 
+    def combine(view: int) -> None:
         # Round 3: the certifier combines any t+1 matching shares.
-        if is_certifier and certified is None:
-            collectors: dict[object, CertificateCollector] = {}
-            for envelope in _take_view(pool, CivitInputShare, session, view):
-                share = envelope.payload
-                try:
-                    collector = collectors.get(share.value)
-                    if collector is None:
-                        collector = CertificateCollector(
-                            suite, label, quorum, input_statement(share.value)
-                        )
-                        collectors[share.value] = collector
-                    collector.add(share.partial)
-                except Exception:
-                    continue
-            for share_value, collector in collectors.items():
-                if collector.complete:
-                    ctx.broadcast(
-                        CivitInputCert(
-                            session=session,
-                            view=view,
-                            value=share_value,
-                            certificate=collector.certificate(),
-                        )
+        if ctx.pid != config.leader_of_phase(view) or certified is not None:
+            return
+        collectors: dict[object, CertificateCollector] = {}
+        for envelope in _take_view(pool, CivitInputShare, session, view):
+            share = envelope.payload
+            try:
+                collector = collectors.get(share.value)
+                if collector is None:
+                    collector = CertificateCollector(
+                        suite, label, quorum, input_statement(share.value)
                     )
-                    break
-        pool.extend((yield from ctx.sleep(1)))
+                    collectors[share.value] = collector
+                collector.add(share.partial)
+            except Exception:
+                continue
+        for share_value, collector in collectors.items():
+            if collector.complete:
+                ctx.broadcast(
+                    CivitInputCert(
+                        session=session,
+                        view=view,
+                        value=share_value,
+                        certificate=collector.certificate(),
+                    )
+                )
+                break
 
-        if certified is None:
-            certified = adopt(view)
-
-    if certified is None:
-        certified = adopt(num_views)  # a last-tick broadcast still counts
+    # One view is three rounds; adoption shares its tick with the next
+    # view's round 1 (a last-tick broadcast still counts).  All but
+    # ``solicit`` only react to pooled messages.
+    yield from run_phases(ctx, pool, (solicit, share, combine), num_views)
+    adopt(num_views)
     return certified
 
 

@@ -22,6 +22,7 @@ interleave two histories in one log.  Point a second run at the same
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -168,6 +169,16 @@ class RecoveryManager:
                 wal.snapshot(self._full_meta(pid))
                 self._last_snapshot[pid] = tick
                 self.stats.snapshots += 1
+
+    def next_snapshot_tick(self) -> int:
+        """The first tick whose :meth:`end_tick` will snapshot some WAL
+        (beyond any horizon if none will): a host that skips idle ticks
+        must visit it, or the ``.snap``/``.wal`` bytes would differ."""
+        if self.snapshot_every is None or not self._wals:
+            return sys.maxsize
+        return self.snapshot_every + min(
+            self._last_snapshot.get(pid, 0) for pid in self._wals
+        )
 
     def close(self) -> None:
         for pid in sorted(self._wals):

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.errors import RecoveryError
 from repro.recovery.wal import ProcessHistory, load_history
+from repro.runtime.host import due, wake_tick
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import ProcessContext
@@ -41,20 +42,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ReplayCursor:
     """Mutable position of an in-progress replay.
 
-    The context consults :attr:`tick` for ``ctx.now`` (protocol timers
-    like "wait until ``now + 2``" must see replay time, not live time)
-    and reports suppressed sends/events back through :meth:`note_send` /
-    :meth:`note_event`.
+    The context reports suppressed sends/events back through
+    :meth:`note_send` / :meth:`note_event`; the replay loop stamps
+    ``ctx.now`` itself (protocol timers like "wait until ``now + 2``"
+    must see replay time, not live time).
     """
 
     def __init__(self) -> None:
-        self.tick = 0
         self.sends_this_tick = 0
         self.total_sends = 0
         self.total_events = 0
 
-    def begin_tick(self, tick: int) -> None:
-        self.tick = tick
+    def begin_tick(self) -> None:
         self.sends_this_tick = 0
 
     def note_send(self) -> None:
@@ -81,6 +80,9 @@ class ReplayReport:
     decision: Any = None
     duration_seconds: float = 0.0
     resumed_at_tick: int = 0
+    wake_at: int = 0
+    """The wake-up deadline the generator last yielded: a host resuming
+    it live waits for that tick (or a delivery), as the original did."""
     down_windows: list[tuple[int, int]] = field(default_factory=list)
 
     def summary(self) -> dict[str, Any]:
@@ -107,9 +109,11 @@ def replay_generator(
     """Re-drive ``factory(ctx)`` through ticks ``[0, until_tick)``.
 
     Returns ``(generator, report)``.  The generator is positioned to be
-    resumed live at ``until_tick`` (its next ``next()`` executes that
-    tick), or ``None`` if the protocol returned during replay — the
-    report then carries the decision.
+    resumed live from ``until_tick`` on, when it is next due
+    (``report.wake_at`` is its pending deadline), or ``None`` if the
+    protocol returned during replay — the report then carries the
+    decision.  Replay resumes it exactly where a live host would have:
+    at the ticks with a logged inbox and at its own deadlines.
 
     ``run_on_ticks`` extends the replay past ``until_tick`` with empty
     inboxes while the generator is still alive (offline replay: the
@@ -130,16 +134,18 @@ def replay_generator(
     ctx.begin_replay(cursor)
     try:
         for tick in range(until_tick + run_on_ticks):
-            cursor.begin_tick(tick)
-            ctx.inbox = list(history.inboxes.get(tick, []))
-            try:
-                next(gen)
-            except StopIteration as stop:
-                report.decided = True
-                report.decision = stop.value
-                report.ticks_replayed = tick + 1
-                gen = None
-                break
+            cursor.begin_tick()
+            inbox = list(history.inboxes.get(tick, []))
+            if due(inbox, tick, report.wake_at):
+                ctx.now, ctx.inbox = tick, inbox
+                try:
+                    report.wake_at = wake_tick(next(gen), tick)
+                except StopIteration as stop:
+                    report.decided = True
+                    report.decision = stop.value
+                    report.ticks_replayed = tick + 1
+                    gen = None
+                    break
             if history.was_down(tick):
                 report.phantom_sends += cursor.sends_this_tick
             else:

@@ -90,7 +90,12 @@ class ByzantineApi:
 
 
 class ByzantineBehavior(Protocol):
-    """What the scheduler requires of a behavior object."""
+    """What the scheduler requires of a behavior object.
+
+    A behavior class may set ``passive = True``: its ``step`` never
+    acts (sends nothing, emits nothing, keeps no state), so hosts may
+    skip it — and the ticks in which nothing else happens.  Every other
+    behavior is stepped every tick."""
 
     def step(self, api: ByzantineApi) -> None:
         """Act for one tick."""

@@ -5,6 +5,9 @@ A correct process is a generator function ``protocol(ctx)`` that:
 * sends with :meth:`ProcessContext.send` / :meth:`broadcast`;
 * advances one tick (= one ``delta``) with a bare ``yield``, after which
   :attr:`ProcessContext.inbox` holds the envelopes delivered this tick;
+* waits longer by yielding a *wake-up deadline* in :attr:`now` units —
+  usually through :meth:`idle` / :meth:`sleep` — and is resumed at the
+  first tick something is delivered to it, or else at the deadline;
 * composes sub-protocols with ``yield from`` (same context flows down);
 * returns its decision.
 
@@ -46,6 +49,12 @@ class ProcessContext:
         self._scope_stack: list[str] = []
         self._replay: "ReplayCursor | None" = None
         self.inbox: list[Envelope] = []
+        self.now: int = simulation.process_now(pid)
+        """Current round (the paper's ``now``), stamped — like
+        :attr:`inbox` — by whoever resumes the generator: the global tick
+        under lockstep ``delta=1``, the process's own round index under a
+        paced model, the replayed tick during WAL replay, so protocol
+        timers ("wait until ``now + 2``") count rounds everywhere."""
         self.rng = random.Random(
             (simulation.seed * 1_000_003 + pid) & 0xFFFFFFFF
         )
@@ -69,19 +78,6 @@ class ProcessContext:
     @property
     def signer(self) -> Signer:
         return self._signer
-
-    @property
-    def now(self) -> int:
-        """Current round (the paper's ``now``): the global tick under
-        lockstep ``delta=1`` (one tick = one ``delta``), the process's
-        own round index under a paced synchrony model — protocol timers
-        ("wait until ``now + 2``") count rounds either way.
-
-        During WAL replay this is the *replay cursor's* tick, so timers
-        re-fire exactly as they did live."""
-        if self._replay is not None:
-            return self._replay.tick
-        return self._simulation.process_now(self._pid)
 
     @property
     def scope_path(self) -> str:
@@ -146,9 +142,8 @@ class ProcessContext:
     # ------------------------------------------------------------------
 
     def begin_replay(self, cursor: "ReplayCursor") -> None:
-        """Enter replay mode: ``now`` follows the cursor; sends and
-        emits are suppressed (sends still counted for highwater
-        verification)."""
+        """Enter replay mode: sends and emits are suppressed (sends
+        still counted, through the cursor, for highwater verification)."""
         self._replay = cursor
 
     def end_replay(self) -> None:
@@ -183,14 +178,22 @@ class ProcessContext:
     # Waiting helpers (sub-generators; use with ``yield from``)
     # ------------------------------------------------------------------
 
-    def sleep(self, ticks: int) -> Generator[None, None, list[Envelope]]:
+    def idle(self, ticks: int) -> Generator[int, None, list[Envelope]]:
+        """Wait for the first tick, within the next ``ticks``, at which
+        something is delivered, else for ``ticks`` ticks; return that
+        tick's inbox.  Callers that need the full span loop on
+        :attr:`now`, as :meth:`sleep` does."""
+        yield self.now + ticks
+        return self.inbox
+
+    def sleep(self, ticks: int) -> Generator[int, None, list[Envelope]]:
         """Wait ``ticks`` ticks; return all envelopes delivered meanwhile."""
         collected: list[Envelope] = []
-        for _ in range(ticks):
-            yield
-            collected.extend(self.inbox)
+        deadline = self.now + ticks
+        while (now := self.now) < deadline:
+            collected.extend((yield from self.idle(deadline - now)))
         return collected
 
-    def next_round(self) -> Generator[None, None, list[Envelope]]:
+    def next_round(self) -> Generator[int, None, list[Envelope]]:
         """Advance one synchronous round (= one tick = one ``delta``)."""
-        return (yield from self.sleep(1))
+        return (yield from self.idle(1))

@@ -6,9 +6,15 @@ network of :mod:`repro.asyncnet` (asyncio queues and localhost TCP).
 :class:`~repro.runtime.context.ProcessContext` needs only ``config``,
 ``seed``, ``suite``, ``trace``, ``recovery``, ``process_now(pid)`` and
 ``enqueue_send(pid, to, payload, scope)`` from it; the helpers here
-additionally read ``observer``.  Keeping the option cross-checks and the
-crash/rejoin choreography in one place is what stops a fix from landing
-in one runtime and not the others.
+additionally read ``observer``.  Keeping the option cross-checks, the
+waiting rule and the crash/rejoin choreography in one place is what
+stops a fix from landing in one runtime and not the others.
+
+Waiting: a protocol generator yields the ``ctx.now`` by which it wants
+to run again (a bare ``yield``: the next tick) and is resumed earlier
+only to be handed a delivery.  Every host, offline replay and ``join``
+decide through :func:`wake_tick` and :func:`due` whether to call
+``next()`` (``docs/runtime.md``, "Waiting").
 """
 
 from __future__ import annotations
@@ -24,6 +30,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
     from repro.recovery.manager import RecoveryManager
     from repro.recovery.replay import ReplayReport
+
+
+def wake_tick(yielded: int | None, now: int) -> int:
+    """The deadline a generator that yielded ``yielded`` at ``now`` set."""
+    return now + 1 if yielded is None else yielded
+
+
+def due(inbox: list, now: int, deadline: int) -> bool:
+    """The one due rule: resume a waiting generator at ``now`` iff
+    something was delivered to it or its deadline has come."""
+    return bool(inbox) or now >= deadline
 
 
 def resolve_synchrony(

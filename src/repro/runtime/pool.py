@@ -51,44 +51,79 @@ def parallel_map(
 
 
 class MessagePool:
-    """Holds delivered envelopes until the protocol consumes them."""
+    """Holds delivered envelopes until the protocol consumes them.
+
+    Envelopes are bucketed by payload type — protocols take by type, and
+    a pool full of other sessions' traffic must not be rescanned on every
+    take — and stamped with an arrival number, so takes spanning several
+    buckets, :meth:`peek` and iteration still see arrival order."""
 
     def __init__(self) -> None:
-        self._envelopes: list[Envelope] = []
+        self._buckets: dict[type, list[tuple[int, Envelope]]] = {}
+        self._plain = True
+        """No bucketed payload type has a base class (but ``object``): a
+        take of an ordinary class then reads exactly one bucket."""
+        self._arrivals = 0
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._envelopes)
+        return self._size
 
     def __iter__(self) -> Iterator[Envelope]:
-        return iter(self._envelopes)
+        return iter(self.peek(lambda envelope: True))
 
     def extend(self, envelopes: Iterable[Envelope]) -> None:
-        self._envelopes.extend(envelopes)
+        buckets = self._buckets
+        arrival = self._arrivals
+        for envelope in envelopes:
+            kind = type(envelope.payload)
+            bucket = buckets.get(kind)
+            if bucket is None:
+                bucket = buckets[kind] = []
+                self._plain = self._plain and len(kind.__mro__) == 2
+            bucket.append((arrival, envelope))
+            arrival += 1
+        self._size += arrival - self._arrivals
+        self._arrivals = arrival
+
+    def _split(
+        self, kind: type, predicate: Callable[[Envelope], bool] | None
+    ) -> list[tuple[int, Envelope]]:
+        """Remove and return one bucket's matching entries."""
+        bucket = self._buckets[kind]
+        if predicate is None:
+            taken, kept = bucket, []
+        else:
+            taken, kept = [], []
+            for entry in bucket:
+                (taken if predicate(entry[1]) else kept).append(entry)
+        if taken:
+            self._buckets[kind] = kept
+            self._size -= len(taken)
+        return taken
 
     def take(self, predicate: Callable[[Envelope], bool]) -> list[Envelope]:
         """Remove and return every pooled envelope matching ``predicate``."""
-        matched: list[Envelope] = []
-        remaining: list[Envelope] = []
-        for envelope in self._envelopes:
-            if predicate(envelope):
-                matched.append(envelope)
-            else:
-                remaining.append(envelope)
-        self._envelopes = remaining
-        return matched
+        matched: list[tuple[int, Envelope]] = []
+        for kind in self._buckets:
+            matched += self._split(kind, predicate)
+        matched.sort()  # by arrival: the numbers are unique
+        return [envelope for _, envelope in matched]
 
     def take_payloads(
         self, payload_type: type, predicate: Callable[[Envelope], bool] | None = None
     ) -> list[Envelope]:
         """Remove and return envelopes whose payload is ``payload_type``."""
-
-        def matches(envelope: Envelope) -> bool:
-            if not isinstance(envelope.payload, payload_type):
-                return False
-            return predicate is None or predicate(envelope)
-
-        return self.take(matches)
+        if self._plain and type(payload_type) is type and payload_type is not object:
+            if payload_type not in self._buckets:
+                return []
+            return [envelope for _, envelope in self._split(payload_type, predicate)]
+        return self.take(
+            lambda e: isinstance(e.payload, payload_type)
+            and (predicate is None or predicate(e))
+        )
 
     def peek(self, predicate: Callable[[Envelope], bool]) -> list[Envelope]:
         """Return matching envelopes without removing them."""
-        return [e for e in self._envelopes if predicate(e)]
+        pooled = (e for bucket in self._buckets.values() for e in bucket)
+        return [e for _, e in sorted(e for e in pooled if predicate(e[1]))]

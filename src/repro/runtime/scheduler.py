@@ -11,7 +11,17 @@ model, :data:`~repro.runtime.synchrony.LOCKSTEP`):
 4. Byzantine behaviors are stepped, seeing both their deliveries and the
    honest messages addressed to them that were sent *this* tick
    (rushing);
-5. the tick counter advances.
+5. the tick counter advances to the next tick at which anything happens.
+
+**Sparse time.**  A correct process is resumed only when it is *due*
+(:func:`~repro.runtime.host.due`: a delivery, or the wake-up deadline it
+yielded), and under lockstep ``self.tick`` jumps to the next tick
+holding a delivery, a wake-up, a scheduled corruption, a crash/restart
+or a WAL snapshot.  Ticks are skipped, never renumbered: every event,
+word record and WAL byte carries the tick it always had.  Ticks stay
+dense under a ``tick_hook`` (the model checker fingerprints each one), a
+non-passive Byzantine behavior (stepped each one) or a paced model —
+there only resumptions are skipped (``docs/runtime.md``, "Waiting").
 
 Under any other :class:`~repro.runtime.synchrony.SynchronyModel` the
 scheduler runs **paced**: delivery ticks come from the model (``delta``
@@ -45,9 +55,11 @@ from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.host import (
     close_recovery,
+    due,
     note_crash,
     rejoin_from_wal,
     resolve_synchrony,
+    wake_tick,
 )
 from repro.runtime.result import RunResult
 from repro.runtime.synchrony import SynchronyModel
@@ -57,14 +69,17 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a cycle via repro.mc
     from repro.mc.choices import ChoiceSource
     from repro.recovery.manager import RecoveryManager
 
-ProtocolFactory = Callable[[ProcessContext], Generator[None, None, Any]]
-"""A correct process: ``factory(ctx)`` returns the protocol generator."""
+ProtocolFactory = Callable[[ProcessContext], Generator["int | None", None, Any]]
+"""A correct process: ``factory(ctx)`` returns the protocol generator,
+which yields the ``ctx.now`` by which it wants to run again (a bare
+``yield``: the next tick) and returns its decision."""
 
 TickHook = Callable[["Simulation", dict[ProcessId, list[Envelope]]], None]
 """Model-checker instrumentation: called once per tick, after inboxes
 are assembled and before any process is resumed, with the simulation
 and this tick's inbox map.  Raising aborts the run (the explorer's
-state-fingerprint pruning does exactly that)."""
+state-fingerprint pruning does exactly that).  A hooked run visits every
+tick."""
 
 
 class _RoundClock:
@@ -262,6 +277,9 @@ class Simulation:
         self.tick = 0
         self._factories: dict[ProcessId, ProtocolFactory] = {}
         self._behaviors: dict[ProcessId, ByzantineBehavior] = {}
+        self._stepped: list[ProcessId] = []
+        """Corrupted pids whose behavior is not ``passive``, in pid order:
+        the ones stepped, and a reason ticks stay dense."""
         self._scheduled_corruptions: dict[int, list[tuple[ProcessId, ByzantineBehavior]]] = {}
         self._due: dict[int, dict[ProcessId, list[tuple[float, Envelope]]]] = {}
         """Slotted delivery wheel: tick -> receiver -> ``(sub-delta
@@ -271,6 +289,12 @@ class Simulation:
         send order, so the wheel reproduces byte-for-byte the inboxes
         the old flat per-tick scan produced (the seeded equivalence
         property in ``test_scheduler_properties.py`` pins this)."""
+        self._deadline: dict[ProcessId, int] = {}
+        """Live generator -> the wake-up deadline it last yielded."""
+        self._wake: dict[int, list[ProcessId]] = {}
+        """Wake wheel (lockstep): tick -> pids that yielded it as their
+        deadline.  Entries made stale by an early resume or a crash are
+        filtered by the due rule."""
         self._seq = 0
         self._started = False
         self.corrupted_now: set[ProcessId] = set()
@@ -289,8 +313,7 @@ class Simulation:
     def add_byzantine(self, pid: ProcessId, behavior: ByzantineBehavior) -> None:
         """Register a process corrupted from the start."""
         self._check_unregistered(pid)
-        self._behaviors[pid] = behavior
-        self.corrupted_now.add(pid)
+        self._corrupt(pid, behavior)
 
     def schedule_corruption(
         self, tick: int, pid: ProcessId, behavior: ByzantineBehavior
@@ -303,6 +326,12 @@ class Simulation:
         if tick < 0:
             raise SchedulerError(f"corruption tick must be >= 0, got {tick}")
         self._scheduled_corruptions.setdefault(tick, []).append((pid, behavior))
+
+    def _corrupt(self, pid: ProcessId, behavior: ByzantineBehavior) -> None:
+        self._behaviors[pid] = behavior
+        self.corrupted_now.add(pid)
+        if not getattr(behavior, "passive", False):
+            self._stepped = sorted([*self._stepped, pid])
 
     def _check_unregistered(self, pid: ProcessId) -> None:
         if pid in self._factories or pid in self._behaviors:
@@ -577,6 +606,7 @@ class Simulation:
             ctx = ProcessContext(self, pid)
             contexts[pid] = ctx
             generators[pid] = factory(ctx)
+            self._wait(pid, 0)
             if self._paced:
                 self._pacers[pid] = _ProcessPacer()
 
@@ -619,8 +649,7 @@ class Simulation:
                     contexts.pop(pid)
                     self._pacers.pop(pid, None)
                 if pid not in self._behaviors:
-                    self._behaviors[pid] = behavior
-                    self.corrupted_now.add(pid)
+                    self._corrupt(pid, behavior)
                     ever_corrupted.add(pid)
                     self.trace.emit(
                         tick=self.tick,
@@ -652,6 +681,7 @@ class Simulation:
                     else:
                         generators[crash.pid] = gen
                         contexts[crash.pid] = ctx
+                        self._wait(crash.pid, report.wake_at)
                 for crash in self.fault_plan.crash_at(self.tick):
                     if crash.pid not in generators:
                         continue  # already decided, corrupted, or down
@@ -723,15 +753,24 @@ class Simulation:
             if self.tick_hook is not None:
                 self.tick_hook(self, inboxes)
 
-            for pid in (resuming if resuming is not None else sorted(generators)):
+            if resuming is None:
+                # Lockstep: only a delivery or the wake wheel makes a pid due.
+                resuming = sorted({*inboxes, *self._wake.pop(self.tick, ())})
+            for pid in resuming:
+                if pid not in generators:
+                    continue  # decided, corrupted or down: mail, no process
+                inbox = inboxes.get(pid, [])
+                now = self._pacers[pid].round if self._paced else self.tick
+                if not due(inbox, now, self._deadline[pid]):
+                    continue
                 ctx = contexts[pid]
-                ctx.inbox = inboxes.get(pid, [])
+                ctx.now, ctx.inbox = now, inbox
                 if self.recovery is not None:
                     # Write-ahead: the inbox is durable before the
                     # protocol acts on it.
-                    self.recovery.on_inbox(pid, self.tick, ctx.inbox)
+                    self.recovery.on_inbox(pid, self.tick, inbox)
                 try:
-                    next(generators[pid])
+                    yielded = next(generators[pid])
                 except StopIteration as stop:
                     decisions[pid] = stop.value
                     halted_at[pid] = self.tick
@@ -740,9 +779,13 @@ class Simulation:
                     self._pacers.pop(pid, None)
                     if self.observer is not None:
                         self.observer.event("decided", pid=pid, tick=self.tick)
+                else:
+                    deadline = wake_tick(yielded, now)
+                    # A deadline already past still means the next tick.
+                    self._wait(pid, deadline if deadline > now else now + 1)
 
             if generators:  # adversary acts only while the run is live
-                for pid in sorted(self._behaviors):
+                for pid in self._stepped:
                     api = ByzantineApi(
                         simulation=self,
                         pid=pid,
@@ -757,7 +800,8 @@ class Simulation:
 
             if self.recovery is not None:
                 self.recovery.end_tick(self.tick)
-            self.tick += 1
+            live = generators or down
+            self.tick = self._next_tick() if live else self.tick + 1
 
         close_recovery(self)
         if self.observer is not None:
@@ -777,6 +821,28 @@ class Simulation:
             observer=self.observer,
             recovered=frozenset(ever_recovered),
         )
+
+    def _wait(self, pid: ProcessId, deadline: int) -> None:
+        """``pid``'s generator asked to run again by ``deadline``."""
+        self._deadline[pid] = deadline
+        if not self._paced:  # a paced run visits every round anyway
+            self._wake.setdefault(max(deadline, self.tick), []).append(pid)
+
+    def _next_tick(self) -> int:
+        """The next tick at which anything can happen (module docstring);
+        never past ``max_ticks + 1``, where the horizon check fires."""
+        soon = self.tick + 1
+        dense = self._paced or self.tick_hook is not None or self._stepped
+        if dense or soon in self._due:
+            return soon
+        events = [self.max_ticks + 1, *self._due, *self._wake]
+        events += self._scheduled_corruptions
+        if self.fault_plan is not None:
+            for crash in self.fault_plan.crashes:
+                events += (crash.at_tick, crash.restart_tick)
+        if self.recovery is not None:
+            events.append(self.recovery.next_snapshot_tick())
+        return min(tick for tick in events if tick > self.tick)
 
     def _validate_population(self) -> None:
         scheduled = {

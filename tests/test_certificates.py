@@ -21,6 +21,22 @@ class TestSuiteSchemes:
     def test_scheme_is_cached(self, config7, suite7):
         assert suite7.scheme("x", 3) is suite7.scheme("x", 3)
 
+    def test_dealt_scheme_memo_is_bounded_and_evicts_oldest_first(self, config5):
+        """Every ledger op has a fresh seed: the cross-suite memo must not
+        grow with the number of decisions a process has run."""
+        from repro.crypto import certificates
+
+        certificates.clear_caches()
+        cap = certificates._SCHEME_CACHE_CAP
+        dealt = [
+            CryptoSuite(config5, seed=seed).scheme("x", 2)
+            for seed in range(cap + 3)
+        ]
+        assert len(certificates._SCHEME_CACHE) == cap <= 128
+        assert CryptoSuite(config5, seed=cap + 2).scheme("x", 2) is dealt[-1]
+        assert CryptoSuite(config5, seed=3).scheme("x", 2) is dealt[3]
+        assert CryptoSuite(config5, seed=0).scheme("x", 2) is not dealt[0]
+
     def test_distinct_labels_distinct_schemes(self, suite7):
         a = suite7.scheme("a", 3)
         b = suite7.scheme("b", 3)
