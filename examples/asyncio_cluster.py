@@ -3,9 +3,10 @@
 
 The protocol implementations are transport-independent generators; here
 they run as concurrent asyncio tasks exchanging messages through
-latency-bearing queues with a wall-clock synchrony bound, instead of
-the deterministic tick simulator.  Word bills match the simulator
-exactly.
+latency-bearing queues, instead of the deterministic tick simulator.  A
+round ends as soon as every task has finished it and every message due
+in it has arrived; the wall-clock synchrony bound delta is only the
+round's timeout.  Word bills match the simulator exactly.
 
 Run:  python examples/asyncio_cluster.py
 """
@@ -23,7 +24,7 @@ from repro.core.strong_ba import strong_ba_protocol
 
 async def main() -> None:
     config = SystemConfig.with_optimal_resilience(5)
-    tick = 0.02  # the synchrony bound delta, in wall-clock seconds
+    tick = 0.02  # the synchrony bound delta: each round's timeout, in seconds
 
     print(f"cluster: n={config.n}, delta={tick * 1000:.0f} ms, "
           f"link latency={tick * 500:.0f} ms")
@@ -38,8 +39,8 @@ async def main() -> None:
         latency=tick / 2,
     )
     print(f"\nByzantine Broadcast over asyncio: "
-          f"decided {result.unanimous_decision()!r} in "
-          f"{result.elapsed:.2f}s, {result.correct_words} words")
+          f"decided {result.unanimous_decision()!r} in {result.ticks} "
+          f"rounds, {result.elapsed:.2f}s, {result.correct_words} words")
 
     simulated = run_byzantine_broadcast(config, sender=0, value="wire-value")
     print(f"tick simulator, same run:          "

@@ -52,15 +52,18 @@ class DelayedSilence:
 
 @dataclass
 class EchoBehavior:
-    """Reflects every delivered payload back to its sender.
+    """Reflects every payload a correct process delivered back to it.
 
     A cheap liveness stressor: protocols must ignore out-of-context
-    messages.
+    messages.  Payloads from corrupted senders (itself, after a mid-run
+    corruption, or another echo) are not reflected: two echoes would
+    bounce them forever, growing exponentially under duplication faults.
     """
 
     def step(self, api: ByzantineApi) -> None:
         for envelope in api.inbox:
-            api.send(envelope.sender, envelope.payload)
+            if envelope.sender not in api.corrupted:
+                api.send(envelope.sender, envelope.payload)
 
 
 @dataclass

@@ -2,12 +2,20 @@
 
 Design: each correct process is an asyncio task driving its protocol
 generator.  A ``yield`` in protocol code means "end of my current
-round": the task sleeps ``tick_duration`` seconds, then drains its
-queue into ``ctx.inbox`` and resumes the generator.  All tasks start
-together, so their round boundaries stay aligned to within scheduling
-jitter — which the protocols already tolerate, because every
-multi-party step reads from a :class:`~repro.runtime.pool.MessagePool`
-(the same mechanism that absorbs the paper's ``delta`` skew, Lemma 18).
+round": the task parks at the boundary into the next round, then drains
+its queue into ``ctx.inbox`` and resumes the generator.
+
+Rounds run on a **completion clock**: the boundary into round ``k``
+opens once every live participant (the driver of each correct process,
+crash windows included, and of each Byzantine behavior) has parked at
+it and every copy due in round ``k`` has landed or been written off as
+lost — at the latest ``tick_duration`` (the synchrony bound δ) after
+round ``k - 1`` opened, a round the observer counts in
+``sync.timeout_fired``.  It is certificate-∨-timeout with *everyone has
+spoken and been heard* as the certificate, visible because every node
+of a run shares one event loop; only a lost copy or a stalled
+participant costs δ.  Round numbers and ``delivered_at`` stamps, hence
+traces, are the simulator's.
 
 Messages are delivered through per-process ``asyncio.Queue``s after an
 optional artificial ``latency`` (keep it under ``tick_duration``, the
@@ -25,17 +33,14 @@ Synchrony models
 ----------------
 
 A non-trivial :class:`~repro.runtime.synchrony.SynchronyModel` changes
-*when messages are due*, not how rounds are paced: the wall-clock
-drivers keep their absolute shared clock (one round per
-``tick_duration``), and the model's delivery law — ``delta`` bounds,
-GST partial synchrony with seeded pre-GST delays — is realized through
-the ``delivered_at`` stamp that :meth:`AsyncNetwork.enter_round`
-partitions on, so a held-back message simply waits in ``pending`` for
-its due round.  Tick coordinates scale by ``delta`` (round ``k`` sends
-at tick ``k * delta``), which keeps the stamps numerically identical to
-the tick scheduler's.  Certificate-early round advancement is a simulator
-feature: over real transports rounds are paced by the shared clock
-alone, which is exactly the timeout half of certificate-∨-timeout.
+*when messages are due*, not how rounds are paced: the model's delivery
+law — ``delta`` bounds, GST partial synchrony with seeded pre-GST
+delays — is realized through the ``delivered_at`` stamp that
+:meth:`AsyncNetwork.enter_round` partitions on, so a held-back message
+simply waits in ``pending`` for its due round (and counts toward that
+round's boundary, not the next one).  Tick coordinates scale by
+``delta`` (round ``k`` sends at tick ``k * delta``), which keeps the
+stamps numerically identical to the tick scheduler's.
 """
 
 from __future__ import annotations
@@ -119,9 +124,19 @@ class AsyncNetwork:
         """Per-process transport nodes (:func:`~repro.asyncnet.tcp.
         run_over_tcp` installs its ``TcpProcessNode``s); a sender
         without one delivers straight into the receiver's queue."""
-        self.start_time = 0.0
-        """Loop time of round 0; round ``k`` begins at ``start_time + k
-        * tick_duration`` for every task (set by :func:`run_cluster`)."""
+        self.opened = 0
+        """The last round whose boundary has opened (round 0 at start)."""
+        self.live = 0
+        """Participants still in the barrier."""
+        self._parked = 0
+        """Participants parked at boundary ``opened + 1``."""
+        self._gate: asyncio.Event | None = None
+        """Set when boundary ``opened + 1`` opens."""
+        self._due: dict[int, int] = {}
+        """Per unopened boundary ``k``: copies wired with ``delivered_at
+        == k`` not yet landed or written off (dropped when ``k`` opens)."""
+        self._timeout: asyncio.TimerHandle | None = None
+        """Opens boundary ``opened + 1`` if completion has not by then."""
         self._edge_seq: dict[tuple[ProcessId, ProcessId, int], int] = {}
         """Per-(edge, round) send counter: the synchrony model's seeded
         delivery draws are pure in ``(sender, receiver, sent_at, seq)``."""
@@ -171,10 +186,14 @@ class AsyncNetwork:
         return max(tick + 1, -(-delivered_tick // delta))
 
     def cancel_timers(self) -> None:
-        """Teardown: cancel every outstanding delivery timer."""
+        """Teardown: cancel every outstanding delivery timer and the
+        round timeout."""
         for handle in self._timers:
             handle.cancel()
         self._timers.clear()
+        if self._timeout is not None:
+            self._timeout.cancel()
+            self._timeout = None
 
     def queue_for(self, pid: ProcessId) -> asyncio.Queue:
         if pid not in self.queues:
@@ -214,7 +233,7 @@ class AsyncNetwork:
         )
         node = self.nodes.get(sender)
         if node is None:
-            self.wire(envelope, self.queue_for(to).put_nowait)
+            self.wire(envelope, self.land)
         else:
             node.transmit(envelope)
 
@@ -223,7 +242,9 @@ class AsyncNetwork:
     ) -> None:
         """Apply the fault plan to one billed send and hand each
         surviving copy to ``deliver`` after its sub-round delay.  The
-        ledger billed the send; faults act on the wire."""
+        ledger billed the send; faults act on the wire.  Each copy is
+        owed to the boundary of its due round until it :meth:`land`\\ s
+        or is written off (:meth:`write_off`)."""
         if self.injector is None:
             copies = [0.0]
         else:
@@ -232,6 +253,9 @@ class AsyncNetwork:
             )
             if self.observer is not None:
                 self.observer.on_copies(copies)
+        due = envelope.delivered_at
+        if due > self.opened and copies:
+            self._due[due] = self._due.get(due, 0) + len(copies)
         for delay_fraction in copies:
             delay = self.latency + delay_fraction * self.tick_duration
             if delay <= 0:
@@ -254,17 +278,84 @@ class AsyncNetwork:
         handle = asyncio.get_running_loop().call_later(delay, fire)
         self._timers.add(handle)
 
-    # -- the wall clock --------------------------------------------------
+    def land(self, envelope: Envelope) -> None:
+        """One copy reaches its receiver's queue: the one landing point
+        of the in-memory path and the TCP receive and loopback paths."""
+        self.queue_for(envelope.receiver).put_nowait(envelope)
+        self._settle(envelope)
+
+    def write_off(self, envelope: Envelope) -> None:
+        """A wired copy that can never land (its transport lost it):
+        stop owing it to its boundary.  Call it at most once per copy,
+        and never for a copy that may still land."""
+        self._settle(envelope)
+
+    def _settle(self, envelope: Envelope) -> None:
+        due = envelope.delivered_at
+        if due > self.opened:  # a straggler's boundary is long open
+            self._due[due] = self._due.get(due, 0) - 1
+            if due == self.opened + 1:
+                self._try_open()
+
+    # -- the completion clock -------------------------------------------
+
+    def start_clock(self, participants: int) -> None:
+        """Open round 0 now, with ``participants`` drivers in the
+        barrier (every one of them must eventually park or
+        :meth:`leave`)."""
+        self.live = participants
+        self._arm_timeout()
+
+    def leave(self) -> None:
+        """A driver returned (or was cancelled): stop waiting for it."""
+        self.live -= 1
+        if self.live <= 0 and self._timeout is not None:
+            self._timeout.cancel()
+            self._timeout = None
+        self._try_open()
 
     async def wait_for_round(self, tick: int) -> None:
-        """Sleep until round ``tick`` begins.  Boundaries are pinned to
-        the *absolute* shared clock rather than relative sleeps —
-        otherwise tasks with heavier per-round work (leaders) would
-        drift behind their peers and break the synchrony bound."""
-        loop = asyncio.get_running_loop()
-        delay = self.start_time + tick * self.tick_duration - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
+        """Park at the boundary into round ``tick`` until it opens (a
+        participant lagging behind a boundary the timeout opened passes
+        straight through).  Every call yields to the event loop, so a
+        lone participant whose parking completes each boundary cannot
+        starve the run's other tasks."""
+        if tick > self.opened:
+            if self._gate is None:
+                self._gate = asyncio.Event()
+            gate = self._gate
+            self._parked += 1
+            self._try_open()
+            await gate.wait()
+        await asyncio.sleep(0)
+
+    def _try_open(self) -> None:
+        if (
+            self._parked
+            and self._parked >= self.live
+            and self._due.get(self.opened + 1, 0) <= 0
+        ):
+            self._open()
+
+    def _open(self, timed_out: bool = False) -> None:
+        """Open boundary ``opened + 1`` and arm the next one's timeout."""
+        self.opened += 1
+        self._due.pop(self.opened, None)
+        self._parked = 0
+        gate, self._gate = self._gate, None
+        if gate is not None:
+            gate.set()
+        if timed_out and self.observer is not None:
+            self.observer.count("sync.timeout_fired")
+        if self.live > 0:
+            self._arm_timeout()
+
+    def _arm_timeout(self) -> None:
+        if self._timeout is not None:
+            self._timeout.cancel()
+        self._timeout = asyncio.get_running_loop().call_later(
+            self.tick_duration, self._open, True
+        )
 
     def enter_round(
         self, pid: ProcessId, tick: int, pending: list[Envelope]
@@ -322,10 +413,10 @@ async def _drive_process(
     pid: ProcessId,
     factory: Callable[[ProcessContext], Generator[None, None, Any]],
 ) -> tuple[ProcessId, Any, int]:
-    """Drive one protocol generator, one round per ``tick_duration``,
-    through its scheduled crash windows; returns ``(pid, decision,
-    halting round)``.  Every round is waited out on the shared clock,
-    but the generator is resumed only in the rounds it is due."""
+    """Drive one protocol generator round by round through its
+    scheduled crash windows; returns ``(pid, decision, halting round)``.
+    The driver parks at every round boundary, but the generator is
+    resumed only in the rounds it is due."""
     ctx = ProcessContext(network, pid)
     generator = factory(ctx)
     recovery = network.recovery
@@ -422,9 +513,10 @@ async def _drive_behavior(
     network: AsyncNetwork, pid: ProcessId, behavior: Any
 ) -> None:
     """Step a Byzantine behavior once per round until cancelled (the
-    run ends).  Its inbox goes through the same due-round drain as a
-    correct process's; ``rushed`` stays empty — real transports offer
-    no rushing visibility."""
+    run ends); it parks at every boundary like a correct process.  Its
+    inbox goes through the same due-round drain as a correct process's;
+    ``rushed`` stays empty — real transports offer no rushing
+    visibility."""
     tick = 0
     pending: list[Envelope] = []
     while True:
@@ -461,19 +553,27 @@ async def run_cluster(
     byzantine: dict[ProcessId, Any],
     timeout: float | None,
 ) -> list[tuple[ProcessId, Any, int]]:
-    """Run every correct process (and behavior) on one shared wall
-    clock until all processes decided; tasks and delivery timers are
+    """Run every correct process (and behavior) on the network's
+    completion clock until all processes decided; tasks and timers are
     reaped and the WALs closed on every path.  ``timeout`` bounds the
     run in seconds."""
-    loop = asyncio.get_running_loop()
-    network.start_time = loop.time() + network.tick_duration
+
+    async def participate(drive, pid, *args):
+        try:
+            return await drive(network, pid, *args)
+        finally:
+            network.leave()
+
+    correct = [
+        pid for pid in network.config.processes if pid not in network.corrupted
+    ]
+    network.start_clock(len(correct) + len(byzantine))
     tasks = [
-        asyncio.create_task(_drive_process(network, pid, factories[pid]))
-        for pid in network.config.processes
-        if pid not in network.corrupted
+        asyncio.create_task(participate(_drive_process, pid, factories[pid]))
+        for pid in correct
     ]
     tasks_and_behaviors = tasks + [
-        asyncio.create_task(_drive_behavior(network, pid, behavior))
+        asyncio.create_task(participate(_drive_behavior, pid, behavior))
         for pid, behavior in byzantine.items()
     ]
     try:
@@ -507,6 +607,10 @@ async def run_async(
 ) -> RunResult:
     """Run one protocol instance over asyncio.
 
+    ``tick_duration`` is the round timeout δ in seconds: a round ends as
+    soon as every participant has parked and every copy due in it has
+    landed (module docstring), and only a round closed by timeout lasts
+    δ; ``latency`` and fault-plan delays must stay below it.
     ``factories`` maps every correct pid to its protocol factory;
     ``crashed`` processes never run (silent failures); ``byzantine``
     maps corrupted pids to behavior objects with the same ``step(api)``

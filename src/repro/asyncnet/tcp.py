@@ -2,11 +2,18 @@
 
 Each process runs an asyncio TCP server on ``127.0.0.1``; peers hold
 one outgoing connection per neighbor and exchange length-prefixed
-pickled envelopes.  The driver loop, the send path and crash/rejoin are
-those of :mod:`repro.asyncnet.runner`; this module supplies only the
-transport node (how a copy travels, what a crash tears down).  The
-synchrony bound ``tick_duration`` must dominate localhost RTT +
-serialization, which it does by orders of magnitude at the defaults.
+pickled envelopes.  The driver loop, the completion clock, the send
+path and crash/rejoin are those of :mod:`repro.asyncnet.runner`; this
+module supplies only the transport node (how a copy travels, what a
+crash tears down).  A round ends when every copy due in it has landed —
+the receive handler lands each frame after deduplication, loopback
+lands directly — or has been written off: a send to a machine with no
+connection or to a dead peer, frames still queued when a crashed
+sender's connections close, frames from a dead incarnation (never a
+frame that may have reached a socket).  The round timeout
+``tick_duration`` (δ) must dominate localhost RTT + serialization, which
+it does by orders of magnitude at the defaults; only a round closed by
+timeout pays it.
 
 Transport robustness
 --------------------
@@ -142,6 +149,7 @@ class _Peer:
         on_reconnect: Callable[[], None] | None = None,
         peer_pid: ProcessId = -1,
         seed: int = 0,
+        on_lost: Callable[[object], None] | None = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -152,7 +160,7 @@ class _Peer:
         self.epoch = epoch
         """The sender's incarnation number; bumped on process restart and
         re-announced in the hello so receivers reset sequence state."""
-        self.queue: asyncio.Queue[tuple[int, bytes]] = asyncio.Queue(
+        self.queue: asyncio.Queue[tuple[int, bytes, object]] = asyncio.Queue(
             maxsize=SEND_QUEUE_LIMIT
         )
         self.reader: asyncio.StreamReader | None = None
@@ -161,6 +169,9 @@ class _Peer:
         self.unacked: deque[tuple[int, bytes]] = deque()
         """Written-but-unacked ``(seq, frame)`` pairs, oldest first —
         the retransmission source after a reconnect."""
+        self._lose = on_lost or (lambda message: None)
+        """Told each message this session will certainly never deliver
+        (the network writes the copy off its round)."""
         self.retransmitted = 0
         """Frames re-sent after reconnects (not billed as new words)."""
         self.dropped_on_peer_restart = 0
@@ -200,12 +211,17 @@ class _Peer:
         that :data:`SEND_QUEUE_LIMIT` frames are already pending.
         """
         if self.dead:
+            self._lose(obj)
             return
         seq = self.seq
         self.seq += 1
         self.queue.put_nowait(
-            (seq, _encode_frame(("msg", self.epoch, seq, obj)))
+            (seq, _encode_frame(("msg", self.epoch, seq, obj)), obj)
         )
+
+    def _lose_queued(self) -> None:
+        while not self.queue.empty():
+            self._lose(self.queue.get_nowait()[2])
 
     def inject_reset(self) -> None:
         """Fault hook: abort the underlying transport mid-run, as if the
@@ -227,6 +243,7 @@ class _Peer:
         self._ack_task = None
         self._reconnect_task = None
         self._retired_acks = []
+        self._lose_queued()  # never written: they die with the sender
         await self._discard_writer()
 
     # ------------------------------------------------------------------
@@ -286,7 +303,9 @@ class _Peer:
         it).  ``ack None`` means the receiver had no session state —
         first contact, or it restarted and its table died with it; in
         the restart case the unacked frames were headed for a down
-        machine, so they are dropped rather than resurrected.
+        machine, so they are dropped rather than resurrected.  None is
+        written off: the old connection's handler may have landed any
+        of them before the reset.
 
         When the connection dies this loop discards the dead writer and
         starts an eager background reconnect, so by the next send the
@@ -302,9 +321,8 @@ class _Peer:
                     continue
                 ack = frame[1]
                 if ack is None:
-                    if self.unacked:
-                        self.dropped_on_peer_restart += len(self.unacked)
-                        self.unacked.clear()
+                    self.dropped_on_peer_restart += len(self.unacked)
+                    self.unacked.clear()
                     self._resync = False
                 elif isinstance(ack, int):
                     while self.unacked and self.unacked[0][0] <= ack:
@@ -369,7 +387,8 @@ class _Peer:
         introduce deliberately).
         """
         while True:
-            seq, frame = await self.queue.get()
+            seq, frame, obj = await self.queue.get()
+            written = False
             while not self.dead:
                 writer = None
                 try:
@@ -381,6 +400,7 @@ class _Peer:
                             return
                         continue
                     writer.write(frame)
+                    written = True
                     await writer.drain()
                     self.unacked.append((seq, frame))
                     if len(self.unacked) > UNACKED_LIMIT:
@@ -393,6 +413,10 @@ class _Peer:
                     if writer is not None and self.writer is writer:
                         await self._discard_writer()
             if self.dead:
+                # A frame that reached a socket may still have landed.
+                if not written:
+                    self._lose(obj)
+                self._lose_queued()
                 return
 
 
@@ -467,7 +491,9 @@ class TcpProcessNode:
                     ):
                         continue
                     if session is None or session[0] != epoch:
-                        continue  # frame from a dead incarnation
+                        # A frame from a dead incarnation never lands.
+                        self.network.write_off(envelope)
+                        continue
                     if seq <= session[1] or seq in session[2]:
                         # Retransmission of a frame that already made it
                         # before the reconnect: deliver once, bill never.
@@ -478,7 +504,7 @@ class TcpProcessNode:
                     while session[1] + 1 in session[2]:
                         session[1] += 1
                         session[2].remove(session[1])
-                    self.queue.put_nowait(envelope)
+                    self.network.land(envelope)
                     since_ack += 1
                     if since_ack >= ACK_EVERY:
                         # No drain: acks are tiny and must not stall
@@ -509,6 +535,7 @@ class TcpProcessNode:
                 on_reconnect=self._reconnect_recorder(peer_pid),
                 peer_pid=peer_pid,
                 seed=self.network.seed,
+                on_lost=self.network.write_off,
             )
             await peer.connect()
             self.peers[peer_pid] = peer
@@ -568,13 +595,15 @@ class TcpProcessNode:
 
     def _dispatch(self, envelope: Envelope) -> None:
         if envelope.receiver == self.pid:
-            self.queue.put_nowait(envelope)  # loopback without a socket
+            self.network.land(envelope)  # loopback without a socket
             return
         peer = self.peers.get(envelope.receiver)
         if peer is not None:
             peer.send(envelope)
-        # No connection = a crashed machine: the send evaporates, which
-        # is exactly how the network treats a dead host.
+        else:
+            # No connection = a crashed machine: the send evaporates,
+            # which is exactly how the network treats a dead host.
+            self.network.write_off(envelope)
 
     async def close_outgoing(self) -> None:
         """Phase 1 of shutdown: close this node's outgoing connections
@@ -618,6 +647,9 @@ async def run_over_tcp(
 ) -> RunResult:
     """Run one protocol instance over localhost TCP sockets.
 
+    ``tick_duration`` is the round timeout δ: a round ends as soon as
+    every process has parked and every frame due in it has landed (or
+    can never land), and only a round closed by timeout lasts δ.
     ``crashed`` processes get no node at all — their peers simply never
     hear from them, exactly like a crashed machine.  ``fault_plan``
     injects deterministic message and connection faults (see

@@ -887,8 +887,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak_parser.add_argument(
         "--tick", type=float, default=DEFAULT_TICK,
-        help=f"round length in seconds (default {DEFAULT_TICK}; workers "
-        "escalate 2x/4x on scheduling stalls)",
+        help=f"round timeout δ in seconds (default {DEFAULT_TICK}; a "
+        "round ends earlier once every copy has landed; workers escalate "
+        "2x/4x when a round closed by timeout changed the outcome)",
     )
     soak_parser.add_argument(
         "--out", default="benchmarks/results/soak.json", metavar="PATH",

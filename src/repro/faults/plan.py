@@ -288,9 +288,11 @@ class FaultPlan:
     ) -> list[Envelope]:
         """The shuffle half of :meth:`order_inbox`, for callers whose
         inbox order is already deterministic (the tick simulator, which
-        sorts by sub-``delta`` delay first)."""
+        sorts by sub-``delta`` delay first).  Each ``(receiver, tick)``
+        draws from its own RNG, so skipping inboxes with nothing to
+        reorder changes no other inbox's order."""
         ordered = list(envelopes)
-        if not self.reorder_rate:
+        if not self.reorder_rate or len(ordered) < 2:
             return ordered
         rng = derive_rng(self.seed, _ORDER_TAG ^ _mix(0, 0, receiver, tick))
         if rng.random() < self.reorder_rate:

@@ -13,11 +13,12 @@ Both runtimes consume the identical seeded :class:`FaultPlan`, so any
 divergence between them is a bug in the stack, not noise — that
 equality is exactly what the auditor's no-double-billing and
 decision-divergence invariants assert.  The one legitimate source of
-divergence is wall-clock scheduling: a heavily loaded host can stall a
-process past a round boundary, regrouping deliveries.  The worker
-therefore retries a mismatched instance with a doubled (then
-quadrupled) tick before letting the facts stand — the same escalation
-``tests/test_tcp_transport.py`` uses — and reports the retry count so
+divergence is a round closed by timeout: rounds end as soon as every
+process has parked and every due copy has landed, but a heavily loaded
+host can stall a process or a copy past the round timeout δ
+(``tick_duration``), regrouping deliveries.  The worker therefore
+retries a mismatched instance with a doubled (then quadrupled) round
+timeout before letting the facts stand, and reports the retry count so
 the fleet can surface scheduler pressure.
 
 Facts travel back to the coordinator as a picklable
@@ -38,9 +39,10 @@ from repro.config import RunParameters, SystemConfig
 from repro.soak.plan import InstanceSpec
 
 TICK_ESCALATION = (1.0, 2.0, 4.0)
-"""Tick multipliers tried before a billed-vs-predicted mismatch is
-allowed to reach the auditor (absorbs host-scheduling stalls, which a
-deterministic accounting bug by definition survives)."""
+"""Round-timeout multipliers tried before a billed-vs-predicted mismatch
+is allowed to reach the auditor (absorbs a round closed by timeout
+under host load, which a deterministic accounting bug by definition
+survives)."""
 
 INJECT_DOUBLE_BILL = "double-bill"
 """Sabotage tag: bill one send twice, as a broken retransmission path

@@ -38,6 +38,45 @@ def backend(request):
 
 
 @pytest.fixture
+def exact_landing_accounting(monkeypatch):
+    """Fail the test if a wall-clock round boundary is ever owed a
+    negative number of copies, or if — in a run that closed no round by
+    timeout — a copy lands after its boundary opened.  Either means a
+    copy was written off twice or written off and then landed, so a
+    boundary opened before a real copy arrived: the one accounting error
+    the completion clock cannot absorb (a missed write-off only costs
+    that round its timeout, after which stragglers are legitimate)."""
+    import weakref
+
+    from repro.asyncnet.runner import AsyncNetwork
+
+    errors = []
+    timed_out = weakref.WeakSet()
+    settle, land, open_ = AsyncNetwork._settle, AsyncNetwork.land, AsyncNetwork._open
+
+    def checked_settle(network, envelope):
+        settle(network, envelope)
+        if network._due.get(envelope.delivered_at, 0) < 0:
+            errors.append(("owed a negative count", envelope))
+
+    def checked_land(network, envelope):
+        if envelope.delivered_at <= network.opened and network not in timed_out:
+            errors.append(("landed after its boundary opened", envelope))
+        land(network, envelope)
+
+    def checked_open(network, timeout=False):
+        if timeout:
+            timed_out.add(network)
+        open_(network, timeout)
+
+    monkeypatch.setattr(AsyncNetwork, "_settle", checked_settle)
+    monkeypatch.setattr(AsyncNetwork, "land", checked_land)
+    monkeypatch.setattr(AsyncNetwork, "_open", checked_open)
+    yield
+    assert not errors, errors
+
+
+@pytest.fixture
 def config7() -> SystemConfig:
     """The workhorse deployment: n=7, t=3 (optimal resilience)."""
     return SystemConfig.with_optimal_resilience(7)

@@ -50,6 +50,22 @@ class TestBehaviors:
         ]
         assert echoes  # reflected something back
 
+    def test_echo_reflects_only_to_correct_senders(self, config5):
+        """Process 1 is corrupted mid-run after chatting to itself and
+        to echo 0: reflecting those payloads would bounce them between
+        the two echoes (and back into 1) for the rest of the run."""
+        simulation = Simulation(config5)
+        simulation.add_byzantine(0, EchoBehavior())
+        for pid in config5.processes[1:]:
+            simulation.add_process(pid, chatty)
+        simulation.schedule_corruption(2, 1, EchoBehavior())
+        result = simulation.run()
+        byzantine = {0, 1}
+        assert not [
+            r for r in result.ledger.records
+            if r.tick >= 2 and r.sender in byzantine and r.receiver in byzantine
+        ]
+
     def test_delayed_silence_cuts_off(self, config5):
         inner = GarbageSpammer()
         result = self.run_with(config5, {0: DelayedSilence(inner, silent_from=2)})

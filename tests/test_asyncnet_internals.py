@@ -89,9 +89,10 @@ class TestByzantineInboxDrain:
             queue = network.queue_for(4)
             queue.put_nowait(stamped("due-k", k))
             queue.put_nowait(stamped("early", k + 1))
-            # Round 0 begins now: the behavior drains for round 0 at
-            # once and for rounds k and k + 1 one tick_duration apart.
-            network.start_time = asyncio.get_running_loop().time()
+            # The behavior is the run's lone participant: its own parking
+            # completes every boundary, and each boundary still yields
+            # to the loop, so this coroutine gets to cancel it.
+            network.start_clock(1)
             task = asyncio.create_task(_drive_behavior(network, 4, Recorder()))
             await asyncio.sleep(0.05)
             task.cancel()

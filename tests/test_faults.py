@@ -12,6 +12,8 @@ import asyncio
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asyncnet import run_async
 from repro.asyncnet.tcp import run_over_tcp
@@ -23,8 +25,11 @@ from repro.core.byzantine_broadcast import (
 from repro.core.strong_ba import run_strong_ba, strong_ba_protocol
 from repro.errors import ConfigurationError, TerminationViolation
 from repro.faults import ConnectionReset, FaultDecision, FaultInjector, FaultPlan
+from repro.faults.plan import _ORDER_TAG, _mix
 from repro.runtime.envelope import Envelope
 from repro.verify import verify_under_plan
+
+pytestmark = pytest.mark.usefixtures("exact_landing_accounting")
 
 TICK = 0.05
 
@@ -118,6 +123,35 @@ class TestFaultPlan:
         plan = FaultPlan(seed=7)
         inbox = envelopes_from([3, 1, 4, 0, 2])
         assert [e.sender for e in plan.order_inbox(0, 3, inbox)] == [0, 1, 2, 3, 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        rate=st.floats(0.0, 1.0),
+        receiver=st.integers(0, 6),
+        tick=st.integers(0, 500),
+        senders=st.lists(st.integers(0, 6), max_size=5),
+    )
+    def test_maybe_shuffle_equals_drawing_for_every_inbox(
+        self, seed, rate, receiver, tick, senders
+    ):
+        """Skipping the draw for inboxes of fewer than two envelopes
+        changes no order: every ``(receiver, tick)`` has its own RNG."""
+
+        def drawing_for_every_inbox(plan, receiver, tick, envelopes):
+            ordered = list(envelopes)
+            if not plan.reorder_rate:
+                return ordered
+            rng = derive_rng(plan.seed, _ORDER_TAG ^ _mix(0, 0, receiver, tick))
+            if rng.random() < plan.reorder_rate:
+                rng.shuffle(ordered)
+            return ordered
+
+        plan = FaultPlan(seed=seed, reorder_rate=rate)
+        inbox = envelopes_from(senders, receiver, tick)
+        assert plan.maybe_shuffle(receiver, tick, inbox) == drawing_for_every_inbox(
+            plan, receiver, tick, inbox
+        )
 
     def test_describe_mentions_active_faults(self):
         text = MIXED_PLAN.describe()
@@ -425,17 +459,22 @@ class TestTcpBackpressure:
 
     def test_sends_to_dead_peer_evaporate(self):
         """A peer that exhausted its reconnect budget is a crashed
-        machine: sends are dropped instead of queueing forever."""
+        machine: sends are dropped instead of queueing forever, and each
+        is reported lost once (its round need not wait for it)."""
         from repro.asyncnet.tcp import _Peer
 
         async def scenario():
-            peer = _Peer("127.0.0.1", 1, sender_pid=9, epoch=0)  # dead port
+            lost = []
+            peer = _Peer(  # dead port
+                "127.0.0.1", 1, sender_pid=9, epoch=0, on_lost=lost.append
+            )
             with pytest.raises(ConnectionError):
                 await peer.connect()
             assert peer.dead
             peer.send("never delivered")
             assert peer.queue.empty()
             await peer.close()
+            assert lost == ["never delivered"]
 
         run(scenario())
 

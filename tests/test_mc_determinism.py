@@ -49,9 +49,9 @@ def _run_sim(seed, choices=None):
 
 
 def _run_asyncio(seed):
-    # The suite-standard tick (test_asyncnet.py): shorter ticks make
-    # real-time tick boundaries slip under load, landing events one
-    # tick late and breaking canonical-trace equality spuriously.
+    # The suite-standard round timeout (test_asyncnet.py): a shorter one
+    # can close a round by timeout under load, landing events one round
+    # late and breaking canonical-trace equality spuriously.
     return asyncio.run(
         run_async(
             CONFIG,

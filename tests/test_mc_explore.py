@@ -6,8 +6,9 @@ process finds no violation of agreement, validity, adaptive silence, or
 the word budget — and because the space is exhausted (``complete``),
 that is a theorem about the bounded space, not a sample.  The fast
 always-on variant caps inbox permutations at 2 per choice point; the
-``mc_exhaustive``-marked variant widens to 3 (the full cap-6 space is
-154k schedules, ~5 minutes — run it via ``repro mc explore``).
+``mc_exhaustive``-marked variant widens to 3 and is part of tier-1 too
+(the full cap-6 space is 154k schedules, ~5 minutes — run it via
+``repro mc explore``).
 """
 
 import pytest
@@ -54,7 +55,7 @@ class TestExhaustive:
     @pytest.mark.mc_exhaustive
     def test_bounded_space_proof_n4_wide(self):
         """The same proof over the wider perm_cap=3 space (~1.1k
-        schedules); excluded from tier-1 by the marker."""
+        schedules, ~0.5 s); ``-m mc_exhaustive`` selects it alone."""
         result = explore_exhaustive(_proof_scenario(perm_cap=3), max_runs=100_000)
         assert result.complete
         assert result.ok, result.counterexamples

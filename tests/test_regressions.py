@@ -38,7 +38,8 @@ class TestInfiniteWaitLoop:
 class TestAsyncClockDrift:
     """Bug: per-task relative sleeps let heavy-working tasks drift a
     full round behind their peers, breaking the synchrony bound.  Fixed
-    by pinning round boundaries to an absolute shared clock."""
+    by one shared round clock (first absolute, now the completion
+    clock: no boundary opens before every driver has parked at it)."""
 
     def test_async_word_bill_matches_simulator(self, config5):
         simulated = run_byzantine_broadcast(config5, sender=0, value="v")

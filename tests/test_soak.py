@@ -33,6 +33,8 @@ from repro.soak import (
 )
 from repro.soak.worker import InstanceFacts
 
+pytestmark = pytest.mark.usefixtures("exact_landing_accounting")
+
 MIXED = PROFILES["mixed"]
 CALM = PROFILES["calm"]
 
@@ -189,6 +191,32 @@ class TestWorkerAndArtifacts:
         assert verdict["reproduced"], verdict
         assert not verdict["derivation_drift"]
         assert sorted(verdict["fresh_kinds"]) == kinds
+
+    def test_crash_rejoin_instance_closes_no_round_by_timeout(self, monkeypatch):
+        """Crash, down window, WAL rejoin with re-dialled sessions: every
+        round still ends on completion, so the instance never pays its
+        round timeout δ — a generous δ that a host stall cannot reach
+        keeps the check about accounting, not load."""
+        import repro.asyncnet.tcp as tcp
+        from repro.obs.observer import Observer
+
+        observers = []
+        run_over_tcp = tcp.run_over_tcp
+
+        def observed(*args, **kwargs):
+            observers.append(Observer())
+            return run_over_tcp(*args, observer=observers[-1], **kwargs)
+
+        monkeypatch.setattr(tcp, "run_over_tcp", observed)
+        spec = dataclasses.replace(_first_crash_spec(), tick_duration=0.3)
+        facts = run_instance(spec)
+        assert facts.error is None
+        assert facts.crashes >= 1 and facts.rejoins >= 1 and facts.retries == 0
+        assert SoakAuditor(start_index=spec.index).submit(facts) == []
+        assert [
+            o.snapshot()["metrics"]["counters"].get("sync.timeout_fired", 0)
+            for o in observers
+        ] == [0]
 
 
 class TestFleet:
