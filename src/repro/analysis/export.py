@@ -1,11 +1,12 @@
 """Run export: serialize a RunResult to JSON for offline analysis.
 
-Word records, trace events, decisions, and run metadata serialize
-losslessly; payload objects are exported by type name and repr (the
-exact objects carry live crypto material and are not meant to leave the
-process).  :func:`load_run` reads an export back into lightweight
-dataclasses so notebooks and external tools can consume runs without
-importing the whole library.
+Word records (one per point-to-point copy: the ledger's ``records``
+view), trace events, decisions, and run metadata serialize losslessly;
+payload objects are exported by type name and repr (the exact objects
+carry live crypto material and are not meant to leave the process).
+:func:`load_run` reads an export back into lightweight dataclasses —
+each record as a one-recipient bill — so notebooks and external tools
+can consume runs without importing the whole library.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.metrics.words import WordLedger, WordRecord
+from repro.metrics.words import WordBill, WordLedger
 from repro.runtime.result import RunResult
 from repro.runtime.trace import Trace, TraceEvent
 
@@ -120,11 +121,11 @@ def load_run(path: str | Path) -> LoadedRun:
             f"unsupported export format {raw.get('format_version')!r}"
         )
     ledger = WordLedger(
-        records=[
-            WordRecord(
+        bills=[
+            WordBill(
                 tick=r["tick"],
                 sender=r["sender"],
-                receiver=r["receiver"],
+                receivers=(r["receiver"],),
                 words=r["words"],
                 signatures=r["signatures"],
                 scope=r["scope"],

@@ -46,7 +46,7 @@ stamps numerically identical to the tick scheduler's.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 from repro.config import ProcessId, SystemConfig
 from repro.crypto.certificates import CryptoSuite
@@ -58,6 +58,7 @@ from repro.runtime.byzantine import ByzantineApi
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.host import (
+    bill_multicast,
     close_recovery,
     due,
     note_crash,
@@ -155,14 +156,20 @@ class AsyncNetwork:
         return self.rounds.get(pid, 0)
 
     def enqueue_send(
-        self, sender: ProcessId, to: ProcessId, payload: object, scope: str
+        self,
+        sender: ProcessId,
+        recipients: Sequence[ProcessId],
+        payload: object,
+        scope: str,
     ) -> None:
-        self.post(sender, to, payload, tick=self.process_now(sender), scope=scope)
+        self.post(
+            sender, recipients, payload, tick=self.process_now(sender), scope=scope
+        )
 
     def enqueue_byzantine_send(
-        self, sender: ProcessId, to: ProcessId, payload: object
+        self, sender: ProcessId, recipients: Sequence[ProcessId], payload: object
     ) -> None:
-        self.enqueue_send(sender, to, payload, "byzantine")
+        self.enqueue_send(sender, recipients, payload, "byzantine")
 
     # -- the send path ---------------------------------------------------
 
@@ -201,41 +208,34 @@ class AsyncNetwork:
         return self.queues[pid]
 
     def post(
-        self, sender: ProcessId, to: ProcessId, payload: object, *, tick: int,
+        self,
+        sender: ProcessId,
+        recipients: Sequence[ProcessId],
+        payload: object,
+        *,
+        tick: int,
         scope: str,
     ) -> None:
-        """The one send path of the wall-clock runtimes: bill the send,
-        tell the observer, log the WAL highwater mark, then put the
-        envelope on the sender's transport."""
-        if to not in self.config.processes:
-            raise SchedulerError(f"send to unknown process {to}")
-        sender_correct = sender not in self.corrupted
-        record = self.ledger.record(
-            tick=tick,
-            sender=sender,
-            receiver=to,
-            payload=payload,
-            scope=scope,
-            sender_correct=sender_correct,
-        )
-        if self.observer is not None and record is not None:
-            self.observer.on_send(record)
-        if sender_correct and record is not None and self.recovery is not None:
-            # Highwater marks count billed sends only (self-delivery is
-            # free), keeping replay comparable to the word ledger.
-            self.recovery.on_send(sender, tick)
-        envelope = Envelope(
-            sender=sender,
-            receiver=to,
-            payload=payload,
-            sent_at=tick,
-            delivered_at=self.delivery_round(sender, to, tick),
+        """The one send path of the wall-clock runtimes: bill the
+        multicast once, then put one envelope per recipient on the
+        sender's transport, in recipient order."""
+        bill_multicast(
+            self, sender, recipients, payload,
+            tick=tick, scope=scope, sender_correct=sender not in self.corrupted,
         )
         node = self.nodes.get(sender)
-        if node is None:
-            self.wire(envelope, self.land)
-        else:
-            node.transmit(envelope)
+        for to in recipients:
+            envelope = Envelope(
+                sender=sender,
+                receiver=to,
+                payload=payload,
+                sent_at=tick,
+                delivered_at=self.delivery_round(sender, to, tick),
+            )
+            if node is None:
+                self.wire(envelope, self.land)
+            else:
+                node.transmit(envelope)
 
     def wire(
         self, envelope: Envelope, deliver: Callable[[Envelope], None]

@@ -111,7 +111,11 @@ class CryptoSuite:
         self.config = config
         self._seed = seed
         self._cache_enabled = cache
-        self._schemes: dict[str, ThresholdScheme] = {}
+        self._schemes: dict[tuple, ThresholdScheme] = {}
+        """``(label, k, members)`` -> dealt scheme: the hot lookup, which
+        never builds the string id (a frozenset caches its own hash)."""
+        self._by_id: dict[str, ThresholdScheme] = {}
+        """Scheme id -> dealt scheme, for ids carried inside signatures."""
         # Combined-certificate verdicts keyed by canonical message bytes
         # (plus scheme id, epoch and the signature fields).
         self._cert_cache: dict[tuple[str, int, bytes, int, int], bool] = {}
@@ -134,6 +138,7 @@ class CryptoSuite:
         ).digest()
         self.registry = KeyRegistry(self.config.n, master_seed=self._master_seed)
         self._schemes.clear()
+        self._by_id.clear()
         self._cert_cache.clear()
         self._bind_memo.clear()
 
@@ -182,8 +187,12 @@ class CryptoSuite:
         deterministic function of ``n`` and therefore part of the
         trusted setup.
         """
+        key = (label, k, members)
+        existing = self._schemes.get(key)
+        if existing is not None:
+            return existing
         scheme_id = self._scheme_id(label, k, members)
-        existing = self._schemes.get(scheme_id)
+        existing = self._by_id.get(scheme_id)
         if existing is None:
             cache_key = (self._master_seed, scheme_id, self._epoch)
             if self._cache_enabled:
@@ -202,7 +211,8 @@ class CryptoSuite:
                     if len(_SCHEME_CACHE) >= _SCHEME_CACHE_CAP:
                         del _SCHEME_CACHE[next(iter(_SCHEME_CACHE))]
                     _SCHEME_CACHE[cache_key] = existing
-            self._schemes[scheme_id] = existing
+            self._by_id[scheme_id] = existing
+        self._schemes[key] = existing
         return existing
 
     def scheme_by_id(self, scheme_id: str) -> ThresholdScheme | None:
@@ -212,7 +222,7 @@ class CryptoSuite:
         this suite instance has not dealt the scheme yet (schemes are
         dealt deterministically from the master seed).
         """
-        existing = self._schemes.get(scheme_id)
+        existing = self._by_id.get(scheme_id)
         if existing is not None:
             return existing
         members: frozenset[ProcessId] | None = None

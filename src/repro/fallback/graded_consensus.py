@@ -176,10 +176,6 @@ def graded_consensus(
     val_label = _val_label(session)
     lock_label = _lock_label(session)
 
-    def broadcast_members(payload: object) -> None:
-        for member in members:
-            ctx.send(member, payload)
-
     def take_session(payload_type: type) -> list[Envelope]:
         return pool.take_payloads(
             payload_type,
@@ -195,7 +191,9 @@ def graded_consensus(
     own_partial = suite.partial_for_certificate(
         ctx.pid, val_label, quorum, value, member_set
     )
-    broadcast_members(GcClaim(session=session, value=value, partial=own_partial))
+    ctx.multicast(
+        members, GcClaim(session=session, value=value, partial=own_partial)
+    )
     pool.extend((yield from ctx.sleep(round_ticks)))
 
     # Round 2 — support: combine QC_val per claimed value.
@@ -219,7 +217,9 @@ def graded_consensus(
             certified_values.add(claimed_value)
     # Two certificates suffice as conflict evidence.
     for certificate in list(val_certs.values())[:2]:
-        broadcast_members(GcSupport(session=session, certificate=certificate))
+        ctx.multicast(
+            members, GcSupport(session=session, certificate=certificate)
+        )
     pool.extend((yield from ctx.sleep(round_ticks)))
 
     # Round 3 — lock-share, only if support is unequivocal.
@@ -235,13 +235,14 @@ def graded_consensus(
         lock_partial = suite.partial_for_certificate(
             ctx.pid, lock_label, quorum, locked_value, member_set
         )
-        broadcast_members(
+        ctx.multicast(
+            members,
             GcLockShare(
                 session=session,
                 value=locked_value,
                 partial=lock_partial,
                 support=val_certs[locked_value],
-            )
+            ),
         )
     pool.extend((yield from ctx.sleep(round_ticks)))
 
@@ -271,7 +272,9 @@ def graded_consensus(
         if collector.complete:
             lock_certs[locked_value] = collector.certificate()
     for certificate in list(lock_certs.values())[:2]:
-        broadcast_members(GcLockCert(session=session, certificate=certificate))
+        ctx.multicast(
+            members, GcLockCert(session=session, certificate=certificate)
+        )
     pool.extend((yield from ctx.sleep(round_ticks)))
 
     # Evaluation — incorporate received lock certificates, then grade.

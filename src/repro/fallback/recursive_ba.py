@@ -148,11 +148,9 @@ def _committee_phase(
         decision = yield from recursive_ba(
             ctx, half, value, f"{session}/rec", round_ticks, pool
         )
-        for member in members:
-            ctx.send(
-                member,
-                CommitteeReport(session=f"{session}/rep", value=decision),
-            )
+        ctx.multicast(
+            members, CommitteeReport(session=f"{session}/rep", value=decision)
+        )
     else:
         yield from _sleep_rounds(ctx, ba_rounds(len(half)), round_ticks, pool)
 

@@ -1,6 +1,7 @@
 """Word-complexity accounting (the paper's Section 2 complexity model)."""
 
 from repro.metrics.words import (
+    WordBill,
     WordLedger,
     WordRecord,
     payload_phase,
@@ -9,6 +10,7 @@ from repro.metrics.words import (
 )
 
 __all__ = [
+    "WordBill",
     "WordLedger",
     "WordRecord",
     "payload_words",

@@ -10,9 +10,10 @@ Accordingly:
 * every protocol payload implements ``words()`` returning its size in
   words (signatures and threshold signatures are one word each;
   signature *chains*, as in Dolev–Strong, are as many words as links);
-* the :class:`WordLedger` records every network send, attributing it to
-  the sender, the sender's protocol scope (for Figure 1's composition
-  accounting), and whether the sender was correct;
+* the :class:`WordLedger` bills every network send — one
+  :class:`WordBill` per multicast, standing for one copy per recipient —
+  attributing it to the sender, the sender's protocol scope (for Figure
+  1's composition accounting), and whether the sender was correct;
 * complexity figures use :meth:`WordLedger.correct_words` — words sent
   by correct processes only, exactly the paper's measure.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.config import ProcessId
 from repro.errors import WordAccountingError
@@ -60,10 +62,20 @@ def payload_signatures(payload: object) -> int:
     declares its count explicitly.  (Historically the fallback was one
     signature per word, which inflated signature totals for unsigned
     payloads — see tests/test_metrics.py for the regression.)
+
+    A negative ``signatures()`` result is broken accounting, exactly
+    like a ``words()`` result below 1: raise instead of clamping.
     """
     signatures = getattr(payload, "signatures", None)
     if callable(signatures):
-        return max(0, int(signatures()))
+        count = int(signatures())
+        if count < 0:
+            raise WordAccountingError(
+                f"{type(payload).__name__}.signatures() returned {count}; a "
+                "payload contains zero or more signatures — fix the "
+                "payload's accounting instead of relying on a clamp"
+            )
+        return count
     return 0
 
 
@@ -80,7 +92,8 @@ def payload_phase(payload: object) -> int | None:
 
 @dataclass(frozen=True)
 class WordRecord:
-    """One network send, as seen by the ledger."""
+    """One point-to-point copy, as the ledger's :attr:`WordLedger.records`
+    view spells out a bill."""
 
     tick: int
     sender: ProcessId
@@ -95,25 +108,63 @@ class WordRecord:
     of the paper's adaptivity accounting (silent phases cost nothing)."""
 
 
+@dataclass(frozen=True)
+class WordBill:
+    """One multicast: a payload sent by ``sender`` to every process in
+    ``receivers`` (send order, self-delivery excluded) during ``tick``.
+
+    ``words``, ``signatures`` and ``phase`` describe *one* copy; a bill
+    stands for ``len(receivers)`` copies of it."""
+
+    tick: int
+    sender: ProcessId
+    receivers: tuple[ProcessId, ...]
+    words: int
+    signatures: int
+    scope: str
+    payload_type: str
+    sender_correct: bool
+    phase: int | None = None
+
+    @property
+    def copies(self) -> int:
+        return len(self.receivers)
+
+    def expand(self) -> list[WordRecord]:
+        """The bill's per-copy records, in send order."""
+        return [
+            WordRecord(
+                self.tick, self.sender, receiver, self.words, self.signatures,
+                self.scope, self.payload_type, self.sender_correct, self.phase,
+            )
+            for receiver in self.receivers
+        ]
+
+
 @dataclass
 class WordLedger:
     """Accumulates every send of a run and answers complexity queries.
 
-    ``records`` is append-only through :meth:`record`, which keeps the
-    running ``correct_words`` total up to date — the model checker reads
-    that total every tick, so recomputing it by summing the whole list
-    (the pre-optimization behavior) made fingerprinting quadratic in run
-    length.
+    ``bills`` is append-only through :meth:`record`, one bill per
+    multicast; every aggregate is computed from bills times their
+    recipient count.  :meth:`record` keeps the running ``correct_words``
+    total up to date — the model checker reads that total every tick, so
+    recomputing it by summing the whole list made fingerprinting
+    quadratic in run length.
     """
 
-    records: list[WordRecord] = field(default_factory=list)
-    _correct_words: int = field(default=0, repr=False, compare=False)
+    bills: list[WordBill] = field(default_factory=list)
+    _correct_words: int = field(default=0, init=False, repr=False, compare=False)
+    _records: tuple[WordRecord, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _expanded: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Constructing a ledger from pre-built records (the run-export
+        # Constructing a ledger from pre-built bills (the run-export
         # loader does) must seed the running total too.
         self._correct_words = sum(
-            r.words for r in self.records if r.sender_correct
+            b.words * b.copies for b in self.bills if b.sender_correct
         )
 
     def record(
@@ -121,18 +172,28 @@ class WordLedger:
         *,
         tick: int,
         sender: ProcessId,
-        receiver: ProcessId,
         payload: object,
         scope: str,
         sender_correct: bool,
-    ) -> WordRecord | None:
-        if sender == receiver:
-            # Local self-delivery is not network communication.
+        receivers: Sequence[ProcessId] = (),
+        receiver: ProcessId | None = None,
+    ) -> WordBill | None:
+        """Bill one multicast of ``payload`` to ``receivers`` (or to the
+        single ``receiver``); returns the bill, or ``None`` when every
+        recipient is the sender — local self-delivery is not network
+        communication."""
+        if receiver is not None:
+            receivers = (receiver,)
+        if sender in receivers:
+            receivers = tuple(r for r in receivers if r != sender)
+        else:
+            receivers = tuple(receivers)
+        if not receivers:
             return None
-        record = WordRecord(
+        bill = WordBill(
             tick=tick,
             sender=sender,
-            receiver=receiver,
+            receivers=receivers,
             words=payload_words(payload),
             signatures=payload_signatures(payload),
             scope=scope,
@@ -140,14 +201,27 @@ class WordLedger:
             sender_correct=sender_correct,
             phase=payload_phase(payload),
         )
-        self.records.append(record)
+        self.bills.append(bill)
         if sender_correct:
-            self._correct_words += record.words
-        return record
+            self._correct_words += bill.words * bill.copies
+        return bill
+
+    @property
+    def records(self) -> tuple[WordRecord, ...]:
+        """Read-only per-copy view of :attr:`bills`, expanded on read
+        (exports, flow analysis and tests; no aggregate reads it)."""
+        if self._expanded < len(self.bills):
+            fresh = self.bills[self._expanded:]
+            self._records += tuple(r for b in fresh for r in b.expand())
+            self._expanded = len(self.bills)
+        return self._records
 
     # ------------------------------------------------------------------
     # Aggregations
     # ------------------------------------------------------------------
+
+    def _bills(self, correct_only: bool) -> Iterator[WordBill]:
+        return (b for b in self.bills if b.sender_correct or not correct_only)
 
     @property
     def correct_words(self) -> int:
@@ -157,12 +231,18 @@ class WordLedger:
     @property
     def total_words(self) -> int:
         """All words, including the adversary's (diagnostics only)."""
-        return sum(r.words for r in self.records)
+        return sum(b.words * b.copies for b in self.bills)
 
     @property
     def correct_messages(self) -> int:
         """Message count from correct processes (Dolev–Reischuk's measure)."""
-        return sum(1 for r in self.records if r.sender_correct)
+        return sum(b.copies for b in self._bills(True))
+
+    def _words_by(self, key: Callable[[WordBill], Any], correct_only: bool) -> dict:
+        totals: dict = defaultdict(int)
+        for b in self._bills(correct_only):
+            totals[key(b)] += b.words * b.copies
+        return dict(totals)
 
     def words_by_scope(self, correct_only: bool = True) -> dict[str, int]:
         """Words attributed to each protocol scope (Figure 1 accounting).
@@ -170,43 +250,24 @@ class WordLedger:
         A send made while the sender was inside nested scopes (e.g.
         ``bb/weak_ba/fallback``) is attributed to the full scope path.
         """
-        totals: dict[str, int] = defaultdict(int)
-        for r in self.records:
-            if correct_only and not r.sender_correct:
-                continue
-            totals[r.scope] += r.words
-        return dict(totals)
+        return self._words_by(lambda b: b.scope, correct_only)
 
     def words_by_phase(self, correct_only: bool = True) -> dict[int, int]:
         """Words attributed to each protocol phase (adaptivity accounting).
 
-        Only records whose payload advertises a ``phase`` contribute; a
+        Only bills whose payload advertises a ``phase`` contribute; a
         phase that never appears sent nothing — exactly the paper's
         silent phase.
         """
-        totals: dict[int, int] = defaultdict(int)
-        for r in self.records:
-            if correct_only and not r.sender_correct:
-                continue
-            if r.phase is not None:
-                totals[r.phase] += r.words
-        return dict(totals)
+        totals = self._words_by(lambda b: b.phase, correct_only)
+        totals.pop(None, None)
+        return totals
 
     def words_by_payload_type(self, correct_only: bool = True) -> dict[str, int]:
-        totals: dict[str, int] = defaultdict(int)
-        for r in self.records:
-            if correct_only and not r.sender_correct:
-                continue
-            totals[r.payload_type] += r.words
-        return dict(totals)
+        return self._words_by(lambda b: b.payload_type, correct_only)
 
     def words_by_sender(self, correct_only: bool = True) -> dict[ProcessId, int]:
-        totals: dict[ProcessId, int] = defaultdict(int)
-        for r in self.records:
-            if correct_only and not r.sender_correct:
-                continue
-            totals[r.sender] += r.words
-        return dict(totals)
+        return self._words_by(lambda b: b.sender, correct_only)
 
     def signature_count(self, correct_only: bool = True) -> int:
         """Lower-bound accounting: individual signatures transmitted.
@@ -216,11 +277,6 @@ class WordLedger:
         of signatures, so a certificate carrying a ``k``-quorum counts as
         ``k`` signatures here while remaining one *word*.  Payloads
         advertise their contained-signature count via ``signatures()``
-        (recorded at send time as :attr:`WordRecord.signatures`).
+        (recorded at send time as :attr:`WordBill.signatures`).
         """
-        total = 0
-        for r in self.records:
-            if correct_only and not r.sender_correct:
-                continue
-            total += r.signatures
-        return total
+        return sum(b.signatures * b.copies for b in self._bills(correct_only))

@@ -1,4 +1,4 @@
-"""Run observability: metrics, structured events, timing, summaries.
+"""Run observability: metrics, structured events, summaries.
 
 The package is telemetry-only by contract — no runtime reads observer
 state to make a decision, so attaching (or detaching) an observer never
@@ -9,7 +9,6 @@ from repro.obs.events import EventLog
 from repro.obs.observer import NullObserver, Observer, active_or_none
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
-    DURATION_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -33,7 +32,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
-    "DURATION_BUCKETS",
     "BENCH_RESULT_SCHEMA",
     "SCHEMA_VERSION",
     "validate_bench_result",

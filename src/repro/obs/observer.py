@@ -11,20 +11,19 @@ Three operating points, chosen by the caller:
   (``benchmarks/bench_obs_overhead.py``) holds this within 5% of the
   baseline.
 * :class:`Observer` — full recording: a
-  :class:`~repro.obs.registry.MetricsRegistry`, a JSONL
-  :class:`~repro.obs.events.EventLog`, and timing spans.
+  :class:`~repro.obs.registry.MetricsRegistry` and a JSONL
+  :class:`~repro.obs.events.EventLog`.
 
 Clocks and determinism
 ----------------------
 
 ``Observer(clock=None)`` (the default) runs on *simulated* time: the
-runtimes call :meth:`Observer.set_time` with the current tick, spans
-measure tick deltas, and no wall clock is ever read — so attaching an
+runtimes call :meth:`Observer.set_time` with the current tick, events
+are stamped in ticks, and no wall clock is ever read — so attaching an
 observer to a simulated or model-checked run changes nothing about the
 run and produces byte-identical telemetry across repeats.  Pass
 ``clock=time.perf_counter`` (or :meth:`Observer.wall`) for real-time
-runs (asyncio, TCP, CLI hot-spot profiling), where spans report
-seconds.
+runs (asyncio, TCP), where events are stamped in seconds.
 
 Observers record; they never steer.  No runtime reads observer state to
 make a decision, which is why the model checker's exploration results
@@ -35,24 +34,19 @@ proves it).
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.events import EventLog
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    DURATION_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
-    from repro.metrics.words import WordRecord
+    from repro.metrics.words import WordBill
 
 
 class Observer:
-    """Collects metrics, events, and spans for one run."""
+    """Collects metrics and events for one run."""
 
     enabled: bool = True
 
@@ -65,7 +59,7 @@ class Observer:
 
     @classmethod
     def wall(cls) -> "Observer":
-        """An observer on real time (spans in seconds)."""
+        """An observer on real time (event stamps in seconds)."""
         return cls(clock=time.perf_counter)
 
     # ------------------------------------------------------------------
@@ -98,17 +92,6 @@ class Observer:
     def event(self, name: str, **fields: Any) -> None:
         self.events.append(name, at=self.time(), **fields)
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Time a block; durations land in ``span.<name>`` (seconds on a
-        real clock, ticks on the simulated one)."""
-        buckets = DURATION_BUCKETS if self._clock is not None else DEFAULT_BUCKETS
-        start = self.time()
-        try:
-            yield
-        finally:
-            self.observe(f"span.{name}", self.time() - start, buckets=buckets)
-
     # ------------------------------------------------------------------
     # Runtime hooks (called by scheduler / asyncio runner / transports)
     # ------------------------------------------------------------------
@@ -122,17 +105,20 @@ class Observer:
         self.count("sim.ticks", tick - self._tick if tick > self._tick else 1)
         self._tick = tick
 
-    def on_send(self, record: "WordRecord") -> None:
-        """Account one billed send (the ledger's view of it)."""
-        self.count("words.total", record.words)
-        self.count("messages.total")
-        if record.signatures:
-            self.count("signatures.total", record.signatures)
-        origin = "correct" if record.sender_correct else "byzantine"
-        self.count(f"words.{origin}", record.words)
-        self.count(f"words.scope.{record.scope}", record.words)
-        if record.phase is not None:
-            self.count(f"words.phase.{record.phase}", record.words)
+    def on_send(self, bill: "WordBill") -> None:
+        """Account one billed multicast (the ledger's view of it): every
+        counter moves by the bill's per-copy amount times its copies."""
+        copies = bill.copies
+        words = bill.words * copies
+        self.count("words.total", words)
+        self.count("messages.total", copies)
+        if bill.signatures:
+            self.count("signatures.total", bill.signatures * copies)
+        origin = "correct" if bill.sender_correct else "byzantine"
+        self.count(f"words.{origin}", words)
+        self.count(f"words.scope.{bill.scope}", words)
+        if bill.phase is not None:
+            self.count(f"words.phase.{bill.phase}", words)
 
     def on_fault(self, kind: str, amount: int = 1) -> None:
         """Account one injected fault (``dropped``/``duplicated``/
@@ -198,14 +184,10 @@ class NullObserver(Observer):
     def event(self, name: str, **fields: Any) -> None:
         pass
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        yield
-
     def on_tick(self, tick: int) -> None:
         pass
 
-    def on_send(self, record: "WordRecord") -> None:
+    def on_send(self, bill: "WordBill") -> None:
         pass
 
     def on_fault(self, kind: str, amount: int = 1) -> None:

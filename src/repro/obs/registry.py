@@ -18,10 +18,6 @@ from dataclasses import dataclass, field
 DEFAULT_BUCKETS: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 """Generic magnitude buckets (word counts, queue depths, tick spans)."""
 
-DURATION_BUCKETS: tuple[float, ...] = (
-    1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
-"""Wall-clock span buckets in seconds (micro- to half-minute scale)."""
 
 
 @dataclass

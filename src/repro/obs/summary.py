@@ -5,8 +5,8 @@ Input is the JSON export written by ``repro run --export`` (see
 and a ``meta`` block.  Output is a plain dict — per-phase word counts,
 the silent-phase ratio (the paper's adaptivity headline: phases with no
 correct-process traffic cost nothing), fallback-entry skew across
-processes (Lemma 18 bounds it by one round), and hot spots (observer
-span timings when recorded, otherwise the busiest ticks).
+processes (Lemma 18 bounds it by one round), and hot spots (the
+busiest ticks).
 """
 
 from __future__ import annotations
@@ -62,22 +62,6 @@ def summarize_export(raw: dict) -> dict:
         words_by_tick.items(), key=lambda kv: (-kv[1], kv[0])
     )[:5]
 
-    spans: list[dict] = []
-    histograms = (raw.get("obs") or {}).get("metrics", {}).get("histograms", {})
-    for name in sorted(histograms):
-        if not name.startswith("span."):
-            continue
-        h = histograms[name]
-        spans.append(
-            {
-                "name": name[len("span."):],
-                "count": h.get("count", 0),
-                "total": h.get("sum", 0.0),
-                "max": h.get("max"),
-            }
-        )
-    spans.sort(key=lambda s: (-s["total"], s["name"]))
-
     return {
         "totals": {
             "correct_words": summary.get("correct_words"),
@@ -103,7 +87,6 @@ def summarize_export(raw: dict) -> dict:
             "entry_skew": skew,
         },
         "hot_spots": {
-            "spans": spans,
             "busiest_ticks": [
                 {"tick": tick, "words": words} for tick, words in hot_ticks
             ],
@@ -155,12 +138,6 @@ def render_summary(summary: dict) -> str:
             else "fallback: used (no per-process entry events recorded)"
         )
     lines += ["", "hot spots:"]
-    if summary["hot_spots"]["spans"]:
-        for span in summary["hot_spots"]["spans"]:
-            lines.append(
-                f"  span {span['name']:<24} total={span['total']:.6g} "
-                f"count={span['count']} max={_fmt(span['max'])}"
-            )
     for entry in summary["hot_spots"]["busiest_ticks"]:
         lines.append(f"  tick {entry['tick']:>4}  {entry['words']} words")
     return "\n".join(lines)

@@ -114,10 +114,11 @@ class RecoveryManager:
             self.wal_for(pid).log_inbox(tick, envelopes)
             self._dirty.add(pid)
 
-    def on_send(self, pid: ProcessId, tick: int) -> None:
-        # Highwater marks accumulate per (pid, tick); batching them into
-        # one record per tick happens in the WAL (absorb() re-sums).
-        self.wal_for(pid).log_sends(tick, 1)
+    def on_send(self, pid: ProcessId, tick: int, count: int) -> None:
+        """One billed multicast of ``count`` copies: one ``sends`` frame.
+        Highwater marks accumulate per (pid, tick); absorb() re-sums a
+        tick's frames."""
+        self.wal_for(pid).log_sends(tick, count)
         self._dirty.add(pid)
 
     def on_event(

@@ -56,9 +56,11 @@ class ReplayCursor:
     def begin_tick(self) -> None:
         self.sends_this_tick = 0
 
-    def note_send(self) -> None:
-        self.sends_this_tick += 1
-        self.total_sends += 1
+    def note_send(self, count: int) -> None:
+        """Count ``count`` suppressed copies (one multicast's billed
+        recipients)."""
+        self.sends_this_tick += count
+        self.total_sends += count
 
     def note_event(self) -> None:
         self.total_events += 1

@@ -75,12 +75,15 @@ class ByzantineApi:
 
     def send(self, to: ProcessId, payload: object) -> None:
         """Send to one process (delivered next tick, like everyone else)."""
-        self._simulation.enqueue_byzantine_send(self._pid, to, payload)
+        self._simulation.enqueue_byzantine_send(self._pid, (to,), payload)
 
     def broadcast(self, payload: object) -> None:
-        for to in self.config.processes:
-            if to != self._pid:
-                self.send(to, payload)
+        """Send to every other process: one multicast, billed once."""
+        self._simulation.enqueue_byzantine_send(
+            self._pid,
+            [to for to in self.config.processes if to != self._pid],
+            payload,
+        )
 
     def emit(self, name: str, **data: Any) -> None:
         """Trace hook for adversary diagnostics."""

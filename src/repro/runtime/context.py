@@ -2,7 +2,8 @@
 
 A correct process is a generator function ``protocol(ctx)`` that:
 
-* sends with :meth:`ProcessContext.send` / :meth:`broadcast`;
+* sends with :meth:`ProcessContext.multicast` (or its shorthands
+  :meth:`~ProcessContext.send` and :meth:`~ProcessContext.broadcast`);
 * advances one tick (= one ``delta``) with a bare ``yield``, after which
   :attr:`ProcessContext.inbox` holds the envelopes delivered this tick;
 * waits longer by yielding a *wake-up deadline* in :attr:`now` units —
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Generator, Iterator
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Sequence
 
 from repro.config import ProcessId, SystemConfig
 from repro.crypto.certificates import CryptoSuite
@@ -87,29 +88,36 @@ class ProcessContext:
     # Communication
     # ------------------------------------------------------------------
 
-    def send(self, to: ProcessId, payload: object) -> None:
-        """Send ``payload`` to ``to``; it is delivered next tick.
+    def multicast(self, recipients: Sequence[ProcessId], payload: object) -> None:
+        """Send ``payload`` to every process in ``recipients`` (in that
+        order); each copy is delivered next tick.  The host bills the
+        multicast once, whatever the number of recipients.
 
-        In replay mode the send is counted against the WAL's highwater
-        mark but never reaches the network — the cluster already
-        received it the first time."""
+        In replay mode the copies are counted against the WAL's
+        highwater mark but never reach the network — the cluster already
+        received them the first time.  Self-delivery is free, never
+        billed nor counted."""
         if self._replay is not None:
-            if to != self._pid:  # self-delivery is free, never billed
-                self._replay.note_send()
+            pid = self._pid
+            self._replay.note_send(sum(1 for to in recipients if to != pid))
             return
-        self._simulation.enqueue_send(self._pid, to, payload, self.scope_path)
+        self._simulation.enqueue_send(self._pid, recipients, payload, self.scope_path)
+
+    def send(self, to: ProcessId, payload: object) -> None:
+        """Send ``payload`` to ``to``: a multicast with one recipient."""
+        self.multicast((to,), payload)
 
     def broadcast(self, payload: object, include_self: bool = True) -> None:
-        """Send ``payload`` to every process (self-delivery is free).
+        """Multicast ``payload`` to every process (self-delivery is free).
 
         The paper's "broadcast to all" includes the sender acting on its
         own message; set ``include_self=False`` where the pseudocode
         clearly excludes it.
         """
-        for to in self.config.processes:
-            if to == self._pid and not include_self:
-                continue
-            self.send(to, payload)
+        processes = self.config.processes
+        if not include_self:
+            processes = [to for to in processes if to != self._pid]
+        self.multicast(processes, payload)
 
     # ------------------------------------------------------------------
     # Instrumentation

@@ -5,8 +5,9 @@ A *host* is whatever drives correct processes: the tick scheduler
 network of :mod:`repro.asyncnet` (asyncio queues and localhost TCP).
 :class:`~repro.runtime.context.ProcessContext` needs only ``config``,
 ``seed``, ``suite``, ``trace``, ``recovery``, ``process_now(pid)`` and
-``enqueue_send(pid, to, payload, scope)`` from it; the helpers here
-additionally read ``observer``.  Keeping the option cross-checks, the
+``enqueue_send(pid, recipients, payload, scope)`` — one call per
+multicast, billed once by :func:`bill_multicast` — from it; the helpers
+here additionally read ``ledger`` and ``observer``.  Keeping the option cross-checks, the
 waiting rule and the crash/rejoin choreography in one place is what
 stops a fix from landing in one runtime and not the others.
 
@@ -19,7 +20,7 @@ decide through :func:`wake_tick` and :func:`due` whether to call
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 from repro.config import ProcessId
 from repro.errors import SchedulerError
@@ -68,6 +69,40 @@ def resolve_synchrony(
             "by replaying durable state (pass recovery=...)"
         )
     return model
+
+
+def bill_multicast(
+    host: Any,
+    sender: ProcessId,
+    recipients: Sequence[ProcessId],
+    payload: object,
+    *,
+    tick: int,
+    scope: str,
+    sender_correct: bool,
+) -> None:
+    """Validate every recipient of one multicast, then bill it once: one
+    ledger bill, one observer update and one WAL highwater frame.  The
+    frame counts billed copies only — self-delivery is free, and counting
+    it would desync replay from the word ledger."""
+    processes = host.config.processes
+    for to in recipients:
+        if to not in processes:
+            raise SchedulerError(f"send to unknown process {to}")
+    bill = host.ledger.record(
+        tick=tick,
+        sender=sender,
+        receivers=recipients,
+        payload=payload,
+        scope=scope,
+        sender_correct=sender_correct,
+    )
+    if bill is None:
+        return
+    if host.observer is not None:
+        host.observer.on_send(bill)
+    if sender_correct and host.recovery is not None:
+        host.recovery.on_send(sender, tick, bill.copies)
 
 
 def note_crash(

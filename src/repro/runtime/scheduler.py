@@ -42,7 +42,7 @@ generators' return values are the decisions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 from repro.config import ProcessId, SystemConfig, derive_rng
 from repro.crypto.certificates import CryptoSuite
@@ -54,6 +54,7 @@ from repro.runtime.byzantine import ByzantineApi, ByzantineBehavior
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.host import (
+    bill_multicast,
     close_recovery,
     due,
     note_crash,
@@ -80,6 +81,10 @@ are assembled and before any process is resumed, with the simulation
 and this tick's inbox map.  Raising aborts the run (the explorer's
 state-fingerprint pruning does exactly that).  A hooked run visits every
 tick."""
+
+
+_ONE_COPY = (0.0,)
+"""The wire copies of a send when no fault injector acts: one, undelayed."""
 
 
 class _RoundClock:
@@ -295,7 +300,6 @@ class Simulation:
         """Wake wheel (lockstep): tick -> pids that yielded it as their
         deadline.  Entries made stale by an early resume or a crash are
         filtered by the due rule."""
-        self._seq = 0
         self._started = False
         self.corrupted_now: set[ProcessId] = set()
         self._decisions: dict[ProcessId, Any] = {}
@@ -346,81 +350,76 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def enqueue_send(
-        self, sender: ProcessId, to: ProcessId, payload: object, scope: str
+        self,
+        sender: ProcessId,
+        recipients: Sequence[ProcessId],
+        payload: object,
+        scope: str,
     ) -> None:
-        self._enqueue(sender, to, payload, scope=scope, sender_correct=True)
+        self._enqueue(sender, recipients, payload, scope=scope, sender_correct=True)
 
     def enqueue_byzantine_send(
-        self, sender: ProcessId, to: ProcessId, payload: object
+        self, sender: ProcessId, recipients: Sequence[ProcessId], payload: object
     ) -> None:
-        self._enqueue(sender, to, payload, scope="byzantine", sender_correct=False)
+        self._enqueue(
+            sender, recipients, payload, scope="byzantine", sender_correct=False
+        )
 
     def _enqueue(
         self,
         sender: ProcessId,
-        to: ProcessId,
+        recipients: Sequence[ProcessId],
         payload: object,
         *,
         scope: str,
         sender_correct: bool,
     ) -> None:
-        if to not in self.config.processes:
-            raise SchedulerError(f"send to unknown process {to}")
-        if not self._paced:
-            # Historical fast path: lockstep delta=1 delivers next tick.
-            delivered_at = self.tick + 1
-        else:
-            edge = (sender, to)
-            seq = self._sync_seq.get(edge, 0)
-            self._sync_seq[edge] = seq + 1
-            delivered_at = self.synchrony.delivery_tick(
-                sender, to, self.tick, seq, chooser=self.choices
-            )
-            if delivered_at <= self.tick:
-                raise SchedulerError(
-                    f"synchrony model {self.synchrony.describe()} scheduled "
-                    f"delivery at {delivered_at} <= send tick {self.tick}"
-                )
-        envelope = Envelope(
-            sender=sender,
-            receiver=to,
-            payload=payload,
-            sent_at=self.tick,
-            delivered_at=delivered_at,
-        )
-        record = self.ledger.record(
-            tick=self.tick,
-            sender=sender,
-            receiver=to,
-            payload=payload,
-            scope=scope,
-            sender_correct=sender_correct,
+        """One multicast: bill it once, then put one copy per recipient
+        on the wire, in recipient order."""
+        tick = self.tick
+        bill_multicast(
+            self, sender, recipients, payload,
+            tick=tick, scope=scope, sender_correct=sender_correct,
         )
         obs = self.observer
-        if obs is not None and record is not None:
-            obs.on_send(record)
-        if sender_correct and record is not None and self.recovery is not None:
-            # Highwater marks count billed (network) sends only: free
-            # self-deliveries would desync replay from the word ledger.
-            self.recovery.on_send(sender, self.tick)
-        if self._injector is None:
-            copies = [0.0]
-        else:  # the ledger bills the *send*; faults act on the wire
-            copies = self._injector.copies(sender, to, self.tick, payload=payload)
-            if obs is not None:
-                obs.on_copies(copies)
-        if copies:
-            self._slot_copies(envelope, copies)
-        if self.record_envelopes:
-            self.envelopes.append(envelope)
-        self._seq += 1
+        injector = self._injector
+        paced = self._paced
+        slot_copies = self._slot_copies
+        envelopes = self.envelopes if self.record_envelopes else None
+        for to in recipients:
+            if not paced:
+                # Historical fast path: lockstep delta=1 delivers next tick.
+                delivered_at = tick + 1
+            else:
+                edge = (sender, to)
+                seq = self._sync_seq.get(edge, 0)
+                self._sync_seq[edge] = seq + 1
+                delivered_at = self.synchrony.delivery_tick(
+                    sender, to, tick, seq, chooser=self.choices
+                )
+                if delivered_at <= tick:
+                    raise SchedulerError(
+                        f"synchrony model {self.synchrony.describe()} scheduled "
+                        f"delivery at {delivered_at} <= send tick {tick}"
+                    )
+            envelope = Envelope(sender, to, payload, tick, delivered_at)
+            if injector is None:
+                copies: Sequence[float] = _ONE_COPY
+            else:  # the ledger bills the *send*; faults act on the wire
+                copies = injector.copies(sender, to, tick, payload=payload)
+                if obs is not None:
+                    obs.on_copies(copies)
+            if copies:
+                slot_copies(envelope, copies)
+            if envelopes is not None:
+                envelopes.append(envelope)
 
     # The three wheel accessors below are override points: the scheduler
     # equivalence tests subclass Simulation with the historical flat
     # per-tick list to prove the slotted wheel is observationally
     # identical.
 
-    def _slot_copies(self, envelope: Envelope, copies: list[float]) -> None:
+    def _slot_copies(self, envelope: Envelope, copies: Sequence[float]) -> None:
         """File an envelope's wire copies into the delivery wheel.
 
         The slot is the envelope's synchrony-resolved ``delivered_at``

@@ -155,9 +155,10 @@ def _collect(
         report = verify_under_plan(result, spec.plan)
     else:
         report = verify_run(result)
-    ledger_sends = Counter(
-        r.sender for r in ledger.records if r.sender_correct
-    )
+    correct_bills = [b for b in ledger.bills if b.sender_correct]
+    ledger_sends: Counter = Counter()
+    for bill in correct_bills:
+        ledger_sends[bill.sender] += bill.copies
     wal_sends: dict[int, int] = {}
     phantom = 0
     crashes = rejoins = 0
@@ -181,9 +182,7 @@ def _collect(
         verify_summary=report.summary(),
         words_billed=ledger.correct_words,
         words_predicted=predicted.ledger.correct_words,
-        ledger_recount=sum(
-            r.words for r in ledger.records if r.sender_correct
-        ),
+        ledger_recount=sum(b.words * b.copies for b in correct_bills),
         messages=ledger.correct_messages,
         signatures=ledger.signature_count(),
         ledger_sends=dict(ledger_sends),

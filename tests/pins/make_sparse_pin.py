@@ -14,7 +14,13 @@ spam garbage, or — ``split`` — silent while the correct processes
 propose distinct values, which is what pushes the paper's protocols
 into the quadratic fallback.  ``crash`` cases take p2 down for a window
 with a WAL (with and without ``snapshot_every``) and additionally pin
-the bytes on disk.
+the bytes on disk and every process's absorbed history (what replay
+reads: per-tick send highwater marks, inboxes, events, down windows).
+
+The ``wal`` bytes were re-pinned when the hosts began writing one
+``sends`` frame per multicast instead of one per copy; the ``history``
+column was computed on the tree before that change, so it proves the
+absorbed histories did not move.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from repro.apps.clients import assign_queues
 from repro.config import RunParameters, SystemConfig
 from repro.faults import FaultPlan, ProcessCrash
 from repro.protocols.table import PROTOCOLS, run_protocol, string_validity
-from repro.recovery import RecoveryManager
+from repro.recovery import RecoveryManager, load_history
 
 PIN = Path(__file__).with_name("sparse_time.json")
 
@@ -105,16 +111,39 @@ def cases() -> list[str]:
     return ids
 
 
-FIELDS = ("trace", "words", "signatures", "ticks", "decisions", "halted_at", "wal")
-"""What a pinned row lists, in order (``wal`` only for crash cases);
-texts and bytes are pinned by the first 16 hex digits of their sha256."""
+FIELDS = (
+    "trace", "words", "signatures", "ticks", "decisions", "halted_at", "wal",
+    "history",
+)
+"""What a pinned row lists, in order (``wal`` and ``history`` only for
+crash cases); texts and bytes are pinned by the first 16 hex digits of
+their sha256."""
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _digest(result, wal: bytes | None = None) -> list:
+def _histories(wal_dir: Path) -> bytes:
+    """Every process's absorbed snapshot + WAL, canonically spelled."""
+    rows = []
+    for stem in sorted({path.with_suffix("") for path in wal_dir.iterdir()}):
+        history = load_history(stem)
+        inboxes = [
+            (tick, [
+                (e.sender, e.receiver, e.sent_at, e.delivered_at, repr(e.payload))
+                for e in envelopes
+            ])
+            for tick, envelopes in sorted(history.inboxes.items())
+        ]
+        rows.append((
+            stem.name, sorted(history.meta.items()), sorted(history.sends.items()),
+            inboxes, history.events, history.down_windows, history.through_tick,
+        ))
+    return repr(rows).encode()
+
+
+def _digest(result, wal: bytes | None = None, history: bytes = b"") -> list:
     row = [
         _sha(repr(result.trace.canonical()).encode()),
         result.correct_words,
@@ -123,7 +152,7 @@ def _digest(result, wal: bytes | None = None) -> list:
         _sha(repr(sorted(result.decisions.items())).encode()),
         _sha(repr(sorted(result.halted_at.items())).encode()),
     ]
-    return row if wal is None else row + [_sha(wal)]
+    return row if wal is None else row + [_sha(wal), _sha(history)]
 
 
 def compute(case: str) -> list:
@@ -143,7 +172,8 @@ def compute(case: str) -> list:
             )
             files = sorted(Path(wal_dir).iterdir())
             blob = b"".join(p.name.encode() + p.read_bytes() for p in files)
-        return _digest(result, blob)
+            history = _histories(Path(wal_dir))
+        return _digest(result, blob, history)
     seed, f = int(a), int(b)
     candidates = [p for p in config.processes if p not in shielded]
     targets = sorted(random.Random(seed).sample(candidates, f))

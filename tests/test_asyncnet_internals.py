@@ -20,7 +20,7 @@ class TestAsyncNetwork:
     def test_post_records_and_queues(self, config5):
         async def scenario():
             network = AsyncNetwork(config5, tick_duration=0.01)
-            network.post(0, 1, "hello", tick=3, scope="test")
+            network.post(0, (1,), "hello", tick=3, scope="test")
             envelope = network.queue_for(1).get_nowait()
             assert envelope.sender == 0
             assert envelope.payload == "hello"
@@ -35,7 +35,7 @@ class TestAsyncNetwork:
         async def scenario():
             network = AsyncNetwork(config5, tick_duration=0.01)
             with pytest.raises(SchedulerError):
-                network.post(0, 99, "x", tick=0, scope="s")
+                network.post(0, (99,), "x", tick=0, scope="s")
 
         asyncio.run(scenario())
 
@@ -44,7 +44,7 @@ class TestAsyncNetwork:
             network = AsyncNetwork(
                 config5, tick_duration=0.05, latency=0.02
             )
-            network.post(0, 1, "delayed", tick=0, scope="s")
+            network.post(0, (1,), "delayed", tick=0, scope="s")
             queue = network.queue_for(1)
             assert queue.empty()  # not yet delivered
             await asyncio.sleep(0.04)
@@ -56,7 +56,7 @@ class TestAsyncNetwork:
         async def scenario():
             network = AsyncNetwork(config5, tick_duration=0.01)
             network.corrupted = {3}
-            network.post(3, 1, "evil", tick=0, scope="byzantine")
+            network.post(3, (1,), "evil", tick=0, scope="byzantine")
             assert network.ledger.correct_words == 0
             assert network.ledger.total_words == 1
 

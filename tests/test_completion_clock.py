@@ -69,7 +69,7 @@ class TestBarrier:
                 config5, tick_duration=5.0, latency=0.05, observer=observer
             )
             network.start_clock(1)
-            network.post(0, 1, "late", tick=0, scope="s")
+            network.post(0, (1,), "late", tick=0, scope="s")
             parked = asyncio.create_task(network.wait_for_round(1))
             await asyncio.sleep(0.01)
             assert network.opened == 0  # parked, but the copy is in flight

@@ -69,7 +69,7 @@ class TestWordModel:
                 tick=0, sender=0, receiver=1, payload=Broken(), scope="s",
                 sender_correct=True,
             )
-        assert ledger.records == []
+        assert ledger.records == ()
 
     def test_non_callable_words_attribute_ignored(self):
         @dataclass(frozen=True)
@@ -85,6 +85,25 @@ class TestWordModel:
         assert payload_signatures(TwoWordPayload("x")) == 0
         assert payload_signatures("any string") == 0
         assert payload_signatures(42) == 0
+
+    def test_negative_signature_count_is_an_error(self):
+        """Regression: a negative ``signatures()`` result used to be
+        silently clamped to 0 while ``words()`` below 1 raised."""
+
+        @dataclass(frozen=True)
+        class NegativeSignatures:
+            def signatures(self) -> int:
+                return -2
+
+        with pytest.raises(WordAccountingError, match="NegativeSignatures.*-2"):
+            payload_signatures(NegativeSignatures())
+        ledger = WordLedger()
+        with pytest.raises(WordAccountingError):
+            ledger.record(
+                tick=0, sender=0, receivers=(1, 2), payload=NegativeSignatures(),
+                scope="s", sender_correct=True,
+            )
+        assert ledger.bills == [] and ledger.correct_words == 0
 
     def test_signatures_method_respected(self):
         """A threshold certificate: 1 word, quorum-many signatures."""
@@ -141,7 +160,7 @@ class TestLedger:
             sender_correct=True,
         )
         assert ledger.correct_words == 0
-        assert ledger.records == []
+        assert ledger.records == ()
 
     def test_scope_attribution(self):
         by_scope = self._ledger().words_by_scope()
@@ -179,7 +198,8 @@ class TestLedger:
             tick=2, sender=0, receiver=1, payload="x", scope="s",
             sender_correct=True,
         )
-        assert record is ledger.records[-1]
+        assert record is ledger.bills[-1]
+        assert record.expand() == [ledger.records[-1]]
         assert ledger.record(
             tick=2, sender=1, receiver=1, payload="self", scope="s",
             sender_correct=True,
