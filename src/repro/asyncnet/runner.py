@@ -59,6 +59,7 @@ from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.host import (
     bill_multicast,
+    check_seed,
     close_recovery,
     due,
     note_crash,
@@ -89,6 +90,7 @@ class AsyncNetwork:
         recovery: "RecoveryManager | None" = None,
         synchrony: SynchronyModel | None = None,
     ) -> None:
+        check_seed(seed)
         self.synchrony = resolve_synchrony(synchrony, fault_plan, recovery)
         if latency >= tick_duration:
             raise SchedulerError(

@@ -31,18 +31,17 @@ def _bind(label: str, payload: object) -> tuple:
     return ("qc", label, payload)
 
 
-_SCHEME_CACHE: dict[tuple[bytes, str, int], ThresholdScheme] = {}
+_SCHEME_CACHE: dict[tuple[bytes, str], ThresholdScheme] = {}
 _SCHEME_CACHE_CAP = 128
-"""Dealt-scheme memo keyed by ``(master_seed, scheme_id, epoch)``, oldest
-entry evicted first once it holds ``_SCHEME_CACHE_CAP``: one seed needs a
+"""Dealt-scheme memo keyed by ``(master_seed, scheme_id)``, oldest entry
+evicted first once it holds ``_SCHEME_CACHE_CAP``: one seed needs a
 handful of entries, and a long-lived process running many seeds must not
 keep every scheme it ever dealt (~46 KB each at ``n = 101``).
 
 Dealing is deterministic in exactly those inputs, so two suites with the
 same master seed (e.g. the thousands of single-run simulations a model-
 checking sweep builds) share one dealt scheme object — and with it the
-scheme's sign/combine/verify memos, which is where most of the crypto
-speedup across runs comes from."""
+scheme's combine memo."""
 
 
 @dataclass(frozen=True)
@@ -87,38 +86,24 @@ class CryptoSuite:
         ``n`` for share dealing).
     seed:
         Deterministic master seed for the PKI and every dealt scheme.
-    epoch:
-        Key epoch.  Epoch 0 derives the exact master seed the suite used
-        before epochs existed; :meth:`rotate_keys` advances it, replacing
-        every key and dealt scheme.  The epoch is baked into every cached
-        verification key so rotation invalidates stale verdicts.
-    cache:
-        When ``False`` the suite bypasses the module-level dealt-scheme
-        memo and constructs schemes with their internal memos disabled —
-        the reference path the divergence-guard tests compare against.
     """
 
     _CERT_CACHE_CAP = 1 << 12
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        seed: int = 0,
-        *,
-        epoch: int = 0,
-        cache: bool = True,
-    ) -> None:
+    def __init__(self, config: SystemConfig, seed: int = 0) -> None:
         self.config = config
-        self._seed = seed
-        self._cache_enabled = cache
+        self._master_seed = hashlib.sha256(
+            f"suite|{seed}|{config.n}|{config.t}".encode()
+        ).digest()
+        self.registry = KeyRegistry(config.n, master_seed=self._master_seed)
         self._schemes: dict[tuple, ThresholdScheme] = {}
         """``(label, k, members)`` -> dealt scheme: the hot lookup, which
         never builds the string id (a frozenset caches its own hash)."""
         self._by_id: dict[str, ThresholdScheme] = {}
         """Scheme id -> dealt scheme, for ids carried inside signatures."""
         # Combined-certificate verdicts keyed by canonical message bytes
-        # (plus scheme id, epoch and the signature fields).
-        self._cert_cache: dict[tuple[str, int, bytes, int, int], bool] = {}
+        # (plus scheme id and the signature fields).
+        self._cert_cache: dict[tuple[str, bytes, int, int], bool] = {}
         # (label, id(payload)) -> (payload, canonical bytes, digest).
         # Identity-keyed: the same *object* trivially has the same
         # canonical encoding, and the stored strong reference keeps the
@@ -126,41 +111,6 @@ class CryptoSuite:
         # the same statement objects (FALLBACK_STATEMENT, the phase
         # value) many times per run.
         self._bind_memo: dict[tuple[str, int], tuple[object, bytes, int]] = {}
-        self._set_epoch(epoch)
-
-    def _set_epoch(self, epoch: int) -> None:
-        if epoch < 0:
-            raise ThresholdError(f"epoch must be >= 0, got {epoch}")
-        self._epoch = epoch
-        epoch_tag = "" if epoch == 0 else f"|epoch={epoch}"
-        self._master_seed = hashlib.sha256(
-            f"suite|{self._seed}|{self.config.n}|{self.config.t}{epoch_tag}".encode()
-        ).digest()
-        self.registry = KeyRegistry(self.config.n, master_seed=self._master_seed)
-        self._schemes.clear()
-        self._by_id.clear()
-        self._cert_cache.clear()
-        self._bind_memo.clear()
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self._cache_enabled
-
-    def rotate_keys(self) -> int:
-        """Advance to the next key epoch.
-
-        Re-derives the master seed, rebuilds the PKI registry and drops
-        every dealt scheme and cached certificate verdict.  Signatures
-        and certificates produced under the previous epoch no longer
-        verify — and, because all memo keys carry the epoch, no cached
-        ``True`` can leak across the rotation.
-        """
-        self._set_epoch(self._epoch + 1)
-        return self._epoch
 
     # ------------------------------------------------------------------
     # Scheme management
@@ -194,9 +144,8 @@ class CryptoSuite:
         scheme_id = self._scheme_id(label, k, members)
         existing = self._by_id.get(scheme_id)
         if existing is None:
-            cache_key = (self._master_seed, scheme_id, self._epoch)
-            if self._cache_enabled:
-                existing = _SCHEME_CACHE.get(cache_key)
+            cache_key = (self._master_seed, scheme_id)
+            existing = _SCHEME_CACHE.get(cache_key)
             if existing is None:
                 existing = ThresholdScheme(
                     scheme_id=scheme_id,
@@ -204,13 +153,10 @@ class CryptoSuite:
                     n=self.config.n,
                     seed=self._master_seed,
                     members=members,
-                    epoch=self._epoch,
-                    cache=self._cache_enabled,
                 )
-                if self._cache_enabled:
-                    if len(_SCHEME_CACHE) >= _SCHEME_CACHE_CAP:
-                        del _SCHEME_CACHE[next(iter(_SCHEME_CACHE))]
-                    _SCHEME_CACHE[cache_key] = existing
+                if len(_SCHEME_CACHE) >= _SCHEME_CACHE_CAP:
+                    del _SCHEME_CACHE[next(iter(_SCHEME_CACHE))]
+                _SCHEME_CACHE[cache_key] = existing
             self._by_id[scheme_id] = existing
         self._schemes[key] = existing
         return existing
@@ -256,17 +202,15 @@ class CryptoSuite:
 
     def _bound(self, label: str, payload: object) -> tuple[bytes, int]:
         """Canonical bytes and digest of the bound statement."""
-        if self._cache_enabled:
-            key = (label, id(payload))
-            hit = self._bind_memo.get(key)
-            if hit is not None and hit[0] is payload:
-                return hit[1], hit[2]
+        key = (label, id(payload))
+        hit = self._bind_memo.get(key)
+        if hit is not None and hit[0] is payload:
+            return hit[1], hit[2]
         encoded = encode(_bind(label, payload))
-        digest = digest_from_bytes(encoded, cache=self._cache_enabled)
-        if self._cache_enabled:
-            if len(self._bind_memo) >= self._CERT_CACHE_CAP:
-                self._bind_memo.clear()
-            self._bind_memo[key] = (payload, encoded, digest)
+        digest = digest_from_bytes(encoded)
+        if len(self._bind_memo) >= self._CERT_CACHE_CAP:
+            self._bind_memo.clear()
+        self._bind_memo[key] = (payload, encoded, digest)
         return encoded, digest
 
     def _bound_digest(self, label: str, payload: object) -> int:
@@ -283,28 +227,18 @@ class CryptoSuite:
         """Verify a combined signature against the bound statement,
         memoized by the statement's canonical bytes.
 
-        The key carries the scheme id, the epoch and both signature
-        fields, so a rotated suite or a doctored signature can never hit
-        a stale ``True``.
+        The key carries the scheme id and both signature fields, so a
+        doctored signature can never hit a stale ``True``.
         """
         if signature.scheme_id != scheme.scheme_id:
             return False
         encoded, digest = self._bound(label, payload)
-        key = (
-            scheme.scheme_id,
-            scheme.epoch,
-            encoded,
-            signature.digest,
-            signature.value,
-        )
-        if self._cache_enabled:
-            cached = self._cert_cache.get(key)
-            if cached is not None:
-                return cached
-        verdict = signature.digest == digest and scheme.verify_value_digest(
-            signature.value, digest
-        )
-        if self._cache_enabled:
+        key = (scheme.scheme_id, encoded, signature.digest, signature.value)
+        verdict = self._cert_cache.get(key)
+        if verdict is None:
+            verdict = signature.digest == digest and scheme.verify_value_digest(
+                signature.value, digest
+            )
             if len(self._cert_cache) >= self._CERT_CACHE_CAP:
                 self._cert_cache.clear()
             self._cert_cache[key] = verdict

@@ -110,25 +110,20 @@ def _lagrange_uncached(points: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(coefficients)
 
 
-def lagrange_coefficients_at_zero(
-    xs: Sequence[int], *, cache: bool = True
-) -> list[int]:
+def lagrange_coefficients_at_zero(xs: Sequence[int]) -> list[int]:
     """Lagrange basis coefficients ``lambda_i`` such that for any
     polynomial ``f`` of degree ``< len(xs)``:
 
         ``f(0) == sum(lambda_i * f(xs[i]))  (mod PRIME)``
 
     The ``xs`` must be distinct and non-zero.  Results are memoized by
-    the signer-set tuple; ``cache=False`` forces the uncached reference
-    computation (the divergence-guard tests compare the two).
+    the signer-set tuple; :func:`_lagrange_uncached` is the reference.
     """
     points = tuple(x % PRIME for x in xs)
     if len(set(points)) != len(points):
         raise ThresholdError(f"interpolation points must be distinct: {xs}")
     if any(x == 0 for x in points):
         raise ThresholdError("interpolation points must be non-zero")
-    if not cache:
-        return list(_lagrange_uncached(points))
     coefficients = _LAGRANGE_CACHE.get(points)
     if coefficients is None:
         if len(_LAGRANGE_CACHE) >= _LAGRANGE_CACHE_CAP:
@@ -141,13 +136,8 @@ def lagrange_coefficients_at_zero(
 def interpolate_at_zero(points: Iterable[tuple[int, int]]) -> int:
     """Interpolate ``f(0)`` from ``(x, f(x))`` pairs with distinct ``x``."""
     pairs = list(points)
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    coefficients = lagrange_coefficients_at_zero(xs)
-    total = 0
-    for coefficient, y in zip(coefficients, ys):
-        total = add(total, mul(coefficient, y))
-    return total
+    coefficients = lagrange_coefficients_at_zero([x for x, _ in pairs])
+    return sum(c * y for c, (_, y) in zip(coefficients, pairs)) % PRIME
 
 
 def clear_caches() -> None:

@@ -38,41 +38,19 @@ from repro.errors import (
 )
 
 
-_DIGEST_CACHE: dict[bytes, int] = {}
-_DIGEST_CACHE_CAP = 1 << 15
-"""Canonical message bytes -> field digest.  Certificate flows hash the
-same ``(label, payload)`` binding once per signer per phase; the cache
-collapses the repeated SHA-256 + reduction.  Keyed by the *encoded
-bytes* (not the payload object) because :func:`~repro.crypto.canonical.
-encode` is injective while Python equality is not (``1 == True``)."""
-
-
-def message_digest(payload: object, *, cache: bool = True) -> int:
+def message_digest(payload: object) -> int:
     """Hash a canonically encodable payload into a field element ``H(m)``.
 
     The digest is forced non-zero so partial signatures never degenerate
     (``sigma_i = 0`` would leak nothing but also verify for any secret).
-    ``cache=False`` bypasses the memo (divergence-guard tests).
     """
-    return digest_from_bytes(encode(payload), cache=cache)
+    return digest_from_bytes(encode(payload))
 
 
-def digest_from_bytes(encoded: bytes, *, cache: bool = True) -> int:
+def digest_from_bytes(encoded: bytes) -> int:
     """The digest of an already canonically encoded message."""
-    data = b"tsig|" + encoded
-    if cache:
-        value = _DIGEST_CACHE.get(data)
-        if value is not None:
-            return value
-    raw = hashlib.sha256(data).digest()
-    value = int.from_bytes(raw, "big") % field.PRIME
-    if value == 0:
-        value = 1
-    if cache:
-        if len(_DIGEST_CACHE) >= _DIGEST_CACHE_CAP:
-            _DIGEST_CACHE.clear()
-        _DIGEST_CACHE[data] = value
-    return value
+    raw = hashlib.sha256(b"tsig|" + encoded).digest()
+    return int.from_bytes(raw, "big") % field.PRIME or 1
 
 
 @dataclass(frozen=True)
@@ -129,15 +107,6 @@ class ThresholdScheme:
         Number of share-holders (process ids ``0 .. n-1``).
     seed:
         Deterministic dealer randomness.
-    epoch:
-        Key epoch.  Epoch 0 deals exactly as before epochs existed;
-        rotating to epoch ``e > 0`` mixes ``e`` into the dealer material
-        so every share and the secret change, and the epoch is part of
-        every memoized verdict's key — a cached ``True`` from epoch
-        ``e-1`` can never satisfy a verification at epoch ``e``.
-    cache:
-        ``False`` disables every memo on this instance (the divergence-
-        guard tests run a cached and an uncached scheme side by side).
     """
 
     def __init__(
@@ -147,9 +116,6 @@ class ThresholdScheme:
         n: int,
         seed: bytes = b"",
         members: frozenset[ProcessId] | None = None,
-        *,
-        epoch: int = 0,
-        cache: bool = True,
     ) -> None:
         """``members`` restricts share dealing to a committee: only those
         processes receive shares, so a ``k``-quorum provably comes from
@@ -162,18 +128,12 @@ class ThresholdScheme:
             raise ThresholdError(
                 f"need 1 <= k <= |holders|, got k={k}, holders={len(holders)}"
             )
-        if epoch < 0:
-            raise ThresholdError(f"epoch must be >= 0, got {epoch}")
         self._scheme_id = scheme_id
         self._k = k
         self._n = n
-        self._epoch = epoch
-        self._cache_enabled = cache
         self._members = frozenset(holders)
-        epoch_tag = b"" if epoch == 0 else f"|epoch={epoch}".encode()
         material = hashlib.sha256(
             b"dealer|" + seed + scheme_id.encode() + f"|{k}|{n}".encode()
-            + epoch_tag
         ).digest()
         coefficients = []
         for i in range(k):
@@ -186,35 +146,15 @@ class ThresholdScheme:
         self._shares = {
             pid: self._polynomial.evaluate(pid + 1) for pid in holders
         }
-        # Per-scheme memos; every key carries the epoch (module doc of
-        # the ``epoch`` parameter).  Bounded: cleared wholesale at cap.
-        self._sign_cache: dict[tuple[int, ProcessId, int], int] = {}
-        self._combine_cache: dict[
-            tuple[int, int, tuple[ProcessId, ...]], int
-        ] = {}
-        self._verify_cache: dict[tuple[int, int, int], bool] = {}
+        self._combine_cache: dict[tuple[tuple[ProcessId, int], ...], int] = {}
+        """``(signer, value)`` pairs -> interpolated value; cleared
+        wholesale at ``_CACHE_CAP``."""
 
     _CACHE_CAP = 1 << 14
-
-    def _memo_get(self, memo: dict, key: tuple) -> object | None:
-        if not self._cache_enabled:
-            return None
-        return memo.get(key)
-
-    def _memo_put(self, memo: dict, key: tuple, value) -> None:
-        if not self._cache_enabled:
-            return
-        if len(memo) >= self._CACHE_CAP:
-            memo.clear()
-        memo[key] = value
 
     @property
     def scheme_id(self) -> str:
         return self._scheme_id
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
 
     @property
     def k(self) -> int:
@@ -250,15 +190,11 @@ class ThresholdScheme:
     ) -> PartialSignature:
         """Sign a precomputed message digest (the batch/collector path:
         the digest is hashed once per payload, not once per signer)."""
-        key = (self._epoch, pid, digest)
-        value = self._memo_get(self._sign_cache, key)
-        if value is None:
-            value = field.mul(self._share_of(pid), digest)
-            self._memo_put(self._sign_cache, key, value)
-        else:
-            self._share_of(pid)  # preserve the UnknownSignerError contract
         return PartialSignature(
-            scheme_id=self._scheme_id, signer=pid, digest=digest, value=value
+            scheme_id=self._scheme_id,
+            signer=pid,
+            digest=digest,
+            value=field.mul(self._share_of(pid), digest),
         )
 
     def verify_partial(self, partial: PartialSignature, payload: object) -> bool:
@@ -351,22 +287,16 @@ class ThresholdScheme:
             )
         subset = chosen[: self._k]
         # The key carries the partial *values*, not just the signer set:
-        # combining garbage values must miss the cache and produce the
-        # same non-verifying signature the uncached path would.
-        key = (self._epoch, digest, tuple((p.signer, p.value) for p in subset))
-        value = self._memo_get(self._combine_cache, key)
+        # combining garbage values must miss the memo and produce the
+        # same non-verifying signature interpolation would.
+        key = tuple((p.signer, p.value) for p in subset)
+        value = self._combine_cache.get(key)
         if value is None:
-            points = [(p.signer + 1, p.value) for p in subset]
-            if self._cache_enabled:
-                value = field.interpolate_at_zero(points)
-            else:
-                coefficients = field.lagrange_coefficients_at_zero(
-                    [x for x, _ in points], cache=False
-                )
-                value = 0
-                for coefficient, (_, y) in zip(coefficients, points):
-                    value = field.add(value, field.mul(coefficient, y))
-            self._memo_put(self._combine_cache, key, value)
+            if len(self._combine_cache) >= self._CACHE_CAP:
+                self._combine_cache.clear()
+            value = self._combine_cache[key] = field.interpolate_at_zero(
+                (p.signer + 1, p.value) for p in subset
+            )
         return ThresholdSignature(
             scheme_id=self._scheme_id,
             digest=digest,
@@ -392,18 +322,5 @@ class ThresholdScheme:
         return self.verify_value_digest(signature.value, digest)
 
     def verify_value_digest(self, value: int, digest: int) -> bool:
-        """Oracle check of a combined value against a precomputed digest
-        (memoized; both accepts and rejects are cached, keyed with the
-        epoch so rotation can never resurrect a stale verdict)."""
-        key = (self._epoch, digest, value)
-        verdict = self._memo_get(self._verify_cache, key)
-        if verdict is None:
-            verdict = value == field.mul(self._secret, digest)
-            self._memo_put(self._verify_cache, key, verdict)
-        return verdict
-
-
-def clear_caches() -> None:
-    """Drop the module-level digest memo (tests, long-lived services).
-    Per-scheme memos die with their scheme instances."""
-    _DIGEST_CACHE.clear()
+        """Oracle check of a combined value against a precomputed digest."""
+        return value == field.mul(self._secret, digest)

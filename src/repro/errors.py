@@ -24,10 +24,6 @@ class UnknownSignerError(CryptoError):
     """A signature references a process id that the PKI has never registered."""
 
 
-class InvalidSignatureError(CryptoError):
-    """Signature verification failed (wrong key, tampered message, forgery)."""
-
-
 class ThresholdError(CryptoError):
     """A threshold-scheme operation was used incorrectly."""
 
@@ -54,20 +50,8 @@ class RuntimeSimulationError(ReproError):
     """Base class for errors in the synchronous runtime."""
 
 
-class ProtocolViolationError(RuntimeSimulationError):
-    """A *correct* process attempted an operation the model forbids.
-
-    Byzantine processes are allowed to misbehave; this error flags bugs in
-    protocol implementations, not adversarial behavior.
-    """
-
-
 class SchedulerError(RuntimeSimulationError):
     """The simulator itself was driven incorrectly (e.g. run twice)."""
-
-
-class DeadlockError(RuntimeSimulationError):
-    """No process can make progress but not all protocols terminated."""
 
 
 class ModelCheckError(ReproError):
@@ -87,10 +71,6 @@ class RecoveryError(ReproError):
 
 class AgreementViolation(ReproError):
     """Two correct processes decided different values (test/verifier use)."""
-
-
-class ValidityViolation(ReproError):
-    """A decision violates the protocol's validity property (test/verifier use)."""
 
 
 class TerminationViolation(ReproError):

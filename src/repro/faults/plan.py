@@ -38,8 +38,8 @@ Fault taxonomy and model fidelity
     ``tick_duration``); in the tick world it manifests as inbox
     position, the only observable a bounded delay has there.
 ``reorder``
-    A seeded shuffle of a receiver's per-round inbox, generalizing the
-    scheduler's ``inbox_order="random"`` knob.  Always canonicalizes
+    A seeded shuffle of a receiver's per-round inbox: the within-``delta``
+    ordering freedom of the synchronous model.  Always canonicalizes
     (sorts by sender) before shuffling so the result is deterministic
     even when arrival order is not (TCP).
 ``resets`` / ``slow``
@@ -321,12 +321,6 @@ class FaultPlan:
     def restart_at(self, tick: int) -> tuple[ProcessCrash, ...]:
         """Restarts scheduled to fire at the start of ``tick``."""
         return tuple(c for c in self.crashes if c.restart_tick == tick)
-
-    def down_at(self, tick: int) -> frozenset[ProcessId]:
-        """Processes inside a crash window at ``tick``."""
-        return frozenset(
-            c.pid for c in self.crashes if c.at_tick <= tick < c.restart_tick
-        )
 
     def reseeded(self, seed: int) -> "FaultPlan":
         """The same fault mix under a different seed."""

@@ -145,10 +145,6 @@ class _Fingerprinter:
         return tick_hook
 
 
-def _envelope_key(envelope: Any) -> tuple:
-    return envelope.mc_key()
-
-
 def _state_digest(
     simulation: Simulation, inboxes: dict, choices: ChoiceSource
 ) -> int:

@@ -44,6 +44,15 @@ def due(inbox: list, now: int, deadline: int) -> bool:
     return bool(inbox) or now >= deadline
 
 
+def check_seed(seed: object) -> None:
+    """A run seed is a plain int: ``True`` would silently pick the master
+    seed of ``"True"``, and a float fails deep inside a started run."""
+    if type(seed) is not int:
+        raise SchedulerError(
+            f"seed must be an int, got {type(seed).__name__} {seed!r}"
+        )
+
+
 def resolve_synchrony(
     synchrony: SynchronyModel | None,
     fault_plan: "FaultPlan | None",

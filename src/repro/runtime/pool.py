@@ -11,19 +11,9 @@ pool instead of being dropped, realizing Lemma 18's acceptance window.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.runtime.envelope import Envelope
-
-
-def default_jobs() -> int:
-    """Worker count honoring the CPU affinity mask (cgroup-limited
-    containers often expose fewer usable cores than ``os.cpu_count``)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def parallel_map(

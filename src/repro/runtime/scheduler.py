@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
-from repro.config import ProcessId, SystemConfig, derive_rng
+from repro.config import ProcessId, SystemConfig
 from repro.crypto.certificates import CryptoSuite
 from repro.errors import SchedulerError, TerminationViolation
 from repro.faults import FaultInjector, FaultPlan
@@ -55,6 +55,7 @@ from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
 from repro.runtime.host import (
     bill_multicast,
+    check_seed,
     close_recovery,
     due,
     note_crash,
@@ -161,10 +162,8 @@ class Simulation:
         config: SystemConfig,
         *,
         seed: int = 0,
-        suite: CryptoSuite | None = None,
         max_ticks: int = 100_000,
         record_envelopes: bool = False,
-        inbox_order: str = "sender",
         fault_plan: FaultPlan | None = None,
         choices: "ChoiceSource | None" = None,
         stop_on_horizon: bool = False,
@@ -172,25 +171,21 @@ class Simulation:
         recovery: "RecoveryManager | None" = None,
         synchrony: SynchronyModel | None = None,
     ) -> None:
-        """``inbox_order``: ``"sender"`` (default) delivers each tick's
-        inbox sorted by sender id; ``"random"`` applies a seeded shuffle
-        instead — the synchronous model allows any within-``delta``
-        ordering, so protocols must not depend on it (stress knob for
-        tests).
+        """Each tick's inbox is delivered sorted by sender id unless a
+        fault plan or a choice source reorders it.
 
         ``fault_plan``: a seeded :class:`~repro.faults.plan.FaultPlan`
         applied to every send (drops, duplicates, sub-``delta`` delays,
-        inbox reordering).  It generalizes ``inbox_order`` and takes
-        precedence over it when given; sub-``delta`` delays manifest as
-        inbox position, the only observable a bounded delay has in the
-        tick world.
+        inbox reordering — the synchronous model allows any
+        within-``delta`` order, so protocols must not depend on it);
+        sub-``delta`` delays manifest as inbox position, the only
+        observable a bounded delay has in the tick world.
 
         ``choices``: a :class:`~repro.mc.choices.ChoiceSource` drawing
         every open decision — per-message fault verdicts and correct
         processes' inbox orders — from an explicit decision stream
-        (model checking).  Mutually exclusive with ``fault_plan`` and
-        ``inbox_order="random"``: a checked run's nondeterminism must
-        have exactly one owner.
+        (model checking).  Mutually exclusive with ``fault_plan``: a
+        checked run's nondeterminism must have exactly one owner.
 
         ``stop_on_horizon``: instead of raising
         :class:`~repro.errors.TerminationViolation` when the run
@@ -222,15 +217,12 @@ class Simulation:
         byte-identical; any other model runs the paced execution model
         (module docstring).  Mutually exclusive with ``recovery``: WAL
         replay is tick-aligned and paced rounds are not."""
-        if type(seed) is not int:
-            raise SchedulerError(
-                f"seed must be an int, got {type(seed).__name__} {seed!r}"
-            )
+        check_seed(seed)
         if max_ticks < 1:
             raise SchedulerError(f"max_ticks must be >= 1, got {max_ticks}")
         self.config = config
         self.seed = seed
-        self.suite = suite if suite is not None else CryptoSuite(config, seed=seed)
+        self.suite = CryptoSuite(config, seed=seed)
         self.max_ticks = max_ticks
         self.ledger = WordLedger()
         self.trace = Trace()
@@ -238,16 +230,10 @@ class Simulation:
         self.envelopes: list[Envelope] = []
         """Every sent envelope, when ``record_envelopes`` is on — the raw
         material for message-flow analysis (:mod:`repro.analysis.flows`)."""
-        if inbox_order not in ("sender", "random"):
+        if choices is not None and fault_plan is not None:
             raise SchedulerError(
-                f"inbox_order must be 'sender' or 'random', got {inbox_order!r}"
-            )
-        self.inbox_order = inbox_order
-        self._inbox_rng = derive_rng(seed, 0x1B0C)
-        if choices is not None and (fault_plan is not None or inbox_order == "random"):
-            raise SchedulerError(
-                "choices is mutually exclusive with fault_plan / "
-                "inbox_order='random': one owner per run's nondeterminism"
+                "choices is mutually exclusive with fault_plan: one owner "
+                "per run's nondeterminism"
             )
         self.fault_plan = fault_plan
         self.choices = choices
@@ -584,8 +570,6 @@ class Simulation:
             return self.choices.order_inbox(pid, self.tick, inbox)
         if self._injector is not None:
             return self._injector.plan.maybe_shuffle(pid, self.tick, inbox)
-        if self.inbox_order == "random":
-            self._inbox_rng.shuffle(inbox)
         return inbox
 
     # ------------------------------------------------------------------
@@ -740,10 +724,6 @@ class Simulation:
                         inboxes[pid] = self._injector.plan.maybe_shuffle(
                             pid, self.tick, [e for _, e in entries]
                         )
-                    elif self.inbox_order == "random":
-                        inbox = [e for _, e in entries]
-                        self._inbox_rng.shuffle(inbox)
-                        inboxes[pid] = inbox
                     else:
                         inboxes[pid] = [
                             e for _, e in sorted(entries, key=lambda de: de[1].sender)

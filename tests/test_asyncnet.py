@@ -99,6 +99,23 @@ class TestAsyncTransport:
                 )
             )
 
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    def test_seed_must_be_an_int(self, config5, seed):
+        """``True`` used to decide silently under the master seed of
+        ``"True"``, and ``1.0`` to fail inside a started driver task."""
+        with pytest.raises(SchedulerError, match="seed must be an int"):
+            run(
+                run_async(
+                    config5,
+                    {
+                        pid: (lambda ctx: byzantine_broadcast_protocol(ctx, 0, "v"))
+                        for pid in config5.processes
+                    },
+                    seed=seed,
+                    tick_duration=TICK,
+                )
+            )
+
     def test_byzantine_behavior_over_asyncio(self, config5):
         """The same behavior objects drive Byzantine processes on the
         real transport (sans rushing)."""

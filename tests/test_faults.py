@@ -275,8 +275,8 @@ class TestSimulatorUnderFaults:
         assert duplicated.correct_words == clean.correct_words
 
     def test_reorder_plan_generalizes_inbox_order_knob(self, config5):
-        """A pure-reorder plan exercises the same within-delta freedom as
-        ``inbox_order="random"`` — protocols must not notice either."""
+        """A pure-reorder plan exercises the within-delta ordering
+        freedom of the synchronous model — protocols must not notice."""
         reorder_only = FaultPlan(seed=3, reorder_rate=1.0)
         result = run_byzantine_broadcast(
             config5, sender=0, value="v", params=RunParameters(fault_plan=reorder_only)

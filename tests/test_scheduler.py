@@ -275,10 +275,6 @@ class TestConstructorValidation:
         with pytest.raises(SchedulerError, match="seed"):
             Simulation(config5, seed=True)
 
-    def test_inbox_order_must_be_known(self, config5):
-        with pytest.raises(SchedulerError, match="inbox_order"):
-            Simulation(config5, inbox_order="fifo")
-
     def test_choices_excludes_other_nondeterminism_owners(self, config5):
         from repro.faults.plan import FaultPlan
         from repro.mc.choices import CLOSED_SPACE, SeededChoices
@@ -293,5 +289,5 @@ class TestConstructorValidation:
             Simulation(
                 config5,
                 choices=SeededChoices(CLOSED_SPACE, 0),
-                inbox_order="random",
+                fault_plan=FaultPlan(seed=0, reorder_rate=1.0),
             )

@@ -178,15 +178,16 @@ def reference(request):
     return install
 
 
-def _run_row(name, n, seed, f, variant, *, plan=None, scheduled=(), order="sender"):
-    """One table-row run built by hand, so ``inbox_order`` is reachable."""
+def _run_row(name, n, seed, f, variant, *, plan=None, scheduled=()):
+    """One table-row run built by hand: Byzantine targets, scheduled
+    corruptions and an optional fault plan."""
     config = pin._config(name, n)
     shielded = PROTOCOLS[name].shielded
     candidates = [p for p in config.processes if p not in shielded]
     targets = sorted(random.Random(seed).sample(candidates, f))
     metas = pin._metas(name, config, variant == "split")
     simulation = Simulation(
-        config, seed=seed, fault_plan=plan, inbox_order=order, max_ticks=50_000
+        config, seed=seed, fault_plan=plan, max_ticks=50_000
     )
     build = PROTOCOLS[name].build
     for pid in config.processes:
@@ -224,8 +225,8 @@ def test_every_row_matches_both_dense_references(name, reference, monkeypatch):
         None,
         dict(duplicate_rate=0.3, delay_rate=0.4),
         dict(duplicate_rate=0.2, delay_rate=0.3, reorder_rate=0.5),
+        dict(reorder_rate=1.0),
     ]),
-    order=st.sampled_from(["sender", "random"]),
     corruption=st.one_of(
         st.none(),
         st.tuples(
@@ -235,20 +236,18 @@ def test_every_row_matches_both_dense_references(name, reference, monkeypatch):
     ),
 )
 def test_sparse_equals_dense(
-    monkeypatch, name, n, seed, f, variant, faults, order, corruption
+    monkeypatch, name, n, seed, f, variant, faults, corruption
 ):
     """Patching ``idle`` to one tick makes the same protocol code visit
     every round on every host path; nothing observable may differ."""
     f = min(f, pin._config(name, n).t - (corruption is not None))
     plan = FaultPlan(seed=seed, **faults) if faults else None
-    if plan is not None:
-        order = "sender"  # a fault plan owns the inbox order
     scheduled = [(corruption[0], corruption[1], corruption[2]())] if corruption else ()
 
     def run():
         extra = [(t, p, type(b)()) for t, p, b in scheduled]
         return _observables(
-            _run_row(name, n, seed, f, variant, plan=plan, scheduled=extra, order=order)
+            _run_row(name, n, seed, f, variant, plan=plan, scheduled=extra)
         )
 
     sparse = run()

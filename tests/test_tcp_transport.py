@@ -109,6 +109,22 @@ class TestTcpTransport:
                 )
             )
 
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    def test_seed_must_be_an_int(self, config5, seed):
+        """Rejected before any socket opens, as the simulator rejects it."""
+        with pytest.raises(SchedulerError, match="seed must be an int"):
+            run(
+                run_over_tcp(
+                    config5,
+                    {
+                        pid: (lambda ctx: byzantine_broadcast_protocol(ctx, 0, "v"))
+                        for pid in config5.processes
+                    },
+                    seed=seed,
+                    tick_duration=TICK,
+                )
+            )
+
 
 class TestLandingAccounting:
     """Every wired copy that can never land is written off exactly once,

@@ -1,6 +1,7 @@
 """Unit tests for the Shamir-based threshold signature scheme."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -136,54 +137,98 @@ class TestCommitteeRestriction:
         with pytest.raises(ThresholdError):
             ThresholdScheme("bad", k=6, n=5)
 
+
+def _reference_combine(partials) -> int:
+    """Interpolation at zero built from the memo-free Lagrange reference."""
+    from repro.crypto.field import PRIME, _lagrange_uncached
+
+    coefficients = _lagrange_uncached(tuple(p.signer + 1 for p in partials))
+    return sum(c * p.value for c, p in zip(coefficients, partials)) % PRIME
+
+
 class TestCacheTransparency:
-    """The memoization layers (Lagrange coefficients, sign/combine/
-    verify memos, digest cache) must be observationally invisible: a
-    cache-disabled scheme is the executable spec, and the cached scheme
-    must agree with it on every operation — including rejections."""
-
-    def test_cached_and_uncached_schemes_never_diverge(self):
-        rng = random.Random(0xC0FFEE)
-        cached = ThresholdScheme("prop", k=4, n=9, seed=b"p", cache=True)
-        uncached = ThresholdScheme("prop", k=4, n=9, seed=b"p", cache=False)
-        for trial in range(30):
-            message = ("stmt", trial, rng.randrange(10_000))
-            signers = rng.sample(range(9), rng.randrange(4, 10))
-            partials = [cached.partial_sign(pid, message) for pid in signers]
-            reference = [uncached.partial_sign(pid, message) for pid in signers]
-            assert partials == reference
-
-            signature = cached.combine(partials)
-            assert signature == uncached.combine(reference)
-            # Same signer subset again: the memoized path must return
-            # the identical signature, and so must a disjoint subset.
-            assert cached.combine(partials) == signature
-            assert cached.verify(signature, message)
-            assert uncached.verify(signature, message)
-
-            # Rejections agree too (cached verdicts store both polarities).
-            assert not cached.verify(signature, ("stmt", trial, "other"))
-            assert not uncached.verify(signature, ("stmt", trial, "other"))
-            forged = ThresholdSignature(
-                scheme_id=signature.scheme_id,
-                digest=signature.digest,
-                value=signature.value + 1,
-                signers=signature.signers,
-            )
-            assert not cached.verify(forged, message)
-            assert not uncached.verify(forged, message)
+    """Every memo in ``repro.crypto`` must be observationally invisible:
+    each is checked against the computation it wraps, including
+    rejections."""
 
     def test_lagrange_cache_matches_direct_computation(self):
-        from repro.crypto.field import lagrange_coefficients_at_zero
+        from repro.crypto.field import (
+            _lagrange_uncached,
+            lagrange_coefficients_at_zero,
+        )
 
         rng = random.Random(7)
         for _ in range(50):
             xs = tuple(
                 sorted(rng.sample(range(1, 40), rng.randrange(1, 12)))
             )
-            assert lagrange_coefficients_at_zero(
-                xs, cache=True
-            ) == lagrange_coefficients_at_zero(xs, cache=False)
+            reference = list(_lagrange_uncached(xs))
+            assert lagrange_coefficients_at_zero(xs) == reference  # may miss
+            assert lagrange_coefficients_at_zero(xs) == reference  # hits
+
+    def test_combine_memo_matches_reference_interpolation(self):
+        rng = random.Random(0xC0FFEE)
+        scheme = ThresholdScheme("prop", k=4, n=9, seed=b"p")
+        for trial in range(30):
+            message = ("stmt", trial, rng.randrange(10_000))
+            partials = [
+                scheme.partial_sign(pid, message)
+                for pid in rng.sample(range(9), 4)
+            ]
+            reordered = partials[::-1]
+            victim = partials[rng.randrange(4)]
+            forged = [
+                replace(p, value=p.value + 1) if p is victim else p
+                for p in partials
+            ]
+            signature = scheme.combine(partials)
+            assert scheme.verify(signature, message)
+            for subset in (partials, partials, reordered, forged):
+                combined = scheme.combine(subset)
+                assert combined.value == _reference_combine(subset)
+                assert scheme.verify(combined, message) == (subset is not forged)
+
+    def test_certificate_verdict_memo_rejects_doctored_signatures(self, config7):
+        from repro.crypto.certificates import CryptoSuite
+
+        suite = CryptoSuite(config7, seed=42)
+        k = config7.small_quorum
+        partials = [
+            suite.partial_for_certificate(pid, "lbl", k, "s") for pid in range(k)
+        ]
+        certificate = suite.combine_certificate("lbl", k, "s", partials)
+        assert suite.verify_certificate(certificate, "lbl", k)  # warm accept
+        signature = certificate.signature
+        for doctored in (
+            replace(signature, value=signature.value + 1),
+            replace(signature, digest=signature.digest + 1),
+            replace(signature, scheme_id=suite.scheme("lbl", k + 1).scheme_id),
+        ):
+            forged = replace(certificate, signature=doctored)
+            for _ in range(2):  # the first call fills the memo, the second hits it
+                assert not suite.verify_certificate(forged, "lbl", k)
+                assert not forged.verify(suite)
+        assert suite.verify_certificate(certificate, "lbl", k)
+
+    def test_dealt_scheme_memo_matches_a_directly_dealt_scheme(self, config7):
+        from repro.crypto import certificates
+
+        certificates.clear_caches()
+        other = certificates.CryptoSuite(config7, seed=8)
+        first = certificates.CryptoSuite(config7, seed=9)
+        second = certificates.CryptoSuite(config7, seed=9)
+        for members in (None, frozenset({1, 2, 4, 6})):
+            other.scheme("lbl", 3, members)  # same id, another master seed
+            scheme = second.scheme("lbl", 3, members)
+            assert scheme is first.scheme("lbl", 3, members)  # memo hit
+            direct = ThresholdScheme(
+                scheme.scheme_id, 3, config7.n, first._master_seed, members
+            )
+            statement = certificates._bind("lbl", "s")
+            for pid in members or config7.processes:
+                assert second.partial_for_certificate(
+                    pid, "lbl", 3, "s", members
+                ) == direct.partial_sign(pid, statement)
 
     def test_batch_partial_verification_matches_sequential(self):
         rng = random.Random(11)
@@ -193,72 +238,9 @@ class TestCacheTransparency:
             partials = [scheme.partial_sign(pid, message) for pid in range(7)]
             if trial % 2:  # corrupt one share; the batch must not mask it
                 victim = rng.randrange(7)
-                bad = partials[victim]
-                partials[victim] = type(bad)(
-                    scheme_id=bad.scheme_id,
-                    signer=bad.signer,
-                    digest=bad.digest,
-                    value=bad.value + 1,
+                partials[victim] = replace(
+                    partials[victim], value=partials[victim].value + 1
                 )
             sequential = [scheme.verify_partial(p, message) for p in partials]
             batch = scheme.verify_partials(partials, message)
             assert batch == sequential
-
-
-class TestKeyEpochs:
-    """Cache keys carry the key epoch: rotating keys must invalidate
-    every cached verdict, so a signature from a stale epoch can never
-    verify against the fresh keys via a leftover cache entry."""
-
-    def test_epoch_changes_dealt_shares(self):
-        epoch0 = ThresholdScheme("rot", k=3, n=5, seed=b"r", epoch=0)
-        epoch1 = ThresholdScheme("rot", k=3, n=5, seed=b"r", epoch=1)
-        partials0 = [epoch0.partial_sign(pid, "m") for pid in range(3)]
-        partials1 = [epoch1.partial_sign(pid, "m") for pid in range(3)]
-        assert [p.value for p in partials0] != [p.value for p in partials1]
-
-    def test_stale_epoch_signature_rejected_despite_warm_cache(self):
-        epoch0 = ThresholdScheme("rot", k=3, n=5, seed=b"r", epoch=0)
-        epoch1 = ThresholdScheme("rot", k=3, n=5, seed=b"r", epoch=1)
-        partials = [epoch0.partial_sign(pid, "m") for pid in range(3)]
-        signature = epoch0.combine(partials)
-        # Warm epoch-0's verify cache with the accepting verdict first.
-        assert epoch0.verify(signature, "m")
-        assert not epoch1.verify(signature, "m")
-        # And per-partial verdicts do not leak across epochs either.
-        assert all(epoch0.verify_partial(p, "m") for p in partials)
-        assert not any(epoch1.verify_partial(p, "m") for p in partials)
-
-    def test_suite_key_rotation_invalidates_certificates(self, config7):
-        from repro.crypto.certificates import CryptoSuite
-
-        suite = CryptoSuite(config7, seed=42)
-        partials = [
-            suite.partial_for_certificate(pid, "lbl", config7.small_quorum, "s")
-            for pid in range(config7.small_quorum)
-        ]
-        certificate = suite.combine_certificate(
-            "lbl", config7.small_quorum, "s", partials
-        )
-        assert certificate.verify(suite)  # warm the certificate cache
-        assert suite.verify_certificate(certificate, "lbl", config7.small_quorum)
-
-        suite.rotate_keys()
-        assert suite.epoch == 1
-        assert not certificate.verify(suite)
-        assert not suite.verify_certificate(
-            certificate, "lbl", config7.small_quorum
-        )
-        # The rotated suite still certifies fresh statements end to end.
-        fresh = suite.combine_certificate(
-            "lbl",
-            config7.small_quorum,
-            "s",
-            [
-                suite.partial_for_certificate(
-                    pid, "lbl", config7.small_quorum, "s"
-                )
-                for pid in range(config7.small_quorum)
-            ],
-        )
-        assert fresh.verify(suite)
