@@ -53,7 +53,7 @@ from repro.crypto.certificates import CryptoSuite
 from repro.errors import SchedulerError, TerminationViolation
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.words import WordLedger
-from repro.obs.observer import Observer, active_or_none
+from repro.obs.observer import Observer
 from repro.runtime.byzantine import ByzantineApi
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
@@ -114,7 +114,7 @@ class AsyncNetwork:
         self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
         self.ledger = WordLedger()
         self.trace = Trace()
-        self.observer = active_or_none(observer)
+        self.observer = observer
         self.recovery = recovery
         self.queues: dict[ProcessId, asyncio.Queue] = {}
         self.corrupted: set[ProcessId] = set()

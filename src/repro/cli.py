@@ -420,11 +420,11 @@ def cmd_obs_validate(args: argparse.Namespace) -> int:
 
 
 def _wal_stem(path: str):
-    """Accept a WAL stem, a ``.wal`` path, or a ``.snap`` path."""
+    """Accept a WAL stem or its ``.wal`` path."""
     from pathlib import Path
 
     stem = Path(path)
-    if not stem.is_dir() and stem.suffix in (".wal", ".snap"):
+    if not stem.is_dir() and stem.suffix == ".wal":
         stem = stem.with_suffix("")
     return stem
 
@@ -446,14 +446,9 @@ def _diagnose_wal_stem(stem) -> str | None:
             f"(stems inside: {hint})"
         )
     wal_path = stem.with_suffix(".wal")
-    snap_path = stem.with_suffix(".snap")
-    if not wal_path.exists() and not snap_path.exists():
-        return f"no WAL or snapshot at {wal_path} / {snap_path}"
-    if (
-        wal_path.is_file()
-        and wal_path.stat().st_size == 0
-        and not snap_path.exists()
-    ):
+    if not wal_path.exists():
+        return f"no WAL at {wal_path}"
+    if wal_path.is_file() and wal_path.stat().st_size == 0:
         return (
             f"{wal_path} is empty (0 bytes) — the process died before "
             "its first flush; nothing to recover"
@@ -472,33 +467,27 @@ def cmd_recover_inspect(args: argparse.Namespace) -> int:
         print(f"recover inspect: {problem}")
         return 1
     wal_path = stem.with_suffix(".wal")
-    if wal_path.exists():
-        scan = scan_wal(wal_path)
-        kinds: dict[str, int] = {}
-        for record in scan.records:
-            kind = (
-                record[0]
-                if isinstance(record, (list, tuple)) and record
-                else "?"
-            )
-            kinds[str(kind)] = kinds.get(str(kind), 0) + 1
-        print(
-            f"{wal_path}: {len(scan.records)} records, "
-            f"{scan.bytes_read} valid bytes"
+    scan = scan_wal(wal_path)
+    kinds: dict[str, int] = {}
+    for record in scan.records:
+        kind = (
+            record[0]
+            if isinstance(record, (list, tuple)) and record
+            else "?"
         )
-        for kind, count in sorted(kinds.items()):
-            print(f"  {kind:<8} x{count}")
-        if scan.damage is not None:
-            marker = "tolerable" if scan.damage.tolerable else "FATAL"
-            print(
-                f"  damage ({marker}): {scan.damage.kind} at offset "
-                f"{scan.damage.offset}: {scan.damage.detail}"
-            )
-    else:
-        print(f"{wal_path}: absent")
-    snap_path = stem.with_suffix(".snap")
-    if snap_path.exists():
-        print(f"{snap_path}: {snap_path.stat().st_size} bytes")
+        kinds[str(kind)] = kinds.get(str(kind), 0) + 1
+    print(
+        f"{wal_path}: {len(scan.records)} records, "
+        f"{scan.bytes_read} valid bytes"
+    )
+    for kind, count in sorted(kinds.items()):
+        print(f"  {kind:<8} x{count}")
+    if scan.damage is not None:
+        marker = "tolerable" if scan.damage.tolerable else "FATAL"
+        print(
+            f"  damage ({marker}): {scan.damage.kind} at offset "
+            f"{scan.damage.offset}: {scan.damage.detail}"
+        )
     try:
         history = load_history(stem, strict=args.strict)
     except Exception as exc:  # RecoveryError or unreadable state
@@ -832,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inspect_parser.add_argument(
         "stem", metavar="STEM",
-        help="WAL stem (e.g. wal/p2), or its .wal/.snap path",
+        help="WAL stem (e.g. wal/p2), or its .wal path",
     )
     inspect_parser.add_argument(
         "--strict", action="store_true",
@@ -847,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_parser2.add_argument(
         "stem", metavar="STEM",
-        help="WAL stem (e.g. wal/p2), or its .wal/.snap path",
+        help="WAL stem (e.g. wal/p2), or its .wal path",
     )
     replay_parser2.add_argument(
         "--strict", action="store_true",

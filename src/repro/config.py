@@ -173,7 +173,10 @@ class RunParameters:
     seed:
         Seed for all randomized choices in a simulation (adversary
         placement, message ordering where unspecified).  Two runs with
-        identical configuration and seed are bit-identical.
+        identical configuration and seed are bit-identical.  The
+        ``run_*`` drivers seed the run from their own ``seed=``
+        argument; a non-zero value here that differs from it raises
+        :class:`~repro.errors.ConfigurationError`.
     num_phases:
         Number of rotating-leader phases executed by Algorithm 1/3.  The
         paper's prose (and Lemma 6) use ``n``; the pseudocode of

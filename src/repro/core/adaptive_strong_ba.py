@@ -67,9 +67,6 @@ class SbaCertRequest:
     session: str
     phase: int
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return 1  # the leader signs its request
 
@@ -83,9 +80,6 @@ class SbaInputShare:
     value: object
     partial: PartialSignature
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.partial.signatures()
 
@@ -98,9 +92,6 @@ class SbaInputCert:
     phase: int
     value: object
     certificate: QuorumCertificate
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.certificate.signatures()

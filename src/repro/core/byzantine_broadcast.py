@@ -69,9 +69,6 @@ class BbSenderValue:
     session: str
     signed: SignedValue
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.signed.signatures()
 
@@ -82,9 +79,6 @@ class BbHelpReq:
 
     session: str
     phase: int
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return 1  # the leader signs its request
@@ -97,9 +91,6 @@ class BbValueReply:
     session: str
     phase: int
     value: object  # SignedValue or idk QuorumCertificate
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         if isinstance(self.value, QuorumCertificate):
@@ -115,9 +106,6 @@ class BbIdkReply:
     phase: int
     partial: PartialSignature
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.partial.signatures()
 
@@ -129,9 +117,6 @@ class BbPhaseResult:
     session: str
     phase: int
     value: object  # SignedValue or idk QuorumCertificate
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         if isinstance(self.value, QuorumCertificate):

@@ -68,9 +68,6 @@ class SbaInput:
     value: int
     partial: PartialSignature
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.partial.signatures()
 
@@ -82,9 +79,6 @@ class SbaPropose:
     session: str
     value: int
     proof: QuorumCertificate
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.proof.signatures()
@@ -98,9 +92,6 @@ class SbaDecideShare:
     value: int
     partial: PartialSignature
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.partial.signatures()
 
@@ -113,9 +104,6 @@ class SbaDecideCert:
     value: int
     proof: QuorumCertificate
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.proof.signatures()
 
@@ -127,9 +115,6 @@ class SbaFallback:
     session: str
     value: object
     proof: QuorumCertificate | None
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.proof.signatures() if self.proof is not None else 1

@@ -23,9 +23,6 @@ from dataclasses import dataclass
 class Bottom:
     """The decidable default value ``⊥``."""
 
-    def words(self) -> int:
-        return 1
-
     def __repr__(self) -> str:
         return "⊥"
 

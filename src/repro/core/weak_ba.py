@@ -72,9 +72,6 @@ class WbaPropose:
     phase: int
     value: object
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return 1  # the leader's own signature on the proposal
 
@@ -87,9 +84,6 @@ class WbaVote:
     phase: int
     value: object
     partial: PartialSignature
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.partial.signatures()
@@ -105,9 +99,6 @@ class WbaCommitInfo:
     proof: QuorumCertificate
     level: int
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.proof.signatures()
 
@@ -122,9 +113,6 @@ class WbaCommitCert:
     proof: QuorumCertificate
     level: int
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.proof.signatures()
 
@@ -137,9 +125,6 @@ class WbaDecideShare:
     phase: int
     value: object
     partial: PartialSignature
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.partial.signatures()
@@ -154,9 +139,6 @@ class WbaFinalize:
     value: object
     proof: QuorumCertificate
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.proof.signatures()
 
@@ -167,9 +149,6 @@ class WbaHelpReq:
 
     session: str
     partial: PartialSignature
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.partial.signatures()
@@ -183,12 +162,6 @@ class WbaHelp:
     value: object
     proof: QuorumCertificate
     proof_phase: int
-
-    def words(self) -> int:
-        return 1
-
-    def signatures(self) -> int:
-        return self.proof.signatures()
 
     def signatures(self) -> int:
         return self.proof.signatures()
@@ -204,9 +177,6 @@ class WbaFallbackCert:
     value: object
     proof: QuorumCertificate | None
     proof_phase: int
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         total = self.certificate.signatures()

@@ -72,9 +72,6 @@ class QuorumCertificate:
             scheme, self.signature, self.label, self.payload
         )
 
-    def words(self) -> int:
-        return 1
-
 
 class CryptoSuite:
     """All cryptographic material for one deployment.

@@ -30,10 +30,6 @@ class Signature:
     signer: ProcessId
     tag: bytes
 
-    def words(self) -> int:
-        """A signature is one word in the paper's complexity model."""
-        return 1
-
     def signatures(self) -> int:
         return 1
 
@@ -55,10 +51,6 @@ class SignedValue:
 
     def verify(self, registry: "KeyRegistry") -> bool:
         return registry.verify(self.signature, self.payload)
-
-    def words(self) -> int:
-        """One value plus one signature — one word (Section 2)."""
-        return 1
 
     def signatures(self) -> int:
         return 1
@@ -89,10 +81,6 @@ class EquivocationProof:
             and self.first.verify(registry)
             and self.second.verify(registry)
         )
-
-    def words(self) -> int:
-        """Two signed values — still a constant number of signatures."""
-        return 1
 
     def signatures(self) -> int:
         return self.first.signatures() + self.second.signatures()

@@ -62,9 +62,6 @@ class PartialSignature:
     digest: int
     value: int
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         """A share is one individual signature."""
         return 1
@@ -83,10 +80,6 @@ class ThresholdSignature:
     digest: int
     value: int
     signers: frozenset[ProcessId]
-
-    def words(self) -> int:
-        """Threshold signatures batch k signatures into one word."""
-        return 1
 
     def signatures(self) -> int:
         """Lower-bound accounting: the batched individual signatures."""

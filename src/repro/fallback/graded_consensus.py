@@ -80,9 +80,6 @@ class GcClaim:
     value: object
     partial: PartialSignature
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.partial.signatures()
 
@@ -93,9 +90,6 @@ class GcSupport:
 
     session: str
     certificate: QuorumCertificate
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.certificate.signatures()
@@ -110,9 +104,6 @@ class GcLockShare:
     partial: PartialSignature
     support: QuorumCertificate
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return 1 + self.support.signatures()
 
@@ -123,9 +114,6 @@ class GcLockCert:
 
     session: str
     certificate: QuorumCertificate
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.certificate.signatures()

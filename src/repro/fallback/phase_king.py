@@ -50,9 +50,6 @@ class PkPreference:
     phase: int
     value: int
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return 0  # the whole point: no signatures anywhere
 
@@ -64,9 +61,6 @@ class PkKingValue:
     session: str
     phase: int
     value: int
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return 0

@@ -68,9 +68,6 @@ class CommitteeReport:
     session: str
     value: object
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return 1  # the member's signature on the report
 
@@ -81,9 +78,6 @@ class PairProposal:
 
     session: str
     value: object
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return 1  # the proposer's signature

@@ -7,8 +7,8 @@ sent by all correct processes, across all runs."*
 
 Accordingly:
 
-* every protocol payload implements ``words()`` returning its size in
-  words (signatures and threshold signatures are one word each;
+* a payload is one word unless it implements ``words()`` returning a
+  larger size (signatures and threshold signatures are one word each;
   signature *chains*, as in Dolev–Strong, are as many words as links);
 * the :class:`WordLedger` bills every network send — one
   :class:`WordBill` per multicast, standing for one copy per recipient —
@@ -31,8 +31,8 @@ from repro.errors import WordAccountingError
 def payload_words(payload: object) -> int:
     """Word size of a payload.
 
-    Payloads are expected to implement ``words()``; anything else (e.g. a
-    bare string used in a test) counts as the minimum, one word.
+    A payload without ``words()`` counts as the minimum, one word; only
+    payloads larger than that implement it.
 
     A ``words()`` result below 1 is a broken accounting method, not a
     small message — the paper's model says *every* message carries at

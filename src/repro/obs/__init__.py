@@ -6,7 +6,7 @@ changes a run's outcome, trace, or model-checking fingerprints.
 """
 
 from repro.obs.events import EventLog
-from repro.obs.observer import NullObserver, Observer, active_or_none
+from repro.obs.observer import Observer
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -24,8 +24,6 @@ from repro.obs.summary import render_summary, summarize_export
 
 __all__ = [
     "Observer",
-    "NullObserver",
-    "active_or_none",
     "EventLog",
     "MetricsRegistry",
     "Counter",

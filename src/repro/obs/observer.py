@@ -1,15 +1,10 @@
 """The observer facade every runtime threads its telemetry through.
 
-Three operating points, chosen by the caller:
+Two operating points, chosen by the caller:
 
-* ``observer=None`` (the default everywhere) — the runtimes skip every
-  instrumentation branch; this is the uninstrumented baseline.
-* :class:`NullObserver` — instrumentation *wired but disabled*.  Its
-  ``enabled`` flag is ``False``, and every runtime collapses it to the
-  ``None`` fast path at construction time, so a disabled observer costs
-  one attribute check per hot-path call site.  The overhead benchmark
-  (``benchmarks/bench_obs_overhead.py``) holds this within 5% of the
-  baseline.
+* ``observer=None`` (the default everywhere) — instrumentation off: the
+  runtimes skip every instrumentation branch with one ``is not None``
+  check per hot-path call site.
 * :class:`Observer` — full recording: a
   :class:`~repro.obs.registry.MetricsRegistry` and a JSONL
   :class:`~repro.obs.events.EventLog`.
@@ -47,8 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class Observer:
     """Collects metrics and events for one run."""
-
-    enabled: bool = True
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self.registry = MetricsRegistry()
@@ -158,55 +151,3 @@ class Observer:
     def write_events(self, path: "str | Path") -> "Path":
         return self.events.write_jsonl(path)
 
-
-class NullObserver(Observer):
-    """Instrumentation wired but switched off.
-
-    ``enabled=False`` tells every runtime to collapse this to the
-    uninstrumented fast path at construction time; the no-op methods
-    below cover direct callers (CLI helpers, user code) that invoke the
-    recording surface unconditionally.
-    """
-
-    enabled = False
-
-    def count(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(
-        self, name: str, value: float, buckets: tuple[float, ...] = DEFAULT_BUCKETS
-    ) -> None:
-        pass
-
-    def event(self, name: str, **fields: Any) -> None:
-        pass
-
-    def on_tick(self, tick: int) -> None:
-        pass
-
-    def on_send(self, bill: "WordBill") -> None:
-        pass
-
-    def on_fault(self, kind: str, amount: int = 1) -> None:
-        pass
-
-    def on_transport(self, kind: str, amount: int = 1) -> None:
-        pass
-
-    def on_recovery(self, kind: str, amount: int = 1) -> None:
-        pass
-
-
-def active_or_none(observer: Observer | None) -> Observer | None:
-    """Collapse disabled observers to ``None`` — the hot-path contract.
-
-    Runtimes call this once at construction; afterwards every call site
-    is a plain ``if obs is not None`` check, which is what keeps the
-    disabled configuration within noise of the uninstrumented baseline.
-    """
-    if observer is not None and observer.enabled:
-        return observer
-    return None

@@ -164,9 +164,6 @@ class CivitSolicit:
     session: str
     view: int
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return 1  # the certifier signs its solicitation
 
@@ -180,9 +177,6 @@ class CivitInputShare:
     value: object
     partial: PartialSignature
 
-    def words(self) -> int:
-        return 1
-
     def signatures(self) -> int:
         return self.partial.signatures()
 
@@ -195,9 +189,6 @@ class CivitInputCert:
     view: int
     value: object
     certificate: QuorumCertificate
-
-    def words(self) -> int:
-        return 1
 
     def signatures(self) -> int:
         return self.certificate.signatures()

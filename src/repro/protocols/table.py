@@ -23,6 +23,7 @@ from repro.apps import clients, pipelined, smr
 from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core import adaptive_strong_ba, byzantine_broadcast, strong_ba, weak_ba
 from repro.core.validity import ExternalValidity
+from repro.errors import ConfigurationError
 from repro.fallback import dolev_strong, phase_king, recursive_ba
 from repro.protocols.civit import core as civit
 
@@ -125,12 +126,19 @@ def run_protocol(
     Each code argument is given as ``make(suite, config)`` and built
     once per run, because it usually needs the deployment's crypto
     suite.  Returns the :class:`~repro.runtime.result.RunResult`.
+
+    ``seed`` seeds the run; a non-zero ``params.seed`` must equal it.
     """
     from repro.runtime.scheduler import Simulation
 
     build = PROTOCOLS[name].build
     byzantine = byzantine or {}
     params = params or RunParameters()
+    if params.seed != 0 and params.seed != seed:
+        raise ConfigurationError(
+            f"params.seed={params.seed} differs from seed={seed}; the run "
+            f"is seeded from seed=, so pass the same value to both"
+        )
     simulation = Simulation(
         config, seed=seed, max_ticks=params.max_ticks,
         fault_plan=params.fault_plan, observer=params.observer,

@@ -1,4 +1,4 @@
-"""Crash recovery: write-ahead logs, snapshots, deterministic replay.
+"""Crash recovery: write-ahead logs and deterministic replay.
 
 The durable layer that lets a restarting-but-honest replica rejoin a
 run instead of being charged against the Byzantine budget ``t``.  See
@@ -11,7 +11,6 @@ from repro.recovery.replay import (
     ReplayCursor,
     ReplayReport,
     factory_from_meta,
-    register_protocol,
     replay_generator,
     replay_history,
     replay_wal,
@@ -25,10 +24,8 @@ from repro.recovery.wal import (
     WalDamage,
     WalScan,
     load_history,
-    load_snapshot,
     load_wal,
     scan_wal,
-    write_snapshot,
 )
 
 __all__ = [
@@ -45,12 +42,9 @@ __all__ = [
     "WalScan",
     "factory_from_meta",
     "load_history",
-    "load_snapshot",
     "load_wal",
-    "register_protocol",
     "replay_generator",
     "replay_history",
     "replay_wal",
     "scan_wal",
-    "write_snapshot",
 ]

@@ -5,13 +5,12 @@ via :class:`~repro.config.RunParameters`, the asyncio runner directly)
 and owns the durable side of every correct process in the run:
 
 * it lazily opens one :class:`~repro.recovery.wal.ProcessWal` per pid
-  under ``wal_dir`` (``p<pid>.wal`` / ``p<pid>.snap``);
+  under ``wal_dir`` (``p<pid>.wal``);
 * the runtimes call the ``on_*`` hooks — deliveries are logged *before*
   the protocol consumes them, send highwater marks and state-transition
   events after;
 * :meth:`end_tick` flushes every dirty WAL once per round (that is the
-  fsync batch) and takes periodic snapshots when ``snapshot_every`` is
-  set;
+  fsync batch);
 * :meth:`load` / :meth:`recover` rebuild a crashed process — see
   :mod:`repro.recovery.replay` for the replay semantics.
 
@@ -22,7 +21,6 @@ interleave two histories in one log.  Point a second run at the same
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -43,37 +41,24 @@ class RecoveryStats:
     restarts: int = 0
     replayed_ticks: int = 0
     replay_seconds: float = 0.0
-    snapshots: int = 0
     reports: list["ReplayReport"] = field(default_factory=list)
 
 
 class RecoveryManager:
     """Durability policy + per-process WALs for one run."""
 
-    def __init__(
-        self,
-        wal_dir: str | Path,
-        *,
-        fsync: str = "batch",
-        snapshot_every: int | None = None,
-    ) -> None:
+    def __init__(self, wal_dir: str | Path, *, fsync: str = "batch") -> None:
         if fsync not in FSYNC_POLICIES:
             raise RecoveryError(
                 f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}"
             )
-        if snapshot_every is not None and snapshot_every < 1:
-            raise RecoveryError(
-                f"snapshot_every must be >= 1 ticks, got {snapshot_every}"
-            )
         self.wal_dir = Path(wal_dir)
         self.fsync = fsync
-        self.snapshot_every = snapshot_every
         self.stats = RecoveryStats()
         self._wals: dict[ProcessId, ProcessWal] = {}
         self._meta: dict[ProcessId, dict[str, Any]] = {}
         self._shared_meta: dict[str, Any] = {}
         self._dirty: set[ProcessId] = set()
-        self._last_snapshot: dict[ProcessId, int] = {}
 
     # ------------------------------------------------------------------
     # Metadata
@@ -147,7 +132,7 @@ class RecoveryManager:
         self.stats.reports.append(report)
 
     # ------------------------------------------------------------------
-    # Flush / snapshot cadence
+    # Flush cadence
     # ------------------------------------------------------------------
 
     def flush(self, pid: ProcessId) -> None:
@@ -156,30 +141,11 @@ class RecoveryManager:
             wal.flush()
         self._dirty.discard(pid)
 
-    def end_tick(self, tick: int) -> None:
-        """Flush every dirty WAL (one fsync batch per round) and take
-        periodic snapshots when configured."""
+    def end_tick(self) -> None:
+        """Flush every dirty WAL (one fsync batch per round)."""
         for pid in sorted(self._dirty):
             self._wals[pid].flush()
         self._dirty.clear()
-        if self.snapshot_every is None:
-            return
-        for pid, wal in sorted(self._wals.items()):
-            last = self._last_snapshot.get(pid, 0)
-            if tick - last >= self.snapshot_every:
-                wal.snapshot(self._full_meta(pid))
-                self._last_snapshot[pid] = tick
-                self.stats.snapshots += 1
-
-    def next_snapshot_tick(self) -> int:
-        """The first tick whose :meth:`end_tick` will snapshot some WAL
-        (beyond any horizon if none will): a host that skips idle ticks
-        must visit it, or the ``.snap``/``.wal`` bytes would differ."""
-        if self.snapshot_every is None or not self._wals:
-            return sys.maxsize
-        return self.snapshot_every + min(
-            self._last_snapshot.get(pid, 0) for pid in self._wals
-        )
 
     def close(self) -> None:
         for pid in sorted(self._wals):
@@ -197,7 +163,7 @@ class RecoveryManager:
         return self.wal_for(pid).load(strict=strict)
 
     def wal_bytes(self) -> int:
-        """Total durable bytes across every process (snapshot + WAL)."""
+        """Total durable bytes across every process."""
         return sum(wal.wal_size() for wal in self._wals.values())
 
     def pids(self) -> list[ProcessId]:

@@ -173,14 +173,6 @@ def replay_generator(
 # ----------------------------------------------------------------------
 
 
-def register_protocol(name: str, builder: Callable[[dict], Callable]) -> None:
-    """Add ``builder(meta) -> factory(ctx)`` to the protocol table under
-    ``name``, so WALs stamped ``protocol=name`` replay offline."""
-    from repro.protocols.table import PROTOCOLS, Protocol
-
-    PROTOCOLS[name] = Protocol(name, builder)
-
-
 def factory_from_meta(meta: dict) -> Callable:
     """Rebuild the protocol factory a WAL's ``meta`` record describes:
     the table entry's ``build(meta)``, the call the live run made."""
@@ -215,7 +207,7 @@ def replay_wal(
 ) -> ReplayReport:
     """Offline replay of one process's durable state.
 
-    Loads ``<stem>.snap`` + ``<stem>.wal``, rebuilds the deployment from
+    Loads ``<stem>.wal``, rebuilds the deployment from
     the ``meta`` record (``n``, ``t``, seed fix the crypto suite and
     rngs), and re-drives the protocol through every recorded tick.  The
     returned report carries tick/send/event counts, the wall-clock

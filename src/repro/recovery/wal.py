@@ -1,4 +1,4 @@
-"""The write-ahead log: CRC-framed, fsync-batched, snapshot-compacted.
+"""The write-ahead log: CRC-framed, fsync-batched, input-replayed.
 
 One :class:`ProcessWal` persists everything needed to reconstruct a
 protocol instance's state machine after a crash:
@@ -40,15 +40,8 @@ Damage policy (the part tests/test_wal.py hammers):
   and :func:`load_wal` raises :class:`~repro.errors.RecoveryError`
   rather than load corrupt state.
 
-Snapshots
----------
-
-``snapshot()`` compacts the full replay history so far into one
-zlib-compressed sidecar record (``<stem>.snap``) and restarts the WAL
-with a fresh ``meta`` frame.  Replay cost stays proportional to the
-ticks replayed (the state machine is a generator; its inputs, not its
-locals, are what can be persisted) — what snapshots bound is WAL *size*
-and recovery *I/O*: the live log never grows past one snapshot interval.
+A process's durable state is this one file, ``<stem>.wal``, and
+:func:`load_history` is its one reader.
 """
 
 from __future__ import annotations
@@ -191,58 +184,7 @@ def load_wal(path: str | Path, *, strict: bool = False) -> WalScan:
 
 
 # ----------------------------------------------------------------------
-# Snapshots (compacted history sidecars)
-# ----------------------------------------------------------------------
-
-
-def write_snapshot(path: str | Path, payload: object) -> int:
-    """Atomically persist one zlib-compressed, CRC-framed snapshot.
-
-    Written to ``<path>.tmp`` then renamed, so a crash mid-snapshot
-    leaves the previous snapshot (or none) intact, never a torn one.
-    Returns the snapshot's size in bytes.
-    """
-    body = zlib.compress(pickle.dumps(payload), level=6)
-    framed = _frame(body)
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(framed)
-        fh.flush()
-        try:
-            import os
-
-            os.fsync(fh.fileno())
-        except OSError:  # pragma: no cover - fsync-less filesystems
-            pass
-    tmp.replace(target)
-    return len(framed)
-
-
-def load_snapshot(path: str | Path) -> object:
-    """Load a snapshot written by :func:`write_snapshot`.
-
-    Raises :class:`~repro.errors.RecoveryError` on any damage — a
-    snapshot is a single frame; there is no tolerable torn tail (the
-    atomic rename guarantees all-or-nothing).
-    """
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise RecoveryError(f"{path}: snapshot too short to hold a frame")
-    length, crc = _HEADER.unpack_from(data, 0)
-    body = data[_HEADER.size : _HEADER.size + length]
-    if len(body) != length:
-        raise RecoveryError(f"{path}: snapshot frame truncated")
-    if zlib.crc32(body) != crc:
-        raise RecoveryError(f"{path}: snapshot fails its CRC32 check")
-    try:
-        return pickle.loads(zlib.decompress(body))
-    except Exception as exc:
-        raise RecoveryError(f"{path}: snapshot does not decode: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# History: the merged, replayable view of snapshot + live WAL
+# History: the replayable view of a WAL
 # ----------------------------------------------------------------------
 
 
@@ -262,8 +204,6 @@ class ProcessHistory:
     through_tick: int = -1
     """Highest tick any record covers; replay targets ``through_tick + 1``."""
     damage: WalDamage | None = None
-    wal_bytes: int = 0
-    snapshot_bytes: int = 0
 
     def total_sends(self) -> int:
         return sum(self.sends.values())
@@ -302,7 +242,7 @@ class ProcessHistory:
 
 
 class ProcessWal:
-    """Durable state of one process: ``<stem>.wal`` plus ``<stem>.snap``.
+    """Durable state of one process: ``<stem>.wal``.
 
     Appends buffer in memory and land on disk at :meth:`flush` (the
     runtimes flush once per tick); the ``fsync`` policy decides how hard
@@ -316,10 +256,7 @@ class ProcessWal:
             )
         self.stem = Path(stem)
         self.wal_path = self.stem.with_suffix(".wal")
-        self.snap_path = self.stem.with_suffix(".snap")
         self.fsync = fsync
-        self.bytes_written = 0
-        self.records_written = 0
         self._buffer = io.BytesIO()
         self._fh = None
 
@@ -328,7 +265,6 @@ class ProcessWal:
     def _append(self, record: tuple) -> None:
         framed = _encode(record)
         self._buffer.write(framed)
-        self.records_written += 1
         if self.fsync == "always":
             self.flush()
 
@@ -366,7 +302,6 @@ class ProcessWal:
                 os.fsync(self._fh.fileno())
             except OSError:  # pragma: no cover - fsync-less filesystems
                 pass
-        self.bytes_written += len(payload)
         self._buffer = io.BytesIO()
 
     def drop_unflushed(self) -> int:
@@ -385,71 +320,38 @@ class ProcessWal:
             self._fh.close()
             self._fh = None
 
-    # -- snapshots ------------------------------------------------------
-
-    def snapshot(self, meta: dict[str, Any]) -> int:
-        """Compact everything durable so far into ``<stem>.snap`` and
-        restart the WAL.  Returns the snapshot size in bytes."""
-        self.flush()
-        history = self.load(strict=False)
-        payload = {
-            "meta": dict(meta, wal_format=WAL_FORMAT_VERSION),
-            "inboxes": history.inboxes,
-            "sends": history.sends,
-            "events": history.events,
-            "down_windows": history.down_windows,
-            "through_tick": history.through_tick,
-        }
-        size = write_snapshot(self.snap_path, payload)
-        # Truncate the live log: the snapshot now carries its content.
-        if self._fh is not None:
-            self._fh.close()
-        self._fh = open(self.wal_path, "wb")
-        self._buffer = io.BytesIO()
-        self.bytes_written = 0
-        self._append(("meta", dict(meta, snapshot_through=history.through_tick)))
-        self.flush()
-        return size
-
     # -- loading --------------------------------------------------------
 
     def load(self, *, strict: bool = False) -> ProcessHistory:
-        """Merge snapshot (if any) and live WAL into one history."""
         return load_history(self.stem, strict=strict)
 
     def wal_size(self) -> int:
-        """Durable bytes currently on disk (snapshot + live WAL)."""
-        total = 0
-        for path in (self.wal_path, self.snap_path):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        """Durable bytes currently on disk."""
+        try:
+            return self.wal_path.stat().st_size
+        except OSError:
+            return 0
 
 
 def load_history(stem: str | Path, *, strict: bool = False) -> ProcessHistory:
-    """Rebuild a :class:`ProcessHistory` from ``<stem>.snap`` + ``<stem>.wal``."""
+    """Rebuild a :class:`ProcessHistory` from ``<stem>.wal``.
+
+    Refuses a WAL whose ``meta`` carries ``snapshot_through``: an older
+    snapshotting writer truncated it, so on its own it lacks every tick
+    up to that one and would replay a history missing its start.
+    """
     stem = Path(stem)
-    history = ProcessHistory()
-    snap_path = stem.with_suffix(".snap")
-    if snap_path.exists():
-        payload = load_snapshot(snap_path)
-        if not isinstance(payload, dict):
-            raise RecoveryError(f"{snap_path}: snapshot payload is not a mapping")
-        history.meta = dict(payload.get("meta", {}))
-        history.inboxes = dict(payload.get("inboxes", {}))
-        history.sends = dict(payload.get("sends", {}))
-        history.events = list(payload.get("events", []))
-        history.down_windows = list(payload.get("down_windows", []))
-        history.through_tick = int(payload.get("through_tick", -1))
-        history.snapshot_bytes = snap_path.stat().st_size
     wal_path = stem.with_suffix(".wal")
-    if wal_path.exists():
-        scan = load_wal(wal_path, strict=strict)
-        history.absorb(scan.records)
-        history.damage = scan.damage
-        history.wal_bytes = scan.bytes_read
-    elif not snap_path.exists():
-        raise RecoveryError(f"no WAL or snapshot found at {stem}.[wal|snap]")
+    if not wal_path.exists():
+        raise RecoveryError(f"no WAL found at {wal_path}")
+    scan = load_wal(wal_path, strict=strict)
+    history = ProcessHistory(damage=scan.damage)
+    history.absorb(scan.records)
+    through = history.meta.get("snapshot_through")
+    if through is not None:
+        raise RecoveryError(
+            f"{stem}: WAL was compacted by a snapshotting writer through "
+            f"tick {through}; ticks up to it are not in the WAL, so "
+            f"refusing to replay a partial history"
+        )
     return history

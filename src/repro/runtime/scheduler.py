@@ -16,8 +16,8 @@ model, :data:`~repro.runtime.synchrony.LOCKSTEP`):
 **Sparse time.**  A correct process is resumed only when it is *due*
 (:func:`~repro.runtime.host.due`: a delivery, or the wake-up deadline it
 yielded), and under lockstep ``self.tick`` jumps to the next tick
-holding a delivery, a wake-up, a scheduled corruption, a crash/restart
-or a WAL snapshot.  Ticks are skipped, never renumbered: every event,
+holding a delivery, a wake-up, a scheduled corruption or a
+crash/restart.  Ticks are skipped, never renumbered: every event,
 word record and WAL byte carries the tick it always had.  Ticks stay
 dense under a ``tick_hook`` (the model checker fingerprints each one), a
 non-passive Byzantine behavior (stepped each one) or a paced model —
@@ -49,7 +49,7 @@ from repro.crypto.certificates import CryptoSuite
 from repro.errors import SchedulerError, TerminationViolation
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.words import WordLedger
-from repro.obs.observer import Observer, active_or_none
+from repro.obs.observer import Observer
 from repro.runtime.byzantine import ByzantineApi, ByzantineBehavior
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
@@ -197,9 +197,8 @@ class Simulation:
         ``observer``: an :class:`~repro.obs.observer.Observer` fed with
         per-tick, per-send, and per-fault telemetry.  Observers record;
         they never steer — the run's outcome, trace, and model-checking
-        fingerprints are identical with or without one.  A disabled
-        (:class:`~repro.obs.observer.NullObserver`) observer collapses
-        to the uninstrumented fast path here.
+        fingerprints are identical with or without one.  ``None`` is
+        the uninstrumented fast path.
 
         ``recovery``: a :class:`~repro.recovery.manager.RecoveryManager`
         giving every correct process a write-ahead log (per-tick
@@ -263,7 +262,7 @@ class Simulation:
                 "recovery is not supported under a ChoiceSource: model-"
                 "checked runs must stay free of filesystem effects"
             )
-        self.observer = active_or_none(observer)
+        self.observer = observer
         self.tick_hook: TickHook | None = None
         self.tick = 0
         self._factories: dict[ProcessId, ProtocolFactory] = {}
@@ -778,7 +777,7 @@ class Simulation:
                     self._behaviors[pid].step(api)
 
             if self.recovery is not None:
-                self.recovery.end_tick(self.tick)
+                self.recovery.end_tick()
             live = generators or down
             self.tick = self._next_tick() if live else self.tick + 1
 
@@ -819,8 +818,6 @@ class Simulation:
         if self.fault_plan is not None:
             for crash in self.fault_plan.crashes:
                 events += (crash.at_tick, crash.restart_tick)
-        if self.recovery is not None:
-            events.append(self.recovery.next_snapshot_tick())
         return min(tick for tick in events if tick > self.tick)
 
     def _validate_population(self) -> None:

@@ -13,8 +13,7 @@ A case is ``protocol/n/seed/f/variant``: ``f`` corrupted processes
 spam garbage, or — ``split`` — silent while the correct processes
 propose distinct values, which is what pushes the paper's protocols
 into the quadratic fallback.  ``crash`` cases take p2 down for a window
-with a WAL (with and without ``snapshot_every``) and additionally pin
-the bytes on disk and every process's absorbed history (what replay
+with a WAL and additionally pin the bytes on disk and every process's absorbed history (what replay
 reads: per-tick send highwater marks, inboxes, events, down windows).
 
 The ``wal`` bytes were re-pinned when the hosts began writing one
@@ -106,8 +105,7 @@ def cases() -> list[str]:
                             continue  # nobody to misbehave
                         ids.append(f"{name}/{n}/{seed}/{f}/{variant}")
         for down, up in CRASH_WINDOWS:
-            for every in (0, 4):
-                ids.append(f"{name}/5/{down}/{up}/crash{every}")
+            ids.append(f"{name}/5/{down}/{up}/crash")
     return ids
 
 
@@ -125,7 +123,7 @@ def _sha(data: bytes) -> str:
 
 
 def _histories(wal_dir: Path) -> bytes:
-    """Every process's absorbed snapshot + WAL, canonically spelled."""
+    """Every process's absorbed WAL, canonically spelled."""
     rows = []
     for stem in sorted({path.with_suffix("") for path in wal_dir.iterdir()}):
         history = load_history(stem)
@@ -160,10 +158,10 @@ def compute(case: str) -> list:
     name, n, a, b, variant = case.split("/")
     config = _config(name, int(n))
     shielded = PROTOCOLS[name].shielded
-    if variant.startswith("crash"):
-        down, up, every = int(a), int(b), int(variant[5:])
+    if variant == "crash":
+        down, up = int(a), int(b)
         with tempfile.TemporaryDirectory() as wal_dir:
-            recovery = RecoveryManager(wal_dir, snapshot_every=every or None)
+            recovery = RecoveryManager(wal_dir)
             plan = FaultPlan(seed=5, crashes=(ProcessCrash(CRASHED, down, up),))
             result = run_protocol(
                 name, config, _metas(name, config, False), seed=5,

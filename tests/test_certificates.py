@@ -8,6 +8,7 @@ from repro.crypto.certificates import (
     QuorumCertificate,
 )
 from repro.errors import ThresholdError
+from repro.metrics.words import payload_words
 
 
 def make_cert(suite, label, k, payload, signers):
@@ -82,7 +83,7 @@ class TestCertificates:
                          range(config7.commit_quorum))
         assert cert.verify(suite7)
         assert suite7.verify_certificate(cert, "commit", config7.commit_quorum)
-        assert cert.words() == 1
+        assert payload_words(cert) == 1
         assert cert.signatures() == config7.commit_quorum
 
     def test_strict_verification_pins_quorum_size(self, suite7):

@@ -181,9 +181,9 @@ class TestRecoverDiagnostics:
     def test_missing_stem_is_diagnosed(self, tmp_path, capsys):
         stem = str(tmp_path / "never-written" / "p3")
         assert main(["recover", "inspect", stem]) == 1
-        assert "no WAL or snapshot" in capsys.readouterr().out
+        assert "no WAL at" in capsys.readouterr().out
         assert main(["recover", "replay", stem]) == 1
-        assert "no WAL or snapshot" in capsys.readouterr().out
+        assert "no WAL at" in capsys.readouterr().out
 
     def test_empty_wal_is_diagnosed(self, tmp_path, capsys):
         (tmp_path / "p0.wal").write_bytes(b"")
@@ -213,6 +213,26 @@ class TestRecoverDiagnostics:
         assert "damage (FATAL)" in out and "UNLOADABLE" in out
         assert main(["recover", "replay", stem]) == 1
         assert "replay failed" in capsys.readouterr().out
+
+    def test_compacted_wal_fails_both_commands(self, tmp_path, capsys):
+        """A WAL an older snapshotting writer truncated lacks its first
+        ticks: both commands refuse it instead of replaying the rest."""
+        from repro.recovery import ProcessWal
+
+        wal = ProcessWal(tmp_path / "p0")
+        wal.log_meta({
+            "n": 4, "t": 1, "seed": 0, "pid": 0, "protocol": "weak_ba",
+            "snapshot_through": 5,
+        })
+        wal.log_sends(6, 1)
+        wal.close()
+        stem = str(tmp_path / "p0")
+        assert main(["recover", "inspect", stem]) == 1
+        out = capsys.readouterr().out
+        assert "UNLOADABLE" in out and "tick 5" in out
+        assert main(["recover", "replay", stem]) == 1
+        out = capsys.readouterr().out
+        assert "replay failed" in out and "tick 5" in out
 
 
 class TestSoakCli:

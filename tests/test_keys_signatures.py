@@ -10,6 +10,7 @@ from repro.crypto.signatures import (
     sign_value,
 )
 from repro.errors import UnknownSignerError
+from repro.metrics.words import payload_words
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ class TestSigning:
         assert not b.verify(signature, "msg")
 
     def test_signature_is_one_word(self, registry):
-        assert registry.sign(0, "m").words() == 1
+        assert payload_words(registry.sign(0, "m")) == 1
 
 
 class TestSigner:

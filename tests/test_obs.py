@@ -32,9 +32,7 @@ from repro.obs import (
     EventLog,
     Histogram,
     MetricsRegistry,
-    NullObserver,
     Observer,
-    active_or_none,
     summarize_export,
     validate_bench_result,
 )
@@ -117,22 +115,6 @@ class TestObserver:
         obs.event("marker")
         assert obs.events.events[0]["at"] == 5.0
 
-    def test_null_observer_records_nothing(self):
-        obs = NullObserver()
-        obs.count("x")
-        obs.event("y")
-        obs.on_tick(3)
-        assert obs.snapshot() == {
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-            "events": 0,
-        }
-
-    def test_active_or_none_collapses_disabled_observers(self):
-        assert active_or_none(None) is None
-        assert active_or_none(NullObserver()) is None
-        obs = Observer()
-        assert active_or_none(obs) is obs
-
 
 class TestRunInstrumentation:
     def test_observer_counters_match_the_word_ledger(self):
@@ -158,18 +140,16 @@ class TestRunInstrumentation:
 
     def test_observer_never_changes_the_run(self):
         plain = run_instrumented(observer=None)
-        disabled = run_instrumented(observer=NullObserver())
         observed = run_instrumented(observer=Observer())
-        for other in (disabled, observed):
-            assert other.decisions == plain.decisions
-            assert other.correct_words == plain.correct_words
-            assert other.ticks == plain.ticks
-            assert other.trace.events == plain.trace.events
+        assert observed.decisions == plain.decisions
+        assert observed.correct_words == plain.correct_words
+        assert observed.ticks == plain.ticks
+        assert observed.trace.events == plain.trace.events
 
     def test_run_result_carries_the_active_observer(self):
         obs = Observer()
         assert run_instrumented(observer=obs).observer is obs
-        assert run_instrumented(observer=NullObserver()).observer is None
+        assert run_instrumented(observer=None).observer is None
 
 
 class TestModelCheckerUnchanged:
@@ -201,7 +181,7 @@ class TestModelCheckerUnchanged:
         def build_with_observer(choices):
             sim = orig_build(choices)
             obs = Observer()
-            sim.observer = active_or_none(obs)
+            sim.observer = obs
             observers.append(obs)
             return sim
 

@@ -10,6 +10,8 @@ import pytest
 from repro.apps import ClientWorkload
 from repro.apps.clients import assign_queues
 from repro.config import RunParameters, SystemConfig
+from repro.core.weak_ba import run_weak_ba
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, ProcessCrash
 from repro.protocols.table import (
     PROTOCOLS,
@@ -85,3 +87,16 @@ def test_lookup_by_canonical_name_or_cli_spelling():
     with pytest.raises(ValueError, match="known: "):
         get_protocol("paxos")
 
+
+def test_params_seed_must_match_the_driver_seed(tmp_path):
+    """``RunParameters.seed`` is not what seeds a run; a conflicting one
+    must be refused rather than silently run (and logged) under the
+    driver's ``seed=``."""
+    inputs = {p: "v" for p in N5.processes}
+    params = RunParameters(seed=5, recovery=RecoveryManager(tmp_path))
+    with pytest.raises(ConfigurationError, match=r"params\.seed=5.*seed=0"):
+        run_weak_ba(N5, inputs, string_validity, params=params)
+    result = run_weak_ba(N5, inputs, string_validity, seed=5, params=params)
+    params.recovery.close()
+    assert result.unanimous_decision() == "v"
+    assert load_history(tmp_path / "p0").meta["seed"] == 5

@@ -41,8 +41,8 @@ def validity_factory(suite, config):
     return ExternalValidity(lambda v: isinstance(v, str))
 
 
-def run_with_crash(wal_dir, *, observer=None, snapshot_every=None, seed=SEED):
-    recovery = RecoveryManager(wal_dir, snapshot_every=snapshot_every)
+def run_with_crash(wal_dir, *, observer=None, seed=SEED):
+    recovery = RecoveryManager(wal_dir)
     inputs = {pid: "v" for pid in CONFIG.processes}
     result = run_weak_ba(
         CONFIG,
@@ -120,14 +120,6 @@ class TestTickWorldAcceptance:
         )
         result, _ = run_with_crash(tmp_path)
         assert result.unanimous_decision() == baseline.unanimous_decision()
-
-    def test_snapshots_bound_live_wal_and_replay_survives(self, tmp_path):
-        result, recovery = run_with_crash(tmp_path, snapshot_every=5)
-        assert result.unanimous_decision() == "v"
-        assert recovery.stats.snapshots > 0
-        assert (tmp_path / "p0.snap").exists()
-        report = replay_wal(tmp_path / "p0")
-        assert report.decided and report.decision == "v"
 
 
 class TestAsyncRuntimes:

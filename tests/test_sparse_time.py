@@ -4,7 +4,7 @@ Three independent lines of evidence:
 
 * the golden pin ``tests/pins/sparse_time.json``, generated at the
   parent commit, reproduces exactly — traces, bills, tick numbers,
-  ``halted_at``, WAL and snapshot bytes;
+  ``halted_at``, WAL bytes;
 * two test-only dense references agree with the shipped code on every
   table row: ``ProcessContext.idle`` patched to wait exactly one tick
   (every round is visited, nothing is skipped by any host), and a round
@@ -75,8 +75,7 @@ def test_pin_covers_every_case_and_nothing_else():
 
 @pytest.mark.parametrize("name,n", _pinned((5, 7)))
 def test_parent_pin_reproduces(name, n):
-    """n=5 includes the crash/WAL cases (``.wal``/``.snap`` bytes, with
-    and without ``snapshot_every``)."""
+    """n=5 includes the crash/WAL cases (``.wal`` bytes)."""
     _check_pinned(name, n)
 
 
@@ -481,13 +480,10 @@ class TestWaitingContract:
         assert ticker.seen == list(range(20))
 
 
-@pytest.mark.parametrize("snapshot_every", [None, 3])
 @pytest.mark.parametrize("name", ROWS)
-def test_offline_replay_of_every_row_matches_the_live_decision(
-    name, snapshot_every, tmp_path
-):
+def test_offline_replay_of_every_row_matches_the_live_decision(name, tmp_path):
     config = pin._config(name, 5)
-    recovery = RecoveryManager(tmp_path, snapshot_every=snapshot_every)
+    recovery = RecoveryManager(tmp_path)
     result = run_protocol(
         name, config, pin._metas(name, config, False), seed=4,
         params=RunParameters(seed=4, recovery=recovery),

@@ -12,6 +12,7 @@ from repro.errors import (
     ThresholdError,
     UnknownSignerError,
 )
+from repro.metrics.words import payload_words
 
 
 @pytest.fixture
@@ -49,7 +50,7 @@ class TestCombine:
 
     def test_combined_signature_is_one_word(self, scheme):
         partials = [scheme.partial_sign(pid, "m") for pid in range(4)]
-        assert scheme.combine(partials).words() == 1
+        assert payload_words(scheme.combine(partials)) == 1
 
     def test_insufficient_shares_rejected(self, scheme):
         partials = [scheme.partial_sign(pid, "m") for pid in range(3)]

@@ -1,10 +1,10 @@
 """Unit tests for the write-ahead log layer (:mod:`repro.recovery.wal`).
 
 Covers CRC framing, fsync policies, buffered-append/flush semantics,
-``drop_unflushed`` (the crash itself), snapshot compaction, and the
-damage policy the recovery subsystem promises: a *torn tail* — the
-signature of a crash mid-append — is tolerated and replay resumes from
-the last valid record, while silent corruption of a complete frame
+``drop_unflushed`` (the crash itself), the refusal of a WAL an older
+snapshotting writer truncated, and the damage policy the recovery
+subsystem promises: a *torn tail* — the signature of a crash
+mid-append — is tolerated and replay resumes from the last valid record, while silent corruption of a complete frame
 (bit flips, bogus lengths) raises :class:`~repro.errors.RecoveryError`
 naming the offset instead of loading corrupt state.
 """
@@ -21,10 +21,9 @@ from repro.recovery import (
     ProcessHistory,
     ProcessWal,
     load_history,
-    load_snapshot,
     load_wal,
+    replay_wal,
     scan_wal,
-    write_snapshot,
 )
 
 _HEADER = struct.Struct(">II")
@@ -100,7 +99,7 @@ class TestFraming:
         assert history.sends == {2: 5}
 
     def test_missing_stem_raises(self, wals, tmp_path):
-        with pytest.raises(RecoveryError, match="no WAL or snapshot"):
+        with pytest.raises(RecoveryError, match="no WAL found at"):
             load_history(tmp_path / "absent")
 
 
@@ -144,44 +143,34 @@ class TestFsyncAndBuffering:
         assert wal.drop_unflushed() == 0  # nothing buffered now
 
 
-class TestSnapshots:
-    def test_snapshot_roundtrip(self, wals, tmp_path):
-        path = tmp_path / "state.snap"
-        payload = {"meta": {"pid": 1}, "sends": {0: 4}}
-        size = write_snapshot(path, payload)
-        assert size == path.stat().st_size
-        assert load_snapshot(path) == payload
+class TestCompactedWal:
+    """A WAL an older snapshotting writer truncated starts with a
+    ``meta`` carrying ``snapshot_through``; its first ticks lived in a
+    sidecar nothing reads any more, so loading it must fail loudly."""
 
-    def test_snapshot_compacts_and_truncates_wal(self, wals, tmp_path):
-        wal = populated(wals, tmp_path)
-        live_before = wal.wal_path.stat().st_size
-        wal.snapshot({"n": 4, "t": 1, "pid": 0, "protocol": "weak_ba"})
-        assert wal.snap_path.exists()
-        assert wal.wal_path.stat().st_size < live_before
-        # The merged history is unchanged by compaction.
-        history = wal.load()
-        assert history.sends == {0: 3, 1: 1}
-        assert history.inboxes[0] == ["e0", "e1"]
-        assert history.through_tick == 1
-
-    def test_appends_after_snapshot_merge(self, wals, tmp_path):
-        wal = populated(wals, tmp_path)
-        wal.snapshot({"n": 4, "t": 1, "pid": 0, "protocol": "weak_ba"})
-        wal.log_inbox(2, ["e3"])
-        wal.log_sends(2, 2)
+    def compacted(self, wals, tmp_path) -> ProcessWal:
+        wal = make_wal(wals, tmp_path)
+        wal.log_meta({
+            "n": 4, "t": 1, "seed": 0, "pid": 0, "protocol": "weak_ba",
+            "snapshot_through": 7,
+        })
+        wal.log_inbox(8, ["e8"])
+        wal.log_sends(8, 1)
         wal.flush()
-        history = wal.load()
-        assert history.sends == {0: 3, 1: 1, 2: 2}
-        assert history.through_tick == 2
+        return wal
 
-    def test_corrupt_snapshot_always_fatal(self, wals, tmp_path):
-        path = tmp_path / "state.snap"
-        write_snapshot(path, {"meta": {}})
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(RecoveryError, match="CRC32"):
-            load_snapshot(path)
+    def test_load_history_refuses_and_names_stem_and_tick(self, wals, tmp_path):
+        wal = self.compacted(wals, tmp_path)
+        with pytest.raises(RecoveryError) as excinfo:
+            load_history(wal.stem)
+        message = str(excinfo.value)
+        assert str(wal.stem) in message
+        assert "tick 7" in message
+
+    def test_replay_wal_refuses(self, wals, tmp_path):
+        wal = self.compacted(wals, tmp_path)
+        with pytest.raises(RecoveryError, match=str(wal.stem)):
+            replay_wal(wal.stem)
 
 
 class TestDamagePolicy:
