@@ -1,29 +1,27 @@
 """Shared plumbing for the benchmark suite.
 
 Every ``bench_*.py`` regenerates one of the paper's evaluation
-artifacts (DESIGN.md Section 4).  Conventions:
+artifacts (DESIGN.md Section 4).  The paper's claims are word, message
+and round counts, so every table is a pure function of the code and
+its seeds; wall-clock speed is the perf ledger's job (``perfledger/``).
+Conventions:
 
 * each bench test **asserts the paper's shape claim** (slopes,
-  thresholds, orderings), so ``pytest benchmarks/ --benchmark-only``
-  doubles as a reproduction check;
-* each bench **writes its table** to ``benchmarks/results/<name>.txt``
-  (and prints it, visible with ``-s``) — EXPERIMENTS.md links these;
-* every :func:`publish` call also writes a machine-readable
-  ``results/<name>.json`` conforming to
-  :data:`repro.obs.schema.BENCH_RESULT_SCHEMA` (scenario parameters,
-  word bills, wall-clock percentiles, git revision) — CI validates the
-  emitted documents with ``repro obs validate``;
-* the ``benchmark`` fixture times one representative run so
-  pytest-benchmark's wall-clock table stays meaningful.
+  thresholds, orderings), so ``pytest benchmarks/`` doubles as a
+  reproduction check;
+* each :func:`publish` call writes one ``results/<name>.json``
+  conforming to :data:`repro.obs.schema.BENCH_RESULT_SCHEMA` (scenario
+  parameters, word bills, the rendered table sections, git revision)
+  and prints the tables (visible with ``-s``).  EXPERIMENTS.md links
+  these documents; CI regenerates them, fails if any differs from the
+  committed copy and validates them with ``repro obs validate``.
 """
 
 from __future__ import annotations
 
 import json
 import subprocess
-import time
 from pathlib import Path
-from typing import Callable
 
 from repro.obs.schema import SCHEMA_VERSION, validate_bench_result
 
@@ -60,68 +58,30 @@ def word_bill(label: str, result) -> dict:
     }
 
 
-def time_percentiles(fn: Callable[[], object], repeats: int = 5) -> dict:
-    """Schema-shaped wall-clock section: run ``fn`` ``repeats`` times.
-
-    With few repeats the percentiles are coarse by construction (p50 is
-    the median sample, p90/p99 the max) — good enough to spot order-of-
-    magnitude regressions, which is all the JSON trail is for.
-    """
-    if repeats < 1:
-        # The schema requires wall_clock.repeats >= 1; a bench with no
-        # timed runs should pass wall_clock=None instead of an empty
-        # percentile block (which used to die here with an IndexError).
-        raise ValueError(
-            "time_percentiles needs repeats >= 1; pass wall_clock=None "
-            f"to publish() for an untimed run (got repeats={repeats})"
-        )
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    samples.sort()
-
-    def pct(q: float) -> float:
-        return samples[min(int(q * len(samples)), len(samples) - 1)]
-
-    return {
-        "unit": "seconds",
-        "repeats": repeats,
-        "percentiles": {"p50": pct(0.50), "p90": pct(0.90), "p99": pct(0.99)},
-    }
-
-
 def publish(
     name: str,
     *sections: str,
     scenario: dict | None = None,
     word_bills: list[dict] | None = None,
-    wall_clock: dict | None = None,
-) -> str:
-    """Write the bench's report to ``results/<name>.txt`` (and a
-    schema-valid ``results/<name>.json``) and return the text body.
+) -> None:
+    """Write the bench's schema-valid ``results/<name>.json`` and print
+    its tables.
 
-    ``scenario`` carries the bench's parameters, ``word_bills`` a list
-    of :func:`word_bill` dicts, ``wall_clock`` a
-    :func:`time_percentiles` section — all optional, all landing in the
-    JSON document verbatim.
+    ``scenario`` carries the bench's parameters and ``word_bills`` a
+    list of :func:`word_bill` dicts; both land in the document verbatim.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    body = "\n\n".join(sections) + "\n"
-    (RESULTS_DIR / f"{name}.txt").write_text(body)
     document = {
         "schema_version": SCHEMA_VERSION,
         "name": name,
         "git_rev": git_rev(),
         "scenario": scenario or {},
         "word_bills": word_bills or [],
-        "wall_clock": wall_clock,
+        "wall_clock": None,
         "sections": list(sections),
     }
     errors = validate_bench_result(document)
     if errors:  # a bench handing in malformed sections is a bug, not data
         raise ValueError(f"bench {name} produced an invalid result: {errors}")
+    RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.json").write_text(json.dumps(document, indent=1))
-    print(f"\n=== {name} ===\n{body}")
-    return body
+    print(f"\n=== {name} ===\n" + "\n\n".join(sections) + "\n")

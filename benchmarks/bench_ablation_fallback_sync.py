@@ -64,7 +64,7 @@ def fallback_entries(result):
     }
 
 
-def test_echo_synchronizes_fallback_entry(benchmark):
+def test_echo_synchronizes_fallback_entry():
     result = run_dealt(echo=True)
     entries = fallback_entries(result)
     decision = result.unanimous_decision()
@@ -80,10 +80,9 @@ def test_echo_synchronizes_fallback_entry(benchmark):
     assert set(entries) == {0, 2, 3, 4}, "echo must pull everyone in"
     assert skew <= 1
     assert decision == "committed"
-    benchmark.pedantic(lambda: run_dealt(echo=True), rounds=3, iterations=1)
 
 
-def test_ablated_echo_strands_the_victim(benchmark):
+def test_ablated_echo_strands_the_victim():
     """Without the echo, only the dealt-to victim enters the fallback:
     it runs the whole quadratic ``Afallback`` among processes that are
     not participating — an execution with *no honest majority of
@@ -121,4 +120,3 @@ def test_ablated_echo_strands_the_victim(benchmark):
     assert set(entries) == {0}, "without echo only the victim enters"
     assert decision == "committed"
     assert victim_words > 2 * max(others_words)
-    benchmark.pedantic(lambda: run_dealt(echo=False), rounds=3, iterations=1)

@@ -13,7 +13,7 @@ import repro.protocols as protocols
 from repro.adversary.behaviors import SilentBehavior
 from repro.config import SystemConfig
 
-from benchmarks._harness import publish, time_percentiles, word_bill
+from benchmarks._harness import publish, word_bill
 
 N = 9
 
@@ -26,7 +26,7 @@ def _run(backend, config, f, *, seed=0):
     )
 
 
-def test_backend_adaptivity_curves(benchmark):
+def test_backend_adaptivity_curves():
     config = SystemConfig.with_optimal_resilience(N)
     curves = {}
     bills = []
@@ -67,10 +67,6 @@ def test_backend_adaptivity_curves(benchmark):
             "fallback_threshold": threshold,
         },
         word_bills=bills,
-        wall_clock=time_percentiles(
-            lambda: _run(protocols.get_backend("civit"), config, 1),
-            repeats=3,
-        ),
     )
 
     # The headline shape claims, asserted on the published numbers.
@@ -82,11 +78,6 @@ def test_backend_adaptivity_curves(benchmark):
     for f in range(config.t + 1):
         if f < threshold:
             assert civit[f] < cohen[1] / 5, (f, civit[f], cohen[1])
-    benchmark.pedantic(
-        lambda: _run(protocols.get_backend("civit"), config, 1),
-        rounds=3,
-        iterations=1,
-    )
 
 
 def test_backend_adaptivity_is_seed_stable():

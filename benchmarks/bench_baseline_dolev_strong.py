@@ -8,7 +8,7 @@ regenerates the comparison and locates the (non-)crossover.
 """
 
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import sweep_byzantine_broadcast, sweep_dolev_strong
+from repro.analysis.sweeps import sweep
 from repro.analysis.tables import format_table
 
 from benchmarks._harness import publish
@@ -35,7 +35,7 @@ def _late_release_run(n: int):
     return result
 
 
-def test_words_vs_messages_gap(benchmark):
+def test_words_vs_messages_gap():
     """Under the chain-stretching adversary, each relayed message
     carries Θ(t) signatures: words outgrow messages by a factor of n."""
     rows = []
@@ -59,10 +59,9 @@ def test_words_vs_messages_gap(benchmark):
     )
     assert word_fit.slope > msg_fit.slope + 0.5
     assert rows[-1][1] * 3 < rows[-1][2]  # words >> messages at scale
-    benchmark.pedantic(lambda: _late_release_run(9), rounds=3, iterations=1)
 
 
-def test_crossover_sits_in_the_fallback_regime(benchmark):
+def test_crossover_sits_in_the_fallback_regime():
     """Where does adaptive BB stop beating the baseline?  Sweeping f at
     fixed n: the adaptive cost only reaches Dolev–Strong's once the
     quadratic fallback engages — inside the adaptive regime the paper's
@@ -73,8 +72,9 @@ def test_crossover_sits_in_the_fallback_regime(benchmark):
 
     n = 13
     config = SystemConfig.with_optimal_resilience(n)
-    baseline_words = sweep_dolev_strong([n], fs=lambda c: [0])[0].words
-    points = sweep_byzantine_broadcast(
+    baseline_words = sweep("dolev_strong", [n], fs=lambda c: [0])[0].words
+    points = sweep(
+        "bb",
         [n],
         fs=lambda c: range(c.t + 1),
         strategy=SilentStrategy(avoid=frozenset({0})),
@@ -105,16 +105,11 @@ def test_crossover_sits_in_the_fallback_regime(benchmark):
     for p in points:
         if not p.fallback_used:
             assert p.words < baseline_words
-    benchmark.pedantic(
-        lambda: sweep_byzantine_broadcast([9], fs=lambda c: [c.t]),
-        rounds=1,
-        iterations=1,
-    )
 
 
-def test_adaptive_bb_dominates_baseline(benchmark):
-    adaptive = sweep_byzantine_broadcast(NS, fs=lambda c: [0])
-    baseline = sweep_dolev_strong(NS, fs=lambda c: [0])
+def test_adaptive_bb_dominates_baseline():
+    adaptive = sweep("bb", NS, fs=lambda c: [0])
+    baseline = sweep("dolev_strong", NS, fs=lambda c: [0])
     rows = [
         [a.n, a.words, b.words, f"{b.words / a.words:.1f}x"]
         for a, b in zip(adaptive, baseline)
@@ -131,8 +126,3 @@ def test_adaptive_bb_dominates_baseline(benchmark):
     advantages = [b.words / a.words for a, b in zip(adaptive, baseline)]
     assert all(adv > 1 for adv in advantages)
     assert advantages[-1] > advantages[0]  # gap widens with n
-    benchmark.pedantic(
-        lambda: sweep_byzantine_broadcast([9], fs=lambda c: [0]),
-        rounds=3,
-        iterations=1,
-    )

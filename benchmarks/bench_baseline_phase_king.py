@@ -23,7 +23,7 @@ from benchmarks._harness import publish
 NS = (5, 9, 17, 33)
 
 
-def test_three_way_baseline_comparison(benchmark):
+def test_three_way_baseline_comparison():
     rows = []
     series = {"paper": [], "dolev_strong": [], "phase_king": []}
     for n in NS:
@@ -75,10 +75,3 @@ def test_three_way_baseline_comparison(benchmark):
         paper_words = int(paper_w.split()[0])
         assert paper_words < int(ds_w.split()[0])
         assert paper_words < int(pk_w.split()[0])
-    benchmark.pedantic(
-        lambda: run_phase_king(
-            SystemConfig(n=9, t=2), {p: 1 for p in range(9)}
-        ),
-        rounds=3,
-        iterations=1,
-    )

@@ -21,7 +21,7 @@ TRIALS = 30
 PROBABILITIES = (0.0, 0.05, 0.15, 0.3)
 
 
-def test_adaptive_expected_cost_beats_quadratic(benchmark):
+def test_adaptive_expected_cost_beats_quadratic():
     config = SystemConfig.with_optimal_resilience(N)
 
     adaptive = expected_cost_curve(
@@ -71,14 +71,3 @@ def test_adaptive_expected_cost_beats_quadratic(benchmark):
     # does not improve (silence only trims constant factors).
     means = [d.mean for d in adaptive]
     assert means[0] < means[-1]
-    benchmark.pedantic(
-        lambda: expected_cost_curve(
-            config,
-            lambda pid: lambda ctx: byzantine_broadcast_protocol(ctx, 0, "v"),
-            probabilities=(0.1,),
-            trials=5,
-            protected=frozenset({0}),
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -14,10 +14,10 @@ from repro.core.strong_ba import run_strong_ba
 from repro.core.weak_ba import run_weak_ba
 from repro.core.validity import ExternalValidity
 
-from benchmarks._harness import publish, time_percentiles, word_bill
+from benchmarks._harness import publish, word_bill
 
 
-def test_algorithm5_fast_path_structure(benchmark):
+def test_algorithm5_fast_path_structure():
     rows = []
     bills = []
     for n in (5, 9, 17, 33):
@@ -53,25 +53,10 @@ def test_algorithm5_fast_path_structure(benchmark):
         scenario={"protocol": "strong-ba", "ns": [5, 9, 17, 33], "f": 0,
                   "inputs": "alternating bits"},
         word_bills=bills,
-        wall_clock=time_percentiles(
-            lambda: run_strong_ba(
-                SystemConfig.with_optimal_resilience(9),
-                {p: 1 for p in range(9)},
-            ),
-            repeats=3,
-        ),
-    )
-    benchmark.pedantic(
-        lambda: run_strong_ba(
-            SystemConfig.with_optimal_resilience(9),
-            {p: 1 for p in range(9)},
-        ),
-        rounds=3,
-        iterations=1,
     )
 
 
-def test_failure_free_is_cheapest_run_for_every_protocol(benchmark):
+def test_failure_free_is_cheapest_run_for_every_protocol():
     """The 'common case' claim: for each protocol, f=0 is the cheapest
     configuration measured anywhere in this suite."""
     from repro.adversary.behaviors import SilentBehavior
@@ -126,9 +111,4 @@ def test_failure_free_is_cheapest_run_for_every_protocol(benchmark):
         scenario={"n": 9, "protocols": ["bb", "weak_ba", "strong_ba"],
                   "comparison": "f=0 vs f=t silent adversary"},
         word_bills=bills,
-    )
-    benchmark.pedantic(
-        lambda: run_strong_ba(config, {p: 1 for p in config.processes}),
-        rounds=3,
-        iterations=1,
     )

@@ -39,7 +39,7 @@ def run_variant(config, num_phases, byzantine, seed=0):
     )
 
 
-def test_phase_count_variants_compared(benchmark):
+def test_phase_count_variants_compared():
     config = SystemConfig.with_optimal_resilience(13)
     scenarios = [
         ("failure-free", {}),
@@ -81,10 +81,3 @@ def test_phase_count_variants_compared(benchmark):
         by_scenario.setdefault(label, {})[name] = ticks
     for label, ticks in by_scenario.items():
         assert ticks["t+1"] <= ticks["n"], label
-    benchmark.pedantic(
-        lambda: run_variant(
-            SystemConfig.with_optimal_resilience(9), 5, {}
-        ),
-        rounds=3,
-        iterations=1,
-    )

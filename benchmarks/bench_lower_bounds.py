@@ -14,7 +14,7 @@ certificates.  This bench verifies our measurements respect both sides:
 """
 
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import sweep_byzantine_broadcast
+from repro.analysis.sweeps import sweep
 from repro.analysis.tables import render_points
 
 from benchmarks._harness import publish
@@ -22,8 +22,8 @@ from benchmarks._harness import publish
 NS = (5, 9, 17, 33)
 
 
-def test_signatures_quadratic_but_words_linear(benchmark):
-    points = sweep_byzantine_broadcast(NS, fs=lambda c: [0])
+def test_signatures_quadratic_but_words_linear():
+    points = sweep("bb", NS, fs=lambda c: [0])
     sig_fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.signatures)
     word_fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.words)
     publish(
@@ -41,19 +41,12 @@ def test_signatures_quadratic_but_words_linear(benchmark):
     for p in points:
         assert p.signatures >= p.n * p.t / 4, "Omega(nt) signatures"
         assert p.words >= p.n - 1, "Omega(n(f+1)) words at f=0"
-    benchmark.pedantic(
-        lambda: sweep_byzantine_broadcast([9], fs=lambda c: [0]),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_words_respect_omega_nf(benchmark):
+def test_words_respect_omega_nf():
     """At every measured (n, f), the adaptive upper bound sits above
     the Ω(nf) lower bound — the gap is the constant the paper buys."""
-    points = sweep_byzantine_broadcast(
-        (5, 9, 13), fs=lambda c: range(c.t + 1)
-    )
+    points = sweep("bb", (5, 9, 13), fs=lambda c: range(c.t + 1))
     violations = [p for p in points if p.f > 0 and p.words < p.n * p.f / 4]
     publish(
         "lower_bounds_nf",
@@ -63,8 +56,3 @@ def test_words_respect_omega_nf(benchmark):
         f"points below Omega(nf)/4: {len(violations)} (expected 0)",
     )
     assert not violations
-    benchmark.pedantic(
-        lambda: sweep_byzantine_broadcast([5], fs=lambda c: [1]),
-        rounds=3,
-        iterations=1,
-    )

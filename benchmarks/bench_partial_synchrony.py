@@ -31,7 +31,7 @@ from repro.fallback.dolev_strong import run_dolev_strong
 from repro.fallback.recursive_ba import run_fallback_ba
 from repro.runtime.synchrony import PartialSynchrony
 
-from benchmarks._harness import publish, time_percentiles, word_bill
+from benchmarks._harness import publish, word_bill
 
 N = 5
 GSTS = (0, 2, 4, 6, 8)
@@ -115,7 +115,7 @@ def _render(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def test_gst_envelope(benchmark):
+def test_gst_envelope():
     all_rows: list[dict] = []
     for name in PROTOCOLS:
         all_rows.extend(_sweep_protocol(name))
@@ -153,9 +153,6 @@ def test_gst_envelope(benchmark):
         word_bill(f"{r['protocol']} gst={r['gst']}", r.pop("_result"))
         for r in all_rows
     ]
-    wall = time_percentiles(
-        lambda: PROTOCOLS["weak_ba"](_params(4)), repeats=3
-    )
     publish(
         "partial_synchrony",
         _render(all_rows),
@@ -172,8 +169,4 @@ def test_gst_envelope(benchmark):
             ],
         },
         word_bills=word_bills,
-        wall_clock=wall,
-    )
-    benchmark.pedantic(
-        lambda: PROTOCOLS["weak_ba"](_params(2)), rounds=3, iterations=1
     )

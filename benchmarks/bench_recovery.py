@@ -29,7 +29,7 @@ from repro.core.weak_ba import run_weak_ba
 from repro.faults import FaultPlan, ProcessCrash
 from repro.recovery import RecoveryManager, replay_wal
 
-from benchmarks._harness import publish, time_percentiles, word_bill
+from benchmarks._harness import publish, word_bill
 
 CONFIG = SystemConfig.with_optimal_resilience(7)
 SEED = 7
@@ -78,7 +78,7 @@ def _timed_variant(make_recovery, fault_plan=None):
 _timed_variant.keep = None
 
 
-def test_wal_overhead_and_replay_latency(benchmark):
+def test_wal_overhead_and_replay_latency():
     base_s, baseline, _, _ = _timed_variant(lambda d: None)
 
     rows, bills, overheads = [], [word_bill("memory-only", baseline)], {}
@@ -159,6 +159,4 @@ def test_wal_overhead_and_replay_latency(benchmark):
             "wal_bytes": wal_bytes,
         },
         word_bills=bills,
-        wall_clock=time_percentiles(lambda: _run(), repeats=ROUNDS),
     )
-    benchmark.pedantic(lambda: _run(), rounds=3, iterations=1)

@@ -23,7 +23,7 @@ from benchmarks._harness import publish
 NS = (5, 9, 17, 33)
 
 
-def test_round_complexity_trade(benchmark):
+def test_round_complexity_trade():
     rows = []
     bb_rounds, ds_rounds, sba_rounds = [], [], []
     for n in NS:
@@ -56,10 +56,3 @@ def test_round_complexity_trade(benchmark):
     assert len({ticks for _, ticks in sba_rounds}) == 1
     # BB rounds ~linear in n.
     assert 0.8 < bb_fit.slope < 1.2
-    benchmark.pedantic(
-        lambda: run_byzantine_broadcast(
-            SystemConfig.with_optimal_resilience(9), sender=0, value="v"
-        ),
-        rounds=3,
-        iterations=1,
-    )

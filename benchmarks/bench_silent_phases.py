@@ -28,7 +28,7 @@ def count_non_silent(n, f, behavior_factory, seed=0):
     return result, result.trace.count("phase_non_silent")
 
 
-def test_non_silent_phases_bounded_by_f_plus_one(benchmark):
+def test_non_silent_phases_bounded_by_f_plus_one():
     n = 17
     config = SystemConfig.with_optimal_resilience(n)
     rows = []
@@ -61,14 +61,9 @@ def test_non_silent_phases_bounded_by_f_plus_one(benchmark):
         word_bills=bills,
     )
     assert not violations
-    benchmark.pedantic(
-        lambda: count_non_silent(9, 2, lambda pid: SilentBehavior()),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_silent_phases_cost_nothing(benchmark):
+def test_silent_phases_cost_nothing():
     """A fully silent phase sends zero words: total phase-part words
     scale with non-silent phases only."""
     n = 17
@@ -96,8 +91,3 @@ def test_silent_phases_cost_nothing(benchmark):
     # and that phase is O(n): 5 leader/all exchanges.
     assert non_silent == 1
     assert phase_words <= 6 * n
-    benchmark.pedantic(
-        lambda: count_non_silent(9, 0, lambda pid: SilentBehavior()),
-        rounds=3,
-        iterations=1,
-    )

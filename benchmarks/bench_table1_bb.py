@@ -12,7 +12,7 @@ grid and fitting growth exponents:
 from repro.adversary.protocol_attacks import BbVettingHelpSpammer
 from repro.adversary.strategies import StaticStrategy
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import sweep_byzantine_broadcast
+from repro.analysis.sweeps import sweep
 from repro.analysis.tables import render_points
 
 from benchmarks._harness import publish
@@ -20,8 +20,8 @@ from benchmarks._harness import publish
 NS = (5, 9, 13, 17, 21)
 
 
-def test_bb_failure_free_is_linear(benchmark):
-    points = sweep_byzantine_broadcast(NS, fs=lambda c: [0])
+def test_bb_failure_free_is_linear():
+    points = sweep("bb", NS, fs=lambda c: [0])
     fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.words)
     publish(
         "table1_bb_failure_free",
@@ -33,20 +33,16 @@ def test_bb_failure_free_is_linear(benchmark):
     for p in points:
         assert p.decision == "payload"
         assert not p.fallback_used
-    benchmark.pedantic(
-        lambda: sweep_byzantine_broadcast([9], fs=lambda c: [0]),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_bb_words_grow_linearly_in_f(benchmark):
+def test_bb_words_grow_linearly_in_f():
     """Against help-spamming leaders (the tight adversary), words at
     fixed n grow ~linearly with f inside the adaptive regime
     (f < (n-t-1)/2), and switch to the O(n^2) fallback regime above it
     — both regimes respecting the O(n(f+1)) ⊆ O(n^2) bound."""
     n = 21
-    points = sweep_byzantine_broadcast(
+    points = sweep(
+        "bb",
         [n],
         fs=lambda c: range(0, c.t + 1, 2),
         strategy=StaticStrategy(
@@ -75,23 +71,11 @@ def test_bb_words_grow_linearly_in_f(benchmark):
     # Fallback regime exists at f=t and stays within ~O(n^2).
     worst = [p for p in points if p.fallback_used]
     assert worst and all(p.words < 25 * n * n for p in worst)
-    benchmark.pedantic(
-        lambda: sweep_byzantine_broadcast(
-            [9],
-            fs=lambda c: [2],
-            strategy=StaticStrategy(
-                behavior_factory=lambda pid: BbVettingHelpSpammer(),
-                avoid=frozenset({0}),
-            ),
-        ),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_bb_worst_case_is_quadratic(benchmark):
+def test_bb_worst_case_is_quadratic():
     """f = t silent: the fallback engages and the total stays O(n^2)."""
-    points = sweep_byzantine_broadcast(NS, fs=lambda c: [c.t])
+    points = sweep("bb", NS, fs=lambda c: [c.t])
     fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.words)
     publish(
         "table1_bb_worst_case",
@@ -102,8 +86,3 @@ def test_bb_worst_case_is_quadratic(benchmark):
     assert 1.6 < fit.slope < 2.4, f"BB f=t should be ~quadratic, got {fit.slope}"
     for p in points:
         assert p.fallback_used
-    benchmark.pedantic(
-        lambda: sweep_byzantine_broadcast([9], fs=lambda c: [c.t]),
-        rounds=1,
-        iterations=1,
-    )

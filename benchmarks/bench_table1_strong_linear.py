@@ -6,7 +6,7 @@ the jump between them.
 """
 
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import sweep_strong_ba
+from repro.analysis.sweeps import sweep
 from repro.analysis.tables import render_points
 
 from benchmarks._harness import publish
@@ -14,8 +14,8 @@ from benchmarks._harness import publish
 NS = (5, 9, 17, 33)
 
 
-def test_strong_ba_failure_free_linear(benchmark):
-    points = sweep_strong_ba(NS, fs=lambda c: [0])
+def test_strong_ba_failure_free_linear():
+    points = sweep("strong_ba", NS, fs=lambda c: [0])
     fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.words)
     publish(
         "table1_strong_ba_linear",
@@ -27,17 +27,14 @@ def test_strong_ba_failure_free_linear(benchmark):
     for p in points:
         assert not p.fallback_used
         assert p.decision == 1
-    benchmark.pedantic(
-        lambda: sweep_strong_ba([9], fs=lambda c: [0]), rounds=3, iterations=1
-    )
 
 
-def test_strong_ba_any_failure_goes_quadratic(benchmark):
+def test_strong_ba_any_failure_goes_quadratic():
     """One failure is enough to leave the fast path: slope jumps to ~2
     and every run uses the fallback."""
-    points = sweep_strong_ba(NS, fs=lambda c: [1])
+    points = sweep("strong_ba", NS, fs=lambda c: [1])
     fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.words)
-    failure_free = sweep_strong_ba(NS, fs=lambda c: [0])
+    failure_free = sweep("strong_ba", NS, fs=lambda c: [0])
     publish(
         "table1_strong_ba_degraded",
         render_points(points),
@@ -53,6 +50,3 @@ def test_strong_ba_any_failure_goes_quadratic(benchmark):
     for quiet, noisy in zip(failure_free, points):
         assert noisy.fallback_used
         assert noisy.words > 3 * quiet.words
-    benchmark.pedantic(
-        lambda: sweep_strong_ba([9], fs=lambda c: [1]), rounds=1, iterations=1
-    )

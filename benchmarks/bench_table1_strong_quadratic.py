@@ -7,7 +7,7 @@ f, including f = t.
 """
 
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import sweep_fallback_ba
+from repro.analysis.sweeps import sweep
 from repro.analysis.tables import render_points
 
 from benchmarks._harness import publish
@@ -15,8 +15,8 @@ from benchmarks._harness import publish
 NS = (5, 9, 17, 33)
 
 
-def test_fallback_words_quadratic_in_n(benchmark):
-    points = sweep_fallback_ba(NS, fs=lambda c: [0])
+def test_fallback_words_quadratic_in_n():
+    points = sweep("recursive_ba", NS, fs=lambda c: [0])
     fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.words)
     publish(
         "table1_fallback_quadratic",
@@ -27,17 +27,14 @@ def test_fallback_words_quadratic_in_n(benchmark):
     assert 1.6 < fit.slope < 2.4
     for p in points:
         assert p.decision == "v"
-    benchmark.pedantic(
-        lambda: sweep_fallback_ba([9], fs=lambda c: [0]), rounds=3, iterations=1
-    )
 
 
-def test_fallback_cost_insensitive_to_f(benchmark):
+def test_fallback_cost_insensitive_to_f():
     """Unlike the adaptive protocols, the fallback costs Θ(n^2) no
     matter how many processes actually fail — that is exactly why the
     paper only invokes it once f = Θ(t) is certified."""
     n = 17
-    points = sweep_fallback_ba([n], fs=lambda c: [0, c.t // 2, c.t])
+    points = sweep("recursive_ba", [n], fs=lambda c: [0, c.t // 2, c.t])
     words = [p.words for p in points]
     publish(
         "table1_fallback_f_insensitive",
@@ -49,8 +46,3 @@ def test_fallback_cost_insensitive_to_f(benchmark):
     assert all(w >= n * n / 4 for w in words)
     for p in points:
         assert p.decision == "v"
-    benchmark.pedantic(
-        lambda: sweep_fallback_ba([9], fs=lambda c: [c.t]),
-        rounds=1,
-        iterations=1,
-    )

@@ -8,7 +8,7 @@ adaptive regime, quadratic once the fallback threshold is crossed.
 from repro.adversary.protocol_attacks import WeakBaTeasingLeader
 from repro.adversary.strategies import StaticStrategy
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import sweep_weak_ba
+from repro.analysis.sweeps import sweep
 from repro.analysis.tables import render_points
 
 from benchmarks._harness import publish
@@ -16,8 +16,8 @@ from benchmarks._harness import publish
 NS = (5, 9, 13, 17, 21)
 
 
-def test_weak_ba_failure_free_is_linear(benchmark):
-    points = sweep_weak_ba(NS, fs=lambda c: [0])
+def test_weak_ba_failure_free_is_linear():
+    points = sweep("weak_ba", NS, fs=lambda c: [0])
     fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.words)
     publish(
         "table1_weak_ba_failure_free",
@@ -30,16 +30,14 @@ def test_weak_ba_failure_free_is_linear(benchmark):
         assert p.decision == "proposal"
         assert not p.fallback_used
         assert p.non_silent_phases == 1
-    benchmark.pedantic(
-        lambda: sweep_weak_ba([9], fs=lambda c: [0]), rounds=3, iterations=1
-    )
 
 
-def test_weak_ba_adaptive_in_f(benchmark):
+def test_weak_ba_adaptive_in_f():
     """Teasing Byzantine leaders make every Byzantine-led phase cost
     O(n) honest words: the marginal cost per failure stays flat."""
     n = 21
-    points = sweep_weak_ba(
+    points = sweep(
+        "weak_ba",
         [n],
         fs=lambda c: range(0, 5),
         strategy=StaticStrategy(
@@ -60,21 +58,10 @@ def test_weak_ba_adaptive_in_f(benchmark):
     words = [p.words for p in adaptive]
     assert words == sorted(words) and words[0] < words[-1]
     assert max(marginal) < 2.5 * min(marginal)
-    benchmark.pedantic(
-        lambda: sweep_weak_ba(
-            [9],
-            fs=lambda c: [1],
-            strategy=StaticStrategy(
-                behavior_factory=lambda pid: WeakBaTeasingLeader(value="t"),
-            ),
-        ),
-        rounds=3,
-        iterations=1,
-    )
 
 
-def test_weak_ba_worst_case_is_quadratic(benchmark):
-    points = sweep_weak_ba(NS, fs=lambda c: [c.t])
+def test_weak_ba_worst_case_is_quadratic():
+    points = sweep("weak_ba", NS, fs=lambda c: [c.t])
     fit = fit_slope_vs(points, lambda p: p.n, lambda p: p.words)
     publish(
         "table1_weak_ba_worst_case",
@@ -85,6 +72,3 @@ def test_weak_ba_worst_case_is_quadratic(benchmark):
     assert 1.6 < fit.slope < 2.4
     for p in points:
         assert p.fallback_used
-    benchmark.pedantic(
-        lambda: sweep_weak_ba([9], fs=lambda c: [c.t]), rounds=1, iterations=1
-    )

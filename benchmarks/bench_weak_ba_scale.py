@@ -14,10 +14,10 @@ first three-digit points of the paper's headline curve:
 """
 
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import sweep_weak_ba
+from repro.analysis.sweeps import sweep
 from repro.analysis.tables import format_table
 
-from benchmarks._harness import publish, time_percentiles, word_bill
+from benchmarks._harness import publish
 
 NS = (25, 51, 75, 101)
 ADAPTIVE_FS = (0, 1, 12, 25)
@@ -37,21 +37,21 @@ def _bill(point):
     }
 
 
-def test_weak_ba_word_curve_past_n100(benchmark):
+def test_weak_ba_word_curve_past_n100():
     """Failure-free words grow ~linearly through n=101; the adaptive
     bound holds for every non-fallback faulty point at n=101."""
-    curve = sweep_weak_ba(NS, fs=lambda config: [0])
+    curve = sweep("weak_ba", NS, fs=lambda config: [0])
     assert all(not point.fallback_used for point in curve)
     fit = fit_slope_vs(curve, lambda p: p.n, lambda p: p.words)
     # Linear fast path: far from quadratic even at three digits.
     assert fit.slope < 1.5, fit
 
-    adaptive = sweep_weak_ba([101], fs=lambda config: list(ADAPTIVE_FS))
+    adaptive = sweep("weak_ba", [101], fs=lambda config: list(ADAPTIVE_FS))
     assert all(not point.fallback_used for point in adaptive)
     for point in adaptive:
         assert point.words <= 6 * point.n * (point.f + 1), point
 
-    (worst,) = sweep_weak_ba([101], fs=lambda config: [config.t])
+    (worst,) = sweep("weak_ba", [101], fs=lambda config: [config.t])
     assert worst.fallback_used
     # The quadratic fallback dwarfs every adaptive point.
     assert worst.words > 10 * max(point.words for point in adaptive)
@@ -77,12 +77,4 @@ def test_weak_ba_word_curve_past_n100(benchmark):
             "worst_case": "f=t=50 silent (forced fallback)",
         },
         word_bills=[_bill(p) for p in (*curve, *adaptive, worst)],
-        wall_clock=time_percentiles(
-            lambda: sweep_weak_ba([101], fs=lambda config: [0]), repeats=3
-        ),
-    )
-    benchmark.pedantic(
-        lambda: sweep_weak_ba([101], fs=lambda config: [0]),
-        rounds=3,
-        iterations=1,
     )

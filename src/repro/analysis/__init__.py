@@ -25,15 +25,7 @@ from repro.analysis.montecarlo import (
     run_probabilistic_trials,
 )
 from repro.analysis.report import collect_claims, render_report
-from repro.analysis.sweeps import (
-    SweepPoint,
-    sweep,
-    sweep_byzantine_broadcast,
-    sweep_dolev_strong,
-    sweep_fallback_ba,
-    sweep_strong_ba,
-    sweep_weak_ba,
-)
+from repro.analysis.sweeps import SweepPoint, sweep
 from repro.analysis.tables import format_table, render_points
 
 __all__ = [
@@ -42,11 +34,6 @@ __all__ = [
     "crossover_point",
     "SweepPoint",
     "sweep",
-    "sweep_byzantine_broadcast",
-    "sweep_weak_ba",
-    "sweep_strong_ba",
-    "sweep_fallback_ba",
-    "sweep_dolev_strong",
     "format_table",
     "render_points",
     "CLOSED_FORMS",

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 from repro.adversary.behaviors import SilentBehavior
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import (
-    sweep_byzantine_broadcast,
-    sweep_fallback_ba,
-    sweep_strong_ba,
-    sweep_weak_ba,
-)
+from repro.analysis.sweeps import sweep
 from repro.config import SystemConfig
 from repro.core.strong_ba import run_strong_ba
 from repro.core.weak_ba import run_weak_ba
@@ -44,7 +39,7 @@ def collect_claims(ns=(5, 9, 13, 17)) -> list[ClaimResult]:
     """Run the condensed measurement battery."""
     claims: list[ClaimResult] = []
 
-    bb0 = _slope(sweep_byzantine_broadcast(ns, fs=lambda c: [0]))
+    bb0 = _slope(sweep("bb", ns, fs=lambda c: [0]))
     claims.append(
         ClaimResult(
             claim="BB words, failure-free (Table 1)",
@@ -53,7 +48,7 @@ def collect_claims(ns=(5, 9, 13, 17)) -> list[ClaimResult]:
             holds=0.8 < bb0 < 1.3,
         )
     )
-    bbt = _slope(sweep_byzantine_broadcast(ns, fs=lambda c: [c.t]))
+    bbt = _slope(sweep("bb", ns, fs=lambda c: [c.t]))
     claims.append(
         ClaimResult(
             claim="BB words, f=t (Table 1)",
@@ -62,7 +57,7 @@ def collect_claims(ns=(5, 9, 13, 17)) -> list[ClaimResult]:
             holds=1.6 < bbt < 2.5,
         )
     )
-    wba0 = _slope(sweep_weak_ba(ns, fs=lambda c: [0]))
+    wba0 = _slope(sweep("weak_ba", ns, fs=lambda c: [0]))
     claims.append(
         ClaimResult(
             claim="weak BA words, failure-free (Table 1)",
@@ -71,7 +66,7 @@ def collect_claims(ns=(5, 9, 13, 17)) -> list[ClaimResult]:
             holds=0.8 < wba0 < 1.3,
         )
     )
-    sba0 = _slope(sweep_strong_ba(ns, fs=lambda c: [0]))
+    sba0 = _slope(sweep("strong_ba", ns, fs=lambda c: [0]))
     claims.append(
         ClaimResult(
             claim="strong BA words, failure-free (Lemma 8)",
@@ -80,7 +75,7 @@ def collect_claims(ns=(5, 9, 13, 17)) -> list[ClaimResult]:
             holds=0.8 < sba0 < 1.3,
         )
     )
-    fb = _slope(sweep_fallback_ba(ns, fs=lambda c: [0]))
+    fb = _slope(sweep("recursive_ba", ns, fs=lambda c: [0]))
     claims.append(
         ClaimResult(
             claim="A_fallback words (Momose-Ren black box)",
@@ -129,7 +124,7 @@ def collect_claims(ns=(5, 9, 13, 17)) -> list[ClaimResult]:
 
     # Baseline comparison at n=13.
     config13 = SystemConfig.with_optimal_resilience(13)
-    adaptive = sweep_byzantine_broadcast([13], fs=lambda c: [0])[0].words
+    adaptive = sweep("bb", [13], fs=lambda c: [0])[0].words
     baseline = run_dolev_strong(config13, sender=0, value="v").correct_words
     claims.append(
         ClaimResult(
@@ -161,7 +156,7 @@ def render_report(claims: list[ClaimResult]) -> str:
         "",
         f"**{reproduced}/{len(claims)} claims reproduced.**",
         "",
-        "Full tables: run `pytest benchmarks/ --benchmark-only` "
-        "(writes `benchmarks/results/*.txt`).",
+        "Full tables: run `pytest benchmarks/` "
+        "(writes `benchmarks/results/*.json`).",
     ]
     return "\n".join(lines)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.adversary.strategies import AdversaryStrategy, SilentStrategy
-from repro.config import ProcessId, RunParameters, SystemConfig
+from repro.config import RunParameters, SystemConfig
 from repro.protocols.table import get_protocol, run_protocol, string_validity
 from repro.runtime.result import RunResult
 from repro.runtime.synchrony import SynchronyModel, parse_synchrony
@@ -173,73 +173,3 @@ def sweep_parallel(
         for seed in seeds
     ]
     return parallel_map(_sweep_task, tasks, jobs)
-
-
-def sweep_byzantine_broadcast(
-    ns: Sequence[int],
-    *,
-    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
-    strategy: AdversaryStrategy | None = None,
-    seeds: Sequence[int] = (0,),
-    value: object = "payload",
-    synchrony: SynchronyModel | None = None,
-) -> list[SweepPoint]:
-    """Run adaptive BB over the grid; the sender (process 0) stays correct."""
-    return sweep("bb", ns, fs=fs, strategy=strategy, seeds=seeds,
-                 value=value, synchrony=synchrony)
-
-
-def sweep_weak_ba(
-    ns: Sequence[int],
-    *,
-    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
-    strategy: AdversaryStrategy | None = None,
-    seeds: Sequence[int] = (0,),
-    value: object = "proposal",
-    synchrony: SynchronyModel | None = None,
-) -> list[SweepPoint]:
-    """Run weak BA (all correct processes propose ``value``)."""
-    return sweep("weak_ba", ns, fs=fs, strategy=strategy, seeds=seeds,
-                 value=value, synchrony=synchrony)
-
-
-def sweep_strong_ba(
-    ns: Sequence[int],
-    *,
-    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
-    strategy: AdversaryStrategy | None = None,
-    seeds: Sequence[int] = (0,),
-    inputs: Callable[[ProcessId], int] = lambda pid: 1,
-    synchrony: SynchronyModel | None = None,
-) -> list[SweepPoint]:
-    """Run Algorithm 5 (binary strong BA); the leader stays correct."""
-    return sweep("strong_ba", ns, fs=fs, strategy=strategy, seeds=seeds,
-                 value=inputs, synchrony=synchrony)
-
-
-def sweep_fallback_ba(
-    ns: Sequence[int],
-    *,
-    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
-    strategy: AdversaryStrategy | None = None,
-    seeds: Sequence[int] = (0,),
-    value: object = "v",
-    synchrony: SynchronyModel | None = None,
-) -> list[SweepPoint]:
-    """Run the quadratic ``Afallback`` directly (the Momose–Ren row)."""
-    return sweep("recursive_ba", ns, fs=fs, strategy=strategy, seeds=seeds,
-                 value=value, synchrony=synchrony)
-
-
-def sweep_dolev_strong(
-    ns: Sequence[int],
-    *,
-    fs: Callable[[SystemConfig], Iterable[int]] | None = None,
-    strategy: AdversaryStrategy | None = None,
-    seeds: Sequence[int] = (0,),
-    value: object = "payload",
-    synchrony: SynchronyModel | None = None,
-) -> list[SweepPoint]:
-    """Run the Dolev–Strong baseline (sender 0 stays correct)."""
-    return sweep("dolev_strong", ns, fs=fs, strategy=strategy, seeds=seeds,
-                 value=value, synchrony=synchrony)

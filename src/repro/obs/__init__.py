@@ -7,13 +7,7 @@ changes a run's outcome, trace, or model-checking fingerprints.
 
 from repro.obs.events import EventLog
 from repro.obs.observer import Observer
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.schema import (
     BENCH_RESULT_SCHEMA,
     SCHEMA_VERSION,
@@ -28,8 +22,6 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
-    "DEFAULT_BUCKETS",
     "BENCH_RESULT_SCHEMA",
     "SCHEMA_VERSION",
     "validate_bench_result",

@@ -32,7 +32,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.events import EventLog
-from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -76,11 +76,6 @@ class Observer:
 
     def gauge(self, name: str, value: float) -> None:
         self.registry.gauge(name).set(value)
-
-    def observe(
-        self, name: str, value: float, buckets: tuple[float, ...] = DEFAULT_BUCKETS
-    ) -> None:
-        self.registry.histogram(name, buckets).observe(value)
 
     def event(self, name: str, **fields: Any) -> None:
         self.events.append(name, at=self.time(), **fields)

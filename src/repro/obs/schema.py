@@ -40,8 +40,9 @@ BENCH_RESULT_SCHEMA: dict = {
     "sections": ["str (the human-readable report, one entry per section)"],
 }
 """Documentation-as-data: the shape :func:`validate_bench_result`
-enforces.  ``wall_clock`` may be ``null`` for benches that only count
-words; ``word_bills`` may be empty for throughput-only benches."""
+enforces.  ``wall_clock`` is ``null`` for the paper benches, which only
+count (the soak fleet fills it with commit latencies); ``word_bills``
+may be empty."""
 
 _BILL_FIELDS = {
     "label": str,
@@ -60,8 +61,8 @@ def _scenario_errors(value: object, path: str) -> list[str]:
     (an empty run's ``silent_ratio`` is legitimately ``None``, and it
     must round-trip rather than fail validation).  Anything a bench
     sneaks in that ``json.dumps`` would choke on is caught *here*, as a
-    schema violation, instead of as a crash after the ``.txt`` artifact
-    was already written."""
+    schema violation, instead of as a crash halfway through writing the
+    document."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return []
     if isinstance(value, list):

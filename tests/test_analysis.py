@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.analysis.fitting import crossover_point, fit_loglog_slope, fit_slope_vs
-from repro.analysis.sweeps import (
-    sweep_byzantine_broadcast,
-    sweep_strong_ba,
-    sweep_weak_ba,
-)
+from repro.analysis.sweeps import sweep
 from repro.analysis.tables import ascii_series_plot, format_table, render_points
 
 
@@ -62,7 +58,7 @@ class TestFitting:
 
 class TestSweeps:
     def test_bb_sweep_shapes(self):
-        points = sweep_byzantine_broadcast([5, 7], fs=lambda c: [0, 1])
+        points = sweep("bb", [5, 7], fs=lambda c: [0, 1])
         assert len(points) == 4
         for p in points:
             assert p.protocol == "bb"
@@ -71,24 +67,24 @@ class TestSweeps:
             assert p.f in (0, 1)
 
     def test_weak_ba_sweep(self):
-        points = sweep_weak_ba([5], fs=lambda c: [0])
+        points = sweep("weak_ba", [5], fs=lambda c: [0])
         (p,) = points
         assert p.decision == "proposal"
         assert not p.fallback_used
 
     def test_strong_ba_fallback_flag(self):
-        quiet = sweep_strong_ba([5], fs=lambda c: [0])
-        noisy = sweep_strong_ba([5], fs=lambda c: [2])
+        quiet = sweep("strong_ba", [5], fs=lambda c: [0])
+        noisy = sweep("strong_ba", [5], fs=lambda c: [2])
         assert not quiet[0].fallback_used
         assert noisy[0].fallback_used
 
     def test_normalized_ratios(self):
-        (p,) = sweep_byzantine_broadcast([5], fs=lambda c: [0])
+        (p,) = sweep("bb", [5], fs=lambda c: [0])
         assert p.words_per_nf == pytest.approx(p.words / 5)
         assert p.words_per_n2 == pytest.approx(p.words / 25)
 
     def test_multiple_seeds(self):
-        points = sweep_weak_ba([5], fs=lambda c: [1], seeds=(0, 1, 2))
+        points = sweep("weak_ba", [5], fs=lambda c: [1], seeds=(0, 1, 2))
         assert len(points) == 3
         assert {p.seed for p in points} == {0, 1, 2}
 
@@ -105,7 +101,7 @@ class TestTables:
         assert "3.142" in table
 
     def test_render_points_includes_extras(self):
-        points = sweep_byzantine_broadcast([5], fs=lambda c: [0])
+        points = sweep("bb", [5], fs=lambda c: [0])
         text = render_points(points, extra={"w/n": lambda p: p.words / p.n})
         assert "w/n" in text
         assert "bb" in text
@@ -125,22 +121,19 @@ class TestParallelSweeps:
     aliases)."""
 
     def test_parallel_sweep_matches_serial(self):
-        from repro.analysis.sweeps import sweep_parallel, sweep_weak_ba
+        from repro.analysis.sweeps import sweep_parallel
 
-        serial = sweep_weak_ba([3, 5], seeds=(0, 1))
+        serial = sweep("weak_ba", [3, 5], seeds=(0, 1))
         for jobs in (1, 2):
             assert sweep_parallel(
                 "weak_ba", [3, 5], seeds=(0, 1), jobs=jobs
             ) == serial
 
     def test_cli_alias_spellings_accepted(self):
-        from repro.analysis.sweeps import (
-            sweep_fallback_ba,
-            sweep_parallel,
-        )
+        from repro.analysis.sweeps import sweep_parallel
 
         assert sweep_parallel("weak-ba", [3], jobs=1)
-        assert sweep_parallel("fallback", [3], jobs=1) == sweep_fallback_ba([3])
+        assert sweep_parallel("fallback", [3], jobs=1) == sweep("recursive_ba", [3])
 
     def test_unknown_protocol_rejected(self):
         from repro.analysis.sweeps import sweep_parallel

@@ -14,7 +14,7 @@ from repro.core.values import BOTTOM
 
 
 class TestValidity:
-    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 13])
     def test_correct_sender_value_decided(self, n):
         config = SystemConfig.with_optimal_resilience(n)
         result = run_byzantine_broadcast(config, sender=0, value="payload")

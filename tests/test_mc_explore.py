@@ -65,6 +65,40 @@ class TestExhaustive:
             f"{result.stats.distinct_states} distinct states)"
         )
 
+    @pytest.mark.parametrize(
+        "perm_cap, prune, table",
+        [
+            (2, "behavior", (84, 5, 79, 148)),
+            (2, "history", (528, 528, 0, 1831)),
+            (2, None, (528, 528, 0, 0)),
+            (3, "behavior", (777, 5, 772, 346)),
+        ],
+    )
+    def test_pruning_leverage_is_pinned(self, perm_cap, prune, table):
+        """runs/terminal/pruned/distinct_states of the bounded proof per
+        fingerprint mode: "behavior" pruning removes most of the space,
+        and every mode proves the same theorem.  A regression in pruning
+        leverage turns proofs of seconds into proofs of minutes."""
+        result = explore_exhaustive(
+            _proof_scenario(perm_cap), max_runs=50_000, prune=prune
+        )
+        assert result.complete and result.ok, result.counterexamples
+        stats = result.stats
+        assert (
+            stats.runs, stats.terminal, stats.pruned, stats.distinct_states
+        ) == table
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("prune", ["history", None])
+    def test_unpruned_wide_space_agrees_on_verdict(self, prune):
+        """The perm_cap=3 proof without behaviour pruning: 19 719
+        schedules, every one of them terminal, and no counterexample."""
+        result = explore_exhaustive(
+            _proof_scenario(perm_cap=3), max_runs=50_000, prune=prune
+        )
+        assert result.complete and result.ok, result.counterexamples
+        assert result.stats.runs == result.stats.terminal == 19_719
+
     def test_prune_modes_agree_on_verdict(self):
         # A tiny space (no reordering: the only open decisions are the
         # adversary's) where pruned and unpruned search must coincide.
@@ -117,6 +151,13 @@ class TestRandomWalk:
         assert result.ok
         assert result.stats.runs == 20
         assert not result.complete  # sampling is never a proof
+
+    def test_walks_over_the_wide_space_are_never_pruned(self):
+        """Random walks are for spaces too large to exhaust (perm_cap=6
+        here): every walk runs to a terminal state and is checked."""
+        result = explore_random(_proof_scenario(perm_cap=6), runs=50, seed=0)
+        assert result.ok
+        assert result.stats.runs == result.stats.terminal == 50
 
     def test_walk_counterexample_replays_as_script(self):
         scenario = make_scenario(

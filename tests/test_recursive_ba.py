@@ -8,7 +8,7 @@ from repro.fallback.recursive_ba import ba_rounds, run_fallback_ba
 
 
 class TestStrongUnanimity:
-    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11, 13])
     def test_unanimous_failure_free(self, n):
         config = SystemConfig.with_optimal_resilience(n)
         result = run_fallback_ba(config, {p: "V" for p in config.processes})

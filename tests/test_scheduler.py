@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adversary.behaviors import SilentBehavior
+from repro.config import SystemConfig
 from repro.errors import SchedulerError, TerminationViolation
 from repro.runtime.scheduler import Simulation
 
@@ -142,6 +143,25 @@ class TestDelivery:
             simulation.add_process(pid, idle(1))
         result = simulation.run()
         assert result.correct_words == config5.n - 1
+
+    def test_all_to_all_rounds_bill_every_copy_but_self(self):
+        """n^2 envelopes per round through the scheduler: each of ``n``
+        processes broadcasting for 10 rounds bills ``n - 1`` words per
+        broadcast."""
+        config = SystemConfig.with_optimal_resilience(21)
+
+        def chatter(ctx):
+            for _ in range(10):
+                ctx.broadcast(("ping", ctx.now))
+                yield
+            return ctx.pid
+
+        simulation = Simulation(config)
+        for pid in config.processes:
+            simulation.add_process(pid, chatter)
+        result = simulation.run()
+        assert result.correct_words == 21 * 20 * 10
+        assert result.decisions == {pid: pid for pid in config.processes}
 
 
 class TestDecisionsAndTermination:

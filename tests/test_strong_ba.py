@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError
 
 
 class TestStrongUnanimity:
-    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 13])
     @pytest.mark.parametrize("value", [0, 1])
     def test_unanimous_failure_free(self, backend, n, value):
         config = SystemConfig.with_optimal_resilience(n)
