@@ -9,7 +9,7 @@ Usage (installed as a module entry point):
     python -m repro run bb --n 7 --drop-rate 0.2 --lossy-senders 2 3
     python -m repro sweep bb --ns 5 9 13 --max-f 2
     python -m repro flows --n 5 --f 0
-    python -m repro table1
+    python -m repro report
     python -m repro mc explore --adversary choose-silent --max-ticks 12
     python -m repro mc mutants
     python -m repro mc replay counterexample.json
@@ -33,8 +33,8 @@ from repro.adversary.behaviors import GarbageSpammer, SilentBehavior
 from repro.adversary.protocol_attacks import WeakBaTeasingLeader
 from repro.adversary.strategies import SilentStrategy, StaticStrategy
 from repro.analysis.fitting import fit_slope_vs
-from repro.analysis.sweeps import sweep, sweep_parallel
-from repro.analysis.tables import format_table, render_points
+from repro.analysis.sweeps import sweep_parallel
+from repro.analysis.tables import render_points
 from repro.config import RunParameters, SystemConfig
 from repro.protocols.table import (
     PROTOCOLS,
@@ -252,31 +252,6 @@ def cmd_flows(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    ns = args.ns
-    rows = []
-    bb0 = sweep("bb", ns, fs=lambda c: [0])
-    bbt = sweep("bb", ns, fs=lambda c: [c.t])
-    wba0 = sweep("weak_ba", ns, fs=lambda c: [0])
-    sba0 = sweep("strong_ba", ns, fs=lambda c: [0])
-    fb = sweep("recursive_ba", ns, fs=lambda c: [0])
-
-    def slope(points):
-        return fit_slope_vs(points, lambda p: p.n, lambda p: p.words).slope
-
-    rows.append(["Byzantine Broadcast", "O(n(f+1))",
-                 f"n^{slope(bb0):.2f} (f=0)", f"n^{slope(bbt):.2f} (f=t)"])
-    rows.append(["Weak BA", "O(n(f+1))", f"n^{slope(wba0):.2f} (f=0)", "-"])
-    rows.append(["Strong BA (binary)", "O(n) if f=0",
-                 f"n^{slope(sba0):.2f} (f=0)", "-"])
-    rows.append(["Strong BA (Momose-Ren fallback)", "O(n^2)",
-                 f"n^{slope(fb):.2f}", "-"])
-    print("Table 1, measured (word-growth exponents):\n")
-    print(format_table(["protocol", "paper bound", "measured", "worst case"],
-                       rows))
-    return 0
-
-
 def cmd_mc_explore(args: argparse.Namespace) -> int:
     from repro import mc
 
@@ -291,14 +266,9 @@ def cmd_mc_explore(args: argparse.Namespace) -> int:
     print(f"scenario: {scenario.description}")
     if args.mode == "exhaustive":
         prune = None if args.prune == "none" else args.prune
-        if args.jobs > 1:
-            result = mc.explore_exhaustive_parallel(
-                scenario, jobs=args.jobs, max_runs=args.max_runs, prune=prune
-            )
-        else:
-            result = mc.explore_exhaustive(
-                scenario, max_runs=args.max_runs, prune=prune
-            )
+        result = mc.explore_exhaustive(
+            scenario, max_runs=args.max_runs, prune=prune
+        )
     else:
         result = mc.explore_random(
             scenario, runs=args.max_runs, seed=args.walk_seed,
@@ -706,12 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     flows_parser.add_argument("--seed", type=int, default=0)
     flows_parser.set_defaults(func=cmd_flows)
 
-    table_parser = sub.add_parser(
-        "table1", help="regenerate the paper's Table 1 from measurements"
-    )
-    table_parser.add_argument("--ns", type=int, nargs="+", default=[5, 9, 13, 17])
-    table_parser.set_defaults(func=cmd_table1)
-
     mc_parser = sub.add_parser(
         "mc", help="schedule-space model checking (explore/mutants/replay)"
     )
@@ -744,12 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore_parser.add_argument(
         "--prune", choices=["behavior", "history", "none"], default="behavior"
-    )
-    explore_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="shard the exhaustive DFS across worker processes (1 = "
-        "serial; shards prune independently, so run totals differ "
-        "from a serial search while the verdict cannot)",
     )
     explore_parser.add_argument("--walk-seed", type=int, default=0)
     explore_parser.add_argument(

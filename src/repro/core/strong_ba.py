@@ -346,6 +346,20 @@ def build(meta: dict, **_code):
     )
 
 
+def tick_bound(config: SystemConfig) -> int:
+    """Failure-free ticks: 4 leader rounds, the final delivery and the
+    grace listening window."""
+    return 4 + 1 + 4
+
+
+def word_budget(config: SystemConfig, f: int) -> float:
+    """Word envelope of a run with ``f`` silent faults: Lemma 8's four
+    linear rounds when failure-free; otherwise the n-of-n decide
+    certificate is unreachable and everyone runs the quadratic
+    fallback."""
+    return 8.0 * config.n if f == 0 else 90.0 * config.n * config.n
+
+
 def run_strong_ba(
     config: SystemConfig,
     inputs: dict[ProcessId, int],

@@ -34,7 +34,6 @@ from repro.mc.explore import (
     ExplorationResult,
     ExplorationStats,
     explore_exhaustive,
-    explore_exhaustive_parallel,
     explore_random,
     run_schedule,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "ScriptedChoices",
     "SeededChoices",
     "explore_exhaustive",
-    "explore_exhaustive_parallel",
     "explore_random",
     "kill_mutant",
     "load_replay",

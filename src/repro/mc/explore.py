@@ -267,24 +267,17 @@ def explore_exhaustive(
     max_runs: int = 100_000,
     prune: str | None = "behavior",
     stop_at_first: bool = False,
-    roots: tuple[tuple[int, ...], ...] | None = None,
 ) -> ExplorationResult:
     """DFS over the scenario's full bounded decision space.
 
     ``prune`` selects the fingerprint mode (module doc); ``None``
     disables pruning.  ``stop_at_first`` returns at the first
     counterexample — the mutant harness's mode.
-
-    ``roots`` restricts the search to the subtrees below the given
-    decision prefixes (default: the whole space, one empty root).  The
-    parallel explorer shards the space this way — each worker exhausts
-    the subtrees it was handed, and the shard roots partition the space
-    exactly once.
     """
     stats = ExplorationStats()
     fingerprinter = _Fingerprinter(prune) if prune is not None else None
     counterexamples: list[Counterexample] = []
-    stack: list[tuple[int, ...]] = list(roots) if roots is not None else [()]
+    stack: list[tuple[int, ...]] = [()]
     stopped = False
 
     while stack:
@@ -322,124 +315,6 @@ def explore_exhaustive(
         stats=stats,
         counterexamples=counterexamples,
         complete=not stack and not stopped,
-    )
-
-
-def _shard_roots(
-    scenario: Scenario, want: int, probe_cap: int = 64
-) -> list[tuple[int, ...]]:
-    """Split the decision space into >= ``want`` subtree roots (best
-    effort): repeatedly run a root's canonical schedule, find its first
-    branching choice point, and replace the root with one child per
-    option.  The resulting roots partition the space exactly once —
-    forced (single-option) points are folded into the child prefixes.
-    """
-    roots: list[tuple[int, ...]] = [()]
-    probes = 0
-    while len(roots) < want and probes < probe_cap:
-        for i, root in enumerate(roots):
-            outcome = run_schedule(scenario, root)
-            probes += 1
-            log = outcome.log
-            children: list[tuple[int, ...]] | None = None
-            for j in range(len(root), len(log)):
-                if log[j].point.options > 1:
-                    base = [log[k].chosen for k in range(j)]
-                    children = [
-                        tuple(base + [option])
-                        for option in range(log[j].point.options)
-                    ]
-                    break
-            if children is not None:
-                roots[i : i + 1] = children
-                break
-        else:
-            break  # no root has a branching point left: space exhausted
-    return roots
-
-
-def _explore_shard(
-    args: tuple[str, dict, tuple[int, ...], int, str | None, bool],
-) -> ExplorationResult:
-    """Worker entry point: exhaust one subtree of a named scenario.
-
-    Module-level (not a closure) so multiprocessing can pickle it; the
-    scenario is rebuilt in the worker from its registry name and params.
-    """
-    from repro.mc.scenario import make_scenario
-
-    name, params, root, max_runs, prune, stop_at_first = args
-    scenario = make_scenario(name, **params)
-    return explore_exhaustive(
-        scenario,
-        max_runs=max_runs,
-        prune=prune,
-        stop_at_first=stop_at_first,
-        roots=(root,),
-    )
-
-
-def explore_exhaustive_parallel(
-    scenario: Scenario,
-    *,
-    jobs: int,
-    max_runs: int = 100_000,
-    prune: str | None = "behavior",
-    stop_at_first: bool = False,
-) -> ExplorationResult:
-    """DFS over the bounded space, sharded across worker processes.
-
-    The space is split into subtree roots (:func:`_shard_roots`), each
-    worker exhausts its subtrees with a private fingerprint set, and the
-    merged result sums the shard statistics.  Soundness is unchanged —
-    shards partition the space exactly once, and fingerprint pruning is
-    only ever an optimization — but totals differ from a serial run:
-
-    * each shard prunes against its own fingerprints, so states that a
-      serial search would have deduplicated across shards are explored
-      once per shard (``runs``/``distinct_states`` read higher);
-    * ``max_runs`` is a per-shard budget;
-    * ``stop_at_first`` stops each shard independently (no cross-worker
-      cancellation).
-
-    ``jobs <= 1`` falls back to the serial explorer.  The scenario must
-    be registry-reconstructible (``make_scenario(name, **params)``) so
-    workers can rebuild it.
-    """
-    from repro.runtime.pool import parallel_map
-
-    if jobs <= 1:
-        return explore_exhaustive(
-            scenario,
-            max_runs=max_runs,
-            prune=prune,
-            stop_at_first=stop_at_first,
-        )
-    roots = _shard_roots(scenario, jobs)
-    shard_args = [
-        (scenario.name, dict(scenario.params), root, max_runs, prune,
-         stop_at_first)
-        for root in roots
-    ]
-    shard_results = parallel_map(_explore_shard, shard_args, jobs)
-
-    stats = ExplorationStats()
-    counterexamples: list[Counterexample] = []
-    complete = True
-    for shard in shard_results:
-        stats.runs += shard.stats.runs
-        stats.terminal += shard.stats.terminal
-        stats.pruned += shard.stats.pruned
-        stats.truncated += shard.stats.truncated
-        stats.violations += shard.stats.violations
-        stats.distinct_states += shard.stats.distinct_states
-        stats.max_depth = max(stats.max_depth, shard.stats.max_depth)
-        counterexamples.extend(shard.counterexamples)
-        complete = complete and shard.complete
-    return ExplorationResult(
-        stats=stats,
-        counterexamples=counterexamples,
-        complete=complete,
     )
 
 

@@ -78,15 +78,6 @@ def make_scenario(name: str, **params: Any) -> Scenario:
     the inverse of what a replay artifact stores."""
     factory = SCENARIOS.get(name)
     if factory is None:
-        # Backend packages contribute scenarios through the registry in
-        # repro.protocols; merge them in lazily so this module stays
-        # importable *from* those packages without a cycle.
-        import repro.protocols
-
-        for extra, extra_factory in repro.protocols.mc_scenarios().items():
-            SCENARIOS.setdefault(extra, extra_factory)
-        factory = SCENARIOS.get(name)
-    if factory is None:
         raise ModelCheckError(
             f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}"
         )
@@ -439,9 +430,17 @@ def _psync_weak_ba_scenario(
     )
 
 
+def _civit_strong_ba_scenario(**params: Any) -> Scenario:
+    # Imported here: the civit scenario module builds on this one.
+    from repro.protocols.civit.scenario import civit_strong_ba_scenario
+
+    return civit_strong_ba_scenario(**params)
+
+
 SCENARIOS: dict[str, Callable[..., Scenario]] = {
     "weak-ba": _weak_ba_scenario,
     "psync-weak-ba": _psync_weak_ba_scenario,
+    "civit-strong-ba": _civit_strong_ba_scenario,
 }
 """Registry of scenario factories, keyed by the name replay artifacts
 store.  Factories must accept only JSON-serializable keyword params."""

@@ -59,9 +59,9 @@ STRONG protocol (whose pseudocode this module does not transcribe; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Generator
 
-from repro.config import ProcessId, RunParameters, SystemConfig
+from repro.config import SystemConfig
 from repro.core.validity import ValidityPredicate
 from repro.core.values import BOTTOM
 from repro.core.weak_ba import weak_ba_protocol
@@ -418,7 +418,7 @@ def civit_adaptive_strong_ba_protocol(
 
 
 # ----------------------------------------------------------------------
-# Table builders and standalone simulator drivers (standard signature)
+# Table builders and the strong BA's envelopes
 # ----------------------------------------------------------------------
 
 
@@ -442,42 +442,20 @@ def build_adaptive_strong_ba(meta: dict, **_code):
     )
 
 
-def run_civit_strong_ba(
-    config: SystemConfig,
-    inputs: dict[ProcessId, int],
-    *,
-    seed: int = 0,
-    byzantine: dict[ProcessId, Any] | None = None,
-    params: RunParameters | None = None,
-):
-    """Standalone driver for the binary strong BA."""
-    for pid, value in inputs.items():
-        if value not in BINARY_VALUES:
-            raise ConfigurationError(
-                f"civit strong BA is binary; p{pid} proposes {value!r}"
-            )
-    from repro.protocols.table import run_protocol
-
-    metas = {pid: {"input": value} for pid, value in inputs.items()}
-    return run_protocol(
-        "civit_strong_ba", config, metas, seed=seed, byzantine=byzantine,
-        params=params,
-    )
+def strong_ba_tick_bound(config: SystemConfig) -> int:
+    """Failure-free ticks: ``t + 1`` certification views of
+    :data:`VIEW_ROUNDS` ticks, then the whole weak-BA round structure
+    (6 ticks per phase, ``n`` phases, help and grace epilogue)."""
+    return VIEW_ROUNDS * (config.t + 1) + 6 * config.n + 15
 
 
-def run_civit_adaptive_strong_ba(
-    config: SystemConfig,
-    inputs: dict[ProcessId, Any],
-    *,
-    seed: int = 0,
-    byzantine: dict[ProcessId, Any] | None = None,
-    params: RunParameters | None = None,
-):
-    """Standalone driver for the multivalued adaptive variant."""
-    from repro.protocols.table import run_protocol
-
-    metas = {pid: {"input": value} for pid, value in inputs.items()}
-    return run_protocol(
-        "civit_adaptive_strong_ba", config, metas, seed=seed,
-        byzantine=byzantine, params=params,
-    )
+def strong_ba_word_budget(config: SystemConfig, f: int) -> float:
+    """Word envelope of a run with ``f`` silent faults.  Below the
+    ``(n-t-1)/2`` fallback threshold the whole stack stays adaptive —
+    one correct certification view plus the weak BA's ``O(n(f+1))``
+    bill; at or above it the shared weak-BA core legitimately runs its
+    quadratic fallback."""
+    n = config.n
+    if f >= config.fallback_failure_threshold:
+        return 90.0 * n * n
+    return 45.0 * n * (f + 1)

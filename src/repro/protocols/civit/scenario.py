@@ -5,11 +5,9 @@ stack: the explored protocol is the full binary strong BA
 (certification views + the shared weak-BA core + ⊥-resolution), so the
 same mutation knobs (``quorum_delta``, ``echo_fallback``,
 ``chatty_leaders``) ablate the *inner* core while the adversaries
-attack through the certification layer.  Registered under
-``"civit-strong-ba"`` via the backend's ``mc_scenarios`` mapping, which
-``repro.mc.scenario.make_scenario`` merges in lazily — replay artifacts
-recorded against this scenario re-execute through the ordinary
-``(name, params)`` path.
+attack through the certification layer.  ``repro.mc.scenario.SCENARIOS``
+lists it as ``"civit-strong-ba"``, so replay artifacts recorded against
+this scenario re-execute through the ordinary ``(name, params)`` path.
 """
 
 from __future__ import annotations

@@ -12,6 +12,12 @@ A *meta* is a flat dict of plain values (``input``, ``sender``,
 serialised — weak BA's validity predicate — rides alongside as a
 keyword *code argument*; builders ignore the ones they do not take and
 default the rest to what offline replay uses (``docs/recovery.md``).
+
+Beside the table sits :data:`BACKENDS`, one :class:`Backend` row per
+paper's protocol stack: which table rows are its strong BAs and what it
+promises (envelopes, capability facts).  Its drivers and factories are
+derived from those rows, so adding a backend is generators with their
+``build``, then table rows and one ``BACKENDS`` row.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ def get_protocol(name: str) -> Protocol:
     for entry in PROTOCOLS.values():
         if name in (entry.name, entry.cli):
             return entry
-    raise ValueError(
+    raise ConfigurationError(
         f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}"
     )
 
@@ -161,3 +167,96 @@ def run_protocol(
     for tick, pid, behavior in scheduled:
         simulation.schedule_corruption(tick, pid, behavior)
     return simulation.run()
+
+
+@dataclass(frozen=True)
+class Backend:
+    """One paper's protocol stack: the table rows it runs and the facts
+    the shared tests and the perf ledger hold it to."""
+
+    name: str
+    strong_ba_row: str
+    """Table row of the binary strong BA."""
+    adaptive_strong_ba_row: str
+    """Table row of the multivalued adaptive strong BA."""
+    strong_ba_tick_bound: Callable[[SystemConfig], int]
+    """Upper bound on failure-free strong-BA ticks for ``config``."""
+    strong_ba_word_budget: Callable[[SystemConfig, int], float]
+    """``budget(config, f)``: the strong BA's word envelope with ``f``
+    silent faults (conformance sweeps assert ``correct_words <=
+    budget``)."""
+    mc_strong_scenario: str
+    """Model-checker scenario that explores this stack's strong BA."""
+    silent_leader_forces_fallback: bool
+    """Does silencing p0 push the strong BA into its quadratic fallback?
+    True for Algorithm 5's fixed leader."""
+    strong_ba_degrades_quadratically: bool
+    """Does one silent process push the strong-BA bill into the
+    quadratic regime?  The headline differential between the stacks
+    (``benchmarks/bench_backend_adaptivity.py``)."""
+    asba_non_silent_event: str
+    """Trace event of a non-silent certification phase or view of the
+    adaptive strong BA."""
+    asba_certified_event: str
+    """Trace event of a process adopting an input certificate."""
+
+    run_weak_ba = staticmethod(weak_ba.run_weak_ba)
+    """Every stack builds on the one weak BA of Algorithm 3."""
+
+    def run_strong_ba(
+        self, config: SystemConfig, inputs: Mapping[ProcessId, Any], **run
+    ):
+        """``inputs`` maps each correct pid to its bit; ``run`` takes
+        :func:`run_protocol`'s keywords."""
+        metas = {pid: {"input": value} for pid, value in inputs.items()}
+        return run_protocol(self.strong_ba_row, config, metas, **run)
+
+    def run_adaptive_strong_ba(
+        self, config: SystemConfig, inputs: Mapping[ProcessId, Any], **run
+    ):
+        metas = {pid: {"input": value} for pid, value in inputs.items()}
+        return run_protocol(self.adaptive_strong_ba_row, config, metas, **run)
+
+    def strong_ba_protocol(self, ctx: Any, value: object):
+        """A correct process's strong-BA generator, for hosts that own
+        the event loop."""
+        row = PROTOCOLS[self.strong_ba_row]
+        return row.build({**row.roles, "input": value})(ctx)
+
+
+BACKENDS: dict[str, Backend] = {
+    backend.name: backend
+    for backend in (
+        Backend("cohen", "strong_ba", "adaptive_strong_ba",
+                strong_ba.tick_bound, strong_ba.word_budget,
+                mc_strong_scenario="weak-ba",
+                silent_leader_forces_fallback=True,
+                strong_ba_degrades_quadratically=True,
+                asba_non_silent_event="asba_phase_non_silent",
+                asba_certified_event="asba_certified"),
+        Backend("civit", "civit_strong_ba", "civit_adaptive_strong_ba",
+                civit.strong_ba_tick_bound, civit.strong_ba_word_budget,
+                mc_strong_scenario="civit-strong-ba",
+                silent_leader_forces_fallback=False,
+                strong_ba_degrades_quadratically=False,
+                asba_non_silent_event="civit_view_non_silent",
+                asba_certified_event="civit_certified"),
+    )
+}
+
+
+def backend_names() -> tuple[str, ...]:
+    return tuple(sorted(BACKENDS))
+
+
+def all_backends() -> tuple[Backend, ...]:
+    return tuple(BACKENDS[name] for name in backend_names())
+
+
+def get_backend(name: str) -> Backend:
+    backend = BACKENDS.get(name)
+    if backend is None:
+        raise ConfigurationError(
+            f"unknown backend {name!r} (known: {list(backend_names())})"
+        )
+    return backend

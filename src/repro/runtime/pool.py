@@ -21,8 +21,8 @@ def parallel_map(
 ) -> list[Any]:
     """Map ``fn`` over ``items`` with up to ``jobs`` worker processes.
 
-    The seed/scenario-level fan-out primitive used by the model checker
-    shards and the analysis sweeps.  ``fn`` and every item must be
+    The point-level fan-out primitive of the analysis sweeps.  ``fn``
+    and every item must be
     picklable (a module-level function, not a closure).  ``jobs <= 1``
     or a single item runs serially in-process — no worker startup cost
     and identical semantics, so callers need no special-casing and the

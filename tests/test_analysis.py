@@ -137,6 +137,7 @@ class TestParallelSweeps:
 
     def test_unknown_protocol_rejected(self):
         from repro.analysis.sweeps import sweep_parallel
+        from repro.errors import ConfigurationError
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             sweep_parallel("nope", [3], jobs=2)

@@ -9,6 +9,7 @@ the registry without re-validating five subsystems."""
 import pytest
 
 import repro.protocols as protocols
+from repro.adversary import SilentBehavior
 from repro.apps import (
     ClientWorkload,
     batched_smr_replica_protocol,
@@ -38,10 +39,8 @@ from repro.fallback import (
 from repro.protocols.civit import (
     civit_adaptive_strong_ba_protocol,
     civit_strong_ba_protocol,
-    run_civit_adaptive_strong_ba,
-    run_civit_strong_ba,
 )
-from repro.protocols.table import PROTOCOLS
+from repro.protocols.table import PROTOCOLS, run_protocol
 from repro.recovery import RecoveryManager, factory_from_meta, load_history
 from repro.runtime import Simulation
 from repro.core.adaptive_strong_ba import run_adaptive_strong_ba
@@ -49,7 +48,6 @@ from repro.core.strong_ba import run_strong_ba
 from repro.core.validity import ExternalValidity
 from repro.core.weak_ba import run_weak_ba
 from repro.errors import ConfigurationError
-from repro.protocols.base import Backend
 
 
 class TestRegistry:
@@ -66,36 +64,9 @@ class TestRegistry:
         assert "'nope'" in str(err.value)
         assert "['civit', 'cohen']" in str(err.value)
 
-    def test_reregistration_must_be_idempotent(self):
-        cohen = protocols.get_backend("cohen")
-        assert protocols.register_backend(cohen) is cohen  # same object: ok
-        impostor = Backend(
-            name="cohen",
-            title="impostor",
-            paper="none",
-            run_weak_ba=run_weak_ba,
-            run_strong_ba=run_strong_ba,
-            run_adaptive_strong_ba=run_adaptive_strong_ba,
-            weak_ba_protocol=run_weak_ba,
-            strong_ba_protocol=run_strong_ba,
-            adaptive_strong_ba_protocol=run_adaptive_strong_ba,
-        )
-        with pytest.raises(ConfigurationError):
-            protocols.register_backend(impostor)
-
     def test_backend_name_must_be_identifier(self):
-        with pytest.raises(ConfigurationError):
-            Backend(
-                name="not a name",
-                title="x",
-                paper="y",
-                run_weak_ba=run_weak_ba,
-                run_strong_ba=run_strong_ba,
-                run_adaptive_strong_ba=run_adaptive_strong_ba,
-                weak_ba_protocol=run_weak_ba,
-                strong_ba_protocol=run_strong_ba,
-                adaptive_strong_ba_protocol=run_adaptive_strong_ba,
-            )
+        for name, backend in protocols.BACKENDS.items():
+            assert backend.name == name and name.isidentifier()
 
     def test_replay_builders_registered_on_import(self, config5, tmp_path):
         """Whatever name a backend's drivers stamp into a WAL is a row
@@ -129,11 +100,9 @@ class TestRegistry:
             assert 0 < budget_0 <= budget_t
 
     def test_shared_core_claim_is_true(self):
-        """civit declares it reuses cohen's weak BA; hold it to that."""
-        civit = protocols.get_backend("civit")
-        cohen = protocols.get_backend(civit.weak_ba_shares_core_with)
-        assert civit.run_weak_ba is cohen.run_weak_ba
-        assert civit.weak_ba_protocol is cohen.weak_ba_protocol
+        """One weak BA (Algorithm 3) serves every backend."""
+        for backend in protocols.all_backends():
+            assert backend.run_weak_ba is run_weak_ba
 
 
 class TestDispatchIsByteIdentical:
@@ -178,6 +147,18 @@ class TestDispatchIsByteIdentical:
         assert first.trace.canonical() == second.trace.canonical()
         assert first.correct_words == second.correct_words
 
+    def test_civit_strong_ba_is_its_table_row(self, config7, test_seed):
+        inputs = {p: p % 2 for p in config7.processes}
+        dispatched = protocols.get_backend("civit").run_strong_ba(
+            config7, inputs, seed=test_seed
+        )
+        direct = run_protocol(
+            "civit_strong_ba", config7,
+            {p: {"input": v} for p, v in inputs.items()}, seed=test_seed,
+        )
+        assert dispatched.trace.canonical() == direct.trace.canonical()
+        assert dispatched.correct_words == direct.correct_words
+
 
 _ACCEPT_STR = ExternalValidity(lambda v: isinstance(v, str))
 _CLIENTS = [
@@ -218,14 +199,14 @@ FOLDED_DRIVERS = {
     ),
     "civit_strong_ba": (
         _N5,
-        lambda seed: run_civit_strong_ba(
+        lambda seed: protocols.get_backend("civit").run_strong_ba(
             _N5, {p: p % 2 for p in range(5)}, seed=seed
         ),
         lambda p: lambda ctx: civit_strong_ba_protocol(ctx, p % 2),
     ),
     "civit_adaptive_strong_ba": (
         _N5,
-        lambda seed: run_civit_adaptive_strong_ba(
+        lambda seed: protocols.get_backend("civit").run_adaptive_strong_ba(
             _N5, {p: "V" for p in range(5)}, seed=seed
         ),
         lambda p: lambda ctx: civit_adaptive_strong_ba_protocol(ctx, "V"),
@@ -290,3 +271,57 @@ class TestFoldIsByteIdentical:
         assert folded.trace.canonical() == direct.trace.canonical()
         assert folded.correct_words == direct.correct_words
         assert folded.decisions == direct.decisions
+
+
+# (backend, driver, f silent) -> (correct words, correct messages,
+# signatures, ticks, the correct processes' common decision, trace
+# events) at n=7, seed 11, with p0..p(f-1) silent.
+PINNED_RUNS = {
+    ("cohen", "run_weak_ba", 0): (30, 30, 90, 48, "'v1'", 15),
+    ("cohen", "run_weak_ba", 1): (28, 28, 88, 48, "'v1'", 13),
+    ("cohen", "run_weak_ba", 3): (220, 220, 340, 112, "'v0'", 28),
+    ("cohen", "run_strong_ba", 0): (24, 24, 78, 8, "0", 14),
+    ("cohen", "run_strong_ba", 1): (341, 341, 749, 73, "0", 18),
+    ("cohen", "run_strong_ba", 3): (164, 164, 212, 73, "0", 12),
+    ("cohen", "run_adaptive_strong_ba", 0): (48, 48, 126, 69, "'V'", 30),
+    ("cohen", "run_adaptive_strong_ba", 1): (45, 45, 123, 69, "'V'", 26),
+    ("cohen", "run_adaptive_strong_ba", 3): (379, 379, 997, 133, "'V'", 37),
+    ("civit", "run_weak_ba", 0): (30, 30, 90, 48, "'v1'", 15),
+    ("civit", "run_weak_ba", 1): (28, 28, 88, 48, "'v1'", 13),
+    ("civit", "run_weak_ba", 3): (220, 220, 340, 112, "'v0'", 28),
+    ("civit", "run_strong_ba", 0): (48, 48, 126, 60, "0", 30),
+    ("civit", "run_strong_ba", 1): (613, 613, 1615, 124, "0", 52),
+    ("civit", "run_strong_ba", 3): (370, 370, 970, 124, "0", 34),
+    ("civit", "run_adaptive_strong_ba", 0): (48, 48, 126, 60, "'V'", 30),
+    ("civit", "run_adaptive_strong_ba", 1): (45, 45, 123, 60, "'V'", 26),
+    ("civit", "run_adaptive_strong_ba", 3): (379, 379, 997, 124, "'V'", 37),
+}
+
+
+@pytest.mark.parametrize("name, driver, f", sorted(PINNED_RUNS))
+def test_backend_drivers_are_pinned(name, driver, f):
+    """Every backend driver's bill, length and decision, as literals:
+    how a backend is wired must never move them."""
+    config = SystemConfig.with_optimal_resilience(7)
+    silent = {p: SilentBehavior() for p in range(f)}
+    correct = [p for p in config.processes if p not in silent]
+    backend = protocols.get_backend(name)
+    if driver == "run_weak_ba":
+        result = backend.run_weak_ba(
+            config, {p: f"v{p % 2}" for p in correct},
+            lambda suite, cfg: _ACCEPT_STR, seed=11, byzantine=silent,
+        )
+    else:
+        inputs = {p: p % 2 if driver == "run_strong_ba" else "V" for p in correct}
+        result = getattr(backend, driver)(
+            config, inputs, seed=11, byzantine=silent
+        )
+    assert set(result.decisions) == set(correct)
+    assert (
+        result.correct_words,
+        result.ledger.correct_messages,
+        result.ledger.signature_count(),
+        result.ticks,
+        repr(result.unanimous_decision()),
+        len(result.trace.events),
+    ) == PINNED_RUNS[name, driver, f]

@@ -7,8 +7,8 @@ covers what is unique to the certification-view stack: view rotation
 and silence, the ``CertifiedValue`` collapse that closes the
 certificate-multiplicity route to ⊥, the certificate-equivocation
 attacks at the paper quorum, and the backend's integration seams
-(replay builders, lazily registered MC scenario, sorted
-unknown-protocol listing)."""
+(replay builders, the MC scenario, sorted unknown-protocol
+listing)."""
 
 import pytest
 
@@ -17,18 +17,14 @@ from repro.config import SystemConfig
 from repro.errors import ConfigurationError, RecoveryError
 from repro.mc.explore import explore_exhaustive
 from repro.mc.scenario import make_scenario
-from repro.protocols.civit import (
-    BINARY_VALUES,
-    CertifiedValue,
-    run_civit_adaptive_strong_ba,
-    run_civit_strong_ba,
-)
+from repro.protocols import get_backend
+from repro.protocols.civit import BINARY_VALUES, CertifiedValue
 from repro.recovery.replay import factory_from_meta
 
 
 class TestCertificationViews:
     def test_unanimous_run_uses_exactly_one_view(self, config7):
-        result = run_civit_strong_ba(
+        result = get_backend("civit").run_strong_ba(
             config7, {p: 1 for p in config7.processes}
         )
         assert result.trace.count("civit_view_non_silent") == 1
@@ -40,7 +36,7 @@ class TestCertificationViews:
         one extra non-silent view, not the fallback."""
         byzantine = {0: SilentBehavior()}
         inputs = {p: 1 for p in config7.processes if p != 0}
-        result = run_civit_strong_ba(config7, inputs, byzantine=byzantine)
+        result = get_backend("civit").run_strong_ba(config7, inputs, byzantine=byzantine)
         assert result.unanimous_decision() == 1
         assert not result.fallback_was_used()
         assert result.trace.count("civit_view_non_silent") <= 2
@@ -67,7 +63,7 @@ class TestCertificationViews:
         binary split still lands on a proposed value."""
         for seed in range(6):
             inputs = {p: p % 2 for p in config7.processes}
-            result = run_civit_strong_ba(config7, inputs, seed=seed)
+            result = get_backend("civit").run_strong_ba(config7, inputs, seed=seed)
             assert result.unanimous_decision() in BINARY_VALUES
 
 
@@ -106,12 +102,12 @@ class TestAttacksAtPaperQuorum:
 
     def test_non_binary_strong_input_rejected_up_front(self, config7):
         with pytest.raises(ConfigurationError, match="binary"):
-            run_civit_strong_ba(
+            get_backend("civit").run_strong_ba(
                 config7, {p: "x" for p in config7.processes}
             )
 
     def test_adaptive_variant_accepts_arbitrary_values(self, config5):
-        result = run_civit_adaptive_strong_ba(
+        result = get_backend("civit").run_adaptive_strong_ba(
             config5, {p: ("tuple", p < 99) for p in config5.processes}
         )
         assert result.unanimous_decision() == ("tuple", True)

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import CLI_PROTOCOLS, build_parser, main
 
 
@@ -73,6 +79,31 @@ class TestRun:
             main(["run", "bb", "--n", "5", "--synchrony", "banana"])
 
 
+MISCONFIGURED = [
+    ["run", "weak-ba", "--n", "4"],
+    ["run", "weak-ba", "--n", "5", "--f", "3"],
+    ["run", "weak-ba", "--n", "5", "--synchrony", "gst:3", "--wal-dir", "{wal}"],
+    ["run", "strong-ba", "--n", "5", "--crash", "9:1:3", "--wal-dir", "{wal}"],
+    ["mc", "explore", "--scenario", "nope"],
+]
+
+
+@pytest.mark.parametrize("argv", MISCONFIGURED, ids=" ".join)
+def test_misconfigured_call_prints_one_error_line(argv, tmp_path):
+    """``python -m repro`` turns a library error into one diagnostic
+    line and exit status 2, never a traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro",
+         *(arg.format(wal=tmp_path / "wal") for arg in argv)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert completed.returncode == 2
+    assert "Traceback" not in completed.stderr
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+
+
 class TestSweepAndTables:
     def test_sweep_prints_table_and_slope(self, capsys):
         assert main(["sweep", "bb", "--ns", "5", "9", "--max-f", "1"]) == 0
@@ -86,12 +117,6 @@ class TestSweepAndTables:
              "--synchrony", "gst:4"]
         ) == 0
         assert "weak_ba" in capsys.readouterr().out
-
-    def test_table1(self, capsys):
-        assert main(["table1", "--ns", "5", "9"]) == 0
-        out = capsys.readouterr().out
-        assert "Byzantine Broadcast" in out
-        assert "O(n(f+1))" in out
 
     def test_flows(self, capsys):
         assert main(["flows", "--n", "5"]) == 0

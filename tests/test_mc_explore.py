@@ -173,56 +173,3 @@ class TestRandomWalk:
         ce = result.counterexamples[0]
         outcome = run_schedule(scenario, ce.decisions)
         assert {v.kind for v in outcome.report.violations} >= set(ce.kinds)
-
-class TestParallelExploration:
-    """The sharded explorer must prove the same theorem as the serial
-    DFS: identical run counts, identical verdict, regardless of the
-    worker count or the shard boundaries."""
-
-    def test_parallel_matches_serial(self):
-        from repro.mc.explore import explore_exhaustive_parallel
-
-        serial = explore_exhaustive(_proof_scenario(perm_cap=2), max_runs=50_000)
-        for jobs in (1, 2, 3):
-            parallel = explore_exhaustive_parallel(
-                _proof_scenario(perm_cap=2), jobs=jobs, max_runs=50_000
-            )
-            assert parallel.complete and parallel.ok
-            assert parallel.stats.runs == serial.stats.runs
-            assert parallel.stats.terminal == serial.stats.terminal
-            assert parallel.stats.max_depth == serial.stats.max_depth
-            assert parallel.counterexamples == serial.counterexamples
-
-    def test_shard_roots_partition_the_space(self):
-        from repro.mc.explore import _shard_roots, explore_exhaustive
-
-        roots = _shard_roots(_proof_scenario(perm_cap=2), 4)
-        assert len(roots) >= 2
-        # Every root explores a disjoint subtree; together they cover
-        # exactly the serial space.
-        total = 0
-        for root in roots:
-            result = explore_exhaustive(
-                _proof_scenario(perm_cap=2), max_runs=50_000, roots=(root,)
-            )
-            assert result.complete and result.ok
-            total += result.stats.runs
-        serial = explore_exhaustive(_proof_scenario(perm_cap=2), max_runs=50_000)
-        assert total == serial.stats.runs
-
-    def test_parallel_counterexample_detection(self):
-        from repro.mc.explore import explore_exhaustive_parallel
-
-        scenario = make_scenario(
-            "weak-ba",
-            n=4,
-            t=1,
-            adversary="equivocating-leader",
-            max_ticks=24,
-            reorder=False,
-            quorum_delta=-1,
-        )
-        result = explore_exhaustive_parallel(scenario, jobs=2, max_runs=50_000)
-        assert not result.ok
-        assert result.counterexamples
-        assert any("agreement" in ce.kinds for ce in result.counterexamples)

@@ -84,7 +84,7 @@ def test_lookup_by_canonical_name_or_cli_spelling():
         assert get_protocol(entry.name) is entry
         if entry.cli is not None:
             assert get_protocol(entry.cli) is entry
-    with pytest.raises(ValueError, match="known: "):
+    with pytest.raises(ConfigurationError, match="known: "):
         get_protocol("paxos")
 
 
