@@ -159,7 +159,8 @@ def _state_digest(
             (pid, tuple(e.mc_key() for e in box))
             for pid, box in inboxes.items()
         )),
-        # The wheel is tick -> receiver -> (delay, envelope) buckets.
+        # A checked run has a ChoiceSource, so its wheel is in the
+        # per-copy form: tick -> receiver -> (delay, envelope) buckets.
         # Bucket order is canonicalized away: delivery always re-sorts
         # by (delay, sender), so only the multiset matters for the
         # run's future.

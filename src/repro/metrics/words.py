@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from operator import ne
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.config import ProcessId
@@ -185,7 +187,7 @@ class WordLedger:
         if receiver is not None:
             receivers = (receiver,)
         if sender in receivers:
-            receivers = tuple(r for r in receivers if r != sender)
+            receivers = tuple(filter(partial(ne, sender), receivers))
         else:
             receivers = tuple(receivers)
         if not receivers:

@@ -24,6 +24,26 @@ class Envelope:
     sent_at: int
     delivered_at: int
 
+    def __init__(
+        self,
+        sender: ProcessId,
+        receiver: ProcessId,
+        payload: object,
+        sent_at: int,
+        delivered_at: int,
+    ) -> None:
+        # One envelope is built per delivered copy.  Filling the instance
+        # dict directly skips the five ``object.__setattr__`` calls of the
+        # generated frozen ``__init__``.  ``@dataclass`` keeps a
+        # class-defined ``__init__``; equality, hashing and the frozen
+        # ``__setattr__`` are still generated.
+        fields = self.__dict__
+        fields["sender"] = sender
+        fields["receiver"] = receiver
+        fields["payload"] = payload
+        fields["sent_at"] = sent_at
+        fields["delivered_at"] = delivered_at
+
     def __repr__(self) -> str:  # compact traces
         return (
             f"Envelope({self.sender}->{self.receiver} @{self.delivered_at}: "

@@ -80,6 +80,9 @@ def resolve_synchrony(
     return model
 
 
+_PID_TYPES = frozenset({int})
+
+
 def bill_multicast(
     host: Any,
     sender: ProcessId,
@@ -95,9 +98,17 @@ def bill_multicast(
     frame counts billed copies only — self-delivery is free, and counting
     it would desync replay from the word ledger."""
     processes = host.config.processes
-    for to in recipients:
-        if to not in processes:
-            raise SchedulerError(f"send to unknown process {to}")
+    # A pid is an int (not a bool, not a float equal to one) of the
+    # contiguous range ``processes``: the extremes bound every int.
+    if recipients and not (
+        _PID_TYPES.issuperset(map(type, recipients))
+        and min(recipients) in processes
+        and max(recipients) in processes
+    ):
+        unknown = next(
+            to for to in recipients if type(to) is not int or to not in processes
+        )
+        raise SchedulerError(f"send to unknown process {unknown}")
     bill = host.ledger.record(
         tick=tick,
         sender=sender,

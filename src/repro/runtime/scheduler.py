@@ -42,7 +42,9 @@ generators' return values are the decisions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
+from collections import defaultdict
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Sequence
 
 from repro.config import ProcessId, SystemConfig
 from repro.crypto.certificates import CryptoSuite
@@ -86,6 +88,9 @@ tick."""
 
 _ONE_COPY = (0.0,)
 """The wire copies of a send when no fault injector acts: one, undelayed."""
+
+_Multicast = tuple[ProcessId, tuple[ProcessId, ...], object, int]
+"""A fan-out wheel entry: ``(sender, recipients, payload, sent_at)``."""
 
 
 class _RoundClock:
@@ -271,14 +276,33 @@ class Simulation:
         """Corrupted pids whose behavior is not ``passive``, in pid order:
         the ones stepped, and a reason ticks stay dense."""
         self._scheduled_corruptions: dict[int, list[tuple[ProcessId, ByzantineBehavior]]] = {}
-        self._due: dict[int, dict[ProcessId, list[tuple[float, Envelope]]]] = {}
-        """Slotted delivery wheel: tick -> receiver -> ``(sub-delta
-        delay, envelope)`` pairs.  The delay (a fraction of ``delta``)
-        only influences inbox position, never the delivery tick.
-        Receivers appear in first-send order and each bucket preserves
-        send order, so the wheel reproduces byte-for-byte the inboxes
-        the old flat per-tick scan produced (the seeded equivalence
-        property in ``test_scheduler_properties.py`` pins this)."""
+        self._fanout = self._injector is None and not self._paced
+        """Whether every copy of a multicast shares its fate: no fault
+        verdict, no choice-source draw and no paced delivery draw can
+        tell one copy from its siblings (lockstep ``delta=1``, no
+        ``FaultPlan``, no ``ChoiceSource``)."""
+        self._due: dict[
+            int, list[_Multicast] | dict[ProcessId, list[tuple[float, Envelope]]]
+        ] = {}
+        """Slotted delivery wheel, one slot per delivery tick.
+
+        On the fan-out path (``_fanout``) a slot is a list of whole
+        multicasts in send order, one entry per multicast; the copies'
+        envelopes are built only when the tick's inboxes are, and only
+        for the inboxes someone reads (:meth:`_fan_out`).  Otherwise a copy's fate can differ from its
+        siblings' — a fault verdict, a choice-source draw or a paced
+        delivery tick — and a slot maps receiver -> ``(sub-delta delay,
+        envelope)`` pairs, one per wire copy (:meth:`_slot_copies`).
+        The delay (a fraction of ``delta``) only influences inbox
+        position, never the delivery tick.  Receivers appear in
+        first-send order and each bucket preserves send order.  The
+        model checker fingerprints this per-copy form: it always runs
+        with a ``ChoiceSource``, so it never takes the fan-out path.
+
+        Both forms produce byte-identical inboxes: the seeded
+        equivalence properties in ``test_scheduler_properties.py`` (the
+        historical flat per-tick scan) and ``test_multicast_fanout.py``
+        (fan-out against per-copy, on every table row) pin this."""
         self._deadline: dict[ProcessId, int] = {}
         """Live generator -> the wake-up deadline it last yielded."""
         self._wake: dict[int, list[ProcessId]] = {}
@@ -359,13 +383,31 @@ class Simulation:
         scope: str,
         sender_correct: bool,
     ) -> None:
-        """One multicast: bill it once, then put one copy per recipient
-        on the wire, in recipient order."""
+        """One multicast: bill it once, then put it on the wire.
+
+        On the fan-out path the multicast is one entry of the ``tick +
+        1`` slot; otherwise each recipient's copies are slotted one by
+        one, in recipient order.  Either way a recorded run lists one
+        envelope per recipient, in send order."""
         tick = self.tick
         bill_multicast(
             self, sender, recipients, payload,
             tick=tick, scope=scope, sender_correct=sender_correct,
         )
+        if self._fanout:
+            recipients = tuple(recipients)
+            if not recipients:  # no copy, no slot: the tick stays skippable
+                return
+            slot = self._due.get(tick + 1)
+            if slot is None:
+                slot = self._due[tick + 1] = []
+            slot.append((sender, recipients, payload, tick))
+            if self.record_envelopes:
+                self.envelopes += [
+                    Envelope(sender, to, payload, tick, tick + 1)
+                    for to in recipients
+                ]
+            return
         obs = self.observer
         injector = self._injector
         paced = self._paced
@@ -373,7 +415,7 @@ class Simulation:
         envelopes = self.envelopes if self.record_envelopes else None
         for to in recipients:
             if not paced:
-                # Historical fast path: lockstep delta=1 delivers next tick.
+                # Lockstep delta=1 delivers next tick.
                 delivered_at = tick + 1
             else:
                 edge = (sender, to)
@@ -399,13 +441,47 @@ class Simulation:
             if envelopes is not None:
                 envelopes.append(envelope)
 
-    # The three wheel accessors below are override points: the scheduler
-    # equivalence tests subclass Simulation with the historical flat
-    # per-tick list to prove the slotted wheel is observationally
-    # identical.
+    def _fan_out(
+        self, tick: int, live: Collection[ProcessId]
+    ) -> dict[ProcessId, list[Envelope]]:
+        """Pop tick ``tick``'s multicasts and build the inboxes someone
+        reads: those of the ``live`` correct processes and the stepped
+        Byzantine behaviors, or all of them under a tick hook (it sees
+        the whole map).  A copy to a decided process or a passive
+        Byzantine one is never built; nothing would read it.
+
+        The slot is stably sorted by sender once, then each multicast
+        appends one envelope per reading recipient.  Each inbox is
+        thereby in sender order and, within a sender, in send order:
+        what sorting the per-copy bucket by sender gives.  Nothing is
+        ever down here: crash faults come with a fault plan, hence the
+        per-copy path."""
+        inboxes: defaultdict[ProcessId, list[Envelope]] = defaultdict(list)
+        multicasts = self._due.pop(tick, None)
+        if not multicasts:
+            return inboxes
+        readers: Collection[ProcessId] = (
+            self.config.processes if self.tick_hook is not None
+            else {*live, *self._stepped}
+        )
+        multicasts.sort(key=itemgetter(0))
+        for sender, recipients, payload, sent_at in multicasts:
+            for to in recipients:
+                if to in readers:
+                    inboxes[to].append(
+                        Envelope(sender, to, payload, sent_at, tick)
+                    )
+        return inboxes
+
+    # The three wheel accessors below are override points of the
+    # per-copy path: the scheduler equivalence tests subclass Simulation
+    # with the historical flat per-tick list, and run it under a fault
+    # plan so that every copy goes through them, to prove the slotted
+    # wheel is observationally identical.
 
     def _slot_copies(self, envelope: Envelope, copies: Sequence[float]) -> None:
-        """File an envelope's wire copies into the delivery wheel.
+        """File an envelope's wire copies into the delivery wheel (the
+        per-copy path: a fault plan, a choice source or a paced model).
 
         The slot is the envelope's synchrony-resolved ``delivered_at``
         (``tick + 1`` under the default model — the historical scheduler
@@ -439,7 +515,8 @@ class Simulation:
         return pending
 
     def _rushed_to(self, pid: ProcessId) -> list[Envelope]:
-        """Messages sent *this* tick to ``pid`` (Byzantine rushing)."""
+        """Messages sent *this* tick to ``pid`` (Byzantine rushing), in
+        send order."""
         if self._paced:
             # Sends scatter across future wheel slots under a paced
             # model; the per-tick side record is the rushing view.
@@ -447,6 +524,12 @@ class Simulation:
         slot = self._due.get(self.tick + 1)
         if not slot:
             return []
+        if self._fanout:
+            return [
+                Envelope(sender, pid, payload, sent_at, sent_at + 1)
+                for sender, recipients, payload, sent_at in slot
+                for _ in range(recipients.count(pid))
+            ]
         bucket = slot.get(pid)
         if not bucket:
             return []
@@ -673,17 +756,18 @@ class Simulation:
                         self, crash.pid, self.tick, generators.pop(crash.pid)
                     )
 
-            pending = self._pending_at(self.tick, down)
             inboxes: dict[ProcessId, list[Envelope]] = {}
             resuming: list[ProcessId] | None = None
-            if self._paced:
+            if self._fanout:
+                inboxes = self._fan_out(self.tick, generators)
+            elif self._paced:
                 # Deliveries land in per-process buffers; the shared
                 # round clock ends rounds by certificate or timeout, not
                 # at the tick boundary, and each process resumes at the
                 # advance tick plus its bounded clock drift.  Byzantine
                 # inboxes stay per-tick: the adversary's view is never
                 # paced by honest clocks.
-                for pid, entries in pending.items():
+                for pid, entries in self._pending_at(self.tick, down).items():
                     pacer = self._pacers.get(pid)
                     if pacer is not None:
                         pacer.buffer.extend(
@@ -704,29 +788,25 @@ class Simulation:
                         inboxes[pid] = self._paced_inbox(pid)
                         resuming.append(pid)
             else:
-                for pid, entries in pending.items():
+                for pid, entries in self._pending_at(self.tick, down).items():
+                    # Canonicalize (delay, then sender): delayed copies
+                    # land later in the inbox.  Then the decision stream
+                    # picks among the offered orderings, or the plan's
+                    # seeded reorder may scramble the whole round.
+                    # Byzantine inboxes stay canonical under a choice
+                    # source: the adversary sees everything anyway, so
+                    # its perceived order is not part of the
+                    # correctness space.
+                    entries.sort(key=lambda de: (de[0], de[1].sender))
+                    inbox = [e for _, e in entries]
                     if self.choices is not None:
-                        # Canonicalize (delay, then sender), then let the
-                        # decision stream pick among the offered orderings.
-                        # Byzantine inboxes stay canonical: the adversary
-                        # sees everything anyway, so its perceived order is
-                        # not part of the correctness space.
-                        entries.sort(key=lambda de: (de[0], de[1].sender))
-                        inbox = [e for _, e in entries]
                         if pid not in self._behaviors:
                             inbox = self.choices.order_inbox(pid, self.tick, inbox)
-                        inboxes[pid] = inbox
-                    elif self._injector is not None:
-                        # Delayed copies land later in the inbox; the plan's
-                        # seeded reorder may then scramble the whole round.
-                        entries.sort(key=lambda de: (de[0], de[1].sender))
-                        inboxes[pid] = self._injector.plan.maybe_shuffle(
-                            pid, self.tick, [e for _, e in entries]
-                        )
                     else:
-                        inboxes[pid] = [
-                            e for _, e in sorted(entries, key=lambda de: de[1].sender)
-                        ]
+                        inbox = self._injector.plan.maybe_shuffle(
+                            pid, self.tick, inbox
+                        )
+                    inboxes[pid] = inbox
 
             if self.tick_hook is not None:
                 self.tick_hook(self, inboxes)

@@ -1,5 +1,8 @@
 """Unit tests for envelopes, the message pool, traces, and run results."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.asyncnet.runner import AsyncNetwork
@@ -19,6 +22,50 @@ def env(sender=0, receiver=1, payload="x", tick=0):
         sent_at=tick,
         delivered_at=tick + 1,
     )
+
+
+class TestEnvelope:
+    """The contract the hand-written ``__init__`` must keep: a frozen,
+    hashable, picklable dataclass of five fields."""
+
+    def test_fields_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Envelope)] == [
+            "sender", "receiver", "payload", "sent_at", "delivered_at",
+        ]
+        e = Envelope(0, 1, "x", 2, 3)
+        assert (e.sender, e.receiver, e.payload, e.sent_at, e.delivered_at) == (
+            0, 1, "x", 2, 3,
+        )
+
+    def test_assignment_raises(self):
+        e = env()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.sender = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del e.payload
+
+    def test_equal_fields_equal_envelopes_and_hashes(self):
+        assert env() == env() and hash(env()) == hash(env())
+        assert env() is not env()
+        assert env(payload="y") != env()
+        assert len({env(), env(), env(receiver=2)}) == 2
+
+    def test_pickle_round_trip(self):
+        e = env(payload=("vote", 7))
+        assert pickle.loads(pickle.dumps(e)) == e
+
+    def test_replace(self):
+        e = env()
+        moved = dataclasses.replace(e, receiver=4, delivered_at=9)
+        assert moved == Envelope(0, 4, "x", 0, 9)
+        assert e == env()
+
+    def test_mc_key_is_memoized_on_the_instance(self):
+        e = env(payload=("vote", 7))
+        key = e.mc_key()
+        assert key == (0, 1, 0, repr(("vote", 7)))
+        assert e.mc_key() is key
+        assert env(payload=("vote", 7)).mc_key() is not key
 
 
 class TestMessagePool:

@@ -255,6 +255,71 @@ class TestByzantine:
             simulation.run()
 
 
+def _slotted(simulation):
+    """Wire copies waiting in the delivery wheel, in either slot form."""
+    copies = 0
+    for slot in simulation._due.values():
+        if isinstance(slot, list):  # fan-out: whole multicasts
+            copies += sum(len(recipients) for _, recipients, _, _ in slot)
+        else:  # per-copy: receiver -> (delay, envelope) pairs
+            copies += sum(len(bucket) for bucket in slot.values())
+    return copies
+
+
+@pytest.mark.parametrize("plan", [None, "zero-rate"], ids=["fanout", "per-copy"])
+class TestUnknownRecipients:
+    """A send to a pid outside the run raises before it is billed or
+    put on the wire; the multicast before it is untouched."""
+
+    @staticmethod
+    def _run(config, plan, *, bad=None, behavior=None):
+        """p0 multicasts ``"ok"`` to (1, 2), then ``"bad"`` to ``bad``;
+        or p0 is ``behavior`` and steps after p1..p4 sent their "ok"."""
+        from repro.faults.plan import FaultPlan
+
+        simulation = Simulation(
+            config,
+            fault_plan=FaultPlan(seed=0) if plan else None,
+            record_envelopes=True,
+        )
+
+        def protocol(ctx):
+            ctx.multicast((1, 2), "ok")
+            if ctx.pid == 0:
+                ctx.multicast(bad, "bad")
+            yield
+            return None
+
+        for pid in config.processes:
+            if pid == 0 and behavior is not None:
+                simulation.add_byzantine(0, behavior)
+            else:
+                simulation.add_process(pid, protocol)
+        with pytest.raises(SchedulerError, match="send to unknown process"):
+            simulation.run()
+        senders = [1, 2, 3, 4] if behavior is not None else [0]
+        assert [(b.sender, b.payload_type) for b in simulation.ledger.bills] == [
+            (pid, "str") for pid in senders
+        ]
+        assert [e.payload for e in simulation.envelopes] == ["ok"] * 2 * len(senders)
+        assert _slotted(simulation) == 2 * len(senders)
+
+    def test_correct_process_multicasting_past_the_last_pid(self, config5, plan):
+        self._run(config5, plan, bad=(0, config5.n))
+
+    def test_byzantine_send_to_negative_pid(self, config5, plan):
+        class Stray:
+            def step(self, api):
+                api.send(-1, "bad")
+
+        self._run(config5, plan, behavior=Stray())
+
+    @pytest.mark.parametrize("pid", ["1", 1.0, True, None])
+    def test_non_int_pid(self, config5, plan, pid):
+        """``1.0`` and ``True`` equal a real pid, yet are not one."""
+        self._run(config5, plan, bad=(2, pid))
+
+
 class TestDeterminism:
     def test_same_seed_same_run(self, config5):
         def noisy(ctx):

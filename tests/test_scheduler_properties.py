@@ -117,10 +117,15 @@ class FlatScanSimulation(Simulation):
     """The historical delivery implementation: one flat per-tick list of
     ``(delay, envelope)`` pairs, scanned and regrouped at delivery time.
 
-    PR 6 replaced it with the receiver-slotted wheel; this subclass
-    restores the old behavior through the wheel's three override points
-    so the equivalence property below can prove the swap is
-    observationally invisible (byte-identical traces)."""
+    The receiver-slotted wheel replaced it; this subclass restores the
+    old behavior through the wheel's three per-copy override points
+    (``_slot_copies``, ``_pending_at``, ``_rushed_to``) so the
+    equivalence property below can prove the swap is observationally
+    invisible (byte-identical traces).  Those points are called only on
+    the per-copy path, where a fault plan or a choice source acts: a
+    run with neither slots whole multicasts and never reaches them.  So
+    every flat-scan run here has a fault plan, ``FaultPlan(seed=0)``
+    (all rates zero) standing in for "no faults"."""
 
     def _slot_copies(self, envelope, copies):
         for delay in copies:
@@ -145,7 +150,11 @@ class FlatScanSimulation(Simulation):
 
 class TestSlottedWheelEquivalence:
     """The slotted delivery wheel must be a pure data-structure swap:
-    same seeds, same faults, same adversary => byte-identical traces."""
+    same seeds, same faults, same adversary => byte-identical traces.
+
+    The flat scan always runs per-copy (see :class:`FlatScanSimulation`),
+    so the ``plan=None`` row compares the shipped fan-out path with the
+    historical flat scan under a zero-rate plan."""
 
     @staticmethod
     def _weak_ba_trace(
@@ -206,7 +215,8 @@ class TestSlottedWheelEquivalence:
                         tmp_path / f"wheel{case}" if crashes else None,
                     )
                     flat = self._weak_ba_trace(
-                        FlatScanSimulation, n, seed, plan, byzantine,
+                        FlatScanSimulation, n, seed, plan or FaultPlan(seed=0),
+                        byzantine,
                         tmp_path / f"flat{case}" if crashes else None,
                     )
                     assert wheel == flat, (n, byzantine, plan, seed)
