@@ -9,7 +9,10 @@ interpolation at zero (for share combination).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.errors import ThresholdError
@@ -53,6 +56,10 @@ def inv(a: int) -> int:
     return pow(a, -1, PRIME)
 
 
+_HORNER_CHUNK = 32
+"""Horner steps between reductions in :meth:`Polynomial.evaluate`."""
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """A polynomial over GF(p), ``coefficients[i]`` multiplying ``x**i``."""
@@ -69,10 +76,19 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x: int) -> int:
-        """Horner evaluation of the polynomial at ``x``."""
+        """Horner evaluation of the polynomial at ``x``, reduced once per
+        ``_HORNER_CHUNK`` steps: the exact intermediate stays a few
+        hundred bits for small ``x`` (share dealing evaluates at
+        ``pid + 1``), which is cheaper than reducing at every step and,
+        unlike never reducing, does not grow with the degree."""
+        coefficients = self.coefficients
         result = 0
-        for coefficient in reversed(self.coefficients):
-            result = (result * x + coefficient) % PRIME
+        for stop in range(len(coefficients), 0, -_HORNER_CHUNK):
+            for coefficient in reversed(
+                coefficients[max(0, stop - _HORNER_CHUNK) : stop]
+            ):
+                result = result * x + coefficient
+            result %= PRIME
         return result
 
 
@@ -85,28 +101,28 @@ thousands of times for identical inputs."""
 
 
 def _lagrange_uncached(points: tuple[int, ...]) -> tuple[int, ...]:
-    """The reference computation, one batched inversion for all k
-    denominators (Montgomery's trick: invert the running product once,
-    then unfold) instead of one modular inversion per coefficient."""
-    denominators = []
-    for i, x_i in enumerate(points):
-        numerator = 1
-        denominator = 1
-        for j, x_j in enumerate(points):
-            if i == j:
-                continue
-            numerator = mul(numerator, x_j)
-            denominator = mul(denominator, sub(x_j, x_i))
-        denominators.append((numerator, denominator))
+    """The memo-free computation.  ``lambda_i`` is the product of the
+    other points over the product of their differences from ``x_i``;
+    both are exact integer products taken at C speed (the numerator as
+    the product of all points divided by ``x_i``) and reduced once.  All
+    k denominators share one batched inversion (Montgomery's trick:
+    invert the running product once, then unfold)."""
+    everything = math.prod(points)
+    numerators = [everything // x_i % PRIME for x_i in points]
+    denominators = [
+        math.prod(map(operator.sub, points[:i], repeat(x_i)))
+        * math.prod(map(operator.sub, points[i + 1 :], repeat(x_i)))
+        % PRIME
+        for i, x_i in enumerate(points)
+    ]
     prefix = [1]
-    for _, denominator in denominators:
+    for denominator in denominators:
         prefix.append(mul(prefix[-1], denominator))
     inverse = inv(prefix[-1])
     coefficients = [0] * len(points)
     for i in range(len(points) - 1, -1, -1):
-        numerator, denominator = denominators[i]
-        coefficients[i] = mul(numerator, mul(inverse, prefix[i]))
-        inverse = mul(inverse, denominator)
+        coefficients[i] = mul(numerators[i], mul(inverse, prefix[i]))
+        inverse = mul(inverse, denominators[i])
     return tuple(coefficients)
 
 
@@ -117,7 +133,7 @@ def lagrange_coefficients_at_zero(xs: Sequence[int]) -> list[int]:
         ``f(0) == sum(lambda_i * f(xs[i]))  (mod PRIME)``
 
     The ``xs`` must be distinct and non-zero.  Results are memoized by
-    the signer-set tuple; :func:`_lagrange_uncached` is the reference.
+    the signer-set tuple; :func:`_lagrange_uncached` computes a miss.
     """
     points = tuple(x % PRIME for x in xs)
     if len(set(points)) != len(points):

@@ -7,7 +7,7 @@ size of an individual signature.  We implement a real linear scheme:
 * A trusted dealer (the scheme object, playing the role of the paper's
   trusted setup) samples a secret ``s`` and a degree-``k-1`` polynomial
   ``P`` with ``P(0) = s`` over GF(p); process ``i`` holds the share
-  ``s_i = P(i + 1)``.
+  ``s_i = P(i + 1)``, evaluated the first time it is used.
 * A partial signature on message ``m`` is ``sigma_i = s_i * H(m) mod p``.
 * Any ``k`` partials from distinct signers combine by Lagrange
   interpolation at zero into ``sigma = s * H(m) mod p`` — one field
@@ -136,9 +136,9 @@ class ThresholdScheme:
             coefficients[0] = 1
         self._polynomial = field.Polynomial(tuple(coefficients))
         self._secret = self._polynomial.evaluate(0)
-        self._shares = {
-            pid: self._polynomial.evaluate(pid + 1) for pid in holders
-        }
+        self._shares: dict[ProcessId, int] = {}
+        """Member -> ``P(pid + 1)``, evaluated on first use: a decision
+        signs with only some of the shares (docs/performance.md)."""
         self._combine_cache: dict[tuple[tuple[ProcessId, int], ...], int] = {}
         """``(signer, value)`` pairs -> interpolated value; cleared
         wholesale at ``_CACHE_CAP``."""
@@ -163,12 +163,17 @@ class ThresholdScheme:
         return self._members
 
     def _share_of(self, pid: ProcessId) -> int:
-        try:
-            return self._shares[pid]
-        except KeyError:
-            raise UnknownSignerError(
-                f"process {pid} holds no share in scheme {self._scheme_id!r}"
-            ) from None
+        share = self._shares.get(pid)
+        if share is None:
+            if pid not in self._members:
+                raise UnknownSignerError(
+                    f"process {pid} holds no share in scheme {self._scheme_id!r}"
+                )
+            # int(): the member test is by equality, so a hostile partial
+            # may name member 1 as 1.0; evaluating at a float would file
+            # a wrong share under the key member 1 then reads.
+            share = self._shares[pid] = self._polynomial.evaluate(int(pid) + 1)
+        return share
 
     # ------------------------------------------------------------------
     # Signing
@@ -226,7 +231,7 @@ class ThresholdScheme:
         eligible = all(
             p.scheme_id == self._scheme_id
             and p.digest == digest
-            and p.signer in self._shares
+            and p.signer in self._members
             for p in partials
         )
         if eligible and len(partials) > 1:
@@ -244,7 +249,7 @@ class ThresholdScheme:
                 ) % field.PRIME
                 lhs = field.add(lhs, field.mul(r, partial.value))
                 share_sum = field.add(
-                    share_sum, field.mul(r, self._shares[partial.signer])
+                    share_sum, field.mul(r, self._share_of(partial.signer))
                 )
             if lhs == field.mul(share_sum, digest):
                 return [True] * len(partials)

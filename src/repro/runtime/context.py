@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Generator, Iterator, Sequence
 
 from repro.config import ProcessId, SystemConfig
@@ -56,8 +57,13 @@ class ProcessContext:
         under lockstep ``delta=1``, the process's own round index under a
         paced model, the replayed tick during WAL replay, so protocol
         timers ("wait until ``now + 2``") count rounds everywhere."""
-        self.rng = random.Random(
-            (simulation.seed * 1_000_003 + pid) & 0xFFFFFFFF
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The process's deterministic random stream, seeded from the run
+        seed and the pid on first use (most protocols never draw)."""
+        return random.Random(
+            (self._simulation.seed * 1_000_003 + self._pid) & 0xFFFFFFFF
         )
 
     # ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Unit tests for the Shamir-based threshold signature scheme."""
 
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
-from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
+from repro.crypto.field import PRIME
+from repro.crypto.threshold import ThresholdScheme, ThresholdSignature, message_digest
 from repro.errors import (
     DuplicateShareError,
     InsufficientSharesError,
@@ -13,6 +15,7 @@ from repro.errors import (
     UnknownSignerError,
 )
 from repro.metrics.words import payload_words
+from tests.test_field import reference_evaluate, reference_lagrange
 
 
 @pytest.fixture
@@ -140,11 +143,66 @@ class TestCommitteeRestriction:
 
 
 def _reference_combine(partials) -> int:
-    """Interpolation at zero built from the memo-free Lagrange reference."""
-    from repro.crypto.field import PRIME, _lagrange_uncached
-
-    coefficients = _lagrange_uncached(tuple(p.signer + 1 for p in partials))
+    """Interpolation at zero built from the O(k^2) Lagrange oracle."""
+    coefficients = reference_lagrange(tuple(p.signer + 1 for p in partials))
     return sum(c * p.value for c, p in zip(coefficients, partials)) % PRIME
+
+
+def _reference_shares(scheme_id, k, n, seed, holders) -> dict[int, int]:
+    """An eager dealer: the documented coefficient derivation, every
+    holder's share evaluated up front with the per-step Horner oracle."""
+    material = hashlib.sha256(
+        b"dealer|" + seed + scheme_id.encode() + f"|{k}|{n}".encode()
+    ).digest()
+    coefficients = [
+        int.from_bytes(hashlib.sha256(material + i.to_bytes(4, "big")).digest(), "big")
+        % PRIME
+        for i in range(k)
+    ]
+    coefficients[0] = coefficients[0] or 1
+    return {pid: reference_evaluate(coefficients, pid + 1) for pid in holders}
+
+
+class TestLazyDealing:
+    """Shares are evaluated on first use; every value must be the one an
+    eager dealer hands out, whatever order the holders sign in."""
+
+    @pytest.mark.parametrize("members", [None, frozenset({0, 2, 3, 7, 8})])
+    def test_partials_equal_the_eager_dealers(self, members):
+        holders = sorted(members) if members is not None else list(range(9))
+        shares = _reference_shares("lazy", 3, 9, b"d", holders)
+        scheme = ThresholdScheme("lazy", k=3, n=9, seed=b"d", members=members)
+        assert scheme._shares == {}  # dealing evaluated no share
+        digest = message_digest("m")
+        for pid in reversed(holders):
+            partial = scheme.partial_sign(pid, "m")
+            assert partial.value == shares[pid] * digest % PRIME
+        assert scheme._shares == shares
+        outsiders = [pid for pid in range(-1, 11) if pid not in shares]
+        for pid in outsiders:
+            with pytest.raises(UnknownSignerError):
+                scheme.partial_sign(pid, "m")
+        assert set(scheme._shares) == set(shares)
+
+    def test_a_float_signer_cannot_poison_a_members_share(self):
+        scheme = ThresholdScheme("lazy", k=2, n=7, seed=b"d")
+        honest = ThresholdScheme("lazy", k=2, n=7, seed=b"d").partial_sign(1, "m")
+        assert scheme.verify_partial(replace(honest, signer=1.0), "m")
+        assert scheme.verify_partial(honest, "m")
+        assert scheme.partial_sign(1, "m") == honest
+
+    def test_batch_verification_of_a_non_member_returns_a_verdict(self):
+        committee = frozenset({1, 3, 5})
+        scheme = ThresholdScheme("lazy", k=2, n=7, seed=b"d", members=committee)
+        outsider = ThresholdScheme("lazy", k=2, n=7, seed=b"d").partial_sign(0, "m")
+        # Signed under an identical scheme, so `scheme` has dealt nothing
+        # when it verifies.
+        twin = ThresholdScheme("lazy", k=2, n=7, seed=b"d", members=committee)
+        partials = [twin.partial_sign(pid, "m") for pid in (5, 1)] + [outsider]
+        assert scheme.verify_partials(partials, "m") == [True, True, False]
+        assert scheme.verify_partials(partials[:2], "m") == [True, True]
+        assert scheme.verify_partials([outsider], "m") == [False]
+        assert not scheme.verify_partial(outsider, "m")
 
 
 class TestCacheTransparency:
@@ -153,17 +211,14 @@ class TestCacheTransparency:
     rejections."""
 
     def test_lagrange_cache_matches_direct_computation(self):
-        from repro.crypto.field import (
-            _lagrange_uncached,
-            lagrange_coefficients_at_zero,
-        )
+        from repro.crypto.field import lagrange_coefficients_at_zero
 
         rng = random.Random(7)
         for _ in range(50):
             xs = tuple(
                 sorted(rng.sample(range(1, 40), rng.randrange(1, 12)))
             )
-            reference = list(_lagrange_uncached(xs))
+            reference = list(reference_lagrange(xs))
             assert lagrange_coefficients_at_zero(xs) == reference  # may miss
             assert lagrange_coefficients_at_zero(xs) == reference  # hits
 
