@@ -28,19 +28,6 @@ transport (:mod:`repro.asyncnet.tcp`) shares this module's driver loop
 and send path; a transport only decides how one envelope copy reaches
 the receiver's queue and what a node does when its process crashes and
 rejoins.
-
-Synchrony models
-----------------
-
-A non-trivial :class:`~repro.runtime.synchrony.SynchronyModel` changes
-*when messages are due*, not how rounds are paced: the model's delivery
-law — ``delta`` bounds, GST partial synchrony with seeded pre-GST
-delays — is realized through the ``delivered_at`` stamp that
-:meth:`AsyncNetwork.enter_round` partitions on, so a held-back message
-simply waits in ``pending`` for its due round (and counts toward that
-round's boundary, not the next one).  Tick coordinates scale by
-``delta`` (round ``k`` sends at tick ``k * delta``), which keeps the
-stamps numerically identical to the tick scheduler's.
 """
 
 from __future__ import annotations
@@ -68,7 +55,6 @@ from repro.runtime.host import (
     wake_tick,
 )
 from repro.runtime.result import RunResult
-from repro.runtime.synchrony import SynchronyModel
 from repro.runtime.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,10 +74,9 @@ class AsyncNetwork:
         fault_plan: FaultPlan | None = None,
         observer: Observer | None = None,
         recovery: "RecoveryManager | None" = None,
-        synchrony: SynchronyModel | None = None,
     ) -> None:
         check_seed(seed)
-        self.synchrony = resolve_synchrony(synchrony, fault_plan, recovery)
+        resolve_synchrony(None, fault_plan, recovery)  # crashes need recovery
         if latency >= tick_duration:
             raise SchedulerError(
                 f"latency ({latency}) must stay below the synchrony bound "
@@ -140,9 +125,6 @@ class AsyncNetwork:
         == k`` not yet landed or written off (dropped when ``k`` opens)."""
         self._timeout: asyncio.TimerHandle | None = None
         """Opens boundary ``opened + 1`` if completion has not by then."""
-        self._edge_seq: dict[tuple[ProcessId, ProcessId, int], int] = {}
-        """Per-(edge, round) send counter: the synchrony model's seeded
-        delivery draws are pure in ``(sender, receiver, sent_at, seq)``."""
         self._timers: set[asyncio.TimerHandle] = set()
         """Outstanding sub-round delivery timers (latency, fault-plan
         delays).  Cancelled by :meth:`cancel_timers` on teardown so no
@@ -174,25 +156,6 @@ class AsyncNetwork:
         self.enqueue_send(sender, recipients, payload, "byzantine")
 
     # -- the send path ---------------------------------------------------
-
-    def delivery_round(
-        self, sender: ProcessId, to: ProcessId, tick: int
-    ) -> int:
-        """The round a message sent in round ``tick`` is due — ``tick +
-        1`` under the trivial model and for self-delivery, otherwise the
-        model's delivery law with round coordinates scaled by ``delta``
-        (round ``k`` = tick ``k * delta``), rounded up to the boundary
-        the delivery tick falls inside."""
-        if self.synchrony.trivial or sender == to:
-            return tick + 1
-        delta = self.synchrony.delta
-        edge = (sender, to, tick)
-        seq = self._edge_seq.get(edge, 0)
-        self._edge_seq[edge] = seq + 1
-        delivered_tick = self.synchrony.delivery_tick(
-            sender, to, tick * delta, seq
-        )
-        return max(tick + 1, -(-delivered_tick // delta))
 
     def cancel_timers(self) -> None:
         """Teardown: cancel every outstanding delivery timer and the
@@ -232,7 +195,7 @@ class AsyncNetwork:
                 receiver=to,
                 payload=payload,
                 sent_at=tick,
-                delivered_at=self.delivery_round(sender, to, tick),
+                delivered_at=tick + 1,
             )
             if node is None:
                 self.wire(envelope, self.land)
@@ -605,7 +568,6 @@ async def run_async(
     fault_plan: FaultPlan | None = None,
     observer: Observer | None = None,
     recovery: "RecoveryManager | None" = None,
-    synchrony: SynchronyModel | None = None,
 ) -> RunResult:
     """Run one protocol instance over asyncio.
 
@@ -622,9 +584,7 @@ async def run_async(
     (see :mod:`repro.faults`); ``recovery`` gives every correct process
     a write-ahead log and is required when the plan schedules
     crash/restart faults (the crashed task discards its generator, goes
-    silent for the down window, replays its WAL, and rejoins);
-    ``synchrony`` installs a non-default delivery law (module
-    docstring) — exclusive with ``recovery``.
+    silent for the down window, replays its WAL, and rejoins).
     """
     byzantine = byzantine or {}
     loop = asyncio.get_running_loop()
@@ -637,7 +597,6 @@ async def run_async(
         fault_plan=fault_plan,
         observer=observer,
         recovery=recovery,
-        synchrony=synchrony,
     )
     admit(network, factories, set(crashed) | set(byzantine))
     outcomes = await run_cluster(network, factories, byzantine, None)

@@ -83,7 +83,6 @@ from repro.runtime.result import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.manager import RecoveryManager
-    from repro.runtime.synchrony import SynchronyModel
 
 _HEADER = struct.Struct(">I")
 
@@ -643,7 +642,6 @@ async def run_over_tcp(
     timeout: float | None = 120.0,
     observer: "Observer | None" = None,
     recovery: "RecoveryManager | None" = None,
-    synchrony: "SynchronyModel | None" = None,
 ) -> RunResult:
     """Run one protocol instance over localhost TCP sockets.
 
@@ -667,7 +665,7 @@ async def run_over_tcp(
     started = loop.time()
     network = AsyncNetwork(
         config, seed=seed, tick_duration=tick_duration, fault_plan=fault_plan,
-        observer=observer, recovery=recovery, synchrony=synchrony,
+        observer=observer, recovery=recovery,
     )
     admit(network, factories, set(crashed))
     nodes = network.nodes = {  # these processes' sends go by socket

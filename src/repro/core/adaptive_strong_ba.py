@@ -45,10 +45,9 @@ from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core.validity import INPUT_LABEL, SignedInputsValidity
 from repro.core.values import BOTTOM
 from repro.core.weak_ba import weak_ba_protocol
-from repro.crypto.certificates import CertificateCollector, QuorumCertificate
+from repro.crypto.certificates import QuorumCertificate, collect_by_value
 from repro.crypto.threshold import PartialSignature
 from repro.runtime.context import ProcessContext
-from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
 from repro.runtime.rounds import run_phases
 
@@ -97,16 +96,6 @@ class SbaInputCert:
         return self.certificate.signatures()
 
 
-def _take_phase(
-    pool: MessagePool, payload_type: type, session: str, phase: int
-) -> list[Envelope]:
-    return pool.take_payloads(
-        payload_type,
-        lambda e: getattr(e.payload, "session", None) == session
-        and getattr(e.payload, "phase", None) == phase,
-    )
-
-
 def adaptive_strong_ba_protocol(
     ctx: ProcessContext,
     initial_value: object,
@@ -124,19 +113,6 @@ def adaptive_strong_ba_protocol(
         quorum = config.small_quorum
         certificate: QuorumCertificate | None = None
 
-        def valid_input_cert(payload: object) -> bool:
-            try:
-                return (
-                    isinstance(payload, SbaInputCert)
-                    and suite.verify_certificate(
-                        payload.certificate, INPUT_LABEL, quorum
-                    )
-                    and payload.certificate.payload
-                    == input_statement(session, payload.value)
-                )
-            except Exception:
-                return False
-
         def ask(phase: int) -> None:
             if phase > 1:
                 adopt(phase - 1)
@@ -151,7 +127,9 @@ def adaptive_strong_ba_protocol(
             leader = config.leader_of_phase(phase)
             if not any(
                 e.sender == leader
-                for e in _take_phase(pool, SbaCertRequest, session, phase)
+                for e in pool.take_payloads(
+                    SbaCertRequest, session=session, phase=phase
+                )
             ):
                 return
             partial = suite.partial_for_certificate(
@@ -174,22 +152,12 @@ def adaptive_strong_ba_protocol(
             # Round 3: the leader combines and broadcasts a certificate.
             if ctx.pid != config.leader_of_phase(phase) or certificate is not None:
                 return
-            collectors: dict[object, CertificateCollector] = {}
-            for envelope in _take_phase(pool, SbaInputShare, session, phase):
-                share = envelope.payload
-                try:
-                    collector = collectors.get(share.value)
-                    if collector is None:
-                        collector = CertificateCollector(
-                            suite,
-                            INPUT_LABEL,
-                            quorum,
-                            input_statement(session, share.value),
-                        )
-                        collectors[share.value] = collector
-                    collector.add(share.partial)
-                except Exception:
-                    continue
+            shares = pool.take_payloads(SbaInputShare, session=session, phase=phase)
+            collectors = collect_by_value(
+                suite, INPUT_LABEL, quorum,
+                ((e.payload.value, e.payload.partial) for e in shares),
+                lambda value: input_statement(session, value),
+            )
             for share_value, collector in collectors.items():
                 if collector.complete:
                     ctx.broadcast(
@@ -208,12 +176,14 @@ def adaptive_strong_ba_protocol(
             nonlocal certificate
             if certificate is not None:
                 return
-            for envelope in pool.take_payloads(
-                SbaInputCert,
-                lambda e: getattr(e.payload, "session", None) == session,
-            ):
-                if valid_input_cert(envelope.payload):
-                    certificate = envelope.payload.certificate
+            for envelope in pool.take_payloads(SbaInputCert, session=session):
+                offer = envelope.payload
+                if suite.verify_certificate(
+                    offer.certificate, INPUT_LABEL, quorum
+                ) and offer.certificate.payload == input_statement(
+                    session, offer.value
+                ):
+                    certificate = offer.certificate
                     ctx.emit("asba_certified", phase=phase)
                     break
 

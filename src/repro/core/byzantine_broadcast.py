@@ -41,7 +41,6 @@ from repro.crypto.certificates import CertificateCollector, QuorumCertificate
 from repro.crypto.signatures import SignedValue, sign_value
 from repro.crypto.threshold import PartialSignature
 from repro.runtime.context import ProcessContext
-from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
 from repro.runtime.rounds import run_phases
 
@@ -124,16 +123,6 @@ class BbPhaseResult:
         return 1
 
 
-def _take_phase(
-    pool: MessagePool, payload_type: type, session: str, phase: int
-) -> list[Envelope]:
-    return pool.take_payloads(
-        payload_type,
-        lambda e: getattr(e.payload, "session", None) == session
-        and getattr(e.payload, "phase", None) == phase,
-    )
-
-
 @dataclass
 class _Input:
     """The process's weak-BA input ``v_i`` while the vetting runs."""
@@ -169,7 +158,7 @@ def _vetting_steps(
         leader = config.leader_of_phase(phase)
         if not any(
             e.sender == leader
-            for e in _take_phase(pool, BbHelpReq, session, phase)
+            for e in pool.take_payloads(BbHelpReq, session=session, phase=phase)
         ):
             return
         if held.value is not None:
@@ -194,7 +183,7 @@ def _vetting_steps(
         if ctx.pid != config.leader_of_phase(phase) or held.value is not None:
             return
         relayed = None
-        for envelope in _take_phase(pool, BbValueReply, session, phase):
+        for envelope in pool.take_payloads(BbValueReply, session=session, phase=phase):
             reply = envelope.payload
             if validity.validate(reply.value):
                 relayed = reply.value
@@ -212,11 +201,8 @@ def _vetting_steps(
             config.small_quorum,
             idk_statement(session),
         )
-        for envelope in _take_phase(pool, BbIdkReply, session, phase):
-            try:
-                collector.add(envelope.payload.partial)
-            except Exception:
-                continue
+        for envelope in pool.take_payloads(BbIdkReply, session=session, phase=phase):
+            collector.add(envelope.payload.partial)
         if collector.complete:
             ctx.broadcast(
                 BbPhaseResult(
@@ -228,7 +214,7 @@ def _vetting_steps(
         # Round 4 (lines 28-31, line 8): adopt the leader's value if
         # BB_valid; otherwise keep the previous input.
         leader = config.leader_of_phase(phase)
-        for envelope in _take_phase(pool, BbPhaseResult, session, phase):
+        for envelope in pool.take_payloads(BbPhaseResult, session=session, phase=phase):
             if envelope.sender != leader:
                 continue
             if validity.validate(envelope.payload.value):
@@ -271,8 +257,7 @@ def byzantine_broadcast_protocol(
 
         held = _Input()
         for envelope in pool.take_payloads(
-            BbSenderValue,
-            lambda e: e.payload.session == session and e.sender == sender,
+            BbSenderValue, lambda e: e.sender == sender, session=session
         ):
             signed = envelope.payload.signed
             if validity.validate(signed):

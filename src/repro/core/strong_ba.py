@@ -28,16 +28,20 @@ correct process (strong unanimity does the rest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core.values import BOTTOM
-from repro.crypto.certificates import CertificateCollector, QuorumCertificate
+from repro.crypto.certificates import (
+    CertificateCollector,
+    CryptoSuite,
+    QuorumCertificate,
+    collect_by_value,
+)
 from repro.crypto.threshold import PartialSignature
 from repro.errors import ConfigurationError
 from repro.fallback.recursive_ba import FALLBACK_ROUND_TICKS, fallback_ba
 from repro.runtime.context import ProcessContext
-from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
 from repro.runtime.rounds import run_rounds
 
@@ -120,12 +124,22 @@ class SbaFallback:
         return self.proof.signatures() if self.proof is not None else 1
 
 
-def _take_session(
-    pool: MessagePool, payload_type: type, session: str
-) -> list[Envelope]:
-    return pool.take_payloads(
-        payload_type,
-        lambda e: getattr(e.payload, "session", None) == session,
+def _collect(
+    pool: MessagePool,
+    payload_type: type,
+    session: str,
+    suite: CryptoSuite,
+    label: str,
+    k: int,
+    statement: Callable[[int], tuple],
+) -> dict[int, CertificateCollector]:
+    """The leader's share collection (rounds 2 and 4): one collector per
+    binary value, in value order, fed this session's pooled shares."""
+    shares = pool.take_payloads(payload_type, session=session)
+    return collect_by_value(
+        suite, label, k,
+        ((e.payload.value, e.payload.partial) for e in shares),
+        statement, values=BINARY_VALUES,
     )
 
 
@@ -157,17 +171,13 @@ def strong_ba_protocol(
             return ("decide", v)
 
         def valid_decide_cert(candidate: object, v: object) -> bool:
-            try:
-                return (
-                    isinstance(candidate, QuorumCertificate)
-                    and v in BINARY_VALUES
-                    and candidate.payload == decide_statement(v)
-                    and suite.verify_certificate(
-                        candidate, decide_label(session), config.full_quorum
-                    )
+            return (
+                v in BINARY_VALUES
+                and suite.verify_certificate(
+                    candidate, decide_label(session), config.full_quorum
                 )
-            except Exception:
-                return False
+                and candidate.payload == decide_statement(v)
+            )
 
         # Round 1 (line 2): send the signed input to the leader.
         ctx.send(
@@ -187,43 +197,31 @@ def strong_ba_protocol(
 
         # Round 2 (lines 3-6): the leader proposes a t+1-backed value.
         if is_leader:
-            collectors = {
-                v: CertificateCollector(
-                    suite,
-                    propose_label(session),
-                    config.small_quorum,
-                    propose_statement(v),
-                )
-                for v in BINARY_VALUES
-            }
-            for envelope in _take_session(pool, SbaInput, session):
-                message = envelope.payload
-                if message.value in collectors:
-                    collectors[message.value].add(message.partial)
-            for v in BINARY_VALUES:
-                if collectors[v].complete:
+            for v, collector in _collect(
+                pool, SbaInput, session, suite, propose_label(session),
+                config.small_quorum, propose_statement,
+            ).items():
+                if collector.complete:
                     ctx.broadcast(
                         SbaPropose(
-                            session=session,
-                            value=v,
-                            proof=collectors[v].certificate(),
+                            session=session, value=v, proof=collector.certificate()
                         )
                     )
                     break
         pool.extend((yield from ctx.next_round()))
 
         # Round 3 (lines 7-8): answer a valid proposal with a decide share.
-        for envelope in _take_session(pool, SbaPropose, session):
+        for envelope in pool.take_payloads(SbaPropose, session=session):
             if envelope.sender != leader:
                 continue
             message = envelope.payload
-            try:
-                ok = message.value in BINARY_VALUES and suite.verify_certificate(
+            if (
+                message.value in BINARY_VALUES
+                and suite.verify_certificate(
                     message.proof, propose_label(session), config.small_quorum
-                ) and message.proof.payload == propose_statement(message.value)
-            except Exception:
-                ok = False
-            if ok:
+                )
+                and message.proof.payload == propose_statement(message.value)
+            ):
                 ctx.send(
                     leader,
                     SbaDecideShare(
@@ -242,26 +240,14 @@ def strong_ba_protocol(
 
         # Round 4 (lines 9-12): the leader publishes the n-of-n decision.
         if is_leader:
-            collectors = {
-                v: CertificateCollector(
-                    suite,
-                    decide_label(session),
-                    config.full_quorum,
-                    decide_statement(v),
-                )
-                for v in BINARY_VALUES
-            }
-            for envelope in _take_session(pool, SbaDecideShare, session):
-                message = envelope.payload
-                if message.value in collectors:
-                    collectors[message.value].add(message.partial)
-            for v in BINARY_VALUES:
-                if collectors[v].complete:
+            for v, collector in _collect(
+                pool, SbaDecideShare, session, suite, decide_label(session),
+                config.full_quorum, decide_statement,
+            ).items():
+                if collector.complete:
                     ctx.broadcast(
                         SbaDecideCert(
-                            session=session,
-                            value=v,
-                            proof=collectors[v].certificate(),
+                            session=session, value=v, proof=collector.certificate()
                         )
                     )
                     break
@@ -269,7 +255,7 @@ def strong_ba_protocol(
 
         # Round 5 (lines 13-18): decide, or raise the fallback alarm.
         fallback_start = float("inf")
-        for envelope in _take_session(pool, SbaDecideCert, session):
+        for envelope in pool.take_payloads(SbaDecideCert, session=session):
             message = envelope.payload
             if valid_decide_cert(message.proof, message.value):
                 decision = message.value
@@ -291,10 +277,12 @@ def strong_ba_protocol(
 
         def listen(_round: int) -> int:
             nonlocal bu_decision, bu_proof, echoed, fallback_start
-            for envelope in _take_session(pool, SbaFallback, session):
+            for envelope in pool.take_payloads(SbaFallback, session=session):
                 message = envelope.payload
-                if decision is None and valid_decide_cert(
-                    message.proof, message.value
+                if (
+                    decision is None
+                    and message.proof is not None
+                    and valid_decide_cert(message.proof, message.value)
                 ):
                     bu_decision = message.value  # lines 22-24
                     bu_proof = message.proof

@@ -14,7 +14,10 @@ predicate interface plus the instances the paper discusses:
   plain external validity [5].
 
 Predicates must be safe to evaluate on arbitrary adversary-supplied
-objects: they return ``False`` for garbage rather than raising.
+objects: they return ``False`` for garbage rather than raising.  The
+crypto verifiers they call already do (``KeyRegistry.verify``,
+``CryptoSuite.verify_certificate``), so only :class:`ExternalValidity`,
+which runs a caller's predicate, needs a guard of its own.
 """
 
 from __future__ import annotations
@@ -66,9 +69,7 @@ class BroadcastValidity(ValidityPredicate):
 
     def validate(self, value: object) -> bool:
         if isinstance(value, SignedValue):
-            return value.signer == self._sender and value.verify(
-                self._suite.registry
-            )
+            return value.verify(self._suite.registry) and value.signer == self._sender
         if isinstance(value, QuorumCertificate):
             return self._suite.verify_certificate(
                 value, IDK_LABEL, self._config.small_quorum

@@ -47,11 +47,11 @@ from repro.core.values import BOTTOM, UNDECIDED
 from repro.crypto.certificates import (
     CertificateCollector,
     QuorumCertificate,
+    collect_by_value,
 )
 from repro.crypto.threshold import PartialSignature
 from repro.fallback.recursive_ba import FALLBACK_ROUND_TICKS, fallback_ba
 from repro.runtime.context import ProcessContext
-from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
 from repro.runtime.rounds import run_phases, run_rounds
 
@@ -246,67 +246,25 @@ class _Crypto:
     def finalize_statement(self, value: object, phase: int) -> tuple:
         return ("finalized", value, phase)
 
-    # -- verification (never raises on adversarial garbage) ----------------
+    # -- verification (verify_certificate rejects garbage, never raises) ----
     def valid_commit_proof(
         self, proof: object, value: object, level: int
     ) -> bool:
-        try:
-            return (
-                isinstance(proof, QuorumCertificate)
-                and proof.payload == self.commit_statement(value, level)
-                and self.ctx.suite.verify_certificate(
-                    proof, self.commit_label, self.commit_quorum
-                )
-            )
-        except Exception:
-            return False
+        return self.ctx.suite.verify_certificate(
+            proof, self.commit_label, self.commit_quorum
+        ) and proof.payload == self.commit_statement(value, level)
 
     def valid_finalize_proof(
         self, proof: object, value: object, phase: int
     ) -> bool:
-        try:
-            return (
-                isinstance(proof, QuorumCertificate)
-                and proof.payload == self.finalize_statement(value, phase)
-                and self.ctx.suite.verify_certificate(
-                    proof, self.finalize_label, self.commit_quorum
-                )
-            )
-        except Exception:
-            return False
+        return self.ctx.suite.verify_certificate(
+            proof, self.finalize_label, self.commit_quorum
+        ) and proof.payload == self.finalize_statement(value, phase)
 
     def valid_fallback_cert(self, certificate: object) -> bool:
-        try:
-            return (
-                isinstance(certificate, QuorumCertificate)
-                and certificate.payload == FALLBACK_STATEMENT
-                and self.ctx.suite.verify_certificate(
-                    certificate,
-                    self.fallback_label,
-                    self.config.small_quorum,
-                )
-            )
-        except Exception:
-            return False
-
-
-def _take_phase(
-    pool: MessagePool, payload_type: type, session: str, phase: int
-) -> list[Envelope]:
-    return pool.take_payloads(
-        payload_type,
-        lambda e: getattr(e.payload, "session", None) == session
-        and getattr(e.payload, "phase", None) == phase,
-    )
-
-
-def _take_session(
-    pool: MessagePool, payload_type: type, session: str
-) -> list[Envelope]:
-    return pool.take_payloads(
-        payload_type,
-        lambda e: getattr(e.payload, "session", None) == session,
-    )
+        return self.ctx.suite.verify_certificate(
+            certificate, self.fallback_label, self.config.small_quorum
+        ) and certificate.payload == FALLBACK_STATEMENT
 
 
 def _phase_steps(
@@ -340,7 +298,7 @@ def _phase_steps(
         leader = leader_of(phase)
         proposals = [
             e
-            for e in _take_phase(pool, WbaPropose, session, phase)
+            for e in pool.take_payloads(WbaPropose, session=session, phase=phase)
             if e.sender == leader
         ]
         if not proposals:
@@ -374,7 +332,7 @@ def _phase_steps(
         if ctx.pid != leader_of(phase):
             return
         best_info: WbaCommitInfo | None = None
-        for envelope in _take_phase(pool, WbaCommitInfo, session, phase):
+        for envelope in pool.take_payloads(WbaCommitInfo, session=session, phase=phase):
             info = envelope.payload
             if not crypto.valid_commit_proof(info.proof, info.value, info.level):
                 continue
@@ -414,14 +372,14 @@ def _phase_steps(
         leader = leader_of(phase)
         commit_certs = [
             e
-            for e in _take_phase(pool, WbaCommitCert, session, phase)
+            for e in pool.take_payloads(WbaCommitCert, session=session, phase=phase)
             if e.sender == leader
         ]
         for envelope in commit_certs[:1]:  # at most one per leader per phase
             cert = envelope.payload
-            if cert.level < state.commit_level:
-                continue
             if not crypto.valid_commit_proof(cert.proof, cert.value, cert.level):
+                continue
+            if cert.level < state.commit_level:
                 continue
             partial = ctx.suite.partial_for_certificate(
                 ctx.pid,
@@ -460,7 +418,7 @@ def _phase_steps(
 
     def decide(phase: int) -> None:
         # Round 6 (lines 52-54): act on the finalize certificate.
-        for envelope in _take_phase(pool, WbaFinalize, session, phase):
+        for envelope in pool.take_payloads(WbaFinalize, session=session, phase=phase):
             final = envelope.payload
             if not crypto.valid_finalize_proof(final.proof, final.value, phase):
                 continue
@@ -487,21 +445,12 @@ def _collect(
 ) -> dict[object, CertificateCollector]:
     """The leader's share collection (rounds 3 and 5): one collector per
     value among this phase's pooled ``payload_type`` shares."""
-    by_value: dict[object, CertificateCollector] = {}
-    for envelope in _take_phase(pool, payload_type, crypto.session, phase):
-        share = envelope.payload
-        try:
-            collector = by_value.get(share.value)
-            if collector is None:
-                collector = CertificateCollector(
-                    ctx.suite, label, crypto.commit_quorum,
-                    statement(share.value, phase),
-                )
-                by_value[share.value] = collector
-            collector.add(share.partial)
-        except Exception:
-            continue
-    return by_value
+    shares = pool.take_payloads(payload_type, session=crypto.session, phase=phase)
+    return collect_by_value(
+        ctx.suite, label, crypto.commit_quorum,
+        ((e.payload.value, e.payload.partial) for e in shares),
+        lambda value: statement(value, phase),
+    )
 
 
 def _help_and_fallback(
@@ -529,7 +478,7 @@ def _help_and_fallback(
     pool.extend((yield from ctx.next_round()))
 
     # Round 2 (lines 7-12): answer help requests; form fallback certs.
-    requests = _take_session(pool, WbaHelpReq, session)
+    requests = pool.take_payloads(WbaHelpReq, session=session)
     requesters: dict[ProcessId, WbaHelpReq] = {}
     for envelope in requests:
         requesters.setdefault(envelope.sender, envelope.payload)
@@ -549,10 +498,7 @@ def _help_and_fallback(
         ctx.suite, crypto.fallback_label, config.small_quorum, FALLBACK_STATEMENT
     )
     for request in requesters.values():
-        try:
-            collector.add(request.partial)
-        except Exception:
-            continue
+        collector.add(request.partial)
     if collector.complete:
         certificate = collector.certificate()
         ctx.emit("fallback_cert_formed")
@@ -569,7 +515,7 @@ def _help_and_fallback(
     pool.extend((yield from ctx.next_round()))
 
     # Round 3 (lines 13-15): adopt helped decisions.
-    for envelope in _take_session(pool, WbaHelp, session):
+    for envelope in pool.take_payloads(WbaHelp, session=session):
         help_msg = envelope.payload
         if state.decision != UNDECIDED:
             break
@@ -588,7 +534,7 @@ def _help_and_fallback(
     # echoing the first one; adopt any proven decision as the fallback
     # input.  Keep listening up to GRACE_TICKS past the help rounds.
     def listen(_round: int) -> int | None:
-        for envelope in _take_session(pool, WbaFallbackCert, session):
+        for envelope in pool.take_payloads(WbaFallbackCert, session=session):
             fb = envelope.payload
             if not crypto.valid_fallback_cert(fb.certificate):
                 continue

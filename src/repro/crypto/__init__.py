@@ -17,6 +17,7 @@ from repro.crypto.certificates import (
     CertificateCollector,
     CryptoSuite,
     QuorumCertificate,
+    collect_by_value,
 )
 from repro.crypto.keys import KeyRegistry, Signer
 from repro.crypto.signatures import (
@@ -45,4 +46,5 @@ __all__ = [
     "CryptoSuite",
     "QuorumCertificate",
     "CertificateCollector",
+    "collect_by_value",
 ]

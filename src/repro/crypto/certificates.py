@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.config import ProcessId, SystemConfig
 from repro.crypto.canonical import encode
@@ -82,12 +82,10 @@ class QuorumCertificate:
         return len(self.signature.signers)
 
     def verify(self, suite: "CryptoSuite") -> bool:
-        scheme = suite.scheme_by_id(self.signature.scheme_id)
-        if scheme is None:
-            return False
-        return suite._verify_bound(
-            scheme, self.signature, self.label, self.payload
-        )
+        """Whether the signature verifies under the scheme its id names,
+        whatever its quorum; ``False``, never an exception, on malformed
+        fields."""
+        return suite._verify_bound(None, self, self.label)
 
 
 class CryptoSuite:
@@ -249,30 +247,43 @@ class CryptoSuite:
 
     def _verify_bound(
         self,
-        scheme: ThresholdScheme,
-        signature: ThresholdSignature,
+        scheme: ThresholdScheme | None,
+        certificate: QuorumCertificate,
         label: str,
-        payload: object,
     ) -> bool:
-        """Verify a combined signature against the bound statement,
-        memoized by the statement's canonical bytes.
+        """Verify ``certificate`` as a ``label`` statement under
+        ``scheme`` (``None``: the scheme its signature names), memoized
+        by the statement's canonical bytes.
 
         The key carries the scheme id and both signature fields, so a
-        doctored signature can never hit a stale ``True``.
+        doctored signature can never hit a stale ``True``.  This is the
+        one place a malformed certificate is rejected: a field of the
+        wrong type or shape, an unknown scheme id or a payload the
+        canonical encoder refuses yields ``False``, never an exception.
         """
-        if signature.scheme_id != scheme.scheme_id:
+        try:
+            signature = certificate.signature
+            if scheme is None:
+                scheme = self.scheme_by_id(signature.scheme_id)
+            if (
+                scheme is None
+                or certificate.label != label
+                or signature.scheme_id != scheme.scheme_id
+            ):
+                return False
+            encoded, digest = self._bound(label, certificate.payload)
+            key = (scheme.scheme_id, encoded, signature.digest, signature.value)
+            verdict = self._cert_cache.get(key)
+            if verdict is None:
+                verdict = signature.digest == digest and scheme.verify_value_digest(
+                    signature.value, digest
+                )
+                if len(self._cert_cache) >= self._CERT_CACHE_CAP:
+                    self._cert_cache.clear()
+                self._cert_cache[key] = verdict
+            return verdict
+        except Exception:
             return False
-        encoded, digest = self._bound(label, payload)
-        key = (scheme.scheme_id, encoded, signature.digest, signature.value)
-        verdict = self._cert_cache.get(key)
-        if verdict is None:
-            verdict = signature.digest == digest and scheme.verify_value_digest(
-                signature.value, digest
-            )
-            if len(self._cert_cache) >= self._CERT_CACHE_CAP:
-                self._cert_cache.clear()
-            self._cert_cache[key] = verdict
-        return verdict
 
     def verify_certificate(
         self,
@@ -289,16 +300,15 @@ class CryptoSuite:
         when a specific quorum size is semantically required — otherwise
         an adversary could present a certificate from a lower-threshold
         scheme of the same label.
+
+        Returns ``False`` and never raises on anything malformed: a
+        non-certificate, another label or scheme, a garbled signature, a
+        payload the canonical encoder rejects.  A caller therefore needs
+        no guard of its own — it calls this first and reads
+        ``certificate.payload`` only once it returned ``True``.
         """
-        if not isinstance(certificate, QuorumCertificate):
-            return False
-        if certificate.label != label:
-            return False
-        scheme = self.scheme(label, k, members)
-        if certificate.signature.scheme_id != scheme.scheme_id:
-            return False
-        return self._verify_bound(
-            scheme, certificate.signature, certificate.label, certificate.payload
+        return isinstance(certificate, QuorumCertificate) and self._verify_bound(
+            self.scheme(label, k, members), certificate, label
         )
 
     def partial_for_certificate(
@@ -340,7 +350,7 @@ class CryptoSuite:
         certificate = QuorumCertificate(
             label=label, payload=payload, signature=signature
         )
-        if not self._verify_bound(scheme, signature, label, payload):
+        if not self._verify_bound(scheme, certificate, label):
             raise InvalidCertificateError(
                 f"combined certificate for {label!r} does not verify; "
                 "partials were not signatures on this payload"
@@ -383,11 +393,20 @@ class CertificateCollector:
         return len(self._partials) >= self._k
 
     def add(self, partial: PartialSignature) -> bool:
-        """Add a partial if valid; return :attr:`complete` afterwards."""
-        if partial.signer not in self._partials and self._scheme.verify_partial_digest(
-            partial, self._digest
-        ):
-            self._partials[partial.signer] = partial
+        """Add a partial if valid; return :attr:`complete` afterwards.
+
+        Anything else — a non-partial, a partial with garbled fields, a
+        duplicate — is ignored, never an exception: callers feed wire
+        input straight in."""
+        try:
+            if (
+                isinstance(partial, PartialSignature)
+                and partial.signer not in self._partials
+                and self._scheme.verify_partial_digest(partial, self._digest)
+            ):
+                self._partials[partial.signer] = partial
+        except Exception:  # e.g. an unhashable signer
+            pass
         return self.complete
 
     def certificate(self) -> QuorumCertificate:
@@ -404,6 +423,46 @@ class CertificateCollector:
             self._partials.values(),
             self._members,
         )
+
+
+def collect_by_value(
+    suite: CryptoSuite,
+    label: str,
+    k: int,
+    pairs: Iterable[tuple[object, object]],
+    statement: Callable[[object], object],
+    members: frozenset[ProcessId] | None = None,
+    values: Iterable[object] | None = None,
+) -> dict[object, CertificateCollector]:
+    """Group ``(value, partial)`` pairs into one collector per value,
+    each toward ``QC_label(statement(value))``, in first-seen order.
+
+    ``values``, when given, is the closed domain: a collector is made for
+    each of them up front, in that order, and any other value is
+    dropped.  A value that cannot key a dict or whose statement the
+    canonical encoder rejects is skipped, like a partial that does not
+    verify — wire garbage never raises here.
+    """
+    by_value: dict[object, CertificateCollector] = {}
+    if values is not None:
+        for value in values:
+            by_value[value] = CertificateCollector(
+                suite, label, k, statement(value), members
+            )
+    for value, partial in pairs:
+        try:
+            collector = by_value.get(value)
+            if collector is None:
+                if values is not None:
+                    continue
+                collector = CertificateCollector(
+                    suite, label, k, statement(value), members
+                )
+                by_value[value] = collector
+        except Exception:  # unhashable, or not encodable
+            continue
+        collector.add(partial)
+    return by_value
 
 
 def clear_caches() -> None:

@@ -74,12 +74,22 @@ class KeyRegistry:
         return Signature(signer=pid, tag=tag)
 
     def verify(self, signature: Signature, payload: object) -> bool:
-        """Check that ``signature`` is ``pid``'s signature on ``payload``."""
-        data = encode(payload)
-        expected = hmac.new(
-            self._key_of(signature.signer), data, hashlib.sha256
-        ).digest()
-        return hmac.compare_digest(expected, signature.tag)
+        """Check that ``signature`` is its signer's signature on ``payload``.
+
+        ``False``, never an exception, for a non-:class:`Signature`, an
+        unregistered signer, a malformed tag or a payload the canonical
+        encoder rejects: callers pass wire input straight in.
+        """
+        if not isinstance(signature, Signature):
+            return False
+        try:
+            key = self._keys.get(signature.signer)
+            if key is None:
+                return False
+            expected = hmac.new(key, encode(payload), hashlib.sha256).digest()
+            return hmac.compare_digest(expected, signature.tag)
+        except Exception:
+            return False
 
     def signer_for(self, pid: ProcessId) -> "Signer":
         """Hand out the signing capability of ``pid``.

@@ -43,7 +43,14 @@ class SignatureChain:
 
     @property
     def signers(self) -> tuple[ProcessId, ...]:
-        return tuple(sig.signer for sig in self.chain)
+        """The signers in chain order; ``()`` when ``chain`` is not a
+        tuple of :class:`Signature` objects."""
+        chain = self.chain
+        if type(chain) is not tuple or not all(
+            isinstance(sig, Signature) for sig in chain
+        ):
+            return ()
+        return tuple(sig.signer for sig in chain)
 
     def words(self) -> int:
         """Chains do not compact: one word per carried signature."""
@@ -53,20 +60,15 @@ class SignatureChain:
         return len(self.chain)
 
     def verify(self, registry: KeyRegistry, sender: ProcessId) -> bool:
-        """All signatures valid, distinct signers, sender signs first."""
-        if not self.chain:
-            return False
+        """All signatures valid, distinct signers, sender signs first;
+        ``False`` for a malformed chain."""
         signers = self.signers
-        if signers[0] != sender or len(set(signers)) != len(signers):
+        if not signers or signers[0] != sender:
             return False
-        for index, signature in enumerate(self.chain):
-            statement = _chain_statement(self.value, signers[:index])
-            try:
-                if not registry.verify(signature, statement):
-                    return False
-            except Exception:
-                return False
-        return True
+        return all(
+            registry.verify(signature, _chain_statement(self.value, signers[:index]))
+            for index, signature in enumerate(self.chain)
+        ) and len(set(signers)) == len(signers)
 
     def extended(self, signer: Signer) -> "SignatureChain":
         signature = signer.sign(_chain_statement(self.value, self.signers))
@@ -98,17 +100,13 @@ def dolev_strong_protocol(
             yield
             for envelope in ctx.inbox:
                 payload = envelope.payload
-                if not isinstance(payload, SignatureChain):
+                if not (
+                    isinstance(payload, SignatureChain)
+                    and payload.verify(ctx.suite.registry, sender)
+                    and len(payload.chain) == round_number
+                ):
                     continue
-                if len(payload.chain) != round_number:
-                    continue
-                if not payload.verify(ctx.suite.registry, sender):
-                    continue
-                try:
-                    already = payload.value in extracted
-                except Exception:
-                    continue
-                if already or len(extracted) >= 2:
+                if payload.value in extracted or len(extracted) >= 2:
                     continue
                 extracted.append(payload.value)
                 if ctx.pid not in payload.signers and round_number <= config.t:

@@ -53,11 +53,7 @@ from dataclasses import dataclass
 from typing import Generator
 
 from repro.config import ProcessId
-from repro.crypto.certificates import (
-    CertificateCollector,
-    CryptoSuite,
-    QuorumCertificate,
-)
+from repro.crypto.certificates import QuorumCertificate, collect_by_value
 from repro.crypto.threshold import PartialSignature
 from repro.runtime.context import ProcessContext
 from repro.runtime.envelope import Envelope
@@ -127,18 +123,9 @@ def _lock_label(session: str) -> str:
     return f"gcl:{session}"
 
 
-def _safe_verify_certificate(
-    suite: CryptoSuite,
-    certificate: object,
-    label: str,
-    k: int,
-    members: frozenset[ProcessId],
-) -> bool:
-    """Strict verification that never raises on adversarial garbage."""
-    try:
-        return suite.verify_certificate(certificate, label, k, members)  # type: ignore[arg-type]
-    except Exception:
-        return False
+def _identity(value: object) -> object:
+    """Both statements sign the bare value (the label tells them apart)."""
+    return value
 
 
 def graded_consensus(
@@ -164,12 +151,8 @@ def graded_consensus(
     val_label = _val_label(session)
     lock_label = _lock_label(session)
 
-    def take_session(payload_type: type) -> list[Envelope]:
-        return pool.take_payloads(
-            payload_type,
-            lambda e: getattr(e.payload, "session", None) == session
-            and e.sender in member_set,
-        )
+    def from_members(envelope: Envelope) -> bool:
+        return envelope.sender in member_set
 
     # Conflict tracking: every value for which this process has observed
     # a *valid* certificate (val or lock) during the instance.
@@ -185,19 +168,12 @@ def graded_consensus(
     pool.extend((yield from ctx.sleep(round_ticks)))
 
     # Round 2 — support: combine QC_val per claimed value.
-    collectors: dict[object, CertificateCollector] = {}
-    for envelope in take_session(GcClaim):
-        claim = envelope.payload
-        try:
-            collector = collectors.get(claim.value)
-            if collector is None:
-                collector = CertificateCollector(
-                    suite, val_label, quorum, claim.value, member_set
-                )
-                collectors[claim.value] = collector
-            collector.add(claim.partial)
-        except Exception:
-            continue  # unhashable / unencodable adversarial value
+    claims = pool.take_payloads(GcClaim, from_members, session=session)
+    collectors = collect_by_value(
+        suite, val_label, quorum,
+        ((e.payload.value, e.payload.partial) for e in claims),
+        _identity, member_set,
+    )
     val_certs: dict[object, QuorumCertificate] = {}
     for claimed_value, collector in collectors.items():
         if collector.complete:
@@ -211,11 +187,9 @@ def graded_consensus(
     pool.extend((yield from ctx.sleep(round_ticks)))
 
     # Round 3 — lock-share, only if support is unequivocal.
-    for envelope in take_session(GcSupport):
+    for envelope in pool.take_payloads(GcSupport, from_members, session=session):
         certificate = envelope.payload.certificate
-        if _safe_verify_certificate(
-            suite, certificate, val_label, quorum, member_set
-        ):
+        if suite.verify_certificate(certificate, val_label, quorum, member_set):
             certified_values.add(certificate.payload)
             val_certs.setdefault(certificate.payload, certificate)
     if len(certified_values) == 1:
@@ -235,26 +209,17 @@ def graded_consensus(
     pool.extend((yield from ctx.sleep(round_ticks)))
 
     # Round 4 — combine and broadcast lock certificates.
-    lock_collectors: dict[object, CertificateCollector] = {}
-    for envelope in take_session(GcLockShare):
+    supported = []
+    for envelope in pool.take_payloads(GcLockShare, from_members, session=session):
         share = envelope.payload
-        if not _safe_verify_certificate(
-            suite, share.support, val_label, quorum, member_set
-        ):
-            continue
-        if share.support.payload != share.value:
-            continue
-        certified_values.add(share.value)  # the linchpin attachment
-        try:
-            collector = lock_collectors.get(share.value)
-            if collector is None:
-                collector = CertificateCollector(
-                    suite, lock_label, quorum, share.value, member_set
-                )
-                lock_collectors[share.value] = collector
-            collector.add(share.partial)
-        except Exception:
-            continue
+        if suite.verify_certificate(
+            share.support, val_label, quorum, member_set
+        ) and share.support.payload == share.value:
+            certified_values.add(share.value)  # the linchpin attachment
+            supported.append((share.value, share.partial))
+    lock_collectors = collect_by_value(
+        suite, lock_label, quorum, supported, _identity, member_set
+    )
     lock_certs: dict[object, QuorumCertificate] = {}
     for locked_value, collector in lock_collectors.items():
         if collector.complete:
@@ -266,11 +231,9 @@ def graded_consensus(
     pool.extend((yield from ctx.sleep(round_ticks)))
 
     # Evaluation — incorporate received lock certificates, then grade.
-    for envelope in take_session(GcLockCert):
+    for envelope in pool.take_payloads(GcLockCert, from_members, session=session):
         certificate = envelope.payload.certificate
-        if _safe_verify_certificate(
-            suite, certificate, lock_label, quorum, member_set
-        ):
+        if suite.verify_certificate(certificate, lock_label, quorum, member_set):
             certified_values.add(certificate.payload)
             lock_certs.setdefault(certificate.payload, certificate)
 

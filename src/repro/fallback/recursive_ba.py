@@ -53,7 +53,6 @@ from typing import Any, Generator
 
 from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.runtime.context import ProcessContext
-from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
 from repro.fallback.graded_consensus import GC_ROUNDS, graded_consensus
 
@@ -111,19 +110,6 @@ def _sleep_rounds(
     pool.extend((yield from ctx.sleep(rounds * round_ticks)))
 
 
-def _take_session(
-    pool: MessagePool,
-    payload_type: type,
-    session: str,
-    senders: frozenset[ProcessId],
-) -> list[Envelope]:
-    return pool.take_payloads(
-        payload_type,
-        lambda e: getattr(e.payload, "session", None) == session
-        and e.sender in senders,
-    )
-
-
 def _committee_phase(
     ctx: ProcessContext,
     members: tuple[ProcessId, ...],
@@ -154,8 +140,11 @@ def _committee_phase(
         return value
 
     counts: dict[object, set[ProcessId]] = {}
-    for envelope in _take_session(
-        pool, CommitteeReport, f"{session}/rep", frozenset(half)
+    half_set = frozenset(half)
+    for envelope in pool.take_payloads(
+        CommitteeReport,
+        lambda e: e.sender in half_set,
+        session=f"{session}/rep",
     ):
         try:
             counts.setdefault(envelope.payload.value, set()).add(envelope.sender)
@@ -192,7 +181,9 @@ def recursive_ba(
         pool.extend((yield from ctx.sleep(round_ticks)))
         if ctx.pid == leader:
             return value
-        proposals = _take_session(pool, PairProposal, session, frozenset([leader]))
+        proposals = pool.take_payloads(
+            PairProposal, lambda e: e.sender == leader, session=session
+        )
         if proposals:
             return proposals[0].payload.value
         return value

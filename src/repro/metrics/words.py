@@ -81,6 +81,21 @@ def payload_signatures(payload: object) -> int:
     return 0
 
 
+def _byzantine_size(payload: object) -> tuple[int, int]:
+    """``(words, signatures)`` of a payload a Byzantine process sent.
+
+    A Byzantine process may send anything, including a payload whose
+    accounting raises or reports an impossible size because a field it
+    reads holds garbage.  That must not end the run: such a payload is
+    billed the minimum, 1 word and 0 signatures.  (Only correct
+    senders' words count toward the paper's measure.)
+    """
+    try:
+        return payload_words(payload), payload_signatures(payload)
+    except Exception:
+        return 1, 0
+
+
 def payload_phase(payload: object) -> int | None:
     """The protocol phase a payload belongs to, when it advertises one.
 
@@ -192,12 +207,16 @@ class WordLedger:
             receivers = tuple(receivers)
         if not receivers:
             return None
+        if sender_correct:
+            words, signatures = payload_words(payload), payload_signatures(payload)
+        else:
+            words, signatures = _byzantine_size(payload)
         bill = WordBill(
             tick=tick,
             sender=sender,
             receivers=receivers,
-            words=payload_words(payload),
-            signatures=payload_signatures(payload),
+            words=words,
+            signatures=signatures,
             scope=scope,
             payload_type=type(payload).__name__,
             sender_correct=sender_correct,

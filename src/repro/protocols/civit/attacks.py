@@ -29,7 +29,7 @@ from repro.adversary.protocol_attacks import (
     WeakBaSplitFinalizeLeader,
 )
 from repro.config import ProcessId
-from repro.crypto.certificates import CertificateCollector
+from repro.crypto.certificates import collect_by_value
 from repro.protocols.civit.core import (
     VIEW_ROUNDS,
     CertifiedValue,
@@ -49,36 +49,27 @@ def _harvest_certificates(
     config = api.config
     quorum = config.small_quorum
     label = input_label(session)
-    collectors: dict[object, CertificateCollector] = {}
-    for envelope in api.inbox:
-        payload = envelope.payload
-        if not isinstance(payload, CivitInputShare):
-            continue
-        if payload.session != session or payload.view != view:
-            continue
-        try:
-            collector = collectors.get(payload.value)
-            if collector is None:
-                collector = CertificateCollector(
-                    api.suite, label, quorum, input_statement(payload.value)
-                )
-                collectors[payload.value] = collector
-            collector.add(payload.partial)
-        except Exception:
-            continue
+    collectors = collect_by_value(
+        api.suite, label, quorum,
+        (
+            (payload.value, payload.partial)
+            for payload in (envelope.payload for envelope in api.inbox)
+            if isinstance(payload, CivitInputShare)
+            and payload.session == session
+            and payload.view == view
+        ),
+        input_statement,
+    )
     certified: dict[object, CertifiedValue] = {}
     for value, collector in collectors.items():
         for accomplice in api.corrupted:
             if collector.complete:
                 break
-            try:
-                collector.add(
-                    api.suite.partial_for_certificate(
-                        accomplice, label, quorum, input_statement(value)
-                    )
+            collector.add(
+                api.suite.partial_for_certificate(
+                    accomplice, label, quorum, input_statement(value)
                 )
-            except Exception:
-                continue
+            )
         if collector.complete:
             certified[value] = CertifiedValue(value).with_certificate(
                 collector.certificate()

@@ -66,14 +66,13 @@ from repro.core.validity import ValidityPredicate
 from repro.core.values import BOTTOM
 from repro.core.weak_ba import weak_ba_protocol
 from repro.crypto.certificates import (
-    CertificateCollector,
     CryptoSuite,
     QuorumCertificate,
+    collect_by_value,
 )
 from repro.crypto.threshold import PartialSignature
 from repro.errors import ConfigurationError
 from repro.runtime.context import ProcessContext
-from repro.runtime.envelope import Envelope
 from repro.runtime.pool import MessagePool
 from repro.runtime.rounds import run_phases
 
@@ -140,16 +139,9 @@ class CertifiedValidity(ValidityPredicate):
         if not isinstance(value, CertifiedValue):
             return False
         certificate = value.certificate
-        try:
-            return (
-                certificate is not None
-                and certificate.payload == input_statement(value.value)
-                and self._suite.verify_certificate(
-                    certificate, self._label, self._quorum
-                )
-            )
-        except Exception:
-            return False
+        return self._suite.verify_certificate(
+            certificate, self._label, self._quorum
+        ) and certificate.payload == input_statement(value.value)
 
 
 # ----------------------------------------------------------------------
@@ -194,16 +186,6 @@ class CivitInputCert:
         return self.certificate.signatures()
 
 
-def _take_view(
-    pool: MessagePool, payload_type: type, session: str, view: int
-) -> list[Envelope]:
-    return pool.take_payloads(
-        payload_type,
-        lambda e: getattr(e.payload, "session", None) == session
-        and getattr(e.payload, "view", None) == view,
-    )
-
-
 def certification_views(
     ctx: ProcessContext,
     initial_value: object,
@@ -226,10 +208,7 @@ def certification_views(
         nonlocal certified
         if certified is not None:
             return
-        for envelope in pool.take_payloads(
-            CivitInputCert,
-            lambda e: getattr(e.payload, "session", None) == session,
-        ):
+        for envelope in pool.take_payloads(CivitInputCert, session=session):
             payload = envelope.payload
             candidate = CertifiedValue(payload.value).with_certificate(
                 payload.certificate
@@ -254,7 +233,7 @@ def certification_views(
         certifier = config.leader_of_phase(view)
         if not any(
             e.sender == certifier
-            for e in _take_view(pool, CivitSolicit, session, view)
+            for e in pool.take_payloads(CivitSolicit, session=session, view=view)
         ):
             return
         partial = suite.partial_for_certificate(
@@ -274,19 +253,12 @@ def certification_views(
         # Round 3: the certifier combines any t+1 matching shares.
         if ctx.pid != config.leader_of_phase(view) or certified is not None:
             return
-        collectors: dict[object, CertificateCollector] = {}
-        for envelope in _take_view(pool, CivitInputShare, session, view):
-            share = envelope.payload
-            try:
-                collector = collectors.get(share.value)
-                if collector is None:
-                    collector = CertificateCollector(
-                        suite, label, quorum, input_statement(share.value)
-                    )
-                    collectors[share.value] = collector
-                collector.add(share.partial)
-            except Exception:
-                continue
+        shares = pool.take_payloads(CivitInputShare, session=session, view=view)
+        collectors = collect_by_value(
+            suite, label, quorum,
+            ((e.payload.value, e.payload.partial) for e in shares),
+            input_statement,
+        )
         for share_value, collector in collectors.items():
             if collector.complete:
                 ctx.broadcast(

@@ -11,6 +11,7 @@ pool instead of being dropped, realizing Lemma 18's acceptance window.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.runtime.envelope import Envelope
@@ -38,6 +39,22 @@ def parallel_map(
     workers = min(jobs, len(items))
     with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(fn, items)
+
+
+def _matcher(
+    predicate: Callable[[Envelope], bool] | None, fields: dict[str, object]
+) -> Callable[[Envelope], bool] | None:
+    """``predicate`` narrowed to envelopes whose payload attributes equal
+    ``fields`` (``None``: no condition at all)."""
+    if not fields:
+        return predicate
+    get = attrgetter(*fields)
+    want = tuple(fields.values())
+    if len(want) == 1:
+        (want,) = want
+    if predicate is None:
+        return lambda e: get(e.payload) == want
+    return lambda e: get(e.payload) == want and predicate(e)
 
 
 class MessagePool:
@@ -101,16 +118,23 @@ class MessagePool:
         return [envelope for _, envelope in matched]
 
     def take_payloads(
-        self, payload_type: type, predicate: Callable[[Envelope], bool] | None = None
+        self,
+        payload_type: type,
+        predicate: Callable[[Envelope], bool] | None = None,
+        **fields: object,
     ) -> list[Envelope]:
-        """Remove and return envelopes whose payload is ``payload_type``."""
+        """Remove and return envelopes whose payload is ``payload_type``
+        with every attribute named in ``fields`` equal to its value
+        (``session=..., phase=...``), and that ``predicate`` accepts."""
         if self._plain and type(payload_type) is type and payload_type is not object:
             if payload_type not in self._buckets:
                 return []
-            return [envelope for _, envelope in self._split(payload_type, predicate)]
+            match = _matcher(predicate, fields)
+            return [envelope for _, envelope in self._split(payload_type, match)]
+        match = _matcher(predicate, fields)
         return self.take(
             lambda e: isinstance(e.payload, payload_type)
-            and (predicate is None or predicate(e))
+            and (match is None or match(e))
         )
 
     def peek(self, predicate: Callable[[Envelope], bool]) -> list[Envelope]:

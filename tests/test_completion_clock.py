@@ -54,10 +54,10 @@ def run_row(runner, name, config=CONFIG, **options):
     return result, simulated, observer
 
 
-def envelope_for(network, sender=0, receiver=1, tick=0):
+def envelope_for(sender=0, receiver=1, tick=0):
     return Envelope(
         sender=sender, receiver=receiver, payload="x", sent_at=tick,
-        delivered_at=network.delivery_round(sender, receiver, tick),
+        delivered_at=tick + 1,
     )
 
 
@@ -85,7 +85,7 @@ class TestBarrier:
         async def scenario():
             network = AsyncNetwork(config5, tick_duration=5.0)
             network.start_clock(1)
-            lost = envelope_for(network)
+            lost = envelope_for()
             network.wire(lost, lambda envelope: None)  # a transport loses it
             parked = asyncio.create_task(network.wait_for_round(1))
             await asyncio.sleep(0.01)
@@ -104,7 +104,7 @@ class TestBarrier:
             observer = Observer()
             network = AsyncNetwork(config5, tick_duration=0.05, observer=observer)
             network.start_clock(1)
-            lost = envelope_for(network)
+            lost = envelope_for()
             network.wire(lost, lambda envelope: None)
             await network.wait_for_round(1)
             assert network.opened == 1

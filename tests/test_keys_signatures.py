@@ -39,8 +39,14 @@ class TestSigning:
     def test_unknown_signer_raises(self, registry):
         with pytest.raises(UnknownSignerError):
             registry.sign(99, "msg")
-        with pytest.raises(UnknownSignerError):
-            registry.verify(Signature(signer=99, tag=b"x"), "msg")
+
+    def test_verify_rejects_malformed_input(self, registry):
+        good = registry.sign(1, "msg")
+        assert not registry.verify(Signature(signer=99, tag=b"x"), "msg")
+        assert not registry.verify(Signature(signer=[1], tag=good.tag), "msg")
+        assert not registry.verify(Signature(signer=1, tag="junk"), "msg")
+        assert not registry.verify("junk", "msg")
+        assert not registry.verify(good, {"x": 1})
 
     def test_registries_with_different_seeds_are_independent(self):
         a = KeyRegistry(3, master_seed=b"a")
