@@ -258,8 +258,9 @@ class CryptoSuite:
         The key carries the scheme id and both signature fields, so a
         doctored signature can never hit a stale ``True``.  This is the
         one place a malformed certificate is rejected: a field of the
-        wrong type or shape, an unknown scheme id or a payload the
-        canonical encoder refuses yields ``False``, never an exception.
+        wrong type or shape, an unknown scheme id, an unhashable payload
+        or one the canonical encoder refuses yields ``False``, never an
+        exception.
         """
         try:
             signature = certificate.signature
@@ -271,6 +272,7 @@ class CryptoSuite:
                 or signature.scheme_id != scheme.scheme_id
             ):
                 return False
+            hash(certificate.payload)  # a list encodes like its tuple twin
             encoded, digest = self._bound(label, certificate.payload)
             key = (scheme.scheme_id, encoded, signature.digest, signature.value)
             verdict = self._cert_cache.get(key)
@@ -302,10 +304,12 @@ class CryptoSuite:
         scheme of the same label.
 
         Returns ``False`` and never raises on anything malformed: a
-        non-certificate, another label or scheme, a garbled signature, a
-        payload the canonical encoder rejects.  A caller therefore needs
-        no guard of its own — it calls this first and reads
-        ``certificate.payload`` only once it returned ``True``.
+        non-certificate, another label or scheme, a garbled signature, an
+        unhashable payload (a list twin of a signed tuple) or one the
+        canonical encoder rejects.  A caller therefore needs no guard of
+        its own — it calls this first, then reads ``certificate.payload``
+        (hashable, so fit for a set or a dict key) only once it returned
+        ``True``.
         """
         return isinstance(certificate, QuorumCertificate) and self._verify_bound(
             self.scheme(label, k, members), certificate, label

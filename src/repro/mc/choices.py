@@ -38,8 +38,8 @@ sequences stay short and shrinkable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.config import ProcessId, derive_rng
 from repro.errors import ModelCheckError
@@ -141,14 +141,18 @@ class ChoiceSource:
     helpers that translate structured questions into :meth:`choose`
     calls.  Subclasses implement :meth:`_pick` only.
 
-    Instances are **per-run**: they carry the drop-budget counter and
-    the decision log, so reusing one across runs would contaminate both.
+    Instances are **per-run**: they carry the drop-budget counter, the
+    decision log and the payload-repr memo, so reusing one across runs
+    would contaminate them.
     """
 
     def __init__(self, space: ChoiceSpace) -> None:
         self.space = space
         self.log: list[LoggedChoice] = []
         self._drops_used = 0
+        self._reprs: dict[int, tuple[object, str]] = {}
+        """``id(payload) -> (payload, repr(payload))``; holding the
+        payload keeps its id from being reused within the run."""
 
     # ------------------------------------------------------------------
     # The primitive
@@ -181,6 +185,31 @@ class ChoiceSource:
     @property
     def drops_used(self) -> int:
         return self._drops_used
+
+    # ------------------------------------------------------------------
+    # State keys (shared with the explorer's fingerprints)
+    # ------------------------------------------------------------------
+
+    def payload_repr(self, payload: object) -> str:
+        """``repr(payload)``, computed once per payload object per run.
+
+        Reprs are deterministic and equality-faithful for this repo's
+        payloads (frozen dataclasses of plain values) but not cheap, and
+        a payload is keyed once per tick it sits in flight — by every
+        copy of its multicast."""
+        memo = self._reprs.get(id(payload))
+        if memo is None:
+            memo = self._reprs[id(payload)] = (payload, repr(payload))
+        return memo[1]
+
+    def envelope_key(self, envelope: "Envelope") -> tuple:
+        """Equality-faithful key of one envelope (delivery tick aside)."""
+        return (
+            envelope.sender,
+            envelope.receiver,
+            envelope.sent_at,
+            self.payload_repr(envelope.payload),
+        )
 
     # ------------------------------------------------------------------
     # Scheduler-facing helpers
@@ -224,26 +253,25 @@ class ChoiceSource:
         envelopes = list(envelopes)
         if not self.space.reorder or len(envelopes) < 2:
             return envelopes
-        orderings = _distinct_orderings(envelopes, self.space.perm_cap)
+        orderings = _distinct_orderings(
+            envelopes, self.space.perm_cap, self.envelope_key
+        )
         chosen = self.choose("order", (receiver, tick), len(orderings))
         return list(orderings[chosen])
 
 
 def _distinct_orderings(
-    envelopes: list["Envelope"], cap: int
+    envelopes: list["Envelope"], cap: int, key: Callable[["Envelope"], object]
 ) -> list[tuple["Envelope", ...]]:
     """The first ``cap`` distinct permutations, in lexicographic index
     order (identity first), deduplicated by envelope equality.
 
     Each envelope is keyed by the index of its first indistinguishable
-    occurrence (via :meth:`Envelope.mc_key`, the same repr-faithful key
-    state fingerprints use), so duplicated copies of one message never
+    occurrence (via ``key``, the same repr-faithful key state
+    fingerprints use), so duplicated copies of one message never
     inflate the option count with indistinguishable orderings."""
     first: dict = {}
-    canon = [
-        first.setdefault(envelope.mc_key(), i)
-        for i, envelope in enumerate(envelopes)
-    ]
+    canon = [first.setdefault(key(e), i) for i, e in enumerate(envelopes)]
     seen: set[tuple[int, ...]] = set()
     out: list[tuple] = []
     for indices in itertools.permutations(range(len(envelopes))):

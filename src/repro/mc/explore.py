@@ -152,26 +152,24 @@ def _state_digest(
 
     Payloads and trace events are keyed by ``repr`` — every wire payload
     and event in this repo is a frozen dataclass of plain values, so
-    reprs are deterministic and equality-faithful.
+    reprs are deterministic and equality-faithful; the run's choice
+    source memoizes them per payload object.
     """
+    key = choices.envelope_key
+    payload_repr = choices.payload_repr
     return hash((
         tuple(sorted(
-            (pid, tuple(e.mc_key() for e in box))
-            for pid, box in inboxes.items()
+            (pid, tuple(map(key, box))) for pid, box in inboxes.items()
         )),
-        # A checked run has a ChoiceSource, so its wheel is in the
-        # per-copy form: tick -> receiver -> (delay, envelope) buckets.
-        # Bucket order is canonicalized away: delivery always re-sorts
-        # by (delay, sender), so only the multiset matters for the
-        # run's future.
+        # The delivery wheel, one multiset of entries per slot.  Entry
+        # order is canonicalized away: delivery sorts each slot by
+        # (delay, sender), so only the multiset matters for the future.
         tuple(sorted(
             (tick, tuple(sorted(
-                (pid, tuple(sorted(
-                    (delay, e.mc_key()) for delay, e in bucket
-                )))
-                for pid, bucket in slot.items()
+                (delay, sender, recipients, sent_at, payload_repr(payload))
+                for delay, sender, recipients, payload, sent_at in entries
             )))
-            for tick, slot in simulation._due.items()
+            for tick, entries in simulation._due.items()
         )),
         # Behavior reprs (dataclasses), not just pids: adversary
         # *parameters* chosen at build time — which victim a dealer
@@ -193,7 +191,7 @@ def _state_digest(
         # deliveries per process) — () under the trivial lockstep model.
         # Without it, two psync states with equal wheels but different
         # round clocks would alias and pruning would be unsound.
-        simulation.pacer_fingerprint(),
+        simulation.pacer_fingerprint(key),
         tuple(sorted(
             (pid, repr(value)) for pid, value in simulation._decisions.items()
         )),

@@ -49,17 +49,3 @@ class Envelope:
             f"Envelope({self.sender}->{self.receiver} @{self.delivered_at}: "
             f"{type(self.payload).__name__})"
         )
-
-    def mc_key(self) -> tuple:
-        """Equality-faithful key for model-checker state fingerprints.
-
-        ``repr(payload)`` is deterministic for this repo's payloads
-        (frozen dataclasses of plain values) but not cheap; an envelope
-        is fingerprinted once per tick it sits in flight, so the key is
-        computed once and memoized on the (frozen) instance.
-        """
-        key = self.__dict__.get("_mc_key")
-        if key is None:
-            key = (self.sender, self.receiver, self.sent_at, repr(self.payload))
-            object.__setattr__(self, "_mc_key", key)
-        return key

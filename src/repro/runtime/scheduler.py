@@ -89,8 +89,9 @@ tick."""
 _ONE_COPY = (0.0,)
 """The wire copies of a send when no fault injector acts: one, undelayed."""
 
-_Multicast = tuple[ProcessId, tuple[ProcessId, ...], object, int]
-"""A fan-out wheel entry: ``(sender, recipients, payload, sent_at)``."""
+_Entry = tuple[float, ProcessId, tuple[ProcessId, ...], object, int]
+"""A delivery-wheel entry: ``(sub-delta delay, sender, recipients,
+payload, sent_at)`` — a whole multicast, or one wire copy."""
 
 
 class _RoundClock:
@@ -132,9 +133,10 @@ class _RoundClock:
 class _ProcessPacer:
     """Per-process paced-run state.
 
-    ``buffer`` accumulates ``(delivered_tick, sub_delta_delay,
-    envelope)`` entries between resumes; on resume it becomes the
-    round's inbox.  ``resume_at`` is the tick this process actually
+    ``buffer`` accumulates deliveries between resumes, each tick's
+    already in delivery order (:meth:`Simulation._deliver`), so it is
+    in ``(tick, delay, sender)`` order; on resume it becomes the round's
+    inbox.  ``resume_at`` is the tick this process actually
     resumes the clock's current round (the shared advance tick plus its
     bounded clock drift); ``None`` once resumed.  ``round`` is the last
     round the process resumed — what :attr:`ProcessContext.now`
@@ -146,16 +148,13 @@ class _ProcessPacer:
     def __init__(self) -> None:
         self.round = 0
         self.resume_at: int | None = 0
-        self.buffer: list[tuple[int, float, Envelope]] = []
+        self.buffer: list[Envelope] = []
 
-    def fingerprint(self) -> tuple:
+    def fingerprint(self, key: Callable[[Envelope], object]) -> tuple:
         return (
             self.round,
             self.resume_at,
-            tuple(sorted(
-                (tick, delay, envelope.mc_key())
-                for tick, delay, envelope in self.buffer
-            )),
+            tuple((e.delivered_at, key(e)) for e in self.buffer),
         )
 
 
@@ -281,28 +280,23 @@ class Simulation:
         verdict, no choice-source draw and no paced delivery draw can
         tell one copy from its siblings (lockstep ``delta=1``, no
         ``FaultPlan``, no ``ChoiceSource``)."""
-        self._due: dict[
-            int, list[_Multicast] | dict[ProcessId, list[tuple[float, Envelope]]]
-        ] = {}
-        """Slotted delivery wheel, one slot per delivery tick.
+        self._due: dict[int, list[_Entry]] = {}
+        """Delivery wheel: tick -> its :data:`_Entry` list, in send order.
 
-        On the fan-out path (``_fanout``) a slot is a list of whole
-        multicasts in send order, one entry per multicast; the copies'
-        envelopes are built only when the tick's inboxes are, and only
-        for the inboxes someone reads (:meth:`_fan_out`).  Otherwise a copy's fate can differ from its
-        siblings' — a fault verdict, a choice-source draw or a paced
-        delivery tick — and a slot maps receiver -> ``(sub-delta delay,
-        envelope)`` pairs, one per wire copy (:meth:`_slot_copies`).
-        The delay (a fraction of ``delta``) only influences inbox
-        position, never the delivery tick.  Receivers appear in
-        first-send order and each bucket preserves send order.  The
-        model checker fingerprints this per-copy form: it always runs
-        with a ``ChoiceSource``, so it never takes the fan-out path.
+        On the fan-out path (``_fanout``) an entry is a whole multicast,
+        filed in slot ``tick + 1``.  Otherwise a copy's fate can differ
+        from its siblings' — a fault verdict, a choice-source draw or a
+        paced delivery tick — so each wire copy is an entry of its own,
+        ``recipients=(to,)``, in the slot of its delivery tick.  The
+        delay (a fraction of ``delta``) only influences inbox position,
+        never the delivery tick.  Envelopes are built only on delivery,
+        and only for the inboxes someone reads (:meth:`_deliver`).
 
-        Both forms produce byte-identical inboxes: the seeded
+        Both granularities produce byte-identical inboxes: the seeded
         equivalence properties in ``test_scheduler_properties.py`` (the
-        historical flat per-tick scan) and ``test_multicast_fanout.py``
-        (fan-out against per-copy, on every table row) pin this."""
+        historical regroup-and-sort per inbox) and
+        ``test_multicast_fanout.py`` (fan-out against per-copy, on every
+        table row) pin this."""
         self._deadline: dict[ProcessId, int] = {}
         """Live generator -> the wake-up deadline it last yielded."""
         self._wake: dict[int, list[ProcessId]] = {}
@@ -383,25 +377,24 @@ class Simulation:
         scope: str,
         sender_correct: bool,
     ) -> None:
-        """One multicast: bill it once, then put it on the wire.
+        """One multicast: bill it once, then file its wheel entries.
 
         On the fan-out path the multicast is one entry of the ``tick +
-        1`` slot; otherwise each recipient's copies are slotted one by
-        one, in recipient order.  Either way a recorded run lists one
+        1`` slot; otherwise each recipient's wire copies are filed one
+        by one, in recipient order.  Either way a recorded run lists one
         envelope per recipient, in send order."""
         tick = self.tick
         bill_multicast(
             self, sender, recipients, payload,
             tick=tick, scope=scope, sender_correct=sender_correct,
         )
+        due = self._due
         if self._fanout:
             recipients = tuple(recipients)
             if not recipients:  # no copy, no slot: the tick stays skippable
                 return
-            slot = self._due.get(tick + 1)
-            if slot is None:
-                slot = self._due[tick + 1] = []
-            slot.append((sender, recipients, payload, tick))
+            entry = (0.0, sender, recipients, payload, tick)
+            due.setdefault(tick + 1, []).append(entry)
             if self.record_envelopes:
                 self.envelopes += [
                     Envelope(sender, to, payload, tick, tick + 1)
@@ -411,7 +404,6 @@ class Simulation:
         obs = self.observer
         injector = self._injector
         paced = self._paced
-        slot_copies = self._slot_copies
         envelopes = self.envelopes if self.record_envelopes else None
         for to in recipients:
             if not paced:
@@ -429,7 +421,6 @@ class Simulation:
                         f"synchrony model {self.synchrony.describe()} scheduled "
                         f"delivery at {delivered_at} <= send tick {tick}"
                     )
-            envelope = Envelope(sender, to, payload, tick, delivered_at)
             if injector is None:
                 copies: Sequence[float] = _ONE_COPY
             else:  # the ledger bills the *send*; faults act on the wire
@@ -437,35 +428,38 @@ class Simulation:
                 if obs is not None:
                     obs.on_copies(copies)
             if copies:
-                slot_copies(envelope, copies)
+                due.setdefault(delivered_at, []).extend(
+                    [(delay, sender, (to,), payload, tick) for delay in copies]
+                )
+                if paced and sender != to:
+                    self._sent_now.setdefault(to, []).append(
+                        Envelope(sender, to, payload, tick, delivered_at)
+                    )
             if envelopes is not None:
-                envelopes.append(envelope)
+                envelopes.append(Envelope(sender, to, payload, tick, delivered_at))
 
-    def _fan_out(
-        self, tick: int, live: Collection[ProcessId]
+    def _deliver(
+        self, tick: int, readers: Collection[ProcessId]
     ) -> dict[ProcessId, list[Envelope]]:
-        """Pop tick ``tick``'s multicasts and build the inboxes someone
-        reads: those of the ``live`` correct processes and the stepped
-        Byzantine behaviors, or all of them under a tick hook (it sees
-        the whole map).  A copy to a decided process or a passive
-        Byzantine one is never built; nothing would read it.
+        """Pop slot ``tick`` and build the inboxes of ``readers``.
 
-        The slot is stably sorted by sender once, then each multicast
-        appends one envelope per reading recipient.  Each inbox is
-        thereby in sender order and, within a sender, in send order:
-        what sorting the per-copy bucket by sender gives.  Nothing is
-        ever down here: crash faults come with a fault plan, hence the
-        per-copy path."""
+        The slot is stably sorted once by ``(delay, sender)``, then each
+        entry appends one envelope per reading recipient.  Restricted to
+        one receiver, that one sort is the sort of its own copies, so
+        every inbox is ordered by sub-``delta`` delay, then sender, then
+        send order.  A copy nobody reads (a down or decided process, a
+        passive Byzantine one) is never built.  This is the override
+        point of the scheduler equivalence tests."""
         inboxes: defaultdict[ProcessId, list[Envelope]] = defaultdict(list)
-        multicasts = self._due.pop(tick, None)
-        if not multicasts:
+        entries = self._due.pop(tick, None)
+        if not entries:
             return inboxes
-        readers: Collection[ProcessId] = (
-            self.config.processes if self.tick_hook is not None
-            else {*live, *self._stepped}
-        )
-        multicasts.sort(key=itemgetter(0))
-        for sender, recipients, payload, sent_at in multicasts:
+        if self.choices is not None:
+            # A checked run meets its inbox-order choice points in
+            # first-send order, so the inboxes are keyed before the sort.
+            inboxes.update((to, []) for _, _, (to,), _, _ in entries if to in readers)
+        entries.sort(key=itemgetter(0, 1))
+        for _, sender, recipients, payload, sent_at in entries:
             for to in recipients:
                 if to in readers:
                     inboxes[to].append(
@@ -473,67 +467,19 @@ class Simulation:
                     )
         return inboxes
 
-    # The three wheel accessors below are override points of the
-    # per-copy path: the scheduler equivalence tests subclass Simulation
-    # with the historical flat per-tick list, and run it under a fault
-    # plan so that every copy goes through them, to prove the slotted
-    # wheel is observationally identical.
-
-    def _slot_copies(self, envelope: Envelope, copies: Sequence[float]) -> None:
-        """File an envelope's wire copies into the delivery wheel (the
-        per-copy path: a fault plan, a choice source or a paced model).
-
-        The slot is the envelope's synchrony-resolved ``delivered_at``
-        (``tick + 1`` under the default model — the historical scheduler
-        hardcoded that constant here).  All copies of one send share its
-        delivery tick; a :class:`~repro.faults.plan.FaultDecision`'s
-        ``delay`` stays what it always was, a sub-``delta`` fraction
-        observable only as inbox position within the delivery round.
-        """
-        slot = self._due.get(envelope.delivered_at)
-        if slot is None:
-            slot = self._due[envelope.delivered_at] = {}
-        bucket = slot.get(envelope.receiver)
-        if bucket is None:
-            bucket = slot[envelope.receiver] = []
-        for delay in copies:
-            bucket.append((delay, envelope))
-        if self._paced and envelope.sender != envelope.receiver:
-            self._sent_now.setdefault(envelope.receiver, []).append(envelope)
-
-    def _pending_at(
-        self, tick: int, down: dict[ProcessId, int]
-    ) -> dict[ProcessId, list[tuple[float, Envelope]]]:
-        """Pop tick ``tick``'s deliveries, grouped by receiver.
-
-        A down process's deliveries are lost, not queued.
-        """
-        pending = self._due.pop(tick, {})
-        if down:
-            for pid in down:
-                pending.pop(pid, None)
-        return pending
-
     def _rushed_to(self, pid: ProcessId) -> list[Envelope]:
-        """Messages sent *this* tick to ``pid`` (Byzantine rushing), in
-        send order."""
+        """Messages sent *this* tick to ``pid`` (Byzantine rushing), one
+        per wire copy, in send order."""
         if self._paced:
             # Sends scatter across future wheel slots under a paced
             # model; the per-tick side record is the rushing view.
             return list(self._sent_now.get(pid, ()))
-        slot = self._due.get(self.tick + 1)
-        if not slot:
-            return []
-        if self._fanout:
-            return [
-                Envelope(sender, pid, payload, sent_at, sent_at + 1)
-                for sender, recipients, payload, sent_at in slot
-                for _ in range(recipients.count(pid))
-            ]
-        bucket = slot.get(pid)
-        if not bucket:
-            return []
-        return [e for _, e in bucket]
+        return [
+            Envelope(sender, pid, payload, sent_at, sent_at + 1)
+            for _, sender, recipients, payload, sent_at
+            in self._due.get(self.tick + 1, ())
+            for _ in range(recipients.count(pid))
+        ]
 
     # ------------------------------------------------------------------
     # Paced rounds (non-trivial synchrony models)
@@ -549,17 +495,18 @@ class Simulation:
         pacer = self._pacers.get(pid)
         return pacer.round if pacer is not None else self.tick
 
-    def pacer_fingerprint(self) -> tuple:
-        """Paced-round state for model-checking state digests: ``()``
-        under the trivial model (where the digest's existing components
-        already capture everything)."""
+    def pacer_fingerprint(self, key: Callable[[Envelope], object]) -> tuple:
+        """Paced-round state for model-checking state digests, buffered
+        envelopes keyed by ``key``: ``()`` under the trivial model (where
+        the digest's existing components already capture everything)."""
         if not self._paced:
             return ()
         assert self._clock is not None
         return (
             self._clock.fingerprint(),
             tuple(sorted(
-                (pid, pacer.fingerprint()) for pid, pacer in self._pacers.items()
+                (pid, pacer.fingerprint(key))
+                for pid, pacer in self._pacers.items()
             )),
         )
 
@@ -580,7 +527,7 @@ class Simulation:
         if self.synchrony.early_advance:
             quorum = self.config.n - self.config.t
             for pacer in self._pacers.values():
-                senders = {envelope.sender for _, _, envelope in pacer.buffer}
+                senders = {envelope.sender for envelope in pacer.buffer}
                 if len(senders) >= quorum:
                     return "certificate"
         if self.tick >= clock.started_at + clock.timeout:
@@ -616,7 +563,7 @@ class Simulation:
                 late = any(
                     envelope.sent_at < prev_started_at
                     for pacer in self._pacers.values()
-                    for _, _, envelope in pacer.buffer
+                    for envelope in pacer.buffer
                 )
                 if late:
                     clock.retries += 1
@@ -637,21 +584,19 @@ class Simulation:
             )
 
     def _paced_inbox(self, pid: ProcessId) -> list[Envelope]:
-        """Drain ``pid``'s buffer into the new round's inbox
-        (deterministically ordered, then fault-plan / choice-source
-        reordered exactly like a lockstep inbox)."""
+        """Drain ``pid``'s buffer (already in delivery order) into the
+        new round's inbox, then fault-plan / choice-source reorder it
+        exactly like a lockstep inbox."""
         pacer = self._pacers[pid]
         assert self._clock is not None
         pacer.round = self._clock.round
         pacer.resume_at = None
-        entries = pacer.buffer
+        inbox = pacer.buffer
         pacer.buffer = []
-        entries.sort(key=lambda e: (e[0], e[1], e[2].sender))
-        inbox = [envelope for _, _, envelope in entries]
         if self.choices is not None:
             return self.choices.order_inbox(pid, self.tick, inbox)
-        if self._injector is not None:
-            return self._injector.plan.maybe_shuffle(pid, self.tick, inbox)
+        if self.fault_plan is not None:
+            return self.fault_plan.maybe_shuffle(pid, self.tick, inbox)
         return inbox
 
     # ------------------------------------------------------------------
@@ -756,27 +701,17 @@ class Simulation:
                         self, crash.pid, self.tick, generators.pop(crash.pid)
                     )
 
-            inboxes: dict[ProcessId, list[Envelope]] = {}
             resuming: list[ProcessId] | None = None
-            if self._fanout:
-                inboxes = self._fan_out(self.tick, generators)
-            elif self._paced:
-                # Deliveries land in per-process buffers; the shared
-                # round clock ends rounds by certificate or timeout, not
-                # at the tick boundary, and each process resumes at the
-                # advance tick plus its bounded clock drift.  Byzantine
-                # inboxes stay per-tick: the adversary's view is never
-                # paced by honest clocks.
-                for pid, entries in self._pending_at(self.tick, down).items():
-                    pacer = self._pacers.get(pid)
-                    if pacer is not None:
-                        pacer.buffer.extend(
-                            (self.tick, delay, envelope)
-                            for delay, envelope in entries
-                        )
-                    elif pid in self._behaviors:
-                        entries.sort(key=lambda de: (de[0], de[1].sender))
-                        inboxes[pid] = [e for _, e in entries]
+            if self._paced:
+                # Deliveries to correct processes land in their buffers;
+                # the shared round clock ends rounds by certificate or
+                # timeout, not at the tick boundary, and each process
+                # resumes at the advance tick plus its bounded clock
+                # drift.  Byzantine inboxes stay per-tick: the
+                # adversary's view is never paced by honest clocks.
+                inboxes = self._deliver(self.tick, {*self._pacers, *self._behaviors})
+                for pid, pacer in self._pacers.items():
+                    pacer.buffer += inboxes.pop(pid, ())
                 if generators:
                     reason = self._clock_advance_reason()
                     if reason is not None:
@@ -788,25 +723,30 @@ class Simulation:
                         inboxes[pid] = self._paced_inbox(pid)
                         resuming.append(pid)
             else:
-                for pid, entries in self._pending_at(self.tick, down).items():
-                    # Canonicalize (delay, then sender): delayed copies
-                    # land later in the inbox.  Then the decision stream
-                    # picks among the offered orderings, or the plan's
-                    # seeded reorder may scramble the whole round.
-                    # Byzantine inboxes stay canonical under a choice
-                    # source: the adversary sees everything anyway, so
-                    # its perceived order is not part of the
-                    # correctness space.
-                    entries.sort(key=lambda de: (de[0], de[1].sender))
-                    inbox = [e for _, e in entries]
-                    if self.choices is not None:
+                if self.tick_hook is not None or self.choices is not None:
+                    # A hook sees the whole map, and every correct
+                    # inbox order is a choice point that replays must
+                    # meet: every process that is up reads.
+                    readers = set(self.config.processes).difference(down)
+                else:
+                    readers = {*generators, *self._stepped}
+                inboxes = self._deliver(self.tick, readers)
+                if self.choices is not None:
+                    # The decision stream picks among the offered
+                    # orderings.  Byzantine inboxes stay canonical: the
+                    # adversary sees everything anyway, so its perceived
+                    # order is not part of the correctness space.
+                    for pid, inbox in inboxes.items():
                         if pid not in self._behaviors:
-                            inbox = self.choices.order_inbox(pid, self.tick, inbox)
-                    else:
-                        inbox = self._injector.plan.maybe_shuffle(
+                            inboxes[pid] = self.choices.order_inbox(
+                                pid, self.tick, inbox
+                            )
+                elif self.fault_plan is not None:
+                    # The plan's seeded reorder may scramble a round.
+                    for pid, inbox in inboxes.items():
+                        inboxes[pid] = self.fault_plan.maybe_shuffle(
                             pid, self.tick, inbox
                         )
-                    inboxes[pid] = inbox
 
             if self.tick_hook is not None:
                 self.tick_hook(self, inboxes)

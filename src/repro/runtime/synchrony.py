@@ -57,6 +57,11 @@ _DELAY_TAG = 0x65D7
 _LINK_TAG = 0x11A7
 _DRIFT_TAG = 0xD21F
 
+PRE_GST_CAP = 8
+"""Largest seeded pre-GST delay, in ticks (the choice-point path is
+bounded by ``gst + delta`` instead — the model checker must be able to
+hold a message until stabilization)."""
+
 
 @dataclass(frozen=True)
 class SynchronyModel:
@@ -180,7 +185,7 @@ class PartialSynchrony(SynchronyModel):
 
     * some adversary-chosen tick in ``[T + 1, gst + delta]`` when
       ``T < gst`` (a choice point under the model checker, a seeded
-      per-link draw capped at ``pre_gst_cap`` otherwise);
+      per-link draw of at most :data:`PRE_GST_CAP` ticks otherwise);
     * ``T + latency(link)`` with ``1 <= latency <= delta`` when
       ``T >= gst`` — the link's seeded base latency, fixed for the run,
       so "fast" and "slow" links persist post-GST the way real
@@ -191,7 +196,7 @@ class PartialSynchrony(SynchronyModel):
     process — the network-layer idealization of certificate gossip;
     timeout resets to the ``timeout`` base) or at a **timeout**
     (current estimate expired), whichever first.  The estimate
-    escalates by ``backoff`` (capped at ``timeout_cap``) only when the
+    escalates by ``backoff`` (capped at ``8 * delta``) only when the
     expired round received traffic that was more than a full round
     old — evidence the network outpaces the round length.  ``drift``
     staggers each process's resume of a new round by a seeded
@@ -200,28 +205,18 @@ class PartialSynchrony(SynchronyModel):
 
     gst: int = 0
     seed: int = 0
-    pre_gst_cap: int = 8
-    """Largest seeded pre-GST delay, in ticks (the choice-point path is
-    bounded by ``gst + delta`` instead — the model checker must be able
-    to hold a message until stabilization)."""
     pre_gst_levels: int = 3
     """Choice-point arity for a pre-GST delivery: evenly spaced ticks
     spanning ``[sent + 1, gst + delta]``, always including both ends."""
     timeout: int | None = None
     """Base per-round timeout in ticks (``None`` = ``delta``)."""
     backoff: float = 2.0
-    timeout_cap: int | None = None
-    """Largest timeout the back-off may reach (``None`` = ``8 * delta``)."""
     drift: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.gst < 0:
             raise ConfigurationError(f"gst must be >= 0, got {self.gst}")
-        if self.pre_gst_cap < 0:
-            raise ConfigurationError(
-                f"pre_gst_cap must be >= 0, got {self.pre_gst_cap}"
-            )
         if self.pre_gst_levels < 2:
             raise ConfigurationError(
                 f"pre_gst_levels must be >= 2 (earliest and hold-until-GST "
@@ -235,11 +230,6 @@ class PartialSynchrony(SynchronyModel):
             raise ConfigurationError(
                 f"backoff must be >= 1, got {self.backoff}"
             )
-        if self.timeout_cap is not None and self.timeout_cap < self.timeout_base():
-            raise ConfigurationError(
-                f"timeout_cap {self.timeout_cap} below the base timeout "
-                f"{self.timeout_base()}"
-            )
         if self.drift < 0:
             raise ConfigurationError(f"drift must be >= 0, got {self.drift}")
 
@@ -251,9 +241,8 @@ class PartialSynchrony(SynchronyModel):
         return self.timeout if self.timeout is not None else self.delta
 
     def next_timeout(self, current: int) -> int:
-        cap = self.timeout_cap if self.timeout_cap is not None else 8 * self.delta
         grown = max(current + 1, int(current * self.backoff))
-        return min(grown, max(cap, self.timeout_base()))
+        return min(grown, max(8 * self.delta, self.timeout_base()))
 
     def drift_for(self, pid: ProcessId, round_index: int) -> int:
         if self.drift == 0:
@@ -288,7 +277,7 @@ class PartialSynchrony(SynchronyModel):
             )
             return options[pick]
         draw = _mix(self.seed, _DELAY_TAG, sender, receiver, sent_at, seq)
-        return min(earliest + draw % (self.pre_gst_cap + 1), latest)
+        return min(earliest + draw % (PRE_GST_CAP + 1), latest)
 
     def _delay_options(self, earliest: int, latest: int) -> list[int]:
         """Evenly spaced delivery ticks spanning ``[earliest, latest]``,

@@ -129,6 +129,17 @@ class TestCertificates:
         assert not suite7.verify_certificate("garbage", "l", 3)
         assert not suite7.verify_certificate(None, "l", 3)
 
+    def test_list_twin_of_a_signed_tuple_rejected(self, suite7):
+        """A list encodes like the tuple it mimics, so the signature
+        matches; but callers key sets and dicts by certified payloads,
+        and a list would crash them."""
+        cert = make_cert(suite7, "l", 3, ("a", "b"), range(3))
+        twin = replace(cert, payload=["a", "b"])
+        assert encode(twin.payload) == encode(cert.payload)
+        assert not suite7.verify_certificate(twin, "l", 3)
+        assert not twin.verify(suite7)
+        assert suite7.verify_certificate(cert, "l", 3)
+
 
 class TestStatementMemo:
     """``_bound`` memoizes by identity, and a plain tuple by the

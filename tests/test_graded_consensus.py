@@ -113,6 +113,36 @@ class TestStructure:
         assert words[13] / 13**2 < 2 * words[5] / 5**2
         assert words[13] / 13 > 1.5 * words[5] / 5
 
+    def test_ignores_list_twins_of_tuple_certificates(self, config7):
+        """A Byzantine member rushes every support and lock certificate
+        back out with its tuple payload swapped for the equal-encoding
+        list; correct members reject the twins and still grade 2."""
+        from dataclasses import replace
+
+        from repro.fallback.graded_consensus import GcLockCert, GcSupport
+
+        class TwinRelay:
+            def __init__(self):
+                self.relayed = 0
+
+            def step(self, api):
+                for envelope in api.rushed:
+                    payload = envelope.payload
+                    if isinstance(payload, (GcSupport, GcLockCert)):
+                        cert = payload.certificate
+                        twin = replace(cert, payload=list(cert.payload))
+                        api.broadcast(replace(payload, certificate=twin))
+                        self.relayed += 1
+
+        relay = TwinRelay()
+        value = ("V", 1)
+        inputs = {p: value for p in config7.processes if p != 2}
+        result = run_gc(config7, inputs, {2: relay})
+        assert relay.relayed > 0
+        for decided, grade in result.decisions.values():
+            assert decided == value
+            assert grade == 2
+
     def test_ignores_garbage_claims(self, config7):
         from repro.adversary.behaviors import GarbageSpammer
 

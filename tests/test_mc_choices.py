@@ -124,24 +124,42 @@ class TestFaultDecisions:
         assert source.consumed == 1
 
 
+def _distinct(envelopes, cap):
+    return _distinct_orderings(
+        envelopes, cap, SeededChoices(CLOSED_SPACE).envelope_key
+    )
+
+
 class TestDistinctOrderings:
     def test_identity_ordering_first(self):
         envelopes = [_envelope(1), _envelope(2), _envelope(3)]
-        orderings = _distinct_orderings(envelopes, cap=6)
+        orderings = _distinct(envelopes, cap=6)
         assert len(orderings) == 6
         assert orderings[0] == tuple(envelopes)
 
     def test_duplicate_envelopes_do_not_inflate_options(self):
         dup = _envelope(1)
         envelopes = [dup, dup, _envelope(2)]
-        orderings = _distinct_orderings(envelopes, cap=6)
+        orderings = _distinct(envelopes, cap=6)
         # 3! = 6 raw permutations, but swapping the two equal copies is
         # indistinguishable: only 3 distinct orderings remain.
         assert len(orderings) == 3
 
     def test_cap_truncates(self):
         envelopes = [_envelope(1), _envelope(2), _envelope(3)]
-        assert len(_distinct_orderings(envelopes, cap=2)) == 2
+        assert len(_distinct(envelopes, cap=2)) == 2
+
+    def test_payload_reprs_are_memoized_per_run(self):
+        source = SeededChoices(CLOSED_SPACE)
+        payload = ("vote", 7)
+        first = source.payload_repr(payload)
+        assert first == repr(payload)
+        assert source.payload_repr(payload) is first
+        assert source.envelope_key(_envelope(1, payload)) == (
+            1, 0, 0, repr(payload)
+        )
+        # A fresh source (a fresh run) recomputes it.
+        assert SeededChoices(CLOSED_SPACE).payload_repr(payload) is not first
 
     def test_order_inbox_identity_when_closed(self):
         source = SeededChoices(CLOSED_SPACE, seed=0)

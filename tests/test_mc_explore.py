@@ -99,6 +99,43 @@ class TestExhaustive:
         assert result.complete and result.ok, result.counterexamples
         assert result.stats.runs == result.stats.terminal == 19_719
 
+    @pytest.mark.parametrize(
+        "name, params, max_runs, table",
+        [
+            ("psync-weak-ba", dict(gst=1), 2000, (8, 4, 4, 0, 107)),
+            ("psync-weak-ba", dict(gst=3), 2000, (76, 12, 64, 0, 488)),
+            (
+                "psync-weak-ba", dict(gst=2, adversary="choose-silent"),
+                2000, (82, 21, 61, 0, 739),
+            ),
+            (
+                "weak-ba",
+                dict(drop_budget=1, max_duplicates=1, delay_levels=2,
+                     max_ticks=10),
+                300, (300, 2, 298, 2, 104),
+            ),
+            ("civit-strong-ba", dict(perm_cap=2), 2000, (110, 5, 105, 1, 210)),
+        ],
+        ids=["psync-gst1", "psync-gst3", "psync-silent", "weak-ba-faults",
+             "civit"],
+    )
+    def test_stats_pinned_where_the_wheel_is_digested(
+        self, name, params, max_runs, table
+    ):
+        """runs/terminal/pruned/truncated/distinct_states on the spaces
+        whose state digest walks a wheel of per-copy fates: paced GST
+        runs, drop/duplicate/delay verdicts, and the second backend.
+        Any change to how pending deliveries are fingerprinted that
+        merges or splits states moves these counts."""
+        result = explore_exhaustive(
+            make_scenario(name, **params), max_runs=max_runs
+        )
+        stats = result.stats
+        assert (
+            stats.runs, stats.terminal, stats.pruned, stats.truncated,
+            stats.distinct_states,
+        ) == table
+
     def test_prune_modes_agree_on_verdict(self):
         # A tiny space (no reordering: the only open decisions are the
         # adversary's) where pruned and unpruned search must coincide.

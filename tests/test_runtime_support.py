@@ -60,13 +60,6 @@ class TestEnvelope:
         assert moved == Envelope(0, 4, "x", 0, 9)
         assert e == env()
 
-    def test_mc_key_is_memoized_on_the_instance(self):
-        e = env(payload=("vote", 7))
-        key = e.mc_key()
-        assert key == (0, 1, 0, repr(("vote", 7)))
-        assert e.mc_key() is key
-        assert env(payload=("vote", 7)).mc_key() is not key
-
 
 class TestMessagePool:
     def test_take_removes_matches(self):

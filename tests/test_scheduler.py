@@ -256,14 +256,13 @@ class TestByzantine:
 
 
 def _slotted(simulation):
-    """Wire copies waiting in the delivery wheel, in either slot form."""
-    copies = 0
-    for slot in simulation._due.values():
-        if isinstance(slot, list):  # fan-out: whole multicasts
-            copies += sum(len(recipients) for _, recipients, _, _ in slot)
-        else:  # per-copy: receiver -> (delay, envelope) pairs
-            copies += sum(len(bucket) for bucket in slot.values())
-    return copies
+    """Wire copies waiting in the delivery wheel: each entry is a whole
+    multicast (fan-out) or a single copy (per-copy)."""
+    return sum(
+        len(recipients)
+        for slot in simulation._due.values()
+        for _, _, recipients, _, _ in slot
+    )
 
 
 @pytest.mark.parametrize("plan", [None, "zero-rate"], ids=["fanout", "per-copy"])

@@ -6,10 +6,11 @@ ordering — are what every protocol proof stands on.  Fuzz them
 directly with randomized send schedules.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
+from repro.runtime.envelope import Envelope
 from repro.runtime.scheduler import Simulation
 
 scheduler_settings = settings(
@@ -114,47 +115,33 @@ class TestDeliverySemantics:
         assert result.correct_words == cross_sends
 
 class FlatScanSimulation(Simulation):
-    """The historical delivery implementation: one flat per-tick list of
-    ``(delay, envelope)`` pairs, scanned and regrouped at delivery time.
+    """The historical delivery implementation, as an independent
+    reference for :meth:`Simulation._deliver`: pop the tick's wheel
+    entries, regroup their copies by receiver, then sort each inbox by
+    ``(delay, sender)`` on its own.
 
-    The receiver-slotted wheel replaced it; this subclass restores the
-    old behavior through the wheel's three per-copy override points
-    (``_slot_copies``, ``_pending_at``, ``_rushed_to``) so the
-    equivalence property below can prove the swap is observationally
-    invisible (byte-identical traces).  Those points are called only on
-    the per-copy path, where a fault plan or a choice source acts: a
-    run with neither slots whole multicasts and never reaches them.  So
-    every flat-scan run here has a fault plan, ``FaultPlan(seed=0)``
-    (all rates zero) standing in for "no faults"."""
+    ``_deliver`` serves every path, fan-out included, so the
+    equivalence properties below prove the single stable sort over a
+    whole slot is observationally invisible (byte-identical traces)."""
 
-    def _slot_copies(self, envelope, copies):
-        for delay in copies:
-            self._due.setdefault(self.tick + 1, []).append((delay, envelope))
-
-    def _pending_at(self, tick, down):
-        deliveries = self._due.pop(tick, [])
-        if down:
-            deliveries = [
-                (delay, e) for delay, e in deliveries if e.receiver not in down
-            ]
+    def _deliver(self, tick, readers):
         pending = {}
-        for delay, envelope in deliveries:
-            pending.setdefault(envelope.receiver, []).append((delay, envelope))
-        return pending
-
-    def _rushed_to(self, pid):
-        return [
-            e for _, e in self._due.get(self.tick + 1, []) if e.receiver == pid
-        ]
+        for delay, sender, recipients, payload, sent_at in self._due.pop(tick, []):
+            for to in recipients:
+                if to in readers:
+                    pending.setdefault(to, []).append(
+                        (delay, Envelope(sender, to, payload, sent_at, tick))
+                    )
+        return {
+            to: [e for _, e in sorted(copies, key=lambda de: (de[0], de[1].sender))]
+            for to, copies in pending.items()
+        }
 
 
 class TestSlottedWheelEquivalence:
     """The slotted delivery wheel must be a pure data-structure swap:
-    same seeds, same faults, same adversary => byte-identical traces.
-
-    The flat scan always runs per-copy (see :class:`FlatScanSimulation`),
-    so the ``plan=None`` row compares the shipped fan-out path with the
-    historical flat scan under a zero-rate plan."""
+    same seeds, same faults, same adversary => byte-identical traces,
+    on the fan-out path (``plan=None``) and the per-copy one alike."""
 
     @staticmethod
     def _weak_ba_trace(
@@ -215,12 +202,46 @@ class TestSlottedWheelEquivalence:
                         tmp_path / f"wheel{case}" if crashes else None,
                     )
                     flat = self._weak_ba_trace(
-                        FlatScanSimulation, n, seed, plan or FaultPlan(seed=0),
-                        byzantine,
+                        FlatScanSimulation, n, seed, plan, byzantine,
                         tmp_path / f"flat{case}" if crashes else None,
                     )
                     assert wheel == flat, (n, byzantine, plan, seed)
                     case += 1
+
+    @staticmethod
+    def _fuzzed(simulation_cls, sends, seed, **nondeterminism):
+        """Receptions, canonical trace and words of one fuzzed send
+        schedule, with a fault plan or a choice source owning the run's
+        nondeterminism."""
+        config = SystemConfig.with_optimal_resilience(5)
+        simulation = simulation_cls(config, seed=seed, **nondeterminism)
+        received = {pid: [] for pid in config.processes}
+        by_tick_sender = {}
+        for tick, sender, receiver, payload in sends:
+            by_tick_sender.setdefault((tick, sender), []).append(
+                (receiver, payload)
+            )
+
+        def protocol_for(pid):
+            def protocol(ctx):
+                for tick in range(10):
+                    for receiver, payload in by_tick_sender.get(
+                        (tick, pid), []
+                    ):
+                        ctx.send(receiver, (pid, tick, payload))
+                    yield
+                    received[pid].extend(
+                        (e.sender, e.payload, e.delivered_at)
+                        for e in ctx.inbox
+                    )
+                return None
+
+            return protocol
+
+        for pid in config.processes:
+            simulation.add_process(pid, protocol_for(pid))
+        result = simulation.run()
+        return received, result.trace.canonical(), result.correct_words
 
     @scheduler_settings
     @given(
@@ -244,36 +265,31 @@ class TestSlottedWheelEquivalence:
             delay_rate=0.45,
             reorder_rate=0.5,
         )
+        assert self._fuzzed(Simulation, sends, seed, fault_plan=plan) == (
+            self._fuzzed(FlatScanSimulation, sends, seed, fault_plan=plan)
+        )
 
-        def run_with(simulation_cls):
-            config = SystemConfig.with_optimal_resilience(5)
-            simulation = simulation_cls(config, seed=seed, fault_plan=plan)
-            received = {pid: [] for pid in config.processes}
-            by_tick_sender = {}
-            for tick, sender, receiver, payload in sends:
-                by_tick_sender.setdefault((tick, sender), []).append(
-                    (receiver, payload)
-                )
+    @scheduler_settings
+    @given(sends=sends_strategy, walk=st.integers(min_value=0, max_value=50))
+    # All-to-all for three ticks: a delayed copy from a low sender makes
+    # a receiver's first send precede its first copy in delivery order.
+    @example(
+        sends=[(t, s, r, 0) for t in range(3) for s in range(5) for r in range(5)],
+        walk=1,
+    )
+    def test_randomized_schedules_identical_under_choices(self, sends, walk):
+        """The same under a model checker's choice source drawing drops,
+        duplicates, delays and inbox orders: both implementations also
+        meet the same choice points in the same order (first-send order
+        of each tick's receivers), so a decision log replays on both."""
+        from repro.mc.choices import ChoiceSpace, SeededChoices
 
-            def protocol_for(pid):
-                def protocol(ctx):
-                    for tick in range(10):
-                        for receiver, payload in by_tick_sender.get(
-                            (tick, pid), []
-                        ):
-                            ctx.send(receiver, (pid, tick, payload))
-                        yield
-                        received[pid].extend(
-                            (e.sender, e.payload, e.delivered_at)
-                            for e in ctx.inbox
-                        )
-                    return None
-
-                return protocol
-
-            for pid in config.processes:
-                simulation.add_process(pid, protocol_for(pid))
-            result = simulation.run()
-            return received, result.trace.canonical(), result.correct_words
-
-        assert run_with(Simulation) == run_with(FlatScanSimulation)
+        space = ChoiceSpace(drop_budget=2, max_duplicates=1, delay_levels=3)
+        logs = []
+        runs = []
+        for simulation_cls in (Simulation, FlatScanSimulation):
+            choices = SeededChoices(space, walk)
+            runs.append(self._fuzzed(simulation_cls, sends, 0, choices=choices))
+            logs.append(choices.log)
+        assert runs[0] == runs[1]
+        assert logs[0] == logs[1]

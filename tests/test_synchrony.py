@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError, SchedulerError
 from repro.runtime.scheduler import Simulation
 from repro.runtime.synchrony import (
     LOCKSTEP,
+    PRE_GST_CAP,
     Lockstep,
     PartialSynchrony,
     parse_synchrony,
@@ -70,19 +71,17 @@ class TestModelAlgebra:
         with pytest.raises(ConfigurationError):
             PartialSynchrony(timeout=0)
         with pytest.raises(ConfigurationError):
-            PartialSynchrony(timeout=4, timeout_cap=3)
-        with pytest.raises(ConfigurationError):
             PartialSynchrony(drift=-1)
 
     def test_backoff_escalates_and_caps(self):
-        model = PartialSynchrony(gst=0, timeout=1, backoff=2.0, timeout_cap=6)
+        model = PartialSynchrony(gst=0, timeout=1, backoff=2.0)
         seen = [1]
         while True:
             grown = model.next_timeout(seen[-1])
             if grown == seen[-1]:
                 break
             seen.append(grown)
-        assert seen == [1, 2, 4, 6]
+        assert seen == [1, 2, 4, 8]  # capped at 8 * delta
 
     def test_post_gst_delivery_respects_delta(self):
         model = PartialSynchrony(gst=4, delta=3, seed=7)
@@ -102,11 +101,22 @@ class TestModelAlgebra:
         assert len(latencies) == 1  # the link's seeded latency persists
 
     def test_pre_gst_delivery_bounded_by_stabilization(self):
-        model = PartialSynchrony(gst=10, delta=2, pre_gst_cap=100, seed=3)
+        model = PartialSynchrony(gst=10, delta=2, seed=3)
+        delivered = set()
         for tick in range(10):
             for seq in range(4):
                 d = model.delivery_tick(0, 1, tick, seq)
                 assert tick + 1 <= d <= 10 + 2
+                delivered.add(d)
+        assert 10 + 2 in delivered  # late sends are clamped to gst + delta
+
+    def test_pre_gst_delay_capped(self):
+        model = PartialSynchrony(gst=1000, seed=3)
+        delays = {
+            model.delivery_tick(0, 1, tick, seq) - tick
+            for tick in range(50) for seq in range(4)
+        }
+        assert min(delays) >= 1 and max(delays) == 1 + PRE_GST_CAP
 
     def test_self_sends_never_delayed(self):
         model = PartialSynchrony(gst=50, seed=9)
@@ -179,7 +189,7 @@ class TestSchedulerIntegration:
     def test_trivial_path_untouched(self):
         sim = Simulation(config5)
         assert not sim._paced
-        assert sim.pacer_fingerprint() == ()
+        assert sim.pacer_fingerprint(repr) == ()
 
     def test_rejects_non_model(self):
         with pytest.raises(SchedulerError):

@@ -1,9 +1,10 @@
 """Tests for adaptive weak BA (Algorithms 3 + 4), parametrized over
-every backend.  Both registered backends currently share the same
-Algorithm-3 core (``civit.weak_ba_shares_core_with == "cohen"``), so
-the second parametrization is a dispatch-parity check on the Protocol
-API rather than a second implementation — but any future backend with
-its own weak BA inherits this whole file for free."""
+every backend.  Every registered backend runs the one Algorithm-3 core
+(``Backend.run_weak_ba`` is :func:`repro.core.weak_ba.run_weak_ba` for
+all of them), so the second parametrization is a dispatch-parity check
+on the Protocol API rather than a second implementation — but any
+future backend with its own weak BA inherits this whole file for
+free."""
 
 import pytest
 
