@@ -11,6 +11,7 @@ Usage (installed as a module entry point):
     python -m repro flows --n 5 --f 0
     python -m repro report
     python -m repro mc explore --adversary choose-silent --max-ticks 12
+    python -m repro mc explore --scenario strong-ba --mode random
     python -m repro mc mutants
     python -m repro mc replay counterexample.json
     python -m repro run weak-ba --n 4 --wal-dir /tmp/wal --crash 2:3:6
@@ -255,13 +256,18 @@ def cmd_flows(args: argparse.Namespace) -> int:
 def cmd_mc_explore(args: argparse.Namespace) -> int:
     from repro import mc
 
-    scenario = mc.make_scenario(
-        args.scenario,
+    flags = dict(
         n=args.n,
         num_phases=args.phases,
         adversary=args.adversary,
         max_ticks=args.max_ticks,
         perm_cap=args.perm_cap,
+    )
+    # Only the flags given: a scenario keeps its own defaults (civit's
+    # 24-tick horizon), and one that takes no such param says so.
+    scenario = mc.make_scenario(
+        args.scenario,
+        **{key: value for key, value in flags.items() if value is not None},
     )
     print(f"scenario: {scenario.description}")
     if args.mode == "exhaustive":
@@ -685,17 +691,19 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="explore a scenario's bounded schedule space"
     )
     explore_parser.add_argument(
-        "--scenario", default="weak-ba", help="scenario registry name"
+        "--scenario", default="weak-ba",
+        help="a protocol (as for `run`, or a table name) or psync-weak-ba",
     )
-    explore_parser.add_argument("--n", type=int, default=4)
-    explore_parser.add_argument("--phases", type=int, default=1)
+    # Unset flags leave the scenario's own default (repro.mc.scenario).
+    explore_parser.add_argument("--n", type=int, default=None)
+    explore_parser.add_argument("--phases", type=int, default=None)
     explore_parser.add_argument(
-        "--adversary", default="choose-silent",
+        "--adversary", default=None,
         help="adversary mode of the scenario (see repro.mc.scenario)",
     )
-    explore_parser.add_argument("--max-ticks", type=int, default=12)
+    explore_parser.add_argument("--max-ticks", type=int, default=None)
     explore_parser.add_argument(
-        "--perm-cap", type=int, default=6,
+        "--perm-cap", type=int, default=None,
         help="inbox orderings offered per choice point (bounds the space; "
         "6 explores the full n=4 space in ~5 minutes, 2-3 in seconds)",
     )

@@ -653,14 +653,23 @@ def weak_ba_protocol(
         return decision
 
 
-def build(meta: dict, *, validity: ValidityPredicate | None = None, **_code):
+def build(
+    meta: dict,
+    *,
+    validity: ValidityPredicate | None = None,
+    commit_quorum: int | None = None,
+    echo_fallback_certificate: bool = True,
+    **_code,
+):
     """``meta -> factory(ctx)``, the table row's builder.
 
     The validity predicate is code and cannot live in a WAL; without
     one (offline replay) the process accepts everything.  If the live
     predicate ever rejected a value, the replayed send counts diverge
     from the highwater marks and replay refuses — a loud failure, not
-    silently wrong state.
+    silently wrong state.  ``commit_quorum`` and
+    ``echo_fallback_certificate`` are the mutation harness's knobs
+    (:mod:`repro.mc.mutants`); their defaults are the paper's protocol.
     """
     return lambda ctx: weak_ba_protocol(
         ctx,
@@ -668,6 +677,8 @@ def build(meta: dict, *, validity: ValidityPredicate | None = None, **_code):
         validity or ExternalValidity(lambda value: True),
         session=meta.get("session", "wba"),
         num_phases=meta.get("num_phases"),
+        commit_quorum=commit_quorum,
+        echo_fallback_certificate=echo_fallback_certificate,
     )
 
 

@@ -1,19 +1,19 @@
 """Schedule-space model checking.
 
-PR 2 made every source of nondeterminism in a run — inbox permutations,
+Every source of nondeterminism in a run — inbox permutations,
 per-message drop/duplicate/delay decisions, adversary corruption timing
-— a pure function of a seed.  This package replaces the seed with a
-*pluggable decision source* and then treats a run as a function from a
-finite **decision sequence** to an outcome, which is exactly the shape a
-model checker needs:
+— is a decision drawn from a pluggable source.  This package treats a
+run as a function from a finite **decision sequence** to an outcome,
+which is exactly the shape a model checker needs:
 
 * :mod:`repro.mc.choices` — the choice-point interface threaded through
   :mod:`repro.runtime.scheduler` and :mod:`repro.faults`, with a seeded
-  implementation (the old RNG behavior), a scripted implementation
+  implementation (the plain RNG behavior), a scripted implementation
   (replay), and the prefix implementation the explorer drives;
-* :mod:`repro.mc.scenario` — bounded, named, JSON-reconstructible
-  system configurations (protocol + adversary + decision space +
-  property battery);
+* :mod:`repro.mc.scenario` — one builder that turns a row of
+  :data:`repro.protocols.table.PROTOCOLS` (or the ``psync-weak-ba``
+  preset) plus JSON-serializable params into a bounded configuration
+  (adversary + decision space + property battery);
 * :mod:`repro.mc.explore` — exhaustive DFS over decision prefixes with
   state-fingerprint pruning, plus a seeded random-walk mode;
 * :mod:`repro.mc.shrink` — ddmin minimization of failing decision

@@ -34,7 +34,7 @@ is the mutation's doing, not the scenario's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -44,7 +44,7 @@ from repro.mc.explore import (
     ExplorationResult,
     explore_exhaustive,
 )
-from repro.mc.scenario import Scenario, make_scenario
+from repro.mc.scenario import make_scenario
 from repro.mc.shrink import ShrinkResult, replay, replay_artifact, save_replay, shrink
 
 
@@ -58,151 +58,107 @@ class MutantSpec:
     """The paper lemma/section the mutation discards."""
     expected_kinds: frozenset[str]
     """Violation kinds the kill must include."""
-    mutated: dict[str, Any] = field(default_factory=dict)
-    baseline: dict[str, Any] = field(default_factory=dict)
-    """Scenario params with / without the mutation (same attack)."""
+    baseline: dict[str, Any]
+    """Scenario params of the attack, unmutated."""
+    mutation: dict[str, Any]
+    """The mutation knob the kill flips on top of ``baseline``."""
     max_runs: int = 5_000
     scenario: str = "weak-ba"
-    """Registry name of the scenario family the kill runs in — backend
-    mutants point at their backend's scenario (e.g. "civit-strong-ba")."""
+    """Scenario the kill runs in: the table row of the mutated protocol
+    (backend mutants name their backend's strong BA, "civit-strong-ba")."""
+
+    @property
+    def mutated(self) -> dict[str, Any]:
+        return {**self.baseline, **self.mutation}
 
 
-def _cert_dealer_params(**overrides: Any) -> dict[str, Any]:
-    params: dict[str, Any] = dict(
-        n=7,
-        num_phases=7,
-        adversary="cert-dealer",
-        max_ticks=200,
-        reorder=False,
-        word_constant=120.0,  # the fallback's quadratic spend is legal here
-    )
-    params.update(overrides)
-    return params
-
+_EQUIVOCATION = dict(n=4, num_phases=1, reorder=False)
+_CERT_DEALER = dict(
+    n=7,
+    num_phases=7,
+    adversary="cert-dealer",
+    max_ticks=200,
+    reorder=False,
+    word_constant=120.0,  # the fallback's quadratic spend is legal here
+)
+_CHATTY = dict(n=4, num_phases=2, adversary="none", reorder=False)
 
 MUTANTS: dict[str, MutantSpec] = {
-    "quorum-off-by-one": MutantSpec(
-        name="quorum-off-by-one",
-        description="commit quorum ceil((n+t+1)/2) - 1: no correct-process "
-        "intersection between quorums",
-        lemma="Section 6 first key observation; Lemma 15 (unique finalize "
-        "certificate)",
-        expected_kinds=frozenset({"agreement"}),
-        mutated=dict(
-            n=4,
-            num_phases=1,
-            adversary="equivocating-leader",
-            max_ticks=24,
-            reorder=False,
-            quorum_delta=-1,
+    spec.name: spec
+    for spec in (
+        MutantSpec(
+            name="quorum-off-by-one",
+            description="commit quorum ceil((n+t+1)/2) - 1: no "
+            "correct-process intersection between quorums",
+            lemma="Section 6 first key observation; Lemma 15 (unique "
+            "finalize certificate)",
+            expected_kinds=frozenset({"agreement"}),
+            baseline=dict(
+                _EQUIVOCATION, adversary="equivocating-leader", max_ticks=24
+            ),
+            mutation=dict(quorum_delta=-1),
         ),
-        baseline=dict(
-            n=4,
-            num_phases=1,
-            adversary="equivocating-leader",
-            max_ticks=24,
-            reorder=False,
+        MutantSpec(
+            name="fallback-echo-skipped",
+            description="fallback certificates are not re-broadcast: the "
+            "adversary can start the fallback at a single victim",
+            lemma="Lemmas 17/18 (synchronized fallback entry within delta)",
+            expected_kinds=frozenset({"fallback-sync"}),
+            baseline=_CERT_DEALER,
+            mutation=dict(echo_fallback=False),
         ),
-    ),
-    "fallback-echo-skipped": MutantSpec(
-        name="fallback-echo-skipped",
-        description="fallback certificates are not re-broadcast: the "
-        "adversary can start the fallback at a single victim",
-        lemma="Lemmas 17/18 (synchronized fallback entry within delta)",
-        expected_kinds=frozenset({"fallback-sync"}),
-        mutated=_cert_dealer_params(echo_fallback=False),
-        baseline=_cert_dealer_params(),
-    ),
-    "non-silent-leaders": MutantSpec(
-        name="non-silent-leaders",
-        description="a decided leader re-proposes in its phase anyway",
-        lemma="Algorithm 4 line 31; Lemma 9 (silent phases make the word "
-        "count adaptive)",
-        expected_kinds=frozenset({"adaptive-silence"}),
-        mutated=dict(
-            n=4,
-            num_phases=2,
-            adversary="none",
-            max_ticks=40,
-            reorder=False,
-            chatty_leaders=True,
+        MutantSpec(
+            name="non-silent-leaders",
+            description="a decided leader re-proposes in its phase anyway",
+            lemma="Algorithm 4 line 31; Lemma 9 (silent phases make the "
+            "word count adaptive)",
+            expected_kinds=frozenset({"adaptive-silence"}),
+            baseline=dict(_CHATTY, max_ticks=40),
+            mutation=dict(chatty_leaders=True),
         ),
-        baseline=dict(
-            n=4,
-            num_phases=2,
-            adversary="none",
-            max_ticks=40,
-            reorder=False,
+        # -- civit backend twins: the same three lemma ablations, driven
+        #    through the certification layer of the second backend.  The
+        #    attacks differ (a Byzantine *certifier* must first mint the
+        #    conflicting certified values the inner weak BA is fed), but
+        #    the kill list is deliberately identical — the conformance
+        #    suite asserts that parity (tests/test_conformance.py).
+        MutantSpec(
+            name="civit-quorum-off-by-one",
+            description="inner commit quorum ceil((n+t+1)/2) - 1 in the "
+            "civit stack: a Byzantine certifier certifies both binary "
+            "values and drives them through its weak-BA phase",
+            lemma="quorum intersection of the shared adaptive core (Lemma "
+            "15); certification alone cannot provide agreement",
+            expected_kinds=frozenset({"agreement"}),
+            scenario="civit-strong-ba",
+            baseline=dict(
+                _EQUIVOCATION, adversary="equivocating-certifier", max_ticks=30
+            ),
+            mutation=dict(quorum_delta=-1),
         ),
-    ),
-    # -- civit backend twins: the same three lemma ablations, driven
-    #    through the certification layer of the second backend.  The
-    #    attacks differ (a Byzantine *certifier* must first mint the
-    #    conflicting certified values the inner weak BA is fed), but the
-    #    kill list is deliberately identical — the conformance suite
-    #    asserts that parity (tests/test_conformance.py).
-    "civit-quorum-off-by-one": MutantSpec(
-        name="civit-quorum-off-by-one",
-        description="inner commit quorum ceil((n+t+1)/2) - 1 in the civit "
-        "stack: a Byzantine certifier certifies both binary values and "
-        "drives them through its weak-BA phase",
-        lemma="quorum intersection of the shared adaptive core (Lemma 15); "
-        "certification alone cannot provide agreement",
-        expected_kinds=frozenset({"agreement"}),
-        scenario="civit-strong-ba",
-        mutated=dict(
-            n=4,
-            num_phases=1,
-            adversary="equivocating-certifier",
-            max_ticks=30,
-            reorder=False,
-            quorum_delta=-1,
+        MutantSpec(
+            name="civit-fallback-echo-skipped",
+            description="fallback certificates of the inner weak BA are not "
+            "re-broadcast: the dealer starts the fallback at a single "
+            "victim behind the certification views",
+            lemma="Lemmas 17/18 on the shared core, session civit/wba",
+            expected_kinds=frozenset({"fallback-sync"}),
+            scenario="civit-strong-ba",
+            baseline=dict(_CERT_DEALER, num_views=4, max_ticks=230),
+            mutation=dict(echo_fallback=False),
         ),
-        baseline=dict(
-            n=4,
-            num_phases=1,
-            adversary="equivocating-certifier",
-            max_ticks=30,
-            reorder=False,
+        MutantSpec(
+            name="civit-non-silent-leaders",
+            description="a decided inner-phase leader re-proposes anyway "
+            "(certification views keep their own silence discipline)",
+            lemma="Algorithm 4 line 31 applied to the inner core; the civit "
+            "stack's adaptivity rests on the same accounting",
+            expected_kinds=frozenset({"adaptive-silence"}),
+            scenario="civit-strong-ba",
+            baseline=dict(_CHATTY, max_ticks=46),
+            mutation=dict(chatty_leaders=True),
         ),
-    ),
-    "civit-fallback-echo-skipped": MutantSpec(
-        name="civit-fallback-echo-skipped",
-        description="fallback certificates of the inner weak BA are not "
-        "re-broadcast: the dealer starts the fallback at a single victim "
-        "behind the certification views",
-        lemma="Lemmas 17/18 on the shared core, session civit/wba",
-        expected_kinds=frozenset({"fallback-sync"}),
-        scenario="civit-strong-ba",
-        mutated=_cert_dealer_params(
-            num_views=4, max_ticks=230, echo_fallback=False
-        ),
-        baseline=_cert_dealer_params(num_views=4, max_ticks=230),
-    ),
-    "civit-non-silent-leaders": MutantSpec(
-        name="civit-non-silent-leaders",
-        description="a decided inner-phase leader re-proposes anyway "
-        "(certification views keep their own silence discipline)",
-        lemma="Algorithm 4 line 31 applied to the inner core; the civit "
-        "stack's adaptivity rests on the same accounting",
-        expected_kinds=frozenset({"adaptive-silence"}),
-        scenario="civit-strong-ba",
-        mutated=dict(
-            n=4,
-            num_phases=2,
-            adversary="none",
-            max_ticks=46,
-            reorder=False,
-            chatty_leaders=True,
-        ),
-        baseline=dict(
-            n=4,
-            num_phases=2,
-            adversary="none",
-            max_ticks=46,
-            reorder=False,
-        ),
-    ),
+    )
 }
 
 

@@ -1,29 +1,34 @@
 """Scenarios: the model checker's unit of configuration.
 
-A :class:`Scenario` bundles everything one exploration needs:
+A :class:`Scenario` bundles everything one exploration needs: a
+``build(choices)`` closure that assembles a
+:class:`~repro.runtime.scheduler.Simulation` wired to a
+:class:`~repro.mc.choices.ChoiceSource` (adversary *parameters* — which
+process is silenced, at which tick, which victim a certificate is dealt
+to — are choice points in the same decision sequence as the schedule),
+an ``evaluate(result)`` closure running the :mod:`repro.verify.checker`
+predicates, the :class:`~repro.mc.choices.ChoiceSpace` and tick horizon,
+and optionally a protocol *mutation* (a context manager).
 
-* a ``build(choices)`` closure that assembles a
-  :class:`~repro.runtime.scheduler.Simulation` wired to the given
-  :class:`~repro.mc.choices.ChoiceSource` (adversary *parameters* the
-  scenario leaves open — which process is silenced, at which tick, which
-  victim a certificate is dealt to — are themselves choice points, so
-  they live in the same decision sequence as the schedule);
-* an ``evaluate(result)`` closure running the
-  :mod:`repro.verify.checker` predicates appropriate for the
-  configuration;
-* the :class:`~repro.mc.choices.ChoiceSpace` under exploration and the
-  tick horizon;
-* optionally a protocol *mutation* (a context manager) — the mutant
-  harness runs the same scenario with and without it.
+A scenario *is* a row of :data:`repro.protocols.table.PROTOCOLS`:
+:func:`make_scenario` resolves its name as a row (canonical name or CLI
+spelling) and builds every correct process with ``row.build(meta,
+**code)``, the call live runs and WAL replay make.  Everything else is
+derived from the row — the value domain from ``row.binary``, the
+mutation knobs from the parameters its ``build`` takes — except two
+small tables: :data:`ATTACKS`, the protocol-aware coalitions, and
+:data:`ROW_DEFAULTS`.  :data:`PRESETS` names the one configuration that
+is not a plain row: ``"psync-weak-ba"``, weak BA under a GST.
 
 Scenarios are reconstructible from ``(name, params)`` with ``params``
-JSON-serializable — that pair is what a replay artifact stores, so a
-counterexample found today re-executes tomorrow without pickling any
-closures.
+JSON-serializable and fully expanded — that pair is what a replay
+artifact stores, so a counterexample found today re-executes tomorrow
+without pickling any closures.
 """
 
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -36,15 +41,24 @@ from repro.adversary.protocol_attacks import (
 )
 from repro.config import SystemConfig
 from repro.core import weak_ba
-from repro.core.validity import ExternalValidity
 from repro.core.values import UNDECIDED
-from repro.core.weak_ba import WbaPropose, weak_ba_protocol
-from repro.errors import ModelCheckError
+from repro.core.weak_ba import WbaPropose
+from repro.errors import ConfigurationError, ModelCheckError
 from repro.mc.choices import ChoiceSource, ChoiceSpace
+from repro.protocols.civit.attacks import (
+    CivitEquivocatingCertifier,
+    CivitSplitCertifier,
+)
+from repro.protocols.table import PROTOCOLS, Protocol, get_protocol, string_validity
 from repro.runtime.result import RunResult
 from repro.runtime.scheduler import Simulation
 from repro.runtime.synchrony import PartialSynchrony
-from repro.verify.checker import Report, adaptive_word_budget, verify_run
+from repro.verify.checker import (
+    Report,
+    adaptive_word_budget,
+    quadratic_word_budget,
+    verify_run,
+)
 
 
 @dataclass
@@ -73,22 +87,158 @@ class Scenario:
                 yield
 
 
-def make_scenario(name: str, **params: Any) -> Scenario:
-    """Reconstruct a scenario from its registry name and parameters —
-    the inverse of what a replay artifact stores."""
-    factory = SCENARIOS.get(name)
-    if factory is None:
-        raise ModelCheckError(
-            f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}"
+# ----------------------------------------------------------------------
+# What stays per row: the coalitions that speak a protocol's wire format
+# ----------------------------------------------------------------------
+
+
+def _quorum(params: dict, config: SystemConfig) -> int:
+    # The attacker uses the scenario's commit quorum, so ``quorum_delta``
+    # weakens attacker and defender symmetrically.
+    return config.commit_quorum + params.get("quorum_delta", 0)
+
+
+def _views(params: dict, config: SystemConfig) -> int:
+    views = params["num_views"]
+    return views if views is not None else config.t + 1
+
+
+def _deal_target(choices: ChoiceSource) -> int:
+    victims = (0, 3)  # the processes the split leaves undecided
+    return victims[choices.choose("deal-target", (), len(victims))]
+
+
+Attack = Callable[[dict, SystemConfig, ChoiceSource], dict[int, Any]]
+
+ATTACKS: dict[tuple[str, str], Attack] = {
+    # p1 drives two values through its phase (the quorum-ablation mutant).
+    ("weak_ba", "equivocating-leader"): lambda params, config, choices: {
+        1: WeakBaEquivocatingLeader(
+            value_a="evil-A", value_b="evil-B", quorum=_quorum(params, config)
         )
-    return factory(**params)
-
+    },
+    # Section 6's fallback-certificate attack at n=7, t=3: a
+    # split-finalize leader, a dealer whose victim is a choice point, and
+    # a silent process.
+    ("weak_ba", "cert-dealer"): lambda params, config, choices: {
+        1: WeakBaSplitFinalizeLeader(
+            value="committed", recipients=frozenset({2, 4})
+        ),
+        5: FallbackCertDealer(target=_deal_target(choices)),
+        6: SilentBehavior(),
+    },
+    # p1 — view-1 certifier and inner phase-1 leader — certifies both
+    # bits, then drives them through its weak-BA phase.
+    ("civit_strong_ba", "equivocating-certifier"): lambda params, config, choices: {
+        1: CivitEquivocatingCertifier(
+            quorum=_quorum(params, config), num_views=_views(params, config)
+        )
+    },
+    # The same Section-6 attack retargeted at the inner session: the
+    # split certifier keeps the only completable certificate private.
+    ("civit_strong_ba", "cert-dealer"): lambda params, config, choices: {
+        1: CivitSplitCertifier(
+            recipients=frozenset({2, 4}), num_views=_views(params, config)
+        ),
+        5: FallbackCertDealer(target=_deal_target(choices), session="civit/wba"),
+        6: SilentBehavior(),
+    },
+}
+"""Protocol-aware coalitions by ``(row, adversary)``; each maps the
+scenario's params, config and choice source to ``{pid: behavior}`` and
+resolves its own choice points.  ``"none"`` and ``"choose-silent"``
+work on every row."""
 
 # ----------------------------------------------------------------------
-# The weak-BA scenario family
+# Parameters: common, lockstep, per row, and the one preset
 # ----------------------------------------------------------------------
 
-_ADVERSARIES = ("none", "choose-silent", "equivocating-leader", "cert-dealer")
+_COMMON = dict(
+    n=4,
+    t=None,
+    num_phases=None,
+    adversary="choose-silent",
+    reorder=True,
+    perm_cap=6,
+    word_constant=30.0,
+)
+_LOCKSTEP = dict(corrupt_ticks=[0], max_ticks=120)
+_MUTATIONS = dict(quorum_delta=0, echo_fallback=True, chatty_leaders=False)
+"""Mutation knobs, offered by rows whose ``build`` takes the code
+keywords ``commit_quorum`` and ``echo_fallback_certificate``."""
+
+ROW_DEFAULTS: dict[str, dict[str, Any]] = {
+    "weak_ba": dict(
+        num_phases=1,
+        max_ticks=12,
+        drop_budget=0,
+        droppable_senders=None,
+        droppable_payloads=None,
+        max_duplicates=0,
+        delay_levels=1,
+    ),
+    "civit_strong_ba": dict(
+        num_views=None, num_phases=1, max_ticks=24, word_constant=45.0
+    ),
+    # Failure-free n=4 bills: 42.5 and 39.5 words per n(f+1).
+    "adaptive_strong_ba": dict(word_constant=45.0),
+    "civit_adaptive_strong_ba": dict(word_constant=45.0),
+}
+"""Per-row overrides of :data:`_COMMON` and :data:`_LOCKSTEP`.  Weak BA
+also offers the drop/duplicate/delay knobs of its schedule space."""
+
+PRESETS: dict[str, tuple[str, dict[str, Any]]] = {
+    # The pre-GST delivery schedule is the adversary: every message sent
+    # before ``gst`` is a "net-delay" choice point with
+    # ``pre_gst_levels`` delivery ticks.  The horizon is
+    # ``gst + post_gst_budget`` and truncation is a termination
+    # violation, so liveness after GST is checked, not assumed
+    # (docs/partial_synchrony.md).
+    "psync-weak-ba": ("weak_ba", dict(
+        gst=1,
+        delta=1,
+        pre_gst_levels=2,
+        num_phases=1,
+        adversary="none",
+        post_gst_budget=80,
+        reorder=False,
+        perm_cap=2,
+    )),
+}
+"""Named configurations that are not a plain row: ``name -> (row,
+params)``."""
+
+SCENARIOS: tuple[str, ...] = tuple(
+    [row.cli or row.name for row in PROTOCOLS.values() if row.proposal is not None]
+    + list(PRESETS)
+)
+"""Every scenario name, in the spelling replay artifacts store."""
+
+
+def _defaults(name: str, row: Protocol) -> dict[str, Any]:
+    """Every param scenario ``name`` takes, with its default."""
+    common = {**_COMMON, "input_mode": "binary" if row.binary else "distinct"}
+    if name in PRESETS:
+        return {**common, **PRESETS[name][1]}
+    defaults = {**common, **_LOCKSTEP, **ROW_DEFAULTS.get(row.name, {})}
+    if "commit_quorum" in inspect.signature(row.build).parameters:
+        defaults.update(_MUTATIONS)
+    return defaults
+
+
+def _inputs(row: Protocol, input_mode: str) -> Callable[[int], object]:
+    """``pid -> input``: mixed inputs (``"binary"`` bits on a binary
+    row, ``"distinct"`` strings otherwise) or the row's ``proposal``
+    for everyone (``"unanimous"``)."""
+    mixed = "binary" if row.binary else "distinct"
+    if input_mode == "unanimous":
+        return lambda pid: row.proposal
+    if input_mode != mixed:
+        raise ModelCheckError(
+            f"unknown input_mode {input_mode!r} for {row.name}; known: "
+            f"{[mixed, 'unanimous']}"
+        )
+    return (lambda pid: pid % 2) if row.binary else (lambda pid: f"v{pid}")
 
 
 @contextmanager
@@ -121,105 +271,91 @@ def _chatty_leaders() -> Iterator[None]:
         weak_ba._phase_steps = original
 
 
-def _weak_ba_scenario(
-    *,
-    n: int = 4,
-    t: int | None = None,
-    num_phases: int = 1,
-    adversary: str = "choose-silent",
-    corrupt_ticks: list[int] | tuple[int, ...] = (0,),
-    input_mode: str = "distinct",
-    max_ticks: int = 12,
-    reorder: bool = True,
-    perm_cap: int = 6,
-    drop_budget: int = 0,
-    droppable_senders: list[int] | None = None,
-    droppable_payloads: list[str] | None = None,
-    max_duplicates: int = 0,
-    delay_levels: int = 1,
-    quorum_delta: int = 0,
-    echo_fallback: bool = True,
-    chatty_leaders: bool = False,
-    word_constant: float = 30.0,
-) -> Scenario:
-    """Weak BA (Algorithms 3/4) under a bounded schedule space.
+def make_scenario(name: str, **params: Any) -> Scenario:
+    """Reconstruct a scenario from its name and parameters — the
+    inverse of what a replay artifact stores.
 
-    ``adversary`` picks the corruption pattern:
-
-    ``"none"``
-        All processes correct.
-    ``"choose-silent"``
-        The *identity* of the silenced process — or no corruption at
-        all — and its corruption tick (one of ``corrupt_ticks``) are
-        choice points, so exhaustive exploration covers every ``f <= 1``
-        silence pattern alongside every schedule.
-    ``"equivocating-leader"``
-        p1 drives two values through its phase
-        (:class:`WeakBaEquivocatingLeader` with the *scenario's* commit
-        quorum, so ``quorum_delta`` weakens attacker and defender
-        symmetrically — the quorum-ablation mutant).
-    ``"cert-dealer"``
-        Section 6's fallback-certificate attack at ``n=7, t=3``: a
-        split-finalize leader, a certificate dealer whose victim is a
-        choice point, and a silent process.
-
-    The mutation knobs (``quorum_delta``, ``echo_fallback``,
-    ``chatty_leaders``) default to the paper's protocol; the mutant
-    harness flips exactly one of them per mutant.
+    ``name`` is a :data:`PRESETS` key or a ``PROTOCOLS`` row.  The
+    adversary is ``"none"``, ``"choose-silent"`` (the identity of the
+    one silenced process — any pid, roles included, or nobody — and its
+    corruption tick, one of ``corrupt_ticks``, are choice points) or an
+    :data:`ATTACKS` coalition of the row.  A param the scenario does not
+    take raises :class:`~repro.errors.ModelCheckError`, so a mutation
+    knob never runs unmutated in silence on a row whose build ignores
+    it.
     """
-    if adversary not in _ADVERSARIES:
+    preset = PRESETS.get(name)
+    try:
+        row = get_protocol(preset[0] if preset else name)
+    except ConfigurationError:
         raise ModelCheckError(
-            f"unknown adversary {adversary!r}; known: {_ADVERSARIES}"
+            f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}"
+        ) from None
+    if row.proposal is None:
+        raise ModelCheckError(
+            f"{row.name} replicates a command log; the model checker "
+            f"explores single-value rows only: {sorted(SCENARIOS)}"
+        )
+    defaults = _defaults(name, row)
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ModelCheckError(
+            f"scenario {name!r} takes no param {unknown[0]!r}; it takes "
+            f"{sorted(defaults)}"
+        )
+    params = {**defaults, **params}
+    if "corrupt_ticks" in params:
+        params["corrupt_ticks"] = list(params["corrupt_ticks"])
+
+    n, adversary = params["n"], params["adversary"]
+    attack = ATTACKS.get((row.name, adversary))
+    if attack is None and adversary not in ("none", "choose-silent"):
+        known = ["none", "choose-silent"] + [a for r, a in ATTACKS if r == row.name]
+        raise ModelCheckError(
+            f"unknown adversary {adversary!r} for {row.name}; known: {known}"
         )
     if adversary == "cert-dealer" and n != 7:
-        raise ModelCheckError("the cert-dealer scenario is specific to n=7, t=3")
+        raise ModelCheckError("adversary 'cert-dealer' is laid out for n=7, t=3")
+    config = SystemConfig(
+        n=n, t=params["t"] if params["t"] is not None else (n - 1) // 2
+    )
+    psync = "gst" in params
+    if psync:
+        max_ticks = params["gst"] + params["post_gst_budget"]
+        synchrony = PartialSynchrony(
+            **{key: params[key] for key in ("gst", "delta", "pre_gst_levels")}
+        )
+    else:
+        max_ticks, synchrony = params["max_ticks"], None
+    corrupt_ticks = params.get("corrupt_ticks", [0])
 
-    params = dict(
-        n=n,
-        t=t,
-        num_phases=num_phases,
-        adversary=adversary,
-        corrupt_ticks=list(corrupt_ticks),
-        input_mode=input_mode,
-        max_ticks=max_ticks,
-        reorder=reorder,
-        perm_cap=perm_cap,
-        drop_budget=drop_budget,
-        droppable_senders=droppable_senders,
-        droppable_payloads=droppable_payloads,
-        max_duplicates=max_duplicates,
-        delay_levels=delay_levels,
-        quorum_delta=quorum_delta,
-        echo_fallback=echo_fallback,
-        chatty_leaders=chatty_leaders,
-        word_constant=word_constant,
-    )
-    space = ChoiceSpace(
-        reorder=reorder,
-        perm_cap=perm_cap,
-        drop_budget=drop_budget,
-        droppable_senders=(
-            frozenset(droppable_senders) if droppable_senders is not None else None
-        ),
-        droppable_payloads=(
-            frozenset(droppable_payloads)
-            if droppable_payloads is not None
-            else None
-        ),
-        max_duplicates=max_duplicates,
-        delay_levels=delay_levels,
-    )
-    config = SystemConfig(n=n, t=t if t is not None else (n - 1) // 2)
-    quorum = config.commit_quorum + quorum_delta
-    validity = ExternalValidity(lambda v: isinstance(v, str))
+    space = ChoiceSpace(**{
+        key: frozenset(value)
+        if key.startswith("droppable_") and value is not None
+        else value
+        for key, value in params.items()
+        if key in ChoiceSpace.__dataclass_fields__
+    })
+
+    code: dict[str, Any] = {} if row.binary else {"validity": string_validity()}
+    if "quorum_delta" in params:
+        code["commit_quorum"] = config.commit_quorum + params["quorum_delta"]
+        code["echo_fallback_certificate"] = params["echo_fallback"]
+    meta_extra = {
+        key: params[key]
+        for key in ("num_phases", "num_views")
+        if params.get(key) is not None
+    }
+    metas = row.metas(config.processes, _inputs(row, params["input_mode"]))
+    factories = {
+        pid: row.build({**meta, **meta_extra}, **code)
+        for pid, meta in metas.items()
+    }
 
     def build(choices: ChoiceSource) -> Simulation:
         simulation = Simulation(
-            config,
-            seed=0,
-            max_ticks=max_ticks,
-            choices=choices,
-            stop_on_horizon=True,
+            config, seed=0, max_ticks=max_ticks, choices=choices,
+            stop_on_horizon=True, synchrony=synchrony,
         )
         byzantine: dict[int, Any] = {}
         scheduled: list[tuple[int, int, Any]] = []
@@ -234,213 +370,57 @@ def _weak_ba_scenario(
                     byzantine[victim] = SilentBehavior()
                 else:
                     scheduled.append((tick, victim, SilentBehavior()))
-        elif adversary == "equivocating-leader":
-            byzantine[1] = WeakBaEquivocatingLeader(
-                value_a="evil-A", value_b="evil-B", quorum=quorum
-            )
-        elif adversary == "cert-dealer":
-            victims = (0, 3)  # the processes the split leaves undecided
-            victim = victims[choices.choose("deal-target", (), len(victims))]
-            byzantine[1] = WeakBaSplitFinalizeLeader(
-                value="committed", recipients=frozenset({2, 4})
-            )
-            byzantine[5] = FallbackCertDealer(target=victim)
-            byzantine[6] = SilentBehavior()
+        elif attack is not None:
+            byzantine = attack(params, config, choices)
 
         for pid in config.processes:
             if pid in byzantine:
                 simulation.add_byzantine(pid, byzantine[pid])
             else:
-                value = f"v{pid}" if input_mode == "distinct" else "v"
-                simulation.add_process(
-                    pid,
-                    lambda ctx, v=value: weak_ba_protocol(
-                        ctx,
-                        v,
-                        validity,
-                        num_phases=num_phases,
-                        commit_quorum=quorum,
-                        echo_fallback_certificate=echo_fallback,
-                    ),
-                )
+                simulation.add_process(pid, factories[pid])
         for tick, pid, behavior in scheduled:
             simulation.schedule_corruption(tick, pid, behavior)
         return simulation
 
+    def validity(value: object) -> bool:
+        return value in (0, 1) if row.binary else isinstance(value, str)
+
+    # The adaptive O(n(f+1)) bill is a *synchrony* theorem: a pre-GST
+    # timing adversary forces the fallback without a corruption, so the
+    # honest ceiling under a GST is the fallback's quadratic bill.
+    word_budget = (quadratic_word_budget if psync else adaptive_word_budget)(
+        params["word_constant"]
+    )
+
     def evaluate(result: RunResult) -> Report:
         report = verify_run(
             result,
-            validity=lambda v: isinstance(v, str),
-            allow_bottom=True,
-            word_budget=adaptive_word_budget(word_constant),
+            validity=validity,
+            allow_bottom=not row.binary,
+            word_budget=word_budget,
             check_adaptive_silence=True,
             # Laggards may simply not have entered yet at the horizon.
             check_fallback_sync=not result.truncated,
         )
-        if result.truncated:
+        if result.truncated and not psync:
+            # Lockstep horizons bound the space, not the protocol; under
+            # a GST the horizon *is* the liveness claim.
             report.violations = [
                 v for v in report.violations if v.kind != "termination"
             ]
         return report
 
+    timing = f" gst={params['gst']} delta={params['delta']}" if psync else ""
     return Scenario(
-        name="weak-ba",
+        name=name if preset else row.cli or row.name,
         params=params,
         space=space,
         max_ticks=max_ticks,
         build=build,
         evaluate=evaluate,
-        mutation=_chatty_leaders if chatty_leaders else None,
+        mutation=_chatty_leaders if params.get("chatty_leaders") else None,
         description=(
-            f"weak BA n={n} t={config.t} phases={num_phases} "
-            f"adversary={adversary} horizon={max_ticks}"
+            f"{row.name} n={n} t={config.t} phases={params['num_phases']}"
+            f"{timing} adversary={adversary} horizon={max_ticks}"
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Partial synchrony: the pre-GST schedule is the adversary
-# ----------------------------------------------------------------------
-
-_PSYNC_ADVERSARIES = ("none", "choose-silent")
-
-
-def _psync_weak_ba_scenario(
-    *,
-    n: int = 4,
-    t: int | None = None,
-    gst: int = 1,
-    delta: int = 1,
-    pre_gst_levels: int = 2,
-    num_phases: int = 1,
-    adversary: str = "none",
-    input_mode: str = "distinct",
-    post_gst_budget: int = 80,
-    reorder: bool = False,
-    perm_cap: int = 2,
-    word_constant: float = 30.0,
-) -> Scenario:
-    """Weak BA under :class:`~repro.runtime.synchrony.PartialSynchrony`.
-
-    The open decisions are the *pre-GST delivery schedule*: every
-    message sent before ``gst`` becomes a ``"net-delay"`` choice point
-    with ``pre_gst_levels`` delivery ticks spanning earliest-possible
-    through held-until-stabilization, so exhaustive exploration proves
-    agreement/validity never depend on pre-GST timing — as long as GST
-    lands within the protocol's decision horizon.  Beyond it the
-    synchronous agreement argument genuinely fails — the adversary
-    holds certificates hostage across round boundaries, splitting runs
-    commit-vs-⊥ and even commit-vs-commit — while validity and every
-    other checked property survive arbitrary timing;
-    ``tests/test_mc_psync.py`` pins both regimes and
-    ``docs/partial_synchrony.md`` discusses why the split motivates the
-    partial-synchrony successor protocols.  The liveness half of the
-    GST contract is the horizon itself:
-    ``max_ticks = gst + post_gst_budget``, and a truncated run is
-    reported as a termination violation (*not* stripped the way the
-    lockstep scenario strips it), so "every explored schedule decides
-    within a bounded number of post-GST ticks" is checked, not assumed.
-
-    ``adversary="choose-silent"`` additionally makes the identity of
-    one silenced process (or no corruption) a choice point, composing
-    ``f <= 1`` crash-silence with adversarial timing.
-    """
-    if adversary not in _PSYNC_ADVERSARIES:
-        raise ModelCheckError(
-            f"unknown adversary {adversary!r}; known: {_PSYNC_ADVERSARIES}"
-        )
-
-    params = dict(
-        n=n,
-        t=t,
-        gst=gst,
-        delta=delta,
-        pre_gst_levels=pre_gst_levels,
-        num_phases=num_phases,
-        adversary=adversary,
-        input_mode=input_mode,
-        post_gst_budget=post_gst_budget,
-        reorder=reorder,
-        perm_cap=perm_cap,
-        word_constant=word_constant,
-    )
-    max_ticks = gst + post_gst_budget
-    space = ChoiceSpace(reorder=reorder, perm_cap=perm_cap)
-    config = SystemConfig(n=n, t=t if t is not None else (n - 1) // 2)
-    validity = ExternalValidity(lambda v: isinstance(v, str))
-
-    def build(choices: ChoiceSource) -> Simulation:
-        simulation = Simulation(
-            config,
-            seed=0,
-            max_ticks=max_ticks,
-            choices=choices,
-            stop_on_horizon=True,
-            synchrony=PartialSynchrony(
-                gst=gst, delta=delta, pre_gst_levels=pre_gst_levels
-            ),
-        )
-        byzantine: dict[int, Any] = {}
-        if adversary == "choose-silent":
-            pick = choices.choose("corrupt", (), n + 1)
-            if pick:
-                byzantine[pick - 1] = SilentBehavior()
-        for pid in config.processes:
-            if pid in byzantine:
-                simulation.add_byzantine(pid, byzantine[pid])
-            else:
-                value = f"v{pid}" if input_mode == "distinct" else "v"
-                simulation.add_process(
-                    pid,
-                    lambda ctx, v=value: weak_ba_protocol(
-                        ctx, v, validity, num_phases=num_phases
-                    ),
-                )
-        return simulation
-
-    def evaluate(result: RunResult) -> Report:
-        return verify_run(
-            result,
-            validity=lambda v: isinstance(v, str),
-            allow_bottom=True,
-            # The adaptive O(n(f+1)) bill is a *synchrony* theorem: a
-            # pre-GST timing adversary forces the fallback without
-            # spending a single corruption, so the honest ceiling under
-            # partial synchrony is the fallback's quadratic bill.
-            word_budget=lambda r: word_constant * r.config.n * r.config.n,
-            check_adaptive_silence=True,
-            # Under the shared round clock every correct process leaves
-            # a round in the same tick, so entry skew stays within the
-            # lockstep tolerance — except on truncated runs, where the
-            # laggard objection applies unchanged.
-            check_fallback_sync=not result.truncated,
-        )
-
-    return Scenario(
-        name="psync-weak-ba",
-        params=params,
-        space=space,
-        max_ticks=max_ticks,
-        build=build,
-        evaluate=evaluate,
-        description=(
-            f"weak BA n={n} t={config.t} under gst={gst} delta={delta} "
-            f"adversary={adversary} horizon={max_ticks}"
-        ),
-    )
-
-
-def _civit_strong_ba_scenario(**params: Any) -> Scenario:
-    # Imported here: the civit scenario module builds on this one.
-    from repro.protocols.civit.scenario import civit_strong_ba_scenario
-
-    return civit_strong_ba_scenario(**params)
-
-
-SCENARIOS: dict[str, Callable[..., Scenario]] = {
-    "weak-ba": _weak_ba_scenario,
-    "psync-weak-ba": _psync_weak_ba_scenario,
-    "civit-strong-ba": _civit_strong_ba_scenario,
-}
-"""Registry of scenario factories, keyed by the name replay artifacts
-store.  Factories must accept only JSON-serializable keyword params."""

@@ -173,23 +173,45 @@ def save_replay(path: str | Path, artifact: dict[str, Any]) -> Path:
     return path
 
 
+_ARTIFACT_KEYS = ("scenario", "params", "decisions", "violations")
+
+
 def load_replay(path: str | Path) -> dict[str, Any]:
-    artifact = json.loads(Path(path).read_text())
-    if artifact.get("format") != REPLAY_FORMAT:
+    """Read an artifact; a torn file, a missing key or a param its
+    scenario does not take raises :class:`~repro.errors.ModelCheckError`
+    naming ``path``."""
+    try:
+        artifact = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as error:
+        raise ModelCheckError(f"{path}: unreadable replay artifact: {error}") from None
+    found = artifact.get("format") if isinstance(artifact, dict) else None
+    if found != REPLAY_FORMAT:
         raise ModelCheckError(
-            f"unsupported replay format {artifact.get('format')!r} "
+            f"{path}: unsupported replay format {found!r} "
             f"(expected {REPLAY_FORMAT})"
         )
+    try:
+        _scenario_of(artifact)
+    except ModelCheckError as error:
+        raise ModelCheckError(f"{path}: {error}") from None
     return artifact
+
+
+def _scenario_of(artifact: dict[str, Any]) -> Scenario:
+    missing = [key for key in _ARTIFACT_KEYS if key not in artifact]
+    if missing:
+        raise ModelCheckError(f"replay artifact has no {missing[0]!r} key")
+    return make_scenario(artifact["scenario"], **artifact["params"])
 
 
 def replay(artifact: dict[str, Any], *, verify: bool = True) -> ScheduleOutcome:
     """Re-execute an artifact's schedule from its (name, params) pair.
 
     With ``verify`` (default), the recorded violation kinds must recur
-    exactly; divergence raises :class:`~repro.errors.ModelCheckError`.
+    exactly; divergence — like a missing key or an unknown param —
+    raises :class:`~repro.errors.ModelCheckError`.
     """
-    scenario = make_scenario(artifact["scenario"], **artifact["params"])
+    scenario = _scenario_of(artifact)
     outcome = run_schedule(scenario, list(artifact["decisions"]))
     if verify:
         recorded = sorted({v["kind"] for v in artifact["violations"]})

@@ -394,13 +394,23 @@ def civit_adaptive_strong_ba_protocol(
 # ----------------------------------------------------------------------
 
 
-def build_strong_ba(meta: dict, **_code):
-    """``meta -> factory(ctx)``, the table row's builder."""
+def build_strong_ba(
+    meta: dict,
+    *,
+    commit_quorum: int | None = None,
+    echo_fallback_certificate: bool = True,
+    **_code,
+):
+    """``meta -> factory(ctx)``, the table row's builder; the two code
+    keywords are the inner weak BA's mutation knobs."""
     return lambda ctx: civit_strong_ba_protocol(
         ctx,
         meta.get("input"),
         session=meta.get("session", "civit"),
+        num_views=meta.get("num_views"),
         num_phases=meta.get("num_phases"),
+        commit_quorum=commit_quorum,
+        echo_fallback_certificate=echo_fallback_certificate,
     )
 
 

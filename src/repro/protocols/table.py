@@ -176,7 +176,8 @@ class Backend:
 
     name: str
     strong_ba_row: str
-    """Table row of the binary strong BA."""
+    """Table row of the binary strong BA; also the model checker's
+    scenario for it (:func:`repro.mc.scenario.make_scenario`)."""
     adaptive_strong_ba_row: str
     """Table row of the multivalued adaptive strong BA."""
     strong_ba_tick_bound: Callable[[SystemConfig], int]
@@ -185,8 +186,6 @@ class Backend:
     """``budget(config, f)``: the strong BA's word envelope with ``f``
     silent faults (conformance sweeps assert ``correct_words <=
     budget``)."""
-    mc_strong_scenario: str
-    """Model-checker scenario that explores this stack's strong BA."""
     silent_leader_forces_fallback: bool
     """Does silencing p0 push the strong BA into its quadratic fallback?
     True for Algorithm 5's fixed leader."""
@@ -229,14 +228,12 @@ BACKENDS: dict[str, Backend] = {
     for backend in (
         Backend("cohen", "strong_ba", "adaptive_strong_ba",
                 strong_ba.tick_bound, strong_ba.word_budget,
-                mc_strong_scenario="weak-ba",
                 silent_leader_forces_fallback=True,
                 strong_ba_degrades_quadratically=True,
                 asba_non_silent_event="asba_phase_non_silent",
                 asba_certified_event="asba_certified"),
         Backend("civit", "civit_strong_ba", "civit_adaptive_strong_ba",
                 civit.strong_ba_tick_bound, civit.strong_ba_word_budget,
-                mc_strong_scenario="civit-strong-ba",
                 silent_leader_forces_fallback=False,
                 strong_ba_degrades_quadratically=False,
                 asba_non_silent_event="civit_view_non_silent",

@@ -85,6 +85,7 @@ MISCONFIGURED = [
     ["run", "weak-ba", "--n", "5", "--synchrony", "gst:3", "--wal-dir", "{wal}"],
     ["run", "strong-ba", "--n", "5", "--crash", "9:1:3", "--wal-dir", "{wal}"],
     ["mc", "explore", "--scenario", "nope"],
+    ["mc", "explore", "--scenario", "psync-weak-ba", "--max-ticks", "12"],
 ]
 
 
@@ -184,6 +185,28 @@ class TestModelChecking:
              "--max-runs", "5"]
         ) == 0
         assert "schedules: 5 run" in capsys.readouterr().out
+
+    def test_explore_keeps_the_scenario_defaults(self, capsys):
+        """Unset flags leave the scenario's own defaults: the psync
+        preset takes no --max-ticks, and civit keeps its 24-tick
+        horizon, so its runs decide instead of truncating at 12."""
+        assert main(
+            ["mc", "explore", "--scenario", "psync-weak-ba", "--max-runs", "200"]
+        ) == 0
+        assert "PROVED" in capsys.readouterr().out
+        assert main(
+            ["mc", "explore", "--scenario", "civit-strong-ba", "--perm-cap", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "horizon=24" in out
+        assert "(5 terminal, 105 pruned, 1 truncated at the horizon)" in out
+
+    def test_explore_any_table_row(self, capsys):
+        assert main(
+            ["mc", "explore", "--scenario", "strong-ba", "--mode", "random",
+             "--max-runs", "3"]
+        ) == 0
+        assert "strong_ba n=4" in capsys.readouterr().out
 
     def test_mutant_kill_and_replay_roundtrip(self, tmp_path, capsys):
         assert main(

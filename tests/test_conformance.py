@@ -163,10 +163,12 @@ class TestMutantKillParity:
 
     def test_civit_mutants_run_in_the_civit_scenario(self):
         import repro.protocols as protocols
+        from repro.protocols.table import get_protocol
 
         civit = protocols.get_backend("civit")
         for _, civit_name in self.PAIRS:
-            assert MUTANTS[civit_name].scenario == civit.mc_strong_scenario
+            spec = MUTANTS[civit_name]
+            assert get_protocol(spec.scenario).name == civit.strong_ba_row
 
     def test_cohen_mutants_scenario_unchanged(self):
         for cohen_name, _ in self.PAIRS:
@@ -209,12 +211,12 @@ class TestCrossBackendSweep:
         )
 
     def test_identical_choice_schedules(self, backend):
-        """Exhaustively explore the backend's strong-BA scenario over
-        the same ChoiceSource space (silenced-identity × corruption
-        tick, deterministic delivery): every schedule must verify for
-        every backend."""
+        """Exhaustively explore the backend's strong-BA row over the
+        same ChoiceSource space (silenced-identity × corruption tick,
+        deterministic delivery): every schedule must verify for every
+        backend."""
         scenario = make_scenario(
-            backend.mc_strong_scenario,
+            backend.strong_ba_row,
             n=4,
             num_phases=1,
             adversary="choose-silent",

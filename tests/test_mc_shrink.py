@@ -122,3 +122,36 @@ class TestReplayArtifact:
         scenario = _broken_scenario()
         artifact = replay_artifact(scenario, ())
         assert artifact["decisions"] == []
+
+
+class TestDamagedArtifacts:
+    """A damaged artifact is a diagnostic naming the file and the key,
+    never a raw JSONDecodeError, KeyError or TypeError."""
+
+    def _saved(self, tmp_path):
+        artifact = replay_artifact(_broken_scenario(), ())
+        return artifact, save_replay(tmp_path / "ce.json", artifact)
+
+    def test_torn_artifact(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        path.write_text(path.read_text()[: 40])
+        with pytest.raises(ModelCheckError, match=f"{path}: unreadable"):
+            load_replay(path)
+
+    def test_artifact_without_decisions(self, tmp_path):
+        artifact, path = self._saved(tmp_path)
+        del artifact["decisions"]
+        path.write_text(json.dumps(artifact))
+        with pytest.raises(ModelCheckError, match=f"{path}: .*'decisions'"):
+            load_replay(path)
+        with pytest.raises(ModelCheckError, match="'decisions'"):
+            replay(artifact)
+
+    def test_artifact_with_unknown_param(self, tmp_path):
+        artifact, path = self._saved(tmp_path)
+        artifact["params"]["gst"] = 3
+        path.write_text(json.dumps(artifact))
+        with pytest.raises(ModelCheckError, match=f"{path}: .*'gst'"):
+            load_replay(path)
+        with pytest.raises(ModelCheckError, match="'gst'"):
+            replay(artifact)
