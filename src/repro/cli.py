@@ -288,15 +288,22 @@ def cmd_mc_explore(args: argparse.Namespace) -> int:
         f"max decisions: {stats.max_depth}"
     )
     if args.mode == "exhaustive":
-        if result.complete:
+        if not result.complete:
+            print(f"budget hit ({args.max_runs} runs): NOT a proof")
+        elif not result.ok:
+            print("space exhausted: counterexamples found")
+        elif stats.truncated:
+            # A run cut at the horizon is checked for safety only.
+            print(
+                f"space exhausted: no counterexample, but {stats.truncated} "
+                f"of {stats.terminal} terminal runs hit the horizon "
+                f"undecided; termination unchecked there: NOT a proof"
+            )
+        else:
             print(
                 "space exhausted: properties PROVED over the bounded "
                 "schedule space"
-                if result.ok
-                else "space exhausted: counterexamples found"
             )
-        else:
-            print(f"budget hit ({args.max_runs} runs): NOT a proof")
     for counterexample in result.counterexamples:
         print(f"\ncounterexample {list(counterexample.decisions)}:")
         print(f"  {counterexample.summary}")

@@ -4,8 +4,9 @@ from repro.core.values import BOTTOM, UNDECIDED, Bottom, Undecided
 from repro.core.validity import (
     AlwaysValid,
     BroadcastValidity,
+    CertifiedValidity,
+    CertifiedValue,
     ExternalValidity,
-    SignedInputsValidity,
     ValidityPredicate,
 )
 from repro.core.adaptive_strong_ba import (
@@ -27,8 +28,9 @@ __all__ = [
     "ValidityPredicate",
     "AlwaysValid",
     "BroadcastValidity",
+    "CertifiedValidity",
+    "CertifiedValue",
     "ExternalValidity",
-    "SignedInputsValidity",
     "byzantine_broadcast_protocol",
     "run_byzantine_broadcast",
     "weak_ba_protocol",

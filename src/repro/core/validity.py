@@ -7,9 +7,10 @@ predicate interface plus the instances the paper discusses:
 * :class:`BroadcastValidity` — the ``BB_valid`` predicate of Section 5:
   a value is valid iff it is **signed by the designated sender** or
   carries an **idk certificate signed by t+1 processes**;
-* :class:`SignedInputsValidity` — Section 3's example: valid iff signed
-  by ``t+1`` processes *stating it was their initial value* (this makes
-  unique validity collapse to strong unanimity on the signed values);
+* :class:`CertifiedValidity` — Section 3's example: a
+  :class:`CertifiedValue` is valid iff ``t+1`` processes signed *that it
+  was their initial value* (this makes unique validity collapse to
+  strong unanimity on the signed values);
 * :class:`ExternalValidity` — wraps any user-supplied callable, giving
   plain external validity [5].
 
@@ -23,6 +24,7 @@ which runs a caller's predicate, needs a guard of its own.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.config import ProcessId, SystemConfig
@@ -33,8 +35,15 @@ from repro.crypto.signatures import SignedValue
 IDK_LABEL = "idk"
 """Certificate label for Algorithm 2's ``QC_idk`` (t+1 idk messages)."""
 
-INPUT_LABEL = "my_input"
-"""Certificate label for :class:`SignedInputsValidity` statements."""
+
+def input_label(session: str) -> str:
+    """Certificate label of session ``session``'s input statements."""
+    return f"input:{session}"
+
+
+def input_statement(value: object) -> tuple:
+    """What an input share signs: "``value`` was my initial value"."""
+    return ("input", value)
 
 
 class ValidityPredicate(ABC):
@@ -77,26 +86,55 @@ class BroadcastValidity(ValidityPredicate):
         return False
 
 
-class SignedInputsValidity(ValidityPredicate):
-    """Valid iff ``t+1`` processes certified "this was my initial value".
+@dataclass(frozen=True)
+class CertifiedValue:
+    """A value together with its input certificate.
 
-    With this predicate, unique validity yields strong unanimity on the
-    underlying values (Section 3): if all correct processes propose the
-    same ``v``, no other value can gather ``t+1`` input statements.
+    Equality, hashing and the canonical signing encoding cover the
+    *underlying value only*: the certificate rides along as a non-field
+    attribute.  Two certificates for one value minted from different
+    share subsets therefore collapse into one weak-BA value, so unique
+    validity forces the unanimous value (no ``⊥`` by certificate
+    multiplicity).  Correct processes never send one as a payload: it
+    rides inside weak-BA messages, which bill one word whatever value
+    they carry.
     """
 
-    def __init__(self, suite: CryptoSuite, config: SystemConfig) -> None:
+    value: object
+
+    def with_certificate(self, certificate: QuorumCertificate) -> "CertifiedValue":
+        object.__setattr__(self, "_certificate", certificate)
+        return self
+
+    @property
+    def certificate(self) -> QuorumCertificate | None:
+        return getattr(self, "_certificate", None)
+
+    def words(self) -> int:
+        # One word for the value, one for the threshold certificate.
+        return 2
+
+    def __repr__(self) -> str:
+        return f"Certified({self.value!r})"
+
+
+class CertifiedValidity(ValidityPredicate):
+    """Valid iff the attached certificate proves ``t+1`` processes —
+    hence at least one correct one — claimed the wrapped value as their
+    input in session ``session``."""
+
+    def __init__(self, suite: CryptoSuite, config: SystemConfig, session: str):
         self._suite = suite
-        self._config = config
+        self._quorum = config.small_quorum
+        self._label = input_label(session)
 
     def validate(self, value: object) -> bool:
-        if not isinstance(value, QuorumCertificate):
+        if not isinstance(value, CertifiedValue):
             return False
-        if value.label != INPUT_LABEL:
-            return False
+        certificate = value.certificate
         return self._suite.verify_certificate(
-            value, INPUT_LABEL, self._config.small_quorum
-        )
+            certificate, self._label, self._quorum
+        ) and certificate.payload == input_statement(value.value)
 
 
 class ExternalValidity(ValidityPredicate):

@@ -49,6 +49,7 @@ from repro.protocols.civit.attacks import (
     CivitEquivocatingCertifier,
     CivitSplitCertifier,
 )
+from repro.protocols.civit.core import certification_views
 from repro.protocols.table import PROTOCOLS, Protocol, get_protocol, string_validity
 from repro.runtime.result import RunResult
 from repro.runtime.scheduler import Simulation
@@ -98,11 +99,6 @@ def _quorum(params: dict, config: SystemConfig) -> int:
     return config.commit_quorum + params.get("quorum_delta", 0)
 
 
-def _views(params: dict, config: SystemConfig) -> int:
-    views = params["num_views"]
-    return views if views is not None else config.t + 1
-
-
 def _deal_target(choices: ChoiceSource) -> int:
     victims = (0, 3)  # the processes the split leaves undecided
     return victims[choices.choose("deal-target", (), len(victims))]
@@ -131,14 +127,16 @@ ATTACKS: dict[tuple[str, str], Attack] = {
     # bits, then drives them through its weak-BA phase.
     ("civit_strong_ba", "equivocating-certifier"): lambda params, config, choices: {
         1: CivitEquivocatingCertifier(
-            quorum=_quorum(params, config), num_views=_views(params, config)
+            quorum=_quorum(params, config),
+            num_views=certification_views(params, config),
         )
     },
     # The same Section-6 attack retargeted at the inner session: the
     # split certifier keeps the only completable certificate private.
     ("civit_strong_ba", "cert-dealer"): lambda params, config, choices: {
         1: CivitSplitCertifier(
-            recipients=frozenset({2, 4}), num_views=_views(params, config)
+            recipients=frozenset({2, 4}),
+            num_views=certification_views(params, config),
         ),
         5: FallbackCertDealer(target=_deal_target(choices), session="civit/wba"),
         6: SilentBehavior(),

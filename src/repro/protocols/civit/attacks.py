@@ -29,20 +29,18 @@ from repro.adversary.protocol_attacks import (
     WeakBaSplitFinalizeLeader,
 )
 from repro.config import ProcessId
-from repro.crypto.certificates import collect_by_value
-from repro.protocols.civit.core import (
-    VIEW_ROUNDS,
-    CertifiedValue,
-    CivitInputShare,
-    CivitSolicit,
-    input_label,
-    input_statement,
+from repro.core.adaptive_strong_ba import (
+    CERT_PHASE_ROUNDS,
+    SbaCertRequest,
+    SbaInputShare,
 )
+from repro.core.validity import CertifiedValue, input_label, input_statement
+from repro.crypto.certificates import collect_by_value
 from repro.runtime.byzantine import ByzantineApi
 
 
 def _harvest_certificates(
-    api: ByzantineApi, session: str, view: int
+    api: ByzantineApi, session: str, phase: int
 ) -> dict[object, CertifiedValue]:
     """Build a certificate for every value whose honest shares plus the
     coalition's own shares reach the ``t+1`` input quorum."""
@@ -54,9 +52,9 @@ def _harvest_certificates(
         (
             (payload.value, payload.partial)
             for payload in (envelope.payload for envelope in api.inbox)
-            if isinstance(payload, CivitInputShare)
+            if isinstance(payload, SbaInputShare)
             and payload.session == session
-            and payload.view == view
+            and payload.phase == phase
         ),
         input_statement,
     )
@@ -95,16 +93,16 @@ class CivitEquivocatingCertifier:
 
     def step(self, api: ByzantineApi) -> None:
         if api.now == 0:
-            api.broadcast(CivitSolicit(session=self.session, view=1))
+            api.broadcast(SbaCertRequest(session=self.session, phase=1))
         elif api.now == 2:
-            certified = _harvest_certificates(api, self.session, view=1)
+            certified = _harvest_certificates(api, self.session, phase=1)
             if all(value in certified for value in (0, 1)):
                 self._inner = WeakBaEquivocatingLeader(
                     value_a=certified[0],
                     value_b=certified[1],
                     quorum=self.quorum,
                     session=f"{self.session}/wba",
-                    start_tick=VIEW_ROUNDS * self.num_views,
+                    start_tick=CERT_PHASE_ROUNDS * self.num_views,
                 )
                 api.emit("civit_certifier_equivocated")
         elif self._inner is not None:
@@ -127,16 +125,16 @@ class CivitSplitCertifier:
 
     def step(self, api: ByzantineApi) -> None:
         if api.now == 0:
-            api.broadcast(CivitSolicit(session=self.session, view=1))
+            api.broadcast(SbaCertRequest(session=self.session, phase=1))
         elif api.now == 2:
-            certified = _harvest_certificates(api, self.session, view=1)
+            certified = _harvest_certificates(api, self.session, phase=1)
             if certified:
                 value = min(certified, key=repr)  # deterministic pick
                 self._inner = WeakBaSplitFinalizeLeader(
                     value=certified[value],
                     recipients=self.recipients,
                     session=f"{self.session}/wba",
-                    start_tick=VIEW_ROUNDS * self.num_views,
+                    start_tick=CERT_PHASE_ROUNDS * self.num_views,
                 )
         elif self._inner is not None:
             self._inner.step(api)

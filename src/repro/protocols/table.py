@@ -193,14 +193,15 @@ class Backend:
     """Does one silent process push the strong-BA bill into the
     quadratic regime?  The headline differential between the stacks
     (``benchmarks/bench_backend_adaptivity.py``)."""
-    asba_non_silent_event: str
-    """Trace event of a non-silent certification phase or view of the
-    adaptive strong BA."""
-    asba_certified_event: str
-    """Trace event of a process adopting an input certificate."""
 
     run_weak_ba = staticmethod(weak_ba.run_weak_ba)
     """Every stack builds on the one weak BA of Algorithm 3."""
+    asba_non_silent_event = "asba_phase_non_silent"
+    """Trace event of a non-silent certificate phase of the adaptive
+    strong BA (:mod:`repro.core.adaptive_strong_ba`, which every stack
+    that certifies inputs builds)."""
+    asba_certified_event = "asba_certified"
+    """Trace event of a process adopting an input certificate."""
 
     def run_strong_ba(
         self, config: SystemConfig, inputs: Mapping[ProcessId, Any], **run
@@ -229,15 +230,11 @@ BACKENDS: dict[str, Backend] = {
         Backend("cohen", "strong_ba", "adaptive_strong_ba",
                 strong_ba.tick_bound, strong_ba.word_budget,
                 silent_leader_forces_fallback=True,
-                strong_ba_degrades_quadratically=True,
-                asba_non_silent_event="asba_phase_non_silent",
-                asba_certified_event="asba_certified"),
+                strong_ba_degrades_quadratically=True),
         Backend("civit", "civit_strong_ba", "civit_adaptive_strong_ba",
                 civit.strong_ba_tick_bound, civit.strong_ba_word_budget,
                 silent_leader_forces_fallback=False,
-                strong_ba_degrades_quadratically=False,
-                asba_non_silent_event="civit_view_non_silent",
-                asba_certified_event="civit_certified"),
+                strong_ba_degrades_quadratically=False),
     )
 }
 

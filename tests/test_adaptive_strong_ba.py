@@ -1,14 +1,17 @@
-"""Tests for the multivalued adaptive strong-BA variant, parametrized
-over every backend (cohen's Section-3 extension, civit's multivalued
-certification stack).  Both satisfy the same Definition-2 contract —
-strong unanimity with ⊥ permitted in mixed runs — so the bodies are
-shared verbatim; only trace event names come from the backend
-(``asba_non_silent_event`` / ``asba_certified_event``)."""
+"""Tests for the certified-input adaptive strong BA
+(:mod:`repro.core.adaptive_strong_ba`), parametrized over every backend
+that builds it (cohen's Section-3 extension with one certificate phase
+per weak-BA phase, civit's multivalued row with ``t + 1`` views).  Both
+rows satisfy the same Definition-2 contract — strong unanimity with ⊥
+permitted in mixed runs — and emit the same trace events, so the
+bodies are shared verbatim; the shared ``CertifiedValue`` collapse is
+tested once."""
 
 import pytest
 
 from repro.adversary.behaviors import GarbageSpammer, SilentBehavior
 from repro.config import SystemConfig
+from repro.core.validity import CertifiedValue
 from repro.core.values import BOTTOM
 
 
@@ -95,3 +98,22 @@ class TestAdaptivity:
             e.pid for e in result.trace.named(backend.asba_certified_event)
         }
         assert certified == set(config7.processes)
+
+
+class TestCertifiedValueCollapse:
+    """The load-bearing design point: certificates ride outside
+    equality, so adversarially-minted certificate variants for one
+    value cannot masquerade as distinct weak-BA values."""
+
+    def test_equality_ignores_certificate(self):
+        a = CertifiedValue(1).with_certificate("cert-A")
+        b = CertifiedValue(1).with_certificate("cert-B")
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.certificate != b.certificate
+
+    def test_distinct_values_stay_distinct(self):
+        assert CertifiedValue(0) != CertifiedValue(1)
+
+    def test_words_bill_value_plus_certificate(self):
+        assert CertifiedValue("anything").words() == 2

@@ -36,10 +36,6 @@ from repro.fallback import (
     run_fallback_ba,
     run_phase_king,
 )
-from repro.protocols.civit import (
-    civit_adaptive_strong_ba_protocol,
-    civit_strong_ba_protocol,
-)
 from repro.protocols.table import PROTOCOLS, run_protocol
 from repro.recovery import RecoveryManager, factory_from_meta, load_history
 from repro.runtime import Simulation
@@ -202,14 +198,18 @@ FOLDED_DRIVERS = {
         lambda seed: protocols.get_backend("civit").run_strong_ba(
             _N5, {p: p % 2 for p in range(5)}, seed=seed
         ),
-        lambda p: lambda ctx: civit_strong_ba_protocol(ctx, p % 2),
+        lambda p: lambda ctx: adaptive_strong_ba_protocol(
+            ctx, p % 2, session="civit", binary=True, num_views=_N5.t + 1
+        ),
     ),
     "civit_adaptive_strong_ba": (
         _N5,
         lambda seed: protocols.get_backend("civit").run_adaptive_strong_ba(
             _N5, {p: "V" for p in range(5)}, seed=seed
         ),
-        lambda p: lambda ctx: civit_adaptive_strong_ba_protocol(ctx, "V"),
+        lambda p: lambda ctx: adaptive_strong_ba_protocol(
+            ctx, "V", session="civit-asba", num_views=_N5.t + 1
+        ),
     ),
     "recursive_ba": (
         _N5,

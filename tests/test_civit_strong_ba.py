@@ -13,22 +13,20 @@ listing)."""
 import pytest
 
 from repro.adversary.behaviors import SilentBehavior
-from repro.config import SystemConfig
+from repro.core.adaptive_strong_ba import BINARY_VALUES
 from repro.errors import ConfigurationError, RecoveryError
 from repro.mc.explore import explore_exhaustive
 from repro.mc.scenario import make_scenario
 from repro.protocols import get_backend
-from repro.protocols.civit import BINARY_VALUES, CertifiedValue
 from repro.recovery.replay import factory_from_meta
 
 
 class TestCertificationViews:
     def test_unanimous_run_uses_exactly_one_view(self, config7):
-        result = get_backend("civit").run_strong_ba(
-            config7, {p: 1 for p in config7.processes}
-        )
-        assert result.trace.count("civit_view_non_silent") == 1
-        certified = {e.pid for e in result.trace.named("civit_certified")}
+        civit = get_backend("civit")
+        result = civit.run_strong_ba(config7, {p: 1 for p in config7.processes})
+        assert result.trace.count(civit.asba_non_silent_event) == 1
+        certified = {e.pid for e in result.trace.named(civit.asba_certified_event)}
         assert certified == set(config7.processes)
 
     def test_silent_first_certifier_rotates_to_next_view(self, config7):
@@ -36,10 +34,11 @@ class TestCertificationViews:
         one extra non-silent view, not the fallback."""
         byzantine = {0: SilentBehavior()}
         inputs = {p: 1 for p in config7.processes if p != 0}
-        result = get_backend("civit").run_strong_ba(config7, inputs, byzantine=byzantine)
+        civit = get_backend("civit")
+        result = civit.run_strong_ba(config7, inputs, byzantine=byzantine)
         assert result.unanimous_decision() == 1
         assert not result.fallback_was_used()
-        assert result.trace.count("civit_view_non_silent") <= 2
+        assert result.trace.count(civit.asba_non_silent_event) <= 2
 
     def test_extra_views_do_not_change_the_outcome(self):
         """``num_views`` beyond the paper's t+1 is pure slack: every
@@ -65,25 +64,6 @@ class TestCertificationViews:
             inputs = {p: p % 2 for p in config7.processes}
             result = get_backend("civit").run_strong_ba(config7, inputs, seed=seed)
             assert result.unanimous_decision() in BINARY_VALUES
-
-
-class TestCertifiedValueCollapse:
-    """The load-bearing design point: certificates ride outside
-    equality, so adversarially-minted certificate variants for one
-    value cannot masquerade as distinct weak-BA values."""
-
-    def test_equality_ignores_certificate(self):
-        a = CertifiedValue(1).with_certificate("cert-A")
-        b = CertifiedValue(1).with_certificate("cert-B")
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a.certificate != b.certificate
-
-    def test_distinct_values_stay_distinct(self):
-        assert CertifiedValue(0) != CertifiedValue(1)
-
-    def test_words_bill_value_plus_certificate(self):
-        assert CertifiedValue("anything").words() == 2
 
 
 class TestAttacksAtPaperQuorum:

@@ -172,12 +172,25 @@ class TestFaultFlags:
 class TestModelChecking:
     def test_explore_proves_the_bounded_space(self, capsys):
         assert main(
+            ["mc", "explore", "--n", "4", "--max-ticks", "60",
+             "--perm-cap", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "(5 terminal, 93 pruned, 0 truncated at the horizon)" in out
+        assert "PROVED over the bounded schedule space" in out
+        assert "pruned" in out and "distinct states" in out
+
+    def test_explore_with_truncated_runs_is_not_a_proof(self, capsys):
+        """At 12 ticks one terminal run is cut at the horizon undecided:
+        its termination was never checked, so nothing is proved."""
+        assert main(
             ["mc", "explore", "--n", "4", "--max-ticks", "12",
              "--perm-cap", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "PROVED over the bounded schedule space" in out
-        assert "pruned" in out and "distinct states" in out
+        assert "PROVED" not in out
+        assert "1 of 5 terminal runs hit the horizon undecided" in out
+        assert "termination unchecked there: NOT a proof" in out
 
     def test_explore_random_mode(self, capsys):
         assert main(

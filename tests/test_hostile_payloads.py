@@ -80,7 +80,11 @@ READERS = {
         )
     },
     **{
-        name: {"adaptive_strong_ba": "asba"}
+        name: {
+            "adaptive_strong_ba": "asba",
+            "civit_strong_ba": "civit",
+            "civit_adaptive_strong_ba": "civit-asba",
+        }
         for name in ("SbaCertRequest", "SbaInputShare", "SbaInputCert")
     },
     **{
@@ -92,10 +96,6 @@ READERS = {
     "SignatureChain": {"dolev_strong": None},
     "PkPreference": {"phase_king": "pk"},
     "PkKingValue": {"phase_king": "pk"},
-    **{
-        name: {"civit_strong_ba": "civit", "civit_adaptive_strong_ba": "civit-asba"}
-        for name in ("CivitSolicit", "CivitInputShare", "CivitInputCert")
-    },
     "CertifiedValue": {"civit_strong_ba": None},
 }
 """Payload class name -> ``{table row: session it is read in}``."""

@@ -125,31 +125,38 @@ class TestCrossProtocolConsistency:
         unique validity collapses to strong unanimity on the underlying
         values.  Simulate by having every process propose a t+1-signed
         input certificate for the same value."""
-        from repro.core.validity import INPUT_LABEL, SignedInputsValidity
+        from repro.core.validity import (
+            CertifiedValidity,
+            CertifiedValue,
+            input_label,
+            input_statement,
+        )
 
         simulation = Simulation(config7, seed=0)
         suite = simulation.suite
+        label = input_label("asba")
         partials = [
             suite.partial_for_certificate(
-                pid, INPUT_LABEL, config7.small_quorum, ("input", "agreed")
+                pid, label, config7.small_quorum, input_statement("agreed")
             )
             for pid in range(config7.small_quorum)
         ]
         certificate = suite.combine_certificate(
-            INPUT_LABEL, config7.small_quorum, ("input", "agreed"), partials
+            label, config7.small_quorum, input_statement("agreed"), partials
         )
-        validity = SignedInputsValidity(suite, config7)
+        proposal = CertifiedValue("agreed").with_certificate(certificate)
+        validity = CertifiedValidity(suite, config7, "asba")
         from repro.core.weak_ba import weak_ba_protocol
 
         for pid in config7.processes:
             simulation.add_process(
                 pid,
-                lambda ctx: weak_ba_protocol(ctx, certificate, validity),
+                lambda ctx: weak_ba_protocol(ctx, proposal, validity),
             )
         result = simulation.run()
         decision = result.unanimous_decision()
-        assert decision == certificate
-        assert decision.payload == ("input", "agreed")
+        assert decision == proposal
+        assert decision.certificate.payload == ("input", "agreed")
 
 
 class TestScaleSweep:

@@ -2,11 +2,13 @@
 
 from repro.core.validity import (
     IDK_LABEL,
-    INPUT_LABEL,
     AlwaysValid,
     BroadcastValidity,
+    CertifiedValidity,
+    CertifiedValue,
     ExternalValidity,
-    SignedInputsValidity,
+    input_label,
+    input_statement,
 )
 from repro.core.values import BOTTOM
 from repro.crypto.signatures import SignedValue, sign_value
@@ -60,27 +62,40 @@ class TestBroadcastValidity:
         assert validity(sign_value(suite7.signer(0), "v"))
 
 
+def make_input_value(suite, config, value="v", session="asba"):
+    """``value`` with a ``t+1`` input certificate minted in ``session``."""
+    label, quorum = input_label(session), config.small_quorum
+    partials = [
+        suite.partial_for_certificate(pid, label, quorum, input_statement(value))
+        for pid in range(quorum)
+    ]
+    certificate = suite.combine_certificate(
+        label, quorum, input_statement(value), partials
+    )
+    return CertifiedValue(value).with_certificate(certificate)
+
+
 class TestSignedInputsValidity:
+    """Section 3's signed-inputs predicate, :class:`CertifiedValidity`:
+    valid iff ``t+1`` processes signed the value as their input."""
+
     def test_input_certificate_valid(self, config7, suite7):
-        partials = [
-            suite7.partial_for_certificate(
-                pid, INPUT_LABEL, config7.small_quorum, ("input", "v")
-            )
-            for pid in range(config7.small_quorum)
-        ]
-        cert = suite7.combine_certificate(
-            INPUT_LABEL, config7.small_quorum, ("input", "v"), partials
-        )
-        validity = SignedInputsValidity(suite7, config7)
-        assert validity.validate(cert)
+        validity = CertifiedValidity(suite7, config7, "asba")
+        assert validity.validate(make_input_value(suite7, config7))
 
     def test_wrong_label_invalid(self, config7, suite7):
-        cert = make_idk_cert(suite7, config7)
-        assert not SignedInputsValidity(suite7, config7).validate(cert)
+        cert = CertifiedValue("v").with_certificate(make_idk_cert(suite7, config7))
+        assert not CertifiedValidity(suite7, config7, "asba").validate(cert)
 
     def test_non_certificate_invalid(self, config7, suite7):
-        validity = SignedInputsValidity(suite7, config7)
+        validity = CertifiedValidity(suite7, config7, "asba")
         assert not validity.validate("v")
+
+    def test_certificate_of_another_session_invalid(self, config7, suite7):
+        """The label is session-scoped: a certificate minted for one
+        instance cannot certify an input of another."""
+        minted = make_input_value(suite7, config7, session="asba")
+        assert not CertifiedValidity(suite7, config7, "civit").validate(minted)
 
 
 class TestExternalValidity:
