@@ -3,14 +3,11 @@
 These behaviors speak the protocols' wire formats and exercise their
 specific safety arguments:
 
-* :class:`WeakBaTeasingLeader` — proposes in its phase but never
-  completes it, maximizing honest work per Byzantine leader (the
-  ``O(n(f+1))`` adaptivity cost is *tight* under this adversary);
-* :class:`WeakBaSplitFinalizeLeader` — runs the full leader logic but
-  delivers the finalize certificate to a chosen subset only, creating
-  the decided/undecided split the help round must repair (Section 6's
-  "a Byzantine leader causes the single correct leader to decide and
-  not initiate its phase" scenario);
+* :class:`WeakBaLeader` — a weak-BA leader scripting its own phase;
+  the teasing, commit-only, split-finalize and equivocating leader
+  attacks are its spellings;
+* :class:`FallbackCertDealer` — Section 6's fallback-certificate attack;
+* :class:`StrongBaEquivocatingLeader` — Algorithm 5's two-bit leader;
 * :class:`GcEquivocator` — claims different values to different halves
   of a graded-consensus committee, attacking graded agreement;
 * :class:`DolevStrongEquivocatingSender` — the classical two-chain
@@ -18,14 +15,20 @@ specific safety arguments:
 * :class:`BbVettingHelpSpammer` — a BB vetting leader that always asks
   for help, inflating the adaptive cost by ``O(n)`` per Byzantine
   phase.
+
+Every forged quorum ("the adversary adds t help_req signatures of its
+own", Section 6) goes through :func:`coalition_certificate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
+from typing import Iterable
 
 from repro.config import ProcessId
-from repro.core.byzantine_broadcast import BbHelpReq
+from repro.core.byzantine_broadcast import BB_PHASE_ROUNDS, BbHelpReq
+from repro.core.strong_ba import SbaInput, SbaPropose, propose_label
 from repro.core.weak_ba import (
     FALLBACK_STATEMENT,
     WbaCommitCert,
@@ -39,7 +42,7 @@ from repro.core.weak_ba import (
     fallback_label,
     finalize_label,
 )
-from repro.crypto.certificates import CertificateCollector
+from repro.crypto.certificates import CertificateCollector, QuorumCertificate
 from repro.fallback.dolev_strong import initial_chain
 from repro.fallback.graded_consensus import GcClaim
 from repro.runtime.byzantine import ByzantineApi
@@ -47,17 +50,107 @@ from repro.runtime.byzantine import ByzantineApi
 WBA_PHASE_ROUNDS = 6
 """Ticks per weak-BA phase (see ``repro.core.weak_ba._phase_steps``)."""
 
-BB_PHASE_ROUNDS = 3
-"""Ticks per BB vetting phase (see ``repro.core.byzantine_broadcast``)."""
-
 
 def weak_ba_phase_of(pid: ProcessId, n: int) -> int:
     """The first phase (1-based) led by ``pid`` under ``p_{j mod n}``."""
     return pid if pid != 0 else n
 
 
+def coalition_certificate(
+    api: ByzantineApi, label: str, quorum: int, statement: object,
+    partials: Iterable[object] = (),
+) -> QuorumCertificate | None:
+    """``QC_label(statement)`` from the honest ``partials`` plus every
+    corrupted process's own share, or ``None`` if that falls short.
+    Honest partials go first, accomplices after them; anything in
+    ``partials`` that is not a valid share is ignored, never raised on."""
+    collector = CertificateCollector(api.suite, label, quorum, statement)
+    for partial in partials:
+        if collector.add(partial):
+            return collector.certificate()
+    for accomplice in api.corrupted:
+        share = api.suite.partial_for_certificate(accomplice, label, quorum, statement)
+        if collector.add(share):
+            return collector.certificate()
+    return None
+
+
+def _inbox_partials(api: ByzantineApi, kind: type, **fields: object) -> list:
+    """The partials carried by this tick's ``kind`` payloads whose
+    ``fields`` equal the given values, in delivery order."""
+    return [
+        payload.partial
+        for payload in (envelope.payload for envelope in api.inbox)
+        if isinstance(payload, kind)
+        and all(getattr(payload, key) == want for key, want in fields.items())
+    ]
+
+
+class Reach(IntEnum):
+    """The last round a :class:`WeakBaLeader` plays: ``2 * reach`` of its phase."""
+
+    PROPOSE, COMMIT, FINALIZE = range(3)
+
+
 @dataclass
-class WeakBaTeasingLeader:
+class WeakBaLeader:
+    """A Byzantine leader scripting its own weak-BA phase (Algorithm 4):
+    one value is proposed to every other process; two go to the lower
+    and upper halves of the others, in pid order.  Up to ``reach``, each
+    value's commit and finalize certificates are completed with the
+    coalition's shares under ``quorum`` (``None``: ``⌈(n+t+1)/2⌉``) and
+    sent to the processes proposed that value — the finalize certificate
+    only to those in ``finalize_to``, when given.  A message for every
+    other process is one broadcast, any other one send per pid.  Plain
+    data only: the model checker's behaviour fingerprint hashes its repr."""
+
+    values: tuple
+    reach: Reach = Reach.FINALIZE
+    finalize_to: frozenset[ProcessId] | None = None
+    quorum: int | None = None
+    session: str = "wba"
+    start_tick: int = 0
+
+    def step(self, api: ByzantineApi) -> None:
+        phase = weak_ba_phase_of(api.pid, api.config.n)
+        offset = api.now - self.start_tick - WBA_PHASE_ROUNDS * (phase - 1)
+        if offset not in (0, 2, 4) or offset > 2 * self.reach:
+            return
+        others = [p for p in api.config.processes if p != api.pid]
+        mid = len(others) // 2 if len(self.values) == 2 else len(others)
+        for value, pids in zip(self.values, (others[:mid], others[mid:])):
+            message = self._message(api, offset, phase, value)
+            if message is None:
+                continue
+            if offset == 4 and self.finalize_to is not None:
+                pids = [p for p in pids if p in self.finalize_to]
+            elif pids == others:
+                api.broadcast(message)
+                continue
+            for pid in pids:
+                api.send(pid, message)
+
+    def _message(self, api, offset, phase, value):
+        """The proposal of ``value``, or its certificate if it completes."""
+        if offset == 0:
+            return WbaPropose(self.session, phase, value)
+        kind, label, name = (
+            (WbaVote, commit_label, "commit") if offset == 2
+            else (WbaDecideShare, finalize_label, "finalized")
+        )
+        quorum = api.config.commit_quorum if self.quorum is None else self.quorum
+        proof = coalition_certificate(
+            api, label(self.session), quorum, (name, value, phase),
+            _inbox_partials(api, kind, phase=phase, value=value),
+        )
+        if proof is None:
+            return None
+        if offset == 2:
+            return WbaCommitCert(self.session, phase, value, proof, level=phase)
+        return WbaFinalize(self.session, phase, value, proof)
+
+
+def WeakBaTeasingLeader(value, session="wba", start_tick=0) -> WeakBaLeader:
     """Proposes a valid value in its phase, then abandons the phase.
 
     Honest processes spend a vote message each answering the proposal;
@@ -66,110 +159,40 @@ class WeakBaTeasingLeader:
     one, the honest word cost grows linearly in ``f`` — the matching
     behavior for the ``O(n(f+1))`` bound.
     """
-
-    value: object
-    session: str = "wba"
-    start_tick: int = 0
-
-    def step(self, api: ByzantineApi) -> None:
-        phase = weak_ba_phase_of(api.pid, api.config.n)
-        if api.now == self.start_tick + WBA_PHASE_ROUNDS * (phase - 1):
-            api.broadcast(
-                WbaPropose(session=self.session, phase=phase, value=self.value)
-            )
+    return WeakBaLeader((value,), Reach.PROPOSE, session=session, start_tick=start_tick)
 
 
-@dataclass
-class WeakBaSplitFinalizeLeader:
+def WeakBaCommitOnlyLeader(value, session="wba", start_tick=0) -> WeakBaLeader:
+    """Completes the commit round of its phase (everyone updates their
+    ``commit`` triple to its value) but withholds the finalize round.
+
+    Exercises Algorithm 4's lock machinery across phases: once honest
+    processes are committed, they answer later proposals with their
+    commit info (line 36) instead of voting, so a later honest leader
+    relays the maximal-level commitment (line 39) and the *committed*
+    value — not the later leader's own proposal — gets finalized.
+    """
+    return WeakBaLeader((value,), Reach.COMMIT, session=session, start_tick=start_tick)
+
+
+def WeakBaSplitFinalizeLeader(
+    value, recipients, session="wba", start_tick=0
+) -> WeakBaLeader:
     """Completes its phase as leader but finalizes only to ``recipients``.
 
     The recipients decide inside the phases; everyone else reaches the
     help round undecided.  Agreement then hinges on Lemma 15 (unique
     finalize certificate) plus the help answers.
     """
-
-    value: object
-    recipients: frozenset[ProcessId]
-    session: str = "wba"
-    start_tick: int = 0
-    _collected: dict = field(default_factory=dict, init=False)
-
-    def step(self, api: ByzantineApi) -> None:
-        config = api.config
-        phase = weak_ba_phase_of(api.pid, config.n)
-        base = self.start_tick + WBA_PHASE_ROUNDS * (phase - 1)
-        quorum = config.commit_quorum
-        if api.now == base:
-            api.broadcast(
-                WbaPropose(session=self.session, phase=phase, value=self.value)
-            )
-        elif api.now == base + 2:
-            collector = CertificateCollector(
-                api.suite,
-                commit_label(self.session),
-                quorum,
-                ("commit", self.value, phase),
-            )
-            for envelope in api.inbox:
-                payload = envelope.payload
-                if isinstance(payload, WbaVote) and payload.phase == phase:
-                    collector.add(payload.partial)
-            # The whole corrupted coalition's shares push past the quorum.
-            for accomplice in api.corrupted:
-                collector.add(
-                    api.suite.partial_for_certificate(
-                        accomplice,
-                        commit_label(self.session),
-                        quorum,
-                        ("commit", self.value, phase),
-                    )
-                )
-            if collector.complete:
-                api.broadcast(
-                    WbaCommitCert(
-                        session=self.session,
-                        phase=phase,
-                        value=self.value,
-                        proof=collector.certificate(),
-                        level=phase,
-                    )
-                )
-        elif api.now == base + 4:
-            collector = CertificateCollector(
-                api.suite,
-                finalize_label(self.session),
-                quorum,
-                ("finalized", self.value, phase),
-            )
-            for envelope in api.inbox:
-                payload = envelope.payload
-                if isinstance(payload, WbaDecideShare) and payload.phase == phase:
-                    collector.add(payload.partial)
-            for accomplice in api.corrupted:
-                collector.add(
-                    api.suite.partial_for_certificate(
-                        accomplice,
-                        finalize_label(self.session),
-                        quorum,
-                        ("finalized", self.value, phase),
-                    )
-                )
-            if collector.complete:
-                certificate = collector.certificate()
-                for pid in self.recipients:
-                    api.send(
-                        pid,
-                        WbaFinalize(
-                            session=self.session,
-                            phase=phase,
-                            value=self.value,
-                            proof=certificate,
-                        ),
-                    )
+    return WeakBaLeader(
+        (value,), finalize_to=frozenset(recipients), session=session,
+        start_tick=start_tick,
+    )
 
 
-@dataclass
-class WeakBaEquivocatingLeader:
+def WeakBaEquivocatingLeader(
+    value_a, value_b, quorum, session="wba", start_tick=0
+) -> WeakBaLeader:
     """The quorum-ablation attack: a Byzantine leader drives *two*
     conflicting values through a full phase, finalizing each to half
     the processes.
@@ -182,131 +205,9 @@ class WeakBaEquivocatingLeader:
     breaks — the measurement behind
     ``benchmarks/bench_ablation_quorum.py``.
     """
-
-    value_a: object
-    value_b: object
-    quorum: int
-    session: str = "wba"
-    start_tick: int = 0
-
-    def _halves(self, api: ByzantineApi) -> tuple[list[ProcessId], list[ProcessId]]:
-        others = [p for p in api.config.processes if p != api.pid]
-        mid = len(others) // 2
-        return others[:mid], others[mid:]
-
-    def step(self, api: ByzantineApi) -> None:
-        phase = weak_ba_phase_of(api.pid, api.config.n)
-        base = self.start_tick + WBA_PHASE_ROUNDS * (phase - 1)
-        half_a, half_b = self._halves(api)
-        plan = {**{p: self.value_a for p in half_a},
-                **{p: self.value_b for p in half_b}}
-        if api.now == base:
-            for pid, value in plan.items():
-                api.send(
-                    pid, WbaPropose(session=self.session, phase=phase, value=value)
-                )
-        elif api.now == base + 2:
-            self._relay_certificates(
-                api, phase, plan, WbaVote, commit_label(self.session),
-                lambda value: ("commit", value, phase),
-                lambda value, cert: WbaCommitCert(
-                    session=self.session, phase=phase, value=value,
-                    proof=cert, level=phase,
-                ),
-            )
-        elif api.now == base + 4:
-            self._relay_certificates(
-                api, phase, plan, WbaDecideShare, finalize_label(self.session),
-                lambda value: ("finalized", value, phase),
-                lambda value, cert: WbaFinalize(
-                    session=self.session, phase=phase, value=value, proof=cert
-                ),
-            )
-
-    def _relay_certificates(
-        self, api, phase, plan, payload_type, label, statement, wrap
-    ) -> None:
-        for value in (self.value_a, self.value_b):
-            collector = CertificateCollector(
-                api.suite, label, self.quorum, statement(value)
-            )
-            for envelope in api.inbox:
-                message = envelope.payload
-                if (
-                    isinstance(message, payload_type)
-                    and message.phase == phase
-                    and message.value == value
-                ):
-                    collector.add(message.partial)
-            for accomplice in api.corrupted:
-                collector.add(
-                    api.suite.partial_for_certificate(
-                        accomplice, label, self.quorum, statement(value)
-                    )
-                )
-            if collector.complete:
-                certificate = collector.certificate()
-                targets = [p for p, v in plan.items() if v == value]
-                for pid in targets:
-                    api.send(pid, wrap(value, certificate))
-
-
-@dataclass
-class WeakBaCommitOnlyLeader:
-    """Completes the commit round of its phase (everyone updates their
-    ``commit`` triple to its value) but withholds the finalize round.
-
-    Exercises Algorithm 4's lock machinery across phases: once honest
-    processes are committed, they answer later proposals with their
-    commit info (line 36) instead of voting, so a later honest leader
-    relays the maximal-level commitment (line 39) and the *committed*
-    value — not the later leader's own proposal — gets finalized.
-    """
-
-    value: object
-    session: str = "wba"
-    start_tick: int = 0
-
-    def step(self, api: ByzantineApi) -> None:
-        config = api.config
-        phase = weak_ba_phase_of(api.pid, config.n)
-        base = self.start_tick + WBA_PHASE_ROUNDS * (phase - 1)
-        quorum = config.commit_quorum
-        if api.now == base:
-            api.broadcast(
-                WbaPropose(session=self.session, phase=phase, value=self.value)
-            )
-        elif api.now == base + 2:
-            collector = CertificateCollector(
-                api.suite,
-                commit_label(self.session),
-                quorum,
-                ("commit", self.value, phase),
-            )
-            for envelope in api.inbox:
-                payload = envelope.payload
-                if isinstance(payload, WbaVote) and payload.phase == phase:
-                    collector.add(payload.partial)
-            for accomplice in api.corrupted:
-                collector.add(
-                    api.suite.partial_for_certificate(
-                        accomplice,
-                        commit_label(self.session),
-                        quorum,
-                        ("commit", self.value, phase),
-                    )
-                )
-            if collector.complete:
-                api.broadcast(
-                    WbaCommitCert(
-                        session=self.session,
-                        phase=phase,
-                        value=self.value,
-                        proof=collector.certificate(),
-                        level=phase,
-                    )
-                )
-        # ... and never sends the finalize certificate.
+    return WeakBaLeader(
+        (value_a, value_b), quorum=quorum, session=session, start_tick=start_tick
+    )
 
 
 @dataclass
@@ -329,43 +230,17 @@ class FallbackCertDealer:
     def step(self, api: ByzantineApi) -> None:
         if self._dealt:
             return
-        config = api.config
-        requests = [
-            e.payload
-            for e in api.inbox
-            if isinstance(e.payload, WbaHelpReq)
-            and e.payload.session == self.session
-        ]
+        requests = _inbox_partials(api, WbaHelpReq, session=self.session)
         if not requests:
             return
-        collector = CertificateCollector(
-            api.suite,
-            fallback_label(self.session),
-            config.small_quorum,
-            FALLBACK_STATEMENT,
+        certificate = coalition_certificate(
+            api, fallback_label(self.session), api.config.small_quorum,
+            FALLBACK_STATEMENT, requests,
         )
-        for request in requests:
-            collector.add(request.partial)
-        for accomplice in api.corrupted:
-            collector.add(
-                api.suite.partial_for_certificate(
-                    accomplice,
-                    fallback_label(self.session),
-                    config.small_quorum,
-                    FALLBACK_STATEMENT,
-                )
-            )
-        if collector.complete:
-            api.send(
-                self.target,
-                WbaFallbackCert(
-                    session=self.session,
-                    certificate=collector.certificate(),
-                    value=None,
-                    proof=None,
-                    proof_phase=0,
-                ),
-            )
+        if certificate is not None:
+            api.send(self.target, WbaFallbackCert(
+                self.session, certificate, value=None, proof=None, proof_phase=0
+            ))
             self._dealt = True
             api.emit("fallback_cert_dealt", target=self.target)
 
@@ -385,48 +260,19 @@ class StrongBaEquivocatingLeader:
     session: str = "sba"
 
     def step(self, api: ByzantineApi) -> None:
-        from repro.core.strong_ba import SbaPropose, propose_label
-
         if api.now != 1:
             return
-        config = api.config
         certs = {}
         for value in (0, 1):
-            collector = CertificateCollector(
-                api.suite,
-                propose_label(self.session),
-                config.small_quorum,
-                ("propose", value),
+            certs[value] = coalition_certificate(
+                api, propose_label(self.session), api.config.small_quorum,
+                ("propose", value), _inbox_partials(api, SbaInput, value=value),
             )
-            for envelope in api.inbox:
-                payload = envelope.payload
-                if (
-                    type(payload).__name__ == "SbaInput"
-                    and payload.value == value
-                ):
-                    collector.add(payload.partial)
-            for accomplice in api.corrupted:
-                collector.add(
-                    api.suite.partial_for_certificate(
-                        accomplice,
-                        propose_label(self.session),
-                        config.small_quorum,
-                        ("propose", value),
-                    )
-                )
-            if collector.complete:
-                certs[value] = collector.certificate()
-        if len(certs) < 2:
-            return
-        others = [p for p in config.processes if p != api.pid]
+            if certs[value] is None:
+                return
+        others = [p for p in api.config.processes if p != api.pid]
         for index, pid in enumerate(others):
-            value = index % 2
-            api.send(
-                pid,
-                SbaPropose(
-                    session=self.session, value=value, proof=certs[value]
-                ),
-            )
+            api.send(pid, SbaPropose(self.session, index % 2, certs[index % 2]))
         api.emit("sba_leader_equivocated")
 
 

@@ -37,6 +37,7 @@ from repro.analysis.fitting import fit_slope_vs
 from repro.analysis.sweeps import sweep_parallel
 from repro.analysis.tables import render_points
 from repro.config import RunParameters, SystemConfig
+from repro.errors import ConfigurationError
 from repro.protocols.table import (
     PROTOCOLS,
     get_protocol,
@@ -109,6 +110,12 @@ def _fault_plan(args: argparse.Namespace):
 
 def cmd_run(args: argparse.Namespace) -> int:
     entry = get_protocol(args.protocol)
+    if args.adversary == "teasing" and entry.name != "weak_ba":
+        # It speaks weak BA's session "wba": on any other row it would
+        # bill exactly what silence bills.
+        raise ConfigurationError(
+            f"--adversary teasing acts on weak-ba only, not {args.protocol}"
+        )
     config = SystemConfig.with_optimal_resilience(args.n)
     byzantine = (
         StaticStrategy(ADVERSARIES[args.adversary], avoid=entry.shielded)
@@ -611,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--n", type=int, default=7, help="odd, n = 2t+1")
     run_parser.add_argument("--f", type=int, default=0, help="actual failures")
     run_parser.add_argument(
-        "--adversary", choices=sorted(ADVERSARIES), default="silent"
+        "--adversary", choices=sorted(ADVERSARIES), default="silent",
+        help="behavior of the --f corrupted processes (teasing: weak-ba only)",
     )
     run_parser.add_argument("--value", default="hello")
     run_parser.add_argument("--bit", type=int, choices=[0, 1], default=1,

@@ -1,14 +1,12 @@
 """Byzantine attacks against the civit backend.
 
 The civit stack's inner agreement core is the shared Algorithm-3 weak
-BA, so the heavy lifting reuses the session-parametric attacks from
-:mod:`repro.adversary.protocol_attacks` — what these classes add is the
-*certification prelude*: a Byzantine view-1 certifier harvests the
-input shares honest processes send it and tops incomplete certificates
-up with the coalition's own shares, exactly the "adds ``t`` signatures
-of its own" move of Section 6.  With the harvested certificates in hand
-it re-targets the classic weak-BA attack at the inner session
-(``<session>/wba``), offset past the certification views.
+BA, so these classes add only the *certification prelude* to the
+session-parametric leader of :mod:`repro.adversary.protocol_attacks`: a
+Byzantine view-1 certifier harvests the input shares honest processes
+send it, tops them up with the coalition's own (Section 6's "adds ``t``
+signatures of its own"), and runs the leader attack at the inner
+session (``<session>/wba``), offset past the certification views.
 
 :class:`CivitEquivocatingCertifier` needs certificates for *both*
 binary values: in a mixed run, each value has at least one correct
@@ -26,7 +24,9 @@ from dataclasses import dataclass, field
 
 from repro.adversary.protocol_attacks import (
     WeakBaEquivocatingLeader,
+    WeakBaLeader,
     WeakBaSplitFinalizeLeader,
+    coalition_certificate,
 )
 from repro.config import ProcessId
 from repro.core.adaptive_strong_ba import (
@@ -35,43 +35,30 @@ from repro.core.adaptive_strong_ba import (
     SbaInputShare,
 )
 from repro.core.validity import CertifiedValue, input_label, input_statement
-from repro.crypto.certificates import collect_by_value
 from repro.runtime.byzantine import ByzantineApi
 
 
 def _harvest_certificates(
     api: ByzantineApi, session: str, phase: int
 ) -> dict[object, CertifiedValue]:
-    """Build a certificate for every value whose honest shares plus the
-    coalition's own shares reach the ``t+1`` input quorum."""
-    config = api.config
-    quorum = config.small_quorum
-    label = input_label(session)
-    collectors = collect_by_value(
-        api.suite, label, quorum,
-        (
-            (payload.value, payload.partial)
-            for payload in (envelope.payload for envelope in api.inbox)
-            if isinstance(payload, SbaInputShare)
-            and payload.session == session
-            and payload.phase == phase
-        ),
-        input_statement,
-    )
+    """Certify every value whose honest shares plus the coalition's own
+    shares reach the ``t+1`` input quorum, in first-seen order."""
+    shares: dict[object, list] = {}
+    for payload in (envelope.payload for envelope in api.inbox):
+        mine = isinstance(payload, SbaInputShare) and payload.session == session
+        if mine and payload.phase == phase:
+            try:
+                shares.setdefault(payload.value, []).append(payload.partial)
+            except TypeError:  # an unhashable value off the wire
+                continue
     certified: dict[object, CertifiedValue] = {}
-    for value, collector in collectors.items():
-        for accomplice in api.corrupted:
-            if collector.complete:
-                break
-            collector.add(
-                api.suite.partial_for_certificate(
-                    accomplice, label, quorum, input_statement(value)
-                )
-            )
-        if collector.complete:
-            certified[value] = CertifiedValue(value).with_certificate(
-                collector.certificate()
-            )
+    for value, partials in shares.items():
+        certificate = coalition_certificate(
+            api, input_label(session), api.config.small_quorum,
+            input_statement(value), partials,
+        )
+        if certificate is not None:
+            certified[value] = CertifiedValue(value).with_certificate(certificate)
     return certified
 
 
@@ -89,7 +76,7 @@ class CivitEquivocatingCertifier:
     quorum: int
     session: str = "civit"
     num_views: int = 2
-    _inner: WeakBaEquivocatingLeader | None = field(default=None, init=False)
+    _inner: WeakBaLeader | None = field(default=None, init=False)
 
     def step(self, api: ByzantineApi) -> None:
         if api.now == 0:
@@ -121,7 +108,7 @@ class CivitSplitCertifier:
     recipients: frozenset[ProcessId]
     session: str = "civit"
     num_views: int = 4
-    _inner: WeakBaSplitFinalizeLeader | None = field(default=None, init=False)
+    _inner: WeakBaLeader | None = field(default=None, init=False)
 
     def step(self, api: ByzantineApi) -> None:
         if api.now == 0:

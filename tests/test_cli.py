@@ -36,10 +36,11 @@ class TestRun:
         assert "decided 'hello'" in out
 
     def test_run_with_adversary_choice(self, capsys):
-        assert main(
-            ["run", "weak-ba", "--n", "7", "--f", "1", "--adversary", "garbage"]
-        ) == 0
-        assert "decided" in capsys.readouterr().out
+        for adversary in ("garbage", "teasing"):
+            assert main(
+                ["run", "weak-ba", "--n", "7", "--f", "1", "--adversary", adversary]
+            ) == 0
+            assert "decided" in capsys.readouterr().out
 
     def test_strong_ba_bit(self, capsys):
         assert main(["run", "strong-ba", "--n", "5", "--bit", "0"]) == 0
@@ -86,6 +87,7 @@ MISCONFIGURED = [
     ["run", "strong-ba", "--n", "5", "--crash", "9:1:3", "--wal-dir", "{wal}"],
     ["mc", "explore", "--scenario", "nope"],
     ["mc", "explore", "--scenario", "psync-weak-ba", "--max-ticks", "12"],
+    ["run", "bb", "--n", "7", "--f", "2", "--adversary", "teasing"],
 ]
 
 

@@ -85,11 +85,7 @@ class TestSection6Lemmas:
     def test_lemma_14_decisions_are_valid(self, config7):
         """Lemma 14: any in-phase decision passed the validity
         predicate (invalid proposals can never gather votes)."""
-
-        class InvalidProposer(WeakBaCommitOnlyLeader):
-            pass
-
-        byzantine = {1: InvalidProposer(value=12345)}  # ints are invalid
+        byzantine = {1: WeakBaCommitOnlyLeader(value=12345)}  # ints are invalid
         inputs = {p: "v" for p in config7.processes if p != 1}
         result = run_weak_ba(
             config7, inputs, STR_VALIDITY, byzantine=byzantine
