@@ -8,7 +8,7 @@ crashed replica.
 
 from repro.adversary.behaviors import SilentBehavior
 from repro.analysis.tables import format_table
-from repro.apps.clients import ClientWorkload, run_batched_smr
+from repro.apps.clients import ClientWorkload
 from repro.apps.pipelined import run_pipelined_smr
 from repro.apps.smr import run_smr
 from repro.config import SystemConfig
@@ -40,7 +40,9 @@ def test_pipelining_multiplies_throughput():
         {pid: [("set", f"k{pid}", pid)] for pid in config.processes},
         num_slots=SLOTS,
     )
-    batched = run_batched_smr(config, workloads, num_slots=SLOTS, batch_size=2)
+    batched = run_pipelined_smr(
+        config, workloads, num_slots=SLOTS, window=1, batch_size=2
+    )
     pipelined = run_pipelined_smr(
         config, workloads, num_slots=SLOTS, window=5, batch_size=2
     )

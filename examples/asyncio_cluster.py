@@ -24,10 +24,16 @@ from repro.core.strong_ba import strong_ba_protocol
 
 async def main() -> None:
     config = SystemConfig.with_optimal_resilience(5)
-    tick = 0.02  # the synchrony bound delta: each round's timeout, in seconds
+    # The synchrony bound delta is each round's timeout, in seconds.
+    # Rounds close on completion, so a delta far above localhost jitter
+    # costs nothing unless a copy is late, and no round closes early on
+    # a loaded machine (which would deliver a copy a round late and
+    # change the bill).
+    tick = 2.0
+    latency = 0.005
 
     print(f"cluster: n={config.n}, delta={tick * 1000:.0f} ms, "
-          f"link latency={tick * 500:.0f} ms")
+          f"link latency={latency * 1000:.0f} ms")
 
     result = await run_async(
         config,
@@ -36,7 +42,7 @@ async def main() -> None:
             for pid in config.processes
         },
         tick_duration=tick,
-        latency=tick / 2,
+        latency=latency,
     )
     print(f"\nByzantine Broadcast over asyncio: "
           f"decided {result.unanimous_decision()!r} in {result.ticks} "

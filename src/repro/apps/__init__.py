@@ -6,12 +6,7 @@ in many distributed systems" use case the paper's introduction
 motivates.
 """
 
-from repro.apps.clients import (
-    ClientWorkload,
-    Command,
-    batched_smr_replica_protocol,
-    run_batched_smr,
-)
+from repro.apps.clients import ClientWorkload, Command
 from repro.apps.pipelined import (
     pipelined_smr_replica_protocol,
     run_pipelined_smr,
@@ -24,8 +19,6 @@ __all__ = [
     "smr_replica_protocol",
     "Command",
     "ClientWorkload",
-    "batched_smr_replica_protocol",
-    "run_batched_smr",
     "pipelined_smr_replica_protocol",
     "run_pipelined_smr",
 ]

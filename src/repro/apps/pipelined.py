@@ -7,9 +7,12 @@ concurrently: the wave completes in roughly one BB's worth of rounds,
 cutting log latency by ~``window`` while leaving the protocol code —
 and all of its guarantees — untouched.
 
-Commands are deduplicated at commit time exactly as in the batched SMR,
-so fan-out submission still commits exactly once even when two slots in
-the same wave carry the same command.
+Each sender slot proposes up to ``batch_size`` still-uncommitted
+commands from the replica's queue, and commands are deduplicated at
+commit time, so fan-out submission commits exactly once even when two
+slots in the same wave carry the same command.  ``window=1`` is the
+sequential batched log: the ``batched_smr`` table row builds this
+replica with one slot in flight.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def pipelined_smr_replica_protocol(
 
 
 def build(meta: dict, **_code):
-    """``meta -> factory(ctx)``, the table row's builder."""
+    """``meta -> factory(ctx)``, the ``pipelined_smr`` row's builder."""
     return lambda ctx: pipelined_smr_replica_protocol(
         ctx,
         meta.get("queue", ()),
@@ -102,6 +105,12 @@ def build(meta: dict, **_code):
         window=meta.get("window", 4),
         batch_size=meta.get("batch_size", 4),
     )
+
+
+def build_batched(meta: dict, **_code):
+    """The ``batched_smr`` row's builder: its metas name no window, and
+    the replica runs one slot at a time."""
+    return build({**meta, "window": 1})
 
 
 def run_pipelined_smr(

@@ -47,7 +47,6 @@ from repro.runtime.envelope import Envelope
 from repro.runtime.host import (
     bill_multicast,
     check_seed,
-    close_recovery,
     due,
     note_crash,
     rejoin_from_wal,
@@ -98,8 +97,7 @@ class AsyncNetwork:
         self.fault_plan = fault_plan
         self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
         self.ledger = WordLedger()
-        self.trace = Trace()
-        self.observer = observer
+        self.trace = Trace(observer=observer)
         self.recovery = recovery
         self.queues: dict[ProcessId, asyncio.Queue] = {}
         self.corrupted: set[ProcessId] = set()
@@ -129,6 +127,11 @@ class AsyncNetwork:
         """Outstanding sub-round delivery timers (latency, fault-plan
         delays).  Cancelled by :meth:`cancel_timers` on teardown so no
         callback outlives its run."""
+
+    @property
+    def observer(self) -> Observer | None:
+        """The run's observer: the one its trace forwards events to."""
+        return self.trace.observer
 
     # -- host surface (what ProcessContext / ByzantineApi call) ----------
 
@@ -553,7 +556,8 @@ async def run_cluster(
             task.cancel()
         await asyncio.gather(*tasks_and_behaviors, return_exceptions=True)
         network.cancel_timers()
-        close_recovery(network)
+        if network.recovery is not None:
+            network.recovery.close()
 
 
 async def run_async(

@@ -566,10 +566,6 @@ class TcpProcessNode:
                 name="reconnected",
                 peer=peer_pid,
             )
-            obs = self.network.observer
-            if obs is not None:
-                obs.on_transport("reconnected")
-                obs.event("reconnected", pid=self.pid, peer=peer_pid)
 
         return record
 

@@ -489,7 +489,6 @@ def cmd_recover_inspect(args: argparse.Namespace) -> int:
     print(f"  ticks with input: {len(history.inboxes)}")
     print(f"  through tick: {history.through_tick}")
     print(f"  total sends: {history.total_sends()}")
-    print(f"  events: {len(history.events)}")
     if history.down_windows:
         windows = ", ".join(f"[{lo}, {hi})" for lo, hi in history.down_windows)
         print(f"  down windows: {windows}")

@@ -1,4 +1,25 @@
-"""The observer facade every runtime threads its telemetry through.
+"""The observer: the telemetry no other record of a run holds.
+
+A run already records each of its facts once, in the component that
+owns it: the :class:`~repro.metrics.words.WordLedger` bills words,
+messages and signatures; the :class:`~repro.runtime.trace.Trace` holds
+every event, protocol and host alike (``crashed``, ``recovered``,
+``corrupted``, ``reconnected``); :class:`~repro.runtime.result.RunResult`
+holds decisions, halting ticks, the final tick and truncation; and
+:class:`~repro.recovery.manager.RecoveryStats` with
+``RecoveryManager.wal_bytes()`` hold crashes, restarts, replayed ticks
+and WAL sizes.  An observer keeps only what none of them has:
+
+* fault-injector verdicts (``faults.*``) and transport deduplication
+  (``transport.deduplicated``);
+* the paced clock's ``sync.*`` counters and ``round_advanced`` events;
+* soak campaign metrics (``soak.*``);
+* a clock stamp on every event it logs.
+
+A host builds its trace as ``Trace(observer=observer)``, and the trace hands
+each event to :meth:`Observer.on_trace` as it is emitted, so the JSONL
+event log is the run's one emitted stream — every trace event, once,
+beside the observer's own events.
 
 Two operating points, chosen by the caller:
 
@@ -13,12 +34,12 @@ Clocks and determinism
 ----------------------
 
 ``Observer(clock=None)`` (the default) runs on *simulated* time: the
-runtimes call :meth:`Observer.set_time` with the current tick, events
-are stamped in ticks, and no wall clock is ever read — so attaching an
-observer to a simulated or model-checked run changes nothing about the
-run and produces byte-identical telemetry across repeats.  Pass
-``clock=time.perf_counter`` (or :meth:`Observer.wall`) for real-time
-runs (asyncio, TCP), where events are stamped in seconds.
+tick simulator calls :meth:`Observer.on_tick` with each tick it visits,
+events are stamped in ticks, and no wall clock is ever read — so
+attaching an observer to a simulated or model-checked run changes
+nothing about the run and produces byte-identical telemetry across
+repeats.  Pass ``clock=time.perf_counter`` (or :meth:`Observer.wall`)
+for real-time runs (asyncio, TCP), where events are stamped in seconds.
 
 Observers record; they never steer.  No runtime reads observer state to
 make a decision, which is why the model checker's exploration results
@@ -37,7 +58,7 @@ from repro.obs.registry import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
-    from repro.metrics.words import WordBill
+    from repro.runtime.trace import TraceEvent
 
 
 class Observer:
@@ -47,8 +68,7 @@ class Observer:
         self.registry = MetricsRegistry()
         self.events = EventLog()
         self._clock = clock
-        self._now = 0.0  # simulated clock, advanced by the runtimes
-        self._tick = -1  # last tick on_tick saw
+        self._now = 0.0  # simulated clock, advanced by on_tick
 
     @classmethod
     def wall(cls) -> "Observer":
@@ -61,11 +81,6 @@ class Observer:
 
     def time(self) -> float:
         return self._clock() if self._clock is not None else self._now
-
-    def set_time(self, now: float) -> None:
-        """Advance the simulated clock (ignored when a real clock is
-        installed — ticks still arrive via :meth:`on_tick` counters)."""
-        self._now = float(now)
 
     # ------------------------------------------------------------------
     # Generic recording surface
@@ -85,28 +100,18 @@ class Observer:
     # ------------------------------------------------------------------
 
     def on_tick(self, tick: int) -> None:
-        """Called once per *visited* tick, in increasing order; the
-        simulator skips ticks in which nothing happens, so ``sim.ticks``
-        totals the ticks elapsed since the previous call, not the calls
-        (a tick not above the last one seen starts another run)."""
-        self._now = float(tick) if self._clock is None else self._now
-        self.count("sim.ticks", tick - self._tick if tick > self._tick else 1)
-        self._tick = tick
+        """Called once per *visited* tick, in increasing order (the
+        simulator skips ticks in which nothing happens): advances the
+        simulated clock; a real clock ignores it."""
+        self._now = float(tick)
 
-    def on_send(self, bill: "WordBill") -> None:
-        """Account one billed multicast (the ledger's view of it): every
-        counter moves by the bill's per-copy amount times its copies."""
-        copies = bill.copies
-        words = bill.words * copies
-        self.count("words.total", words)
-        self.count("messages.total", copies)
-        if bill.signatures:
-            self.count("signatures.total", bill.signatures * copies)
-        origin = "correct" if bill.sender_correct else "byzantine"
-        self.count(f"words.{origin}", words)
-        self.count(f"words.scope.{bill.scope}", words)
-        if bill.phase is not None:
-            self.count(f"words.phase.{bill.phase}", words)
+    def on_trace(self, event: "TraceEvent") -> None:
+        """Log one trace event as it is emitted, in the export's event
+        shape (``tick``, ``pid``, ``scope``, ``data``) plus the stamp."""
+        self.event(
+            event.name, tick=event.tick, pid=event.pid, scope=event.scope,
+            data=dict(event.data),
+        )
 
     def on_fault(self, kind: str, amount: int = 1) -> None:
         """Account one injected fault (``dropped``/``duplicated``/
@@ -126,14 +131,8 @@ class Observer:
             self.on_fault("delayed")
 
     def on_transport(self, kind: str, amount: int = 1) -> None:
-        """Account one transport-level incident (e.g. ``reconnected``)."""
+        """Account one transport-level incident (``deduplicated``)."""
         self.count(f"transport.{kind}", amount)
-
-    def on_recovery(self, kind: str, amount: int = 1) -> None:
-        """Account one crash-recovery incident (``crash``/``restart``/
-        ``replayed_ticks``/``resumed_sends``...); WAL size lands in the
-        ``recovery.wal_bytes`` gauge."""
-        self.count(f"recovery.{kind}", amount)
 
     # ------------------------------------------------------------------
     # Output

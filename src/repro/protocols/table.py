@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.apps import clients, pipelined, smr
+from repro.apps import pipelined, smr
 from repro.config import ProcessId, RunParameters, SystemConfig
 from repro.core import adaptive_strong_ba, byzantine_broadcast, strong_ba, weak_ba
 from repro.core.validity import ExternalValidity
@@ -89,7 +89,7 @@ PROTOCOLS: dict[str, Protocol] = {
                  roles={"sender": 0}, proposal="payload"),
         Protocol("phase_king", phase_king.build, binary=True, proposal=1),
         Protocol("smr", smr.build),
-        Protocol("batched_smr", clients.build),
+        Protocol("batched_smr", pipelined.build_batched),
         Protocol("pipelined_smr", pipelined.build),
     )
 }

@@ -7,8 +7,8 @@ and owns the durable side of every correct process in the run:
 * it lazily opens one :class:`~repro.recovery.wal.ProcessWal` per pid
   under ``wal_dir`` (``p<pid>.wal``);
 * the runtimes call the ``on_*`` hooks — deliveries are logged *before*
-  the protocol consumes them, send highwater marks and state-transition
-  events after;
+  the protocol consumes them, send highwater marks after, and crash and
+  restart markers as they happen;
 * :meth:`end_tick` flushes every dirty WAL once per round (that is the
   fsync batch);
 * :meth:`load` / :meth:`recover` rebuild a crashed process — see
@@ -35,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class RecoveryStats:
-    """What the recovery layer did during one run (observer fodder)."""
+    """What the recovery layer did during one run: the one record of
+    its crashes, restarts and replayed ticks."""
 
     crashes: int = 0
     restarts: int = 0
@@ -109,6 +110,10 @@ class RecoveryManager:
     def on_event(
         self, pid: ProcessId, tick: int, scope: str, name: str, data: tuple
     ) -> None:
+        """Append one ``event`` frame.  No host calls this — the trace
+        is the one record of events and replay reads no ``event``
+        frame; it stays as the one-frame append the perf ledger's
+        append/flush probe times."""
         self.wal_for(pid).log_event(tick, scope, name, data)
         self._dirty.add(pid)
 

@@ -122,7 +122,10 @@ def replay_generator(
     WAL only records non-empty ticks, so a silent protocol tail — and
     the decision at its end — lies beyond ``through_tick``).  Ticks a
     process spent silent were never logged, so the highwater check
-    still applies there with an expected count of zero.
+    still applies there with an expected count of zero.  Past
+    ``until_tick`` every inbox is empty, so the loop jumps straight to
+    the generator's next deadline: a long silent tail costs one step
+    per wake-up, not one per tick.
 
     Raises :class:`~repro.errors.RecoveryError` when a tick's replayed
     send count diverges from the logged highwater mark (outside down
@@ -134,8 +137,10 @@ def replay_generator(
     gen = factory(ctx)
     started = time.perf_counter()
     ctx.begin_replay(cursor)
+    horizon = until_tick + run_on_ticks
+    tick = 0
     try:
-        for tick in range(until_tick + run_on_ticks):
+        while tick < horizon:
             cursor.begin_tick()
             inbox = list(history.inboxes.get(tick, []))
             if due(inbox, tick, report.wake_at):
@@ -159,7 +164,11 @@ def replay_generator(
                         f"but the WAL highwater mark says {expected}; "
                         f"refusing to rejoin with divergent state"
                     )
-            report.ticks_replayed = tick + 1
+            tick += 1
+            if tick >= until_tick:
+                tick = max(tick, report.wake_at)
+        else:
+            report.ticks_replayed = horizon
     finally:
         ctx.end_replay()
         report.sends_replayed = cursor.total_sends
@@ -211,19 +220,11 @@ def replay_wal(
     the ``meta`` record (``n``, ``t``, seed fix the crypto suite and
     rngs), and re-drives the protocol through every recorded tick.  The
     returned report carries tick/send/event counts, the wall-clock
-    replay duration, and the decision if the protocol completed within
-    the recorded history.
+    replay duration, and the decision if the protocol completed by the
+    run's horizon.
     """
     history = load_history(stem, strict=strict)
     return replay_history(history, factory=factory)
-
-
-RUN_ON_TICKS = 1024
-"""How far offline replay drives a still-running generator past the
-recorded history.  A synchronous protocol whose tail was silent (empty
-inboxes are never logged) terminates within its fixed round structure;
-a generator still alive after this many empty ticks genuinely never
-decided within its durable state, and the report says so."""
 
 
 def replay_history(
@@ -232,7 +233,7 @@ def replay_history(
     factory: Callable | None = None,
 ) -> ReplayReport:
     """Replay an already-loaded :class:`ProcessHistory` offline."""
-    from repro.config import SystemConfig
+    from repro.config import RunParameters, SystemConfig
     from repro.runtime.context import ProcessContext
     from repro.runtime.scheduler import Simulation
 
@@ -248,11 +249,16 @@ def replay_history(
     ctx = ProcessContext(simulation, meta["pid"])
     if factory is None:
         factory = factory_from_meta(meta)
+    # Run a silent tail on through the live run's own horizon (a WAL
+    # without one gets the simulator's default): a generator still
+    # alive there never decided within its durable state.
+    horizon = meta.get("max_ticks", RunParameters.max_ticks) + 1
+    until_tick = history.through_tick + 1
     _, report = replay_generator(
         factory,
         ctx,
         history,
-        until_tick=history.through_tick + 1,
-        run_on_ticks=RUN_ON_TICKS,
+        until_tick=until_tick,
+        run_on_ticks=max(0, horizon - until_tick),
     )
     return report

@@ -3,9 +3,10 @@
 One :class:`ProcessWal` persists everything needed to reconstruct a
 protocol instance's state machine after a crash:
 
-* a ``meta`` record — deployment parameters (``n``, ``t``, seed, pid)
-  plus whatever the run driver knows about the protocol (name, input
-  value, phase count), so an offline tool can rebuild the factory;
+* a ``meta`` record — deployment parameters (``n``, ``t``, seed, pid,
+  the simulator's ``max_ticks``) plus whatever the run driver knows
+  about the protocol (name, input value, phase count), so an offline
+  tool can rebuild the factory and knows how far the run could go;
 * per-tick ``inbox`` records — the envelopes delivered to the process,
   written *before* the protocol generator consumes them (that is the
   "write-ahead": a crash mid-round loses at most the round the process
@@ -14,11 +15,14 @@ protocol instance's state machine after a crash:
   Replay re-executes the generator with sends suppressed and checks its
   send counts against these marks; a mismatch means the replayed state
   machine is **not** the one that crashed, and recovery refuses it;
-* ``event`` records — protocol-state transitions (phase entries,
-  acquired values and certificates, decisions) mirrored from
-  :meth:`~repro.runtime.context.ProcessContext.emit`;
 * ``restart`` records — rejoin markers bounding each down window, so a
   later replay knows which ticks the process never executed live.
+
+That is all replay reads, and all a host writes.  Protocol events live
+in the run's :class:`~repro.runtime.trace.Trace` only: re-driving the
+logged inboxes regenerates every one of them.  Older WALs mirrored each
+event in an ``event`` record; :meth:`ProcessHistory.absorb` skips that
+kind like any other it does not read, so they still load and replay.
 
 Frame format
 ------------
@@ -197,12 +201,11 @@ class ProcessHistory:
     """Tick -> envelopes delivered that tick.  Missing tick = empty inbox."""
     sends: dict[int, int] = field(default_factory=dict)
     """Tick -> sent-message highwater mark (sends made during that tick)."""
-    events: list[tuple] = field(default_factory=list)
-    """``(tick, scope, name, data)`` protocol-state transitions."""
     down_windows: list[tuple[int, int]] = field(default_factory=list)
     """``[crash_tick, restart_tick)`` intervals the process never ran."""
     through_tick: int = -1
-    """Highest tick any record covers; replay targets ``through_tick + 1``."""
+    """Highest tick an ``inbox`` or ``sends`` record covers; replay
+    targets ``through_tick + 1``."""
     damage: WalDamage | None = None
 
     def total_sends(self) -> int:
@@ -225,15 +228,12 @@ class ProcessHistory:
                 _, tick, count = record
                 self.sends[tick] = self.sends.get(tick, 0) + count
                 self.through_tick = max(self.through_tick, tick)
-            elif kind == "event":
-                _, tick, scope, name, data = record
-                self.events.append((tick, scope, name, data))
-                self.through_tick = max(self.through_tick, tick)
             elif kind == "restart":
                 _, restart_tick, down_since = record
                 self.down_windows.append((down_since, restart_tick))
-            # Unknown kinds are skipped, not fatal: a newer writer may
-            # add record types an older reader can ignore.
+            # Other kinds are skipped, not fatal: a newer writer may
+            # add record types an older reader can ignore, and an older
+            # writer's ``event`` mirror is not read.
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +280,9 @@ class ProcessWal:
             self._append(("sends", tick, count))
 
     def log_event(self, tick: int, scope: str, name: str, data: tuple) -> None:
+        """Append an ``event`` frame, which no reader folds in (module
+        docstring); see
+        :meth:`~repro.recovery.manager.RecoveryManager.on_event`."""
         self._append(("event", tick, scope, name, data))
 
     def log_restart(self, restart_tick: int, down_since: int) -> None:

@@ -135,21 +135,14 @@ class ProcessContext:
         Replay suppresses emission (the live run already traced the
         event; re-emitting would double ``decided`` markers and break
         the decide-once checker) but counts it for the replay report.
-        Live emits are mirrored into the process's WAL when the run has
-        a recovery manager — these are the logged protocol-state
-        transitions (phase entries, acquired values, certificates)."""
+        The WAL never holds events: re-driving the logged inboxes
+        regenerates every one of them."""
         if self._replay is not None:
             self._replay.note_event()
             return
         self._simulation.trace.emit(
             tick=self.now, pid=self._pid, scope=self.scope_path, name=name, **data
         )
-        recovery = self._simulation.recovery
-        if recovery is not None:
-            recovery.on_event(
-                self._pid, self.now, self.scope_path, name,
-                tuple(sorted(data.items())),
-            )
 
     # ------------------------------------------------------------------
     # Crash recovery (driven by the scheduler's restart path)

@@ -7,9 +7,12 @@ network of :mod:`repro.asyncnet` (asyncio queues and localhost TCP).
 ``seed``, ``suite``, ``trace``, ``recovery``, ``process_now(pid)`` and
 ``enqueue_send(pid, recipients, payload, scope)`` — one call per
 multicast, billed once by :func:`bill_multicast` — from it; the helpers
-here additionally read ``ledger`` and ``observer``.  Keeping the option cross-checks, the
-waiting rule and the crash/rejoin choreography in one place is what
-stops a fix from landing in one runtime and not the others.
+here additionally read ``ledger``.  A host that takes an observer hands
+it to its ``Trace`` and nowhere else on these paths: the ledger, the
+trace and the recovery manager hold every fact the helpers record.
+Keeping the option cross-checks, the waiting rule and the crash/rejoin
+choreography in one place is what stops a fix from landing in one
+runtime and not the others.
 
 Waiting: a protocol generator yields the ``ctx.now`` by which it wants
 to run again (a bare ``yield``: the next tick) and is resumed earlier
@@ -94,9 +97,9 @@ def bill_multicast(
     sender_correct: bool,
 ) -> None:
     """Validate every recipient of one multicast, then bill it once: one
-    ledger bill, one observer update and one WAL highwater frame.  The
-    frame counts billed copies only — self-delivery is free, and counting
-    it would desync replay from the word ledger."""
+    ledger bill and one WAL highwater frame.  The frame counts billed
+    copies only — self-delivery is free, and counting it would desync
+    replay from the word ledger."""
     processes = host.config.processes
     # A pid is an int (not a bool, not a float equal to one) of the
     # contiguous range ``processes``: the extremes bound every int.
@@ -117,11 +120,7 @@ def bill_multicast(
         scope=scope,
         sender_correct=sender_correct,
     )
-    if bill is None:
-        return
-    if host.observer is not None:
-        host.observer.on_send(bill)
-    if sender_correct and host.recovery is not None:
+    if bill is not None and sender_correct and host.recovery is not None:
         host.recovery.on_send(sender, tick, bill.copies)
 
 
@@ -130,13 +129,10 @@ def note_crash(
 ) -> None:
     """``pid`` goes down at ``tick``: its state machine is unwound now
     (not whenever the GC finds it), its unflushed WAL tail dies with
-    it, and the trace/observer record the crash."""
+    it, and the trace records the crash."""
     generator.close()
     host.recovery.on_crash(pid, tick)
     host.trace.emit(tick=tick, pid=pid, scope="faults", name="crashed")
-    if host.observer is not None:
-        host.observer.event("crashed", pid=pid, tick=tick)
-        host.observer.on_recovery("crash")
 
 
 def rejoin_from_wal(
@@ -170,22 +166,4 @@ def rejoin_from_wal(
         replayed_ticks=report.ticks_replayed,
         replayed_sends=report.sends_replayed,
     )
-    obs = host.observer
-    if obs is not None:
-        obs.event(
-            "recovered", pid=pid, tick=tick,
-            replayed_ticks=report.ticks_replayed,
-        )
-        obs.on_recovery("restart")
-        obs.on_recovery("replayed_ticks", report.ticks_replayed)
     return generator, ctx, report
-
-
-def close_recovery(host: Any) -> None:
-    """End of run: close every WAL and publish the durable size."""
-    if host.recovery is not None:
-        host.recovery.close()
-        if host.observer is not None:
-            host.observer.gauge(
-                "recovery.wal_bytes", host.recovery.wal_bytes()
-            )

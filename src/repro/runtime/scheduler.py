@@ -58,7 +58,6 @@ from repro.runtime.envelope import Envelope
 from repro.runtime.host import (
     bill_multicast,
     check_seed,
-    close_recovery,
     due,
     note_crash,
     rejoin_from_wal,
@@ -199,15 +198,17 @@ class Simulation:
         such runs and claims termination only for complete ones.
 
         ``observer``: an :class:`~repro.obs.observer.Observer` fed with
-        per-tick, per-send, and per-fault telemetry.  Observers record;
-        they never steer — the run's outcome, trace, and model-checking
-        fingerprints are identical with or without one.  ``None`` is
-        the uninstrumented fast path.
+        the visited ticks, every trace event (the trace is built as
+        ``Trace(observer=observer)``), fault verdicts and the paced clock's
+        ``sync.*`` telemetry.  Observers record; they never steer — the
+        run's outcome, trace, and model-checking fingerprints are
+        identical with or without one.  ``None`` is the uninstrumented
+        fast path.
 
         ``recovery``: a :class:`~repro.recovery.manager.RecoveryManager`
         giving every correct process a write-ahead log (per-tick
         inboxes written before consumption, send highwater marks,
-        mirrored trace events).  Required when ``fault_plan`` schedules
+        restart markers).  Required when ``fault_plan`` schedules
         crash/restart faults: a crashed process's generator is
         discarded, deliveries inside its down window are lost, and at
         the restart tick the process is rebuilt by replaying its WAL
@@ -228,7 +229,7 @@ class Simulation:
         self.suite = CryptoSuite(config, seed=seed)
         self.max_ticks = max_ticks
         self.ledger = WordLedger()
-        self.trace = Trace()
+        self.trace = Trace(observer=observer)
         self.record_envelopes = record_envelopes
         self.envelopes: list[Envelope] = []
         """Every sent envelope, when ``record_envelopes`` is on — the raw
@@ -266,7 +267,6 @@ class Simulation:
                 "recovery is not supported under a ChoiceSource: model-"
                 "checked runs must stay free of filesystem effects"
             )
-        self.observer = observer
         self.tick_hook: TickHook | None = None
         self.tick = 0
         self._factories: dict[ProcessId, ProtocolFactory] = {}
@@ -307,6 +307,15 @@ class Simulation:
         self.corrupted_now: set[ProcessId] = set()
         self._decisions: dict[ProcessId, Any] = {}
         self._halted_at: dict[ProcessId, int] = {}
+
+    @property
+    def observer(self) -> Observer | None:
+        """The run's observer: the one its trace forwards events to."""
+        return self.trace.observer
+
+    @observer.setter
+    def observer(self, observer: Observer | None) -> None:
+        self.trace.observer = observer
 
     # ------------------------------------------------------------------
     # Population
@@ -634,12 +643,14 @@ class Simulation:
 
         if self.recovery is not None:
             self.recovery.describe(
-                n=self.config.n, t=self.config.t, seed=self.seed
+                n=self.config.n, t=self.config.t, seed=self.seed,
+                max_ticks=self.max_ticks,
             )
 
+        observer = self.observer
         while generators or down:
-            if self.observer is not None:
-                self.observer.on_tick(self.tick)
+            if observer is not None:
+                observer.on_tick(self.tick)
             if self.tick > self.max_ticks:
                 if self.stop_on_horizon:
                     truncated = True
@@ -667,8 +678,6 @@ class Simulation:
                         scope="adversary",
                         name="corrupted",
                     )
-                    if self.observer is not None:
-                        self.observer.event("corrupted", pid=pid, tick=self.tick)
 
             # Restarts fire before crashes so a window closing exactly
             # where the next one opens rejoins (then re-crashes) cleanly.
@@ -684,10 +693,6 @@ class Simulation:
                     if report.decided:
                         decisions[crash.pid] = report.decision
                         halted_at[crash.pid] = self.tick
-                        if self.observer is not None:
-                            self.observer.event(
-                                "decided", pid=crash.pid, tick=self.tick
-                            )
                     else:
                         generators[crash.pid] = gen
                         contexts[crash.pid] = ctx
@@ -775,8 +780,6 @@ class Simulation:
                     del generators[pid]
                     del contexts[pid]
                     self._pacers.pop(pid, None)
-                    if self.observer is not None:
-                        self.observer.event("decided", pid=pid, tick=self.tick)
                 else:
                     deadline = wake_tick(yielded, now)
                     # A deadline already past still means the next tick.
@@ -801,11 +804,8 @@ class Simulation:
             live = generators or down
             self.tick = self._next_tick() if live else self.tick + 1
 
-        close_recovery(self)
-        if self.observer is not None:
-            self.observer.gauge("sim.final_tick", self.tick)
-            if truncated:
-                self.observer.event("truncated", tick=self.tick)
+        if self.recovery is not None:
+            self.recovery.close()
         return RunResult(
             config=self.config,
             decisions=decisions,

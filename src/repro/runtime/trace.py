@@ -1,18 +1,25 @@
 """Structured event trace of a simulation run.
 
 Protocols emit events (``phase_non_silent``, ``fallback_started``,
-``decided`` ...) through :meth:`ProcessContext.emit`; benchmarks and
-tests read them back to verify the paper's structural claims (silent
-phase counts, Lemma 6 / Lemma 8 fallback activation, Figure 1's
-composition).
+``decided`` ...) through :meth:`ProcessContext.emit`, and hosts emit
+theirs (``crashed``, ``recovered``, ``corrupted``, ``reconnected``);
+benchmarks and tests read them back to verify the paper's structural
+claims (silent phase counts, Lemma 6 / Lemma 8 fallback activation,
+Figure 1's composition).  A trace built with an
+:class:`~repro.obs.observer.Observer` forwards every event to it as it
+is emitted, so the observer's event log carries the trace without any
+host writing a fact twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import KW_ONLY, dataclass, field
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.config import ProcessId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.observer import Observer
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,9 @@ class Trace:
     """Append-only event log with simple query helpers."""
 
     events: list[TraceEvent] = field(default_factory=list)
+    _: KW_ONLY
+    observer: "Observer | None" = field(default=None, repr=False, compare=False)
+    """Receives each event as it is emitted (telemetry only)."""
     _fp: int = field(default=0, repr=False, compare=False)
     _fp_index: int = field(default=0, repr=False, compare=False)
 
@@ -60,15 +70,16 @@ class Trace:
     def emit(
         self, *, tick: int, pid: ProcessId, scope: str, name: str, **data: Any
     ) -> None:
-        self.events.append(
-            TraceEvent(
-                tick=tick,
-                pid=pid,
-                scope=scope,
-                name=name,
-                data=tuple(sorted(data.items())),
-            )
+        event = TraceEvent(
+            tick=tick,
+            pid=pid,
+            scope=scope,
+            name=name,
+            data=tuple(sorted(data.items())),
         )
+        self.events.append(event)
+        if self.observer is not None:
+            self.observer.on_trace(event)
 
     def canonical(self) -> tuple[TraceEvent, ...]:
         """The events in a runtime-independent order.

@@ -12,9 +12,7 @@ import repro.protocols as protocols
 from repro.adversary import SilentBehavior
 from repro.apps import (
     ClientWorkload,
-    batched_smr_replica_protocol,
     pipelined_smr_replica_protocol,
-    run_batched_smr,
     run_pipelined_smr,
     run_smr,
     smr_replica_protocol,
@@ -235,9 +233,16 @@ FOLDED_DRIVERS = {
     ),
     "batched_smr": (
         _N5,
-        lambda seed: run_batched_smr(_N5, _CLIENTS, 3, batch_size=2, seed=seed),
-        lambda p: lambda ctx: batched_smr_replica_protocol(
-            ctx, _QUEUES[p], 3, batch_size=2
+        lambda seed: run_protocol(
+            "batched_smr", _N5,
+            {
+                p: {"num_slots": 3, "batch_size": 2, "queue": tuple(_QUEUES[p])}
+                for p in _N5.processes
+            },
+            seed=seed,
+        ),
+        lambda p: lambda ctx: pipelined_smr_replica_protocol(
+            ctx, _QUEUES[p], 3, window=1, batch_size=2
         ),
     ),
     "pipelined_smr": (

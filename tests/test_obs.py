@@ -94,20 +94,6 @@ class TestObserver:
 
 
 class TestRunInstrumentation:
-    def test_observer_counters_match_the_word_ledger(self):
-        obs = Observer()
-        result = run_instrumented(observer=obs)
-        counters = obs.registry.snapshot()["counters"]
-        assert counters["words.correct"] == result.correct_words
-        assert counters["messages.total"] == len(result.ledger.records)
-        assert counters["words.total"] == sum(
-            r.words for r in result.ledger.records
-        )
-        assert counters["signatures.total"] == result.ledger.signature_count()
-        assert counters["sim.ticks"] == result.ticks
-        # Phase-stamped traffic lands in per-phase series.
-        assert any(name.startswith("words.phase.") for name in counters)
-
     def test_telemetry_is_deterministic_across_identical_runs(self):
         first, second = Observer(), Observer()
         run_instrumented(observer=first)
@@ -172,11 +158,9 @@ class TestModelCheckerUnchanged:
         )
         assert plain.complete == instrumented.complete
         assert len(plain.counterexamples) == len(instrumented.counterexamples)
-        # Not vacuous: the observers really recorded the explored runs.
-        assert observers and any(
-            o.registry.snapshot()["counters"].get("words.total", 0) > 0
-            for o in observers
-        )
+        # Not vacuous: the observers really logged the explored runs'
+        # trace events.
+        assert observers and any(len(o.events) > 0 for o in observers)
 
 
 class TestExportRoundTrip:

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.adversary.behaviors import SilentBehavior
-from repro.apps.clients import ClientWorkload, run_batched_smr
+from repro.apps.clients import ClientWorkload
 from repro.apps.pipelined import run_pipelined_smr
 from repro.config import RunParameters
 from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
@@ -125,8 +125,8 @@ class TestJoinCombinator:
 class TestPipelinedSmr:
     def test_same_state_as_sequential(self, config5):
         workloads = [workload(i, (i % 5, (i + 1) % 5)) for i in range(8)]
-        sequential = run_batched_smr(
-            config5, workloads, num_slots=10, batch_size=2
+        sequential = run_pipelined_smr(
+            config5, workloads, num_slots=10, window=1, batch_size=2
         )
         pipelined = run_pipelined_smr(
             config5, workloads, num_slots=10, window=5, batch_size=2
@@ -138,8 +138,8 @@ class TestPipelinedSmr:
 
     def test_latency_speedup_close_to_window(self, config5):
         workloads = [workload(i, (i % 5,)) for i in range(8)]
-        sequential = run_batched_smr(
-            config5, workloads, num_slots=10, batch_size=2
+        sequential = run_pipelined_smr(
+            config5, workloads, num_slots=10, window=1, batch_size=2
         )
         pipelined = run_pipelined_smr(
             config5, workloads, num_slots=10, window=5, batch_size=2

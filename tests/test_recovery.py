@@ -12,6 +12,7 @@ highwater marks disagree with the replayed machine is rejected loudly.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -28,7 +29,9 @@ from repro.recovery import (
     RecoveryManager,
     load_history,
     replay_wal,
+    scan_wal,
 )
+from repro.recovery.wal import _encode
 from repro.verify.checker import verify_under_plan
 
 CONFIG = SystemConfig(n=4, t=1)
@@ -41,7 +44,7 @@ def validity_factory(suite, config):
     return ExternalValidity(lambda v: isinstance(v, str))
 
 
-def run_with_crash(wal_dir, *, observer=None, seed=SEED):
+def run_with_crash(wal_dir, *, observer=None, seed=SEED, plan=PLAN):
     recovery = RecoveryManager(wal_dir)
     inputs = {pid: "v" for pid in CONFIG.processes}
     result = run_weak_ba(
@@ -50,10 +53,119 @@ def run_with_crash(wal_dir, *, observer=None, seed=SEED):
         validity_factory,
         seed=seed,
         params=RunParameters(
-            seed=seed, fault_plan=PLAN, observer=observer, recovery=recovery
+            seed=seed, fault_plan=plan, observer=observer, recovery=recovery
         ),
     )
     return result, recovery
+
+
+class TestOneRecordPerFact:
+    """Each fact of a run is written once, by the component that owns
+    it: the WAL holds what replay reads, the trace holds events, and the
+    observer logs the trace and keeps only what no other record has."""
+
+    # Duplicates and sub-delta delays give the observer verdicts to count.
+    NOISY = FaultPlan(
+        seed=3, crashes=(CRASH,), duplicate_rate=0.2, delay_rate=0.2
+    )
+
+    def test_crash_run_wals_hold_no_event_record(self, tmp_path):
+        run_with_crash(tmp_path)
+        for pid in CONFIG.processes:
+            scan = scan_wal(tmp_path / f"p{pid}.wal")
+            assert scan.damage is None
+            kinds = {record[0] for record in scan.records}
+            assert kinds <= {"meta", "inbox", "sends", "restart"}, pid
+            assert ("restart" in kinds) == (pid == CRASH.pid)
+
+    def test_offline_replay_regenerates_every_live_event(self, tmp_path):
+        """The WAL needs no event mirror: replaying a process that never
+        crashed re-emits exactly the events its live run traced."""
+        result, _ = run_with_crash(tmp_path)
+        for pid in CONFIG.processes:
+            if pid == CRASH.pid:
+                continue
+            report = replay_wal(tmp_path / f"p{pid}")
+            assert report.decision == result.decisions[pid]
+            live = sum(1 for _ in result.trace.by_pid(pid))
+            assert live > 0
+            assert report.events_replayed == live, pid
+
+    def test_offline_replay_runs_a_long_silent_tail_to_the_decision(
+        self, tmp_path
+    ):
+        """Every process decides in phase 1, then sits through 199 more
+        phases whose silent ticks the WAL never records; offline replay
+        still drives each one to its live decision."""
+        config = SystemConfig(n=5, t=1)
+        result = run_weak_ba(
+            config,
+            {pid: "v" for pid in config.processes},
+            validity_factory,
+            params=RunParameters(
+                num_phases=200, recovery=RecoveryManager(tmp_path)
+            ),
+        )
+        for pid in config.processes:
+            stem = tmp_path / f"p{pid}"
+            assert result.halted_at[pid] > load_history(stem).through_tick + 1024
+            report = replay_wal(stem)
+            assert report.decided, pid
+            assert report.decision == result.decisions[pid] == "v"
+            assert report.ticks_replayed == result.halted_at[pid] + 1
+
+    def test_wal_with_parent_event_frames_still_replays(self, tmp_path):
+        """A WAL written when every emit was mirrored into an ``event``
+        frame loads to the same history and replays to the same
+        decision."""
+        result, _ = run_with_crash(tmp_path)
+        stem = tmp_path / f"p{CRASH.pid}"
+        records = scan_wal(stem.with_suffix(".wal")).records
+        events = [
+            ("event", e.tick, e.scope, e.name, e.data)
+            for e in result.trace.by_pid(CRASH.pid)
+            if e.scope != "faults"
+        ]
+        assert events
+        meta, rest = records[0], records[1:]
+        merged = sorted(rest + events, key=lambda record: record[1])
+        old = tmp_path / "parent" / f"p{CRASH.pid}"
+        old.parent.mkdir()
+        old.with_suffix(".wal").write_bytes(
+            b"".join(_encode(record) for record in [meta, *merged])
+        )
+        kinds = [record[0] for record in scan_wal(old.with_suffix(".wal")).records]
+        assert kinds.count("event") == len(events)
+        assert load_history(old) == load_history(stem)
+        report = replay_wal(old)
+        assert report.decided
+        assert report.decision == result.decisions[CRASH.pid]
+
+    def test_observer_logs_each_trace_event_once(self, tmp_path):
+        observer = Observer()
+        result, _ = run_with_crash(tmp_path, observer=observer, plan=self.NOISY)
+        assert result.recovered == frozenset({CRASH.pid})
+        logged = [
+            (e["tick"], e["pid"], e["scope"], e["name"], e["data"])
+            for e in observer.events.events
+        ]
+        traced = [
+            (e.tick, e.pid, e.scope, e.name, json.loads(json.dumps(dict(e.data))))
+            for e in result.trace.events
+        ]
+        assert logged == traced
+        assert {"crashed", "recovered"} <= {name for *_, name, _ in logged}
+        # Stamped by the observer's clock as emitted: lockstep ticks.
+        assert all(e["at"] == e["tick"] for e in observer.events.events)
+
+    def test_observer_restates_no_ledger_trace_or_recovery_fact(self, tmp_path):
+        observer = Observer()
+        run_with_crash(tmp_path, observer=observer, plan=self.NOISY)
+        metrics = observer.snapshot()["metrics"]
+        names = [*metrics["counters"], *metrics["gauges"]]
+        assert any(name.startswith("faults.") for name in names)
+        restated = ("words.", "messages.", "signatures.", "recovery.", "sim.")
+        assert [name for name in names if name.startswith(restated)] == []
 
 
 class TestTickWorldAcceptance:
@@ -100,16 +212,11 @@ class TestTickWorldAcceptance:
             )
             assert history.total_sends() == billed
 
-    def test_observer_counts_recovery_events(self, tmp_path):
-        observer = Observer()
-        result, _ = run_with_crash(tmp_path, observer=observer)
-        registry = observer.registry
-        assert registry.counter("recovery.crash").value == 1
-        assert registry.counter("recovery.restart").value == 1
-        assert (
-            registry.counter("recovery.replayed_ticks").value
-            == CRASH.restart_tick
-        )
+    def test_recovery_stats_count_recovery_events(self, tmp_path):
+        result, recovery = run_with_crash(tmp_path)
+        stats = recovery.stats
+        assert (stats.crashes, stats.restarts) == (1, 1)
+        assert stats.replayed_ticks == CRASH.restart_tick
         assert result.recovered == frozenset({2})
 
     def test_same_decision_as_uncrashed_run(self, tmp_path):

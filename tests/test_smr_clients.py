@@ -1,12 +1,9 @@
-"""Tests for the batched, client-fed SMR layer (exactly-once commits)."""
+"""Tests for the batched, client-fed SMR layer (exactly-once commits):
+the pipelined replica at ``window=1``, the ``batched_smr`` row."""
 
 from repro.adversary.behaviors import SilentBehavior
-from repro.apps.clients import (
-    ClientWorkload,
-    Command,
-    assign_queues,
-    run_batched_smr,
-)
+from repro.apps.clients import ClientWorkload, Command, assign_queues
+from repro.apps.pipelined import run_pipelined_smr
 from repro.config import SystemConfig
 
 
@@ -38,7 +35,7 @@ class TestExactlyOnce:
             w("alice", [("set", "a", 1)], replicas=(0, 1, 2)),
             w("bob", [("set", "b", 2)], replicas=(1, 2, 3)),
         ]
-        result = run_batched_smr(config5, workloads, num_slots=5)
+        result = run_pipelined_smr(config5, workloads, num_slots=5, window=1)
         outcome = result.unanimous_decision()
         keys = [c.key for c in outcome.log]
         assert sorted(keys) == [("alice", 0), ("bob", 0)]
@@ -48,8 +45,8 @@ class TestExactlyOnce:
         workloads = [
             w("alice", [("set", f"k{i}", i) for i in range(4)], replicas=(0,)),
         ]
-        result = run_batched_smr(
-            config5, workloads, num_slots=5, batch_size=4
+        result = run_pipelined_smr(
+            config5, workloads, num_slots=5, window=1, batch_size=4
         )
         outcome = result.unanimous_decision()
         assert len(outcome.log) == 4  # all four commands
@@ -65,8 +62,8 @@ class TestExactlyOnce:
             w("alice", [("set", f"k{i}", i) for i in range(6)],
               replicas=(0, 1, 2, 3, 4)),
         ]
-        result = run_batched_smr(
-            config5, workloads, num_slots=5, batch_size=2
+        result = run_pipelined_smr(
+            config5, workloads, num_slots=5, window=1, batch_size=2
         )
         outcome = result.unanimous_decision()
         assert len(outcome.log) == 6  # 3 slots x 2 commands
@@ -82,8 +79,8 @@ class TestFaultTolerance:
             w("alice", [("set", "a", 1)], replicas=(2, 3, 4)),
         ]
         byzantine = {2: SilentBehavior()}
-        result = run_batched_smr(
-            config5, workloads, num_slots=5, byzantine=byzantine
+        result = run_pipelined_smr(
+            config5, workloads, num_slots=5, window=1, byzantine=byzantine
         )
         outcome = result.unanimous_decision()
         assert dict(outcome.state) == {"a": 1}
@@ -93,8 +90,8 @@ class TestFaultTolerance:
         command never commits — motivation for submitting to several."""
         workloads = [w("alice", [("set", "a", 1)], replicas=(2,))]
         byzantine = {2: SilentBehavior()}
-        result = run_batched_smr(
-            config5, workloads, num_slots=5, byzantine=byzantine
+        result = run_pipelined_smr(
+            config5, workloads, num_slots=5, window=1, byzantine=byzantine
         )
         outcome = result.unanimous_decision()
         assert outcome.log == ()
@@ -106,8 +103,8 @@ class TestFaultTolerance:
             w("bob", [("set", "b", 2)], replicas=(3, 4)),
         ]
         byzantine = {1: SilentBehavior(), 4: SilentBehavior()}
-        result = run_batched_smr(
-            config, workloads, num_slots=5, byzantine=byzantine
+        result = run_pipelined_smr(
+            config, workloads, num_slots=5, window=1, byzantine=byzantine
         )
         outcome = result.unanimous_decision()
         states = {result.decisions[p].state for p in result.correct_pids}

@@ -456,8 +456,10 @@ class TestWaitingContract:
         _, result = _pair(_sender(40), _sender(3), observer=observer)
         assert observer.visited == sorted(set(observer.visited))
         assert len(observer.visited) < 10 < result.ticks
-        counters = observer.snapshot()["metrics"]["counters"]
-        assert counters["sim.ticks"] == result.ticks == 41
+        # The clock stands at the last visited tick; RunResult.ticks is
+        # the one record of the ticks elapsed.
+        assert observer.time() == observer.visited[-1]
+        assert result.ticks == 41
 
     def test_non_passive_behaviour_is_stepped_every_tick(self):
         from dataclasses import dataclass, field

@@ -53,7 +53,6 @@ def populated(wals, tmp_path, *, fsync="batch") -> ProcessWal:
     wal.log_meta({"n": 4, "t": 1, "seed": 0, "pid": 0, "protocol": "weak_ba"})
     wal.log_inbox(0, ["e0", "e1"])
     wal.log_sends(0, 3)
-    wal.log_event(0, "weak_ba", "acquired", (("value", "v"),))
     wal.log_inbox(1, ["e2"])
     wal.log_sends(1, 1)
     wal.flush()
@@ -67,7 +66,6 @@ class TestFraming:
         assert history.meta["protocol"] == "weak_ba"
         assert history.inboxes == {0: ["e0", "e1"], 1: ["e2"]}
         assert history.sends == {0: 3, 1: 1}
-        assert history.events == [(0, "weak_ba", "acquired", (("value", "v"),))]
         assert history.through_tick == 1
         assert history.total_sends() == 4
         assert history.damage is None
@@ -195,7 +193,7 @@ class TestDamagePolicy:
         wal.wal_path.write_bytes(data + b"\x00\x01")  # partial next header
         scan = scan_wal(wal.wal_path)
         assert scan.damage is not None and scan.damage.kind == "torn-tail"
-        assert len(scan.records) == 6
+        assert len(scan.records) == 5
 
     def test_strict_mode_rejects_torn_tail(self, wals, tmp_path):
         wal = populated(wals, tmp_path)
