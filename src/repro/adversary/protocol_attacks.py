@@ -290,9 +290,9 @@ class GcEquivocator:
     def step(self, api: ByzantineApi) -> None:
         if api.now != self.start_tick:
             return
-        quorum = len(self.members) // 2 + 1
-        member_set = frozenset(self.members)
-        for index, member in enumerate(self.members):
+        members, member_set = api.suite.committee(self.members)
+        quorum = len(members) // 2 + 1
+        for index, member in enumerate(members):
             value = self.value_a if index % 2 == 0 else self.value_b
             partial = api.suite.partial_for_certificate(
                 api.pid, f"gcv:{self.session}", quorum, value, member_set

@@ -99,19 +99,20 @@ def activity_timeline(result: RunResult, width: int = 50) -> str:
 
 
 def sequence_diagram(
-    envelopes: Iterable[Envelope],
+    envelopes: Iterable[tuple[ProcessId, Envelope]],
     *,
     max_messages: int = 200,
 ) -> str:
-    """A textual sequence diagram of recorded envelopes (small runs)."""
+    """A textual sequence diagram of recorded ``(receiver, envelope)``
+    pairs (small runs)."""
     lines = []
-    for index, envelope in enumerate(envelopes):
+    for index, (receiver, envelope) in enumerate(envelopes):
         if index >= max_messages:
             lines.append(f"... (+ more, truncated at {max_messages})")
             break
         lines.append(
             f"t={envelope.sent_at:<4} p{envelope.sender} -> "
-            f"p{envelope.receiver}: {type(envelope.payload).__name__}"
+            f"p{receiver}: {type(envelope.payload).__name__}"
         )
     return "\n".join(lines)
 

@@ -185,40 +185,36 @@ class AsyncNetwork:
         scope: str,
     ) -> None:
         """The one send path of the wall-clock runtimes: bill the
-        multicast once, then put one envelope per recipient on the
-        sender's transport, in recipient order."""
+        multicast once, then put one copy per recipient on the sender's
+        transport, in recipient order.  The copies share one envelope;
+        each travels with its receiver ``to``."""
         bill_multicast(
             self, sender, recipients, payload,
             tick=tick, scope=scope, sender_correct=sender not in self.corrupted,
         )
         node = self.nodes.get(sender)
+        envelope = Envelope(sender, payload, tick, tick + 1)
         for to in recipients:
-            envelope = Envelope(
-                sender=sender,
-                receiver=to,
-                payload=payload,
-                sent_at=tick,
-                delivered_at=tick + 1,
-            )
             if node is None:
-                self.wire(envelope, self.land)
+                self.wire(to, envelope, self.land)
             else:
-                node.transmit(envelope)
+                node.transmit(to, envelope)
 
     def wire(
-        self, envelope: Envelope, deliver: Callable[[Envelope], None]
+        self,
+        to: ProcessId,
+        envelope: Envelope,
+        deliver: Callable[[ProcessId, Envelope], None],
     ) -> None:
-        """Apply the fault plan to one billed send and hand each
-        surviving copy to ``deliver`` after its sub-round delay.  The
-        ledger billed the send; faults act on the wire.  Each copy is
-        owed to the boundary of its due round until it :meth:`land`\\ s
-        or is written off (:meth:`write_off`)."""
+        """Apply the fault plan to one billed send to ``to`` and hand
+        each surviving copy to ``deliver(to, envelope)`` after its
+        sub-round delay.  The ledger billed the send; faults act on the
+        wire.  Each copy is owed to the boundary of its due round until
+        it :meth:`land`\\ s or is written off (:meth:`write_off`)."""
         if self.injector is None:
             copies = [0.0]
         else:
-            copies = self.injector.copies(
-                envelope.sender, envelope.receiver, envelope.sent_at
-            )
+            copies = self.injector.copies(envelope.sender, to, envelope.sent_at)
             if self.observer is not None:
                 self.observer.on_copies(copies)
         due = envelope.delivered_at
@@ -227,12 +223,16 @@ class AsyncNetwork:
         for delay_fraction in copies:
             delay = self.latency + delay_fraction * self.tick_duration
             if delay <= 0:
-                deliver(envelope)
+                deliver(to, envelope)
             else:
-                self._deliver_later(delay, deliver, envelope)
+                self._deliver_later(delay, deliver, to, envelope)
 
     def _deliver_later(
-        self, delay: float, deliver: Callable[[Envelope], None], envelope: Envelope
+        self,
+        delay: float,
+        deliver: Callable[[ProcessId, Envelope], None],
+        to: ProcessId,
+        envelope: Envelope,
     ) -> None:
         """Deliver on a tracked timer: cancelled on teardown, so a
         delayed copy never fires into a closed transport, and forgotten
@@ -241,15 +241,16 @@ class AsyncNetwork:
 
         def fire() -> None:
             self._timers.discard(handle)
-            deliver(envelope)
+            deliver(to, envelope)
 
         handle = asyncio.get_running_loop().call_later(delay, fire)
         self._timers.add(handle)
 
-    def land(self, envelope: Envelope) -> None:
-        """One copy reaches its receiver's queue: the one landing point
-        of the in-memory path and the TCP receive and loopback paths."""
-        self.queue_for(envelope.receiver).put_nowait(envelope)
+    def land(self, to: ProcessId, envelope: Envelope) -> None:
+        """One copy reaches receiver ``to``'s queue: the one landing
+        point of the in-memory path and the TCP receive and loopback
+        paths."""
+        self.queue_for(to).put_nowait(envelope)
         self._settle(envelope)
 
     def write_off(self, envelope: Envelope) -> None:

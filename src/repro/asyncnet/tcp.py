@@ -43,7 +43,7 @@ Transport robustness
 * **Session resumption** — every outgoing link carries a session:
   the sender opens with ``("hello", pid, epoch)``, the receiver answers
   ``("ack", floor | None)``, and data flows as
-  ``("msg", epoch, seq, envelope)`` frames.  The hello costs the sender
+  ``("msg", epoch, seq, envelope, to)`` frames.  The hello costs the sender
   *zero round trips*: data frames follow it immediately (the stream
   orders them behind it), the ack is consumed asynchronously, and only
   then is the unacked tail retransmitted.  The receiver deduplicates
@@ -132,7 +132,8 @@ class _Peer:
     reconnect with capped exponential backoff, and sequence-numbered
     frames with retransmit-on-resume.
 
-    Every data frame is ``("msg", epoch, seq, envelope)``; ``seq`` is
+    Every data frame is ``("msg", epoch, seq, envelope, to)``, ``to``
+    being the peer the frame is for; ``seq`` is
     assigned here, *below* the word ledger and the fault injector — so a
     retransmission is invisible to word accounting (billed once, at the
     protocol send) while an injector-ordered duplicate gets a fresh seq
@@ -153,6 +154,7 @@ class _Peer:
         self.host = host
         self.port = port
         self.sender_pid = sender_pid
+        self.peer_pid = peer_pid
         self._jitter_rng = derive_rng(
             seed, _BACKOFF_TAG ^ (sender_pid << 16) ^ (peer_pid & 0xFFFF)
         )
@@ -215,7 +217,7 @@ class _Peer:
         seq = self.seq
         self.seq += 1
         self.queue.put_nowait(
-            (seq, _encode_frame(("msg", self.epoch, seq, obj)), obj)
+            (seq, _encode_frame(("msg", self.epoch, seq, obj, self.peer_pid)), obj)
         )
 
     def _lose_queued(self) -> None:
@@ -483,11 +485,8 @@ class TcpProcessNode:
                         writer.write(_encode_frame(("ack", None)))
                     since_ack = 0
                 elif frame[0] == "msg":
-                    _, epoch, seq, envelope = frame
-                    if not (
-                        isinstance(envelope, Envelope)
-                        and envelope.receiver == self.pid
-                    ):
+                    _, epoch, seq, envelope, to = frame
+                    if not (isinstance(envelope, Envelope) and to == self.pid):
                         continue
                     if session is None or session[0] != epoch:
                         # A frame from a dead incarnation never lands.
@@ -503,7 +502,7 @@ class TcpProcessNode:
                     while session[1] + 1 in session[2]:
                         session[1] += 1
                         session[2].remove(session[1])
-                    self.network.land(envelope)
+                    self.network.land(to, envelope)
                     since_ack += 1
                     if since_ack >= ACK_EVERY:
                         # No drain: acks are tiny and must not stall
@@ -569,30 +568,28 @@ class TcpProcessNode:
 
         return record
 
-    def transmit(self, envelope: Envelope) -> None:
-        """Put one billed send on the wire (the network's send path
-        calls this for senders that have a node)."""
+    def transmit(self, to: ProcessId, envelope: Envelope) -> None:
+        """Put one billed send to ``to`` on the wire (the network's send
+        path calls this for senders that have a node)."""
         injector = self.network.injector
-        peer = self.peers.get(envelope.receiver)
+        peer = self.peers.get(to)
         # Connection faults first: an injected reset fires on the next
         # send over its edge, so the frame below exercises reconnect.
         if (
             injector is not None
             and peer is not None
-            and injector.take_reset(
-                self.pid, envelope.receiver, envelope.sent_at
-            )
+            and injector.take_reset(self.pid, to, envelope.sent_at)
         ):
             peer.inject_reset()
             if self.network.observer is not None:
                 self.network.observer.on_fault("reset")
-        self.network.wire(envelope, self._dispatch)
+        self.network.wire(to, envelope, self._dispatch)
 
-    def _dispatch(self, envelope: Envelope) -> None:
-        if envelope.receiver == self.pid:
-            self.network.land(envelope)  # loopback without a socket
+    def _dispatch(self, to: ProcessId, envelope: Envelope) -> None:
+        if to == self.pid:
+            self.network.land(to, envelope)  # loopback without a socket
             return
-        peer = self.peers.get(envelope.receiver)
+        peer = self.peers.get(to)
         if peer is not None:
             peer.send(envelope)
         else:

@@ -35,9 +35,14 @@ def _bind(label: str, payload: object) -> tuple:
 _SCHEME_CACHE: dict[tuple[bytes, str], ThresholdScheme] = {}
 _SCHEME_CACHE_CAP = 128
 """Dealt-scheme memo keyed by ``(master_seed, scheme_id)``, oldest entry
-evicted first once it holds ``_SCHEME_CACHE_CAP``: one seed needs a
-handful of entries, and a long-lived process running many seeds must not
-keep every scheme it ever dealt (~46 KB each at ``n = 101``).
+evicted first once it holds ``_SCHEME_CACHE_CAP``: a long-lived process
+running many seeds must not keep every scheme it ever dealt (~46 KB each
+at ``n = 101``).  An adaptive decision needs a handful of entries, but a
+decision that runs the quadratic fallback deals one scheme per committee
+statement: a weak-BA decision with ``f = t`` deals 44, 94 and 182 at
+``n = 31``, 51 and 101, so at ``n = 101`` the memo turns over within a
+single decision.  Within one suite, :attr:`CryptoSuite._schemes` still
+holds every scheme the run dealt.
 
 Dealing is deterministic in exactly those inputs, so two suites with the
 same master seed (e.g. the thousands of single-run simulations a model-
@@ -110,7 +115,14 @@ class CryptoSuite:
         self.registry = KeyRegistry(config.n, master_seed=self._master_seed)
         self._schemes: dict[tuple, ThresholdScheme] = {}
         """``(label, k, members)`` -> dealt scheme: the hot lookup, which
-        never builds the string id (a frozenset caches its own hash)."""
+        never builds the string id (a frozenset caches its own hash).
+        Protocols take ``members`` from :meth:`committee`, so a lookup
+        meets the very frozenset it was filed under and compares it by
+        identity, not member by member."""
+        self._committees: dict[
+            tuple[ProcessId, ...], tuple[tuple[ProcessId, ...], frozenset[ProcessId]]
+        ] = {}
+        """Member tuple -> its canonical ``(tuple, frozenset)``."""
         self._by_id: dict[str, ThresholdScheme] = {}
         """Scheme id -> dealt scheme, for ids carried inside signatures."""
         # Combined-certificate verdicts keyed by canonical message bytes
@@ -120,6 +132,8 @@ class CryptoSuite:
         # _bound.  The stored strong reference keeps every id in a key
         # from being reused while its entry lives.
         self._bind_memo: dict[tuple, tuple[object, bytes, int]] = {}
+        # Signed-object identity -> (object, verdict); see _remember.
+        self._verdicts: dict[tuple, tuple[object, bool]] = {}
 
     # ------------------------------------------------------------------
     # Scheme management
@@ -169,6 +183,23 @@ class CryptoSuite:
             self._by_id[scheme_id] = existing
         self._schemes[key] = existing
         return existing
+
+    def committee(
+        self, members: Iterable[ProcessId]
+    ) -> tuple[tuple[ProcessId, ...], frozenset[ProcessId]]:
+        """The canonical ``(tuple, frozenset)`` of the committee
+        ``members``, one per committee per suite.
+
+        Committees are trusted setup (:meth:`scheme`): a deterministic
+        function of ``n`` and the fallback's recursion path.  Every
+        process that asks for the same committee gets the same two
+        objects, so each :meth:`scheme` lookup keyed by the frozenset
+        hits by identity instead of comparing every member."""
+        key = tuple(members)
+        canonical = self._committees.get(key)
+        if canonical is None:
+            canonical = self._committees[key] = (key, frozenset(key))
+        return canonical
 
     def scheme_by_id(self, scheme_id: str) -> ThresholdScheme | None:
         """Resolve a scheme id carried inside a signature.
@@ -245,6 +276,42 @@ class CryptoSuite:
         """Digest of the bound ``(label, payload)`` statement."""
         return self._bound(label, payload)[1]
 
+    def _remember(self, key: tuple, signed: object, verdict: bool) -> None:
+        """Memoize ``verdict`` for the signed object ``signed``.
+
+        ``key`` is ``(id(signed), scheme, label or digest)``.  In the
+        simulator every process shares one suite, and a multicast
+        certificate or partial is one object read by every receiver, so
+        each receiver after the first gets its verdict here.  The entry
+        holds ``signed`` itself, so no other object can take its id
+        while the entry lives.  An identity key is sound only for an
+        object that cannot change, so callers store only exact
+        :class:`PartialSignature` instances and exact
+        :class:`QuorumCertificate` instances (with a
+        :class:`ThresholdSignature`) whose payloads :func:`_immutable`
+        accepts — the assumption :meth:`_bound` and the canonical
+        encoding cache already make.  Cleared wholesale at
+        ``_CERT_CACHE_CAP`` entries."""
+        verdicts = self._verdicts
+        if len(verdicts) >= self._CERT_CACHE_CAP:
+            verdicts.clear()
+        verdicts[key] = (signed, verdict)
+
+    def _partial_verdict(
+        self, partial: PartialSignature, scheme: ThresholdScheme, digest: int
+    ) -> bool:
+        """``scheme.verify_partial_digest(partial, digest)``, memoized
+        per partial object (:meth:`_remember`).  Raises what the check
+        raises on garbled fields; such a partial is never stored."""
+        key = (id(partial), scheme, digest)
+        hit = self._verdicts.get(key)
+        if hit is not None:
+            return hit[1]
+        verdict = scheme.verify_partial_digest(partial, digest)
+        if type(partial) is PartialSignature:
+            self._remember(key, partial, verdict)
+        return verdict
+
     def _verify_bound(
         self,
         scheme: ThresholdScheme | None,
@@ -311,9 +378,23 @@ class CryptoSuite:
         (hashable, so fit for a set or a dict key) only once it returned
         ``True``.
         """
-        return isinstance(certificate, QuorumCertificate) and self._verify_bound(
-            self.scheme(label, k, members), certificate, label
-        )
+        if not isinstance(certificate, QuorumCertificate):
+            return False
+        scheme = self.scheme(label, k, members)
+        # One verdict per certificate object (_remember): every receiver
+        # of a multicast certificate still calls this, once.
+        key = (id(certificate), scheme, label)
+        hit = self._verdicts.get(key)
+        if hit is not None:
+            return hit[1]
+        verdict = self._verify_bound(scheme, certificate, label)
+        if (
+            type(certificate) is QuorumCertificate
+            and type(certificate.signature) is ThresholdSignature
+            and _immutable(certificate.payload)
+        ):
+            self._remember(key, certificate, verdict)
+        return verdict
 
     def partial_for_certificate(
         self,
@@ -406,7 +487,7 @@ class CertificateCollector:
             if (
                 isinstance(partial, PartialSignature)
                 and partial.signer not in self._partials
-                and self._scheme.verify_partial_digest(partial, self._digest)
+                and self._suite._partial_verdict(partial, self._scheme, self._digest)
             ):
                 self._partials[partial.signer] = partial
         except Exception:  # e.g. an unhashable signer

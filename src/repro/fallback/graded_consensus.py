@@ -146,7 +146,7 @@ def graded_consensus(
     Returns ``(value, grade)``.
     """
     suite = ctx.suite
-    member_set = frozenset(members)
+    members, member_set = suite.committee(members)
     quorum = len(members) // 2 + 1
     val_label = _val_label(session)
     lock_label = _lock_label(session)

@@ -140,7 +140,7 @@ def _committee_phase(
         return value
 
     counts: dict[object, set[ProcessId]] = {}
-    half_set = frozenset(half)
+    half_set = ctx.suite.committee(half)[1]
     for envelope in pool.take_payloads(
         CommitteeReport,
         lambda e: e.sender in half_set,

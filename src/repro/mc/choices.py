@@ -203,10 +203,13 @@ class ChoiceSource:
         return memo[1]
 
     def envelope_key(self, envelope: "Envelope") -> tuple:
-        """Equality-faithful key of one envelope (delivery tick aside)."""
+        """Equality-faithful key of one envelope (delivery tick aside).
+
+        Every key is taken inside one receiver's pool (an inbox, a paced
+        buffer, an inbox being ordered), which the state digest pairs
+        with its pid, so the receiver needs no place in the key."""
         return (
             envelope.sender,
-            envelope.receiver,
             envelope.sent_at,
             self.payload_repr(envelope.payload),
         )

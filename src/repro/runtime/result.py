@@ -30,8 +30,9 @@ class RunResult:
 
     halted_at: dict[ProcessId, int] = field(default_factory=dict)
     envelopes: tuple = ()
-    """Raw sent envelopes (populated when the simulation was created
-    with ``record_envelopes=True``)."""
+    """Raw sent copies as ``(receiver, envelope)`` pairs, in send order
+    (populated when the simulation was created with
+    ``record_envelopes=True``)."""
 
     truncated: bool = False
     """The run was stopped at the ``max_ticks`` horizon instead of

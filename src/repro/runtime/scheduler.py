@@ -231,9 +231,12 @@ class Simulation:
         self.ledger = WordLedger()
         self.trace = Trace(observer=observer)
         self.record_envelopes = record_envelopes
-        self.envelopes: list[Envelope] = []
-        """Every sent envelope, when ``record_envelopes`` is on — the raw
-        material for message-flow analysis (:mod:`repro.analysis.flows`)."""
+        self.envelopes: list[tuple[ProcessId, Envelope]] = []
+        """Every sent copy as a ``(receiver, envelope)`` pair, in send
+        order, when ``record_envelopes`` is on — the raw material for
+        message-flow analysis (:mod:`repro.analysis.flows`) and
+        equivocation forensics.  The copies of one fan-out multicast
+        share their envelope."""
         if choices is not None and fault_plan is not None:
             raise SchedulerError(
                 "choices is mutually exclusive with fault_plan: one owner "
@@ -405,10 +408,8 @@ class Simulation:
             entry = (0.0, sender, recipients, payload, tick)
             due.setdefault(tick + 1, []).append(entry)
             if self.record_envelopes:
-                self.envelopes += [
-                    Envelope(sender, to, payload, tick, tick + 1)
-                    for to in recipients
-                ]
+                envelope = Envelope(sender, payload, tick, tick + 1)
+                self.envelopes += [(to, envelope) for to in recipients]
             return
         obs = self.observer
         injector = self._injector
@@ -442,10 +443,10 @@ class Simulation:
                 )
                 if paced and sender != to:
                     self._sent_now.setdefault(to, []).append(
-                        Envelope(sender, to, payload, tick, delivered_at)
+                        Envelope(sender, payload, tick, delivered_at)
                     )
             if envelopes is not None:
-                envelopes.append(Envelope(sender, to, payload, tick, delivered_at))
+                envelopes.append((to, Envelope(sender, payload, tick, delivered_at)))
 
     def _deliver(
         self, tick: int, readers: Collection[ProcessId]
@@ -453,12 +454,13 @@ class Simulation:
         """Pop slot ``tick`` and build the inboxes of ``readers``.
 
         The slot is stably sorted once by ``(delay, sender)``, then each
-        entry appends one envelope per reading recipient.  Restricted to
-        one receiver, that one sort is the sort of its own copies, so
-        every inbox is ordered by sub-``delta`` delay, then sender, then
-        send order.  A copy nobody reads (a down or decided process, a
-        passive Byzantine one) is never built.  This is the override
-        point of the scheduler equivalence tests."""
+        entry builds one envelope and appends that same object to the
+        inbox of every recipient that reads it.  Restricted to one
+        receiver, that one sort is the sort of its own copies, so every
+        inbox is ordered by sub-``delta`` delay, then sender, then send
+        order.  An entry nobody reads (its recipients down or decided
+        processes, or passive Byzantine ones) builds no envelope.  This
+        is the override point of the scheduler equivalence tests."""
         inboxes: defaultdict[ProcessId, list[Envelope]] = defaultdict(list)
         entries = self._due.pop(tick, None)
         if not entries:
@@ -469,11 +471,12 @@ class Simulation:
             inboxes.update((to, []) for _, _, (to,), _, _ in entries if to in readers)
         entries.sort(key=itemgetter(0, 1))
         for _, sender, recipients, payload, sent_at in entries:
+            envelope = None
             for to in recipients:
                 if to in readers:
-                    inboxes[to].append(
-                        Envelope(sender, to, payload, sent_at, tick)
-                    )
+                    if envelope is None:
+                        envelope = Envelope(sender, payload, sent_at, tick)
+                    inboxes[to].append(envelope)
         return inboxes
 
     def _rushed_to(self, pid: ProcessId) -> list[Envelope]:
@@ -484,7 +487,7 @@ class Simulation:
             # model; the per-tick side record is the rushing view.
             return list(self._sent_now.get(pid, ()))
         return [
-            Envelope(sender, pid, payload, sent_at, sent_at + 1)
+            Envelope(sender, payload, sent_at, sent_at + 1)
             for _, sender, recipients, payload, sent_at
             in self._due.get(self.tick + 1, ())
             for _ in range(recipients.count(pid))

@@ -94,9 +94,11 @@ def _content_of(envelope: Envelope) -> str:
 
 
 def audit_envelopes(
-    result: RunResult, envelopes: Iterable[Envelope] | None = None
+    result: RunResult,
+    envelopes: Iterable[tuple[ProcessId, Envelope]] | None = None,
 ) -> ForensicsReport:
-    """Audit recorded envelopes for per-slot equivocation.
+    """Audit recorded ``(receiver, envelope)`` pairs for per-slot
+    equivocation.
 
     Uses ``result.envelopes`` by default (requires the run to have been
     recorded with ``record_envelopes=True``).
@@ -108,9 +110,9 @@ def audit_envelopes(
     by_sender_slot: dict[tuple, dict[str, list[ProcessId]]] = defaultdict(
         lambda: defaultdict(list)
     )
-    for envelope in pool:
+    for receiver, envelope in pool:
         key = (envelope.sender, _slot_of(envelope))
-        by_sender_slot[key][_content_of(envelope)].append(envelope.receiver)
+        by_sender_slot[key][_content_of(envelope)].append(receiver)
 
     flagged: set[tuple] = set()
     for (sender, slot), variants in by_sender_slot.items():

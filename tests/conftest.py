@@ -59,10 +59,10 @@ def exact_landing_accounting(monkeypatch):
         if network._due.get(envelope.delivered_at, 0) < 0:
             errors.append(("owed a negative count", envelope))
 
-    def checked_land(network, envelope):
+    def checked_land(network, to, envelope):
         if envelope.delivered_at <= network.opened and network not in timed_out:
-            errors.append(("landed after its boundary opened", envelope))
-        land(network, envelope)
+            errors.append(("landed after its boundary opened", to, envelope))
+        land(network, to, envelope)
 
     def checked_open(network, timeout=False):
         if timeout:

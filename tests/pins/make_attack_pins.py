@@ -217,8 +217,8 @@ def compute(case: str) -> list:
         _sha(repr(sorted(result.decisions.items(), key=repr)).encode()),
         _sha(repr(sorted(result.halted_at.items())).encode()),
         _sha(repr([
-            (e.sender, e.receiver, e.sent_at, e.payload)
-            for e in result.envelopes
+            (e.sender, receiver, e.sent_at, e.payload)
+            for receiver, e in result.envelopes
             if e.sender in result.corrupted
         ]).encode()),
     ]

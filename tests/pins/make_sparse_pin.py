@@ -23,7 +23,10 @@ column was computed on the tree before that change, so it proves the
 absorbed histories did not move.  Both columns were re-pinned once more
 when the WAL stopped mirroring trace events (no ``event`` frames, and
 no ``events`` in the history); every other column, and every non-crash
-row, stayed byte-identical.
+row, stayed byte-identical.  Only the ``wal`` column was re-pinned when
+envelopes dropped their ``receiver`` field (``inbox`` frames pickle the
+shorter envelope); ``history`` still spells each inbox copy with its
+receiver, now read from the WAL stem's pid, and did not move.
 """
 
 from __future__ import annotations
@@ -127,13 +130,15 @@ def _sha(data: bytes) -> str:
 
 
 def _histories(wal_dir: Path) -> bytes:
-    """Every process's absorbed WAL, canonically spelled."""
+    """Every process's absorbed WAL, canonically spelled.  An inbox's
+    receiver is the process whose WAL it is: stem ``p<pid>``."""
     rows = []
     for stem in sorted({path.with_suffix("") for path in wal_dir.iterdir()}):
         history = load_history(stem)
+        receiver = int(stem.name.removeprefix("p"))
         inboxes = [
             (tick, [
-                (e.sender, e.receiver, e.sent_at, e.delivered_at, repr(e.payload))
+                (e.sender, receiver, e.sent_at, e.delivered_at, repr(e.payload))
                 for e in envelopes
             ])
             for tick, envelopes in sorted(history.inboxes.items())

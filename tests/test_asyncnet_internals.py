@@ -79,7 +79,7 @@ class TestByzantineInboxDrain:
 
         def stamped(payload, delivered_at):
             return Envelope(
-                sender=0, receiver=4, payload=payload,
+                sender=0, payload=payload,
                 sent_at=delivered_at - 1, delivered_at=delivered_at,
             )
 

@@ -27,6 +27,16 @@ class TestSuiteSchemes:
     def test_scheme_is_cached(self, config7, suite7):
         assert suite7.scheme("x", 3) is suite7.scheme("x", 3)
 
+    def test_committee_is_interned_per_suite(self, config7, suite7):
+        members, member_set = suite7.committee((1, 2, 4))
+        again = suite7.committee(tuple([1, 2, 4]))
+        assert again[0] is members and again[1] is member_set
+        assert members == (1, 2, 4) and member_set == frozenset({1, 2, 4})
+        assert suite7.scheme("c", 2, member_set) is suite7.scheme(
+            "c", 2, frozenset({1, 2, 4})
+        )
+        assert CryptoSuite(config7, seed=42).committee(members)[1] is not member_set
+
     def test_dealt_scheme_memo_is_bounded_and_evicts_oldest_first(self, config5):
         """Every ledger op has a fresh seed: the cross-suite memo must not
         grow with the number of decisions a process has run."""

@@ -54,11 +54,8 @@ def run_row(runner, name, config=CONFIG, **options):
     return result, simulated, observer
 
 
-def envelope_for(sender=0, receiver=1, tick=0):
-    return Envelope(
-        sender=sender, receiver=receiver, payload="x", sent_at=tick,
-        delivered_at=tick + 1,
-    )
+def envelope_for(sender=0, tick=0):
+    return Envelope(sender=sender, payload="x", sent_at=tick, delivered_at=tick + 1)
 
 
 class TestBarrier:
@@ -86,7 +83,7 @@ class TestBarrier:
             network = AsyncNetwork(config5, tick_duration=5.0)
             network.start_clock(1)
             lost = envelope_for()
-            network.wire(lost, lambda envelope: None)  # a transport loses it
+            network.wire(1, lost, lambda to, envelope: None)  # a transport loses it
             parked = asyncio.create_task(network.wait_for_round(1))
             await asyncio.sleep(0.01)
             assert network.opened == 0
@@ -105,11 +102,11 @@ class TestBarrier:
             network = AsyncNetwork(config5, tick_duration=0.05, observer=observer)
             network.start_clock(1)
             lost = envelope_for()
-            network.wire(lost, lambda envelope: None)
+            network.wire(1, lost, lambda to, envelope: None)
             await network.wait_for_round(1)
             assert network.opened == 1
             assert timeouts(observer) == 1
-            network.land(lost)  # a straggler: its boundary is long open
+            network.land(1, lost)  # a straggler: its boundary is long open
             assert network._due == {}
             await network.wait_for_round(2)  # nothing owed: no timeout
             assert timeouts(observer) == 1
@@ -193,11 +190,11 @@ def test_a_swallowed_frame_costs_exactly_one_timeout(runner, monkeypatch):
     swallowed = []
     land = AsyncNetwork.land
 
-    def lossy(network, envelope):
-        if not swallowed and envelope.sender != envelope.receiver:
+    def lossy(network, to, envelope):
+        if not swallowed and envelope.sender != to:
             swallowed.append(envelope)
             return
-        land(network, envelope)
+        land(network, to, envelope)
 
     monkeypatch.setattr(AsyncNetwork, "land", lossy)
     result, _, observer = run_row(runner, "weak_ba", tick_duration=0.1)

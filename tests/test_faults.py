@@ -52,9 +52,9 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def envelopes_from(senders, receiver=0, tick=3):
+def envelopes_from(senders, tick=3):
     return [
-        Envelope(sender=s, receiver=receiver, payload=i, sent_at=tick, delivered_at=tick + 1)
+        Envelope(sender=s, payload=i, sent_at=tick, delivered_at=tick + 1)
         for i, s in enumerate(senders)
     ]
 
@@ -148,7 +148,7 @@ class TestFaultPlan:
             return ordered
 
         plan = FaultPlan(seed=seed, reorder_rate=rate)
-        inbox = envelopes_from(senders, receiver, tick)
+        inbox = envelopes_from(senders, tick)
         assert plan.maybe_shuffle(receiver, tick, inbox) == drawing_for_every_inbox(
             plan, receiver, tick, inbox
         )

@@ -15,10 +15,9 @@ from repro.mc.choices import (
 from repro.runtime.envelope import Envelope
 
 
-def _envelope(sender, payload="m", receiver=0, tick=1):
+def _envelope(sender, payload="m", tick=1):
     return Envelope(
         sender=sender,
-        receiver=receiver,
         payload=payload,
         sent_at=tick - 1,
         delivered_at=tick,
@@ -156,7 +155,7 @@ class TestDistinctOrderings:
         assert first == repr(payload)
         assert source.payload_repr(payload) is first
         assert source.envelope_key(_envelope(1, payload)) == (
-            1, 0, 0, repr(payload)
+            1, 0, repr(payload)
         )
         # A fresh source (a fresh run) recomputes it.
         assert SeededChoices(CLOSED_SPACE).payload_repr(payload) is not first

@@ -1,8 +1,8 @@
 """Fan-out delivery equals per-copy delivery.
 
 Under lockstep ``delta=1`` with no fault plan and no choice source the
-tick simulator slots each multicast whole and builds its per-copy
-envelopes only when the inboxes are built.  ``FaultPlan(seed=0)`` has
+tick simulator slots each multicast whole and, when the inboxes are
+built, hands one envelope to all of its readers.  ``FaultPlan(seed=0)`` has
 every rate at zero, so it changes no copy's fate, but its injector
 sends every copy down the per-copy path.  The two runs must agree on
 everything a run exposes: canonical trace, bills, ticks, decisions,
@@ -57,12 +57,12 @@ def _cases():
                 yield name, n, f
 
 
-def _run(name, n, f, plan, behavior=SilentBehavior):
+def _simulation(name, n, f, plan, behavior=SilentBehavior, simulation_cls=Simulation):
     config = _config(name, n)
     shielded = PROTOCOLS[name].shielded
     targets = [p for p in reversed(config.processes) if p not in shielded][:f]
     metas = _metas(name, config)
-    simulation = Simulation(
+    simulation = simulation_cls(
         config, seed=SEED, fault_plan=plan, record_envelopes=True,
         max_ticks=50_000,
     )
@@ -74,6 +74,11 @@ def _run(name, n, f, plan, behavior=SilentBehavior):
             simulation.add_byzantine(pid, behaviors[pid])
         else:
             simulation.add_process(pid, build(metas[pid], validity=VALIDITY))
+    return simulation, behaviors
+
+
+def _run(name, n, f, plan, behavior=SilentBehavior):
+    simulation, behaviors = _simulation(name, n, f, plan, behavior)
     return simulation.run(), behaviors
 
 
@@ -96,6 +101,13 @@ def test_fanout_equals_per_copy_delivery(name, n, f):
     assert _observables(fanout) == _observables(per_copy)
 
 
+def _fields(envelope):
+    """An envelope's four fields: a copy's receiver is the inbox it is in."""
+    return (
+        envelope.sender, envelope.payload, envelope.sent_at, envelope.delivered_at
+    )
+
+
 class _Witness:
     """A non-passive Byzantine process that logs its whole view every
     tick (what was delivered to it, what was rushed to it) and echoes
@@ -106,7 +118,9 @@ class _Witness:
         self.log = []
 
     def step(self, api):
-        self.log.append((api.now, tuple(api.inbox), tuple(api.rushed)))
+        self.log.append(
+            (api.now, tuple(map(_fields, api.inbox)), tuple(map(_fields, api.rushed)))
+        )
         for envelope in api.inbox:
             if envelope.sender not in api.corrupted:
                 api.broadcast(envelope.payload)
@@ -121,3 +135,53 @@ def test_rushing_view_is_the_same_on_both_paths(name):
     assert logs == {pid: b.log for pid, b in seen_per_copy.items()}
     assert any(rushed for log in logs.values() for _, _, rushed in log)
     assert any(inbox for log in logs.values() for _, inbox, _ in log)
+
+
+class _InboxRecorder(Simulation):
+    """Records, per delivered wheel entry, the envelopes its reading
+    recipients got, and every inbox field for field."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.copies = []
+        self.inboxes = []
+
+    def _deliver(self, tick, readers):
+        entries = sorted(self._due.get(tick, ()), key=lambda e: (e[0], e[1]))
+        inboxes = super()._deliver(tick, readers)
+        cursor = dict.fromkeys(inboxes, 0)
+        for _, sender, recipients, payload, sent_at in entries:
+            held = []
+            for to in recipients:
+                if to in readers:
+                    held.append(inboxes[to][cursor[to]])
+                    cursor[to] += 1
+            if held:
+                self.copies.append((sender, payload, sent_at, tick, held))
+        self.inboxes.append((tick, sorted(
+            (pid, list(map(_fields, box))) for pid, box in inboxes.items()
+        )))
+        return inboxes
+
+
+@pytest.mark.parametrize("name", ["weak_ba", "strong_ba", "bb", "recursive_ba"])
+def test_every_reader_of_a_multicast_holds_the_same_envelope(name):
+    """Fan-out delivery builds one envelope per multicast and hands that
+    object to every reader; the per-copy path builds one per wire copy.
+    Either way the inboxes agree field for field."""
+    runs = {}
+    for path, plan in (("fanout", None), ("per_copy", FaultPlan(seed=0))):
+        simulation, _ = _simulation(
+            name, 7, 2, plan, simulation_cls=_InboxRecorder
+        )
+        simulation.run()
+        runs[path] = simulation
+    for simulation in runs.values():
+        for sender, payload, sent_at, tick, held in simulation.copies:
+            assert len({id(e) for e in held}) == 1
+            envelope = held[0]
+            assert envelope.sender == sender and envelope.payload is payload
+            assert (envelope.sent_at, envelope.delivered_at) == (sent_at, tick)
+    assert any(len(held) > 1 for *_, held in runs["fanout"].copies)
+    assert all(len(held) == 1 for *_, held in runs["per_copy"].copies)
+    assert runs["fanout"].inboxes == runs["per_copy"].inboxes

@@ -27,10 +27,9 @@ class OtherMsg:
     round: int
 
 
-def envelope(payload, sender=0, receiver=1, at=0):
+def envelope(payload, sender=0, at=0):
     return Envelope(
         sender=sender,
-        receiver=receiver,
         payload=payload,
         sent_at=at,
         delivered_at=at + 1,

@@ -12,6 +12,7 @@ highwater marks disagree with the replayed machine is rejected loudly.
 from __future__ import annotations
 
 import asyncio
+import copy
 import json
 
 import pytest
@@ -136,6 +137,33 @@ class TestOneRecordPerFact:
         )
         kinds = [record[0] for record in scan_wal(old.with_suffix(".wal")).records]
         assert kinds.count("event") == len(events)
+        assert load_history(old) == load_history(stem)
+        report = replay_wal(old)
+        assert report.decided
+        assert report.decision == result.decisions[CRASH.pid]
+
+    def test_wal_with_five_field_envelopes_still_replays(self, tmp_path):
+        """A WAL whose ``inbox`` frames pickled each envelope with its
+        ``receiver`` (before envelopes dropped it) loads to the same
+        history and replays to the same decision."""
+        result, _ = run_with_crash(tmp_path)
+        stem = tmp_path / f"p{CRASH.pid}"
+
+        def legacy(envelope):
+            old = copy.copy(envelope)
+            old.__dict__["receiver"] = CRASH.pid
+            return old
+
+        records = [
+            ("inbox", r[1], [legacy(e) for e in r[2]]) if r[0] == "inbox" else r
+            for r in scan_wal(stem.with_suffix(".wal")).records
+        ]
+        old = tmp_path / "parent" / f"p{CRASH.pid}"
+        old.parent.mkdir()
+        old.with_suffix(".wal").write_bytes(
+            b"".join(_encode(record) for record in records)
+        )
+        assert old.with_suffix(".wal").read_bytes().count(b"receiver") > 0
         assert load_history(old) == load_history(stem)
         report = replay_wal(old)
         assert report.decided

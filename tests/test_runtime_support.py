@@ -14,10 +14,9 @@ from repro.runtime.result import RunResult
 from repro.runtime.trace import Trace
 
 
-def env(sender=0, receiver=1, payload="x", tick=0):
+def env(sender=0, payload="x", tick=0):
     return Envelope(
         sender=sender,
-        receiver=receiver,
         payload=payload,
         sent_at=tick,
         delivered_at=tick + 1,
@@ -26,16 +25,16 @@ def env(sender=0, receiver=1, payload="x", tick=0):
 
 class TestEnvelope:
     """The contract the hand-written ``__init__`` must keep: a frozen,
-    hashable, picklable dataclass of five fields."""
+    hashable, picklable dataclass of four fields.  The receiver is not
+    one of them: the inbox a copy sits in says who received it."""
 
     def test_fields_are_unchanged(self):
         assert [f.name for f in dataclasses.fields(Envelope)] == [
-            "sender", "receiver", "payload", "sent_at", "delivered_at",
+            "sender", "payload", "sent_at", "delivered_at",
         ]
-        e = Envelope(0, 1, "x", 2, 3)
-        assert (e.sender, e.receiver, e.payload, e.sent_at, e.delivered_at) == (
-            0, 1, "x", 2, 3,
-        )
+        e = Envelope(0, "x", 2, 3)
+        assert (e.sender, e.payload, e.sent_at, e.delivered_at) == (0, "x", 2, 3)
+        assert not hasattr(e, "receiver")
 
     def test_assignment_raises(self):
         e = env()
@@ -48,16 +47,32 @@ class TestEnvelope:
         assert env() == env() and hash(env()) == hash(env())
         assert env() is not env()
         assert env(payload="y") != env()
-        assert len({env(), env(), env(receiver=2)}) == 2
+        assert len({env(), env(), env(sender=2)}) == 2
 
     def test_pickle_round_trip(self):
         e = env(payload=("vote", 7))
         assert pickle.loads(pickle.dumps(e)) == e
 
+    def test_a_pickled_five_field_envelope_loads_without_its_receiver(self):
+        """Envelopes pickled while they named their receiver (older WAL
+        ``inbox`` frames) load, and the receiver is dropped: these bytes
+        are ``pickle.dumps(Envelope(0, 3, ("vote", 7), 2, 3))`` from the
+        five-field class."""
+        legacy = (
+            b"\x80\x04\x95y\x00\x00\x00\x00\x00\x00\x00\x8c\x16"
+            b"repro.runtime.envelope\x94\x8c\x08Envelope\x94\x93\x94)\x81"
+            b"\x94}\x94(\x8c\x06sender\x94K\x00\x8c\x08receiver\x94K\x03"
+            b"\x8c\x07payload\x94\x8c\x04vote\x94K\x07\x86\x94\x8c\x07"
+            b"sent_at\x94K\x02\x8c\x0cdelivered_at\x94K\x03ub."
+        )
+        loaded = pickle.loads(legacy)
+        assert loaded == Envelope(0, ("vote", 7), 2, 3)
+        assert not hasattr(loaded, "receiver")
+
     def test_replace(self):
         e = env()
-        moved = dataclasses.replace(e, receiver=4, delivered_at=9)
-        assert moved == Envelope(0, 4, "x", 0, 9)
+        moved = dataclasses.replace(e, sender=4, delivered_at=9)
+        assert moved == Envelope(4, "x", 0, 9)
         assert e == env()
 
 

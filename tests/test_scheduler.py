@@ -300,7 +300,7 @@ class TestUnknownRecipients:
         assert [(b.sender, b.payload_type) for b in simulation.ledger.bills] == [
             (pid, "str") for pid in senders
         ]
-        assert [e.payload for e in simulation.envelopes] == ["ok"] * 2 * len(senders)
+        assert [e.payload for _, e in simulation.envelopes] == ["ok"] * 2 * len(senders)
         assert _slotted(simulation) == 2 * len(senders)
 
     def test_correct_process_multicasting_past_the_last_pid(self, config5, plan):

@@ -130,7 +130,7 @@ class FlatScanSimulation(Simulation):
             for to in recipients:
                 if to in readers:
                     pending.setdefault(to, []).append(
-                        (delay, Envelope(sender, to, payload, sent_at, tick))
+                        (delay, Envelope(sender, payload, sent_at, tick))
                     )
         return {
             to: [e for _, e in sorted(copies, key=lambda de: (de[0], de[1].sender))]

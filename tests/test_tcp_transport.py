@@ -212,12 +212,10 @@ class TestLandingAccounting:
             network.write_off = written_off.append
             node = TcpProcessNode(network, 1)
             port = await node.start_server()
-            stale = Envelope(
-                sender=0, receiver=1, payload="x", sent_at=0, delivered_at=1
-            )
+            stale = Envelope(sender=0, payload="x", sent_at=0, delivered_at=1)
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             writer.write(_encode_frame(("hello", 0, 1)))
-            writer.write(_encode_frame(("msg", 0, 0, stale)))  # epoch 0 < 1
+            writer.write(_encode_frame(("msg", 0, 0, stale, 1)))  # epoch 0 < 1
             await writer.drain()
             while not written_off:
                 await asyncio.sleep(0.01)

@@ -266,6 +266,83 @@ class TestCacheTransparency:
                 assert not forged.verify(suite)
         assert suite.verify_certificate(certificate, "lbl", k)
 
+    def test_signed_object_verdict_memo_keys_on_scheme_and_statement(self, config7):
+        """A warm accept of one certificate object is never reused for
+        another label, quorum or committee, a doctored copy misses the
+        memo, and a payload that can change is never stored."""
+        from repro.crypto.certificates import CryptoSuite
+
+        suite = CryptoSuite(config7, seed=42)
+        _, committee = suite.committee((0, 1, 2, 3, 4))
+        _, other_committee = suite.committee((0, 1, 2, 3, 5))
+        k = 3
+        partials = [
+            suite.partial_for_certificate(pid, "lbl", k, ("s", 1), committee)
+            for pid in range(k)
+        ]
+        certificate = suite.combine_certificate("lbl", k, ("s", 1), partials, committee)
+        for _ in range(2):  # the first call fills the memo, the second hits it
+            assert suite.verify_certificate(certificate, "lbl", k, committee)
+        assert any(v[0] is certificate for v in suite._verdicts.values())
+        for label, quorum, members in (
+            ("other", k, committee),
+            ("lbl", k + 1, committee),
+            ("lbl", k, other_committee),
+            ("lbl", k, None),
+        ):
+            for _ in range(2):
+                assert not suite.verify_certificate(certificate, label, quorum, members)
+        forged = replace(certificate.signature, value=certificate.signature.value + 1)
+        for doctored in (
+            replace(certificate, payload=("s", 2)),
+            replace(certificate, signature=forged),
+        ):
+            for _ in range(2):
+                assert not suite.verify_certificate(doctored, "lbl", k, committee)
+        size = len(suite._verdicts)
+        twin = replace(certificate, payload=["s", 1])
+        for _ in range(2):
+            assert not suite.verify_certificate(twin, "lbl", k, committee)
+        assert len(suite._verdicts) == size
+        assert suite.verify_certificate(certificate, "lbl", k, committee)
+
+    def test_partial_verdict_memo_keys_on_the_collectors_digest(self, config7):
+        from repro.crypto.certificates import CertificateCollector, CryptoSuite
+
+        suite = CryptoSuite(config7, seed=42)
+        partial = suite.partial_for_certificate(0, "lbl", 3, "v")
+        accepting = CertificateCollector(suite, "lbl", 3, "v")
+        accepting.add(partial)
+        assert accepting.count == 1  # a warm accept
+        for other in (
+            CertificateCollector(suite, "lbl", 3, "w"),  # another digest
+            CertificateCollector(suite, "lbl", 4, "v"),  # another scheme
+        ):
+            for _ in range(2):
+                other.add(partial)
+            assert other.count == 0
+        doctored = replace(partial, value=partial.value + 1)
+        fresh = CertificateCollector(suite, "lbl", 3, "v")
+        fresh.add(doctored)
+        assert fresh.count == 0
+        fresh.add(partial)
+        assert fresh.count == 1
+
+    def test_verdict_memo_is_bounded(self, config7):
+        from repro.crypto.certificates import CryptoSuite
+
+        suite = CryptoSuite(config7, seed=42)
+        suite._CERT_CACHE_CAP = 4
+        for i in range(10):
+            payload = ("s", i)
+            partials = [
+                suite.partial_for_certificate(pid, "lbl", 3, payload)
+                for pid in range(3)
+            ]
+            certificate = suite.combine_certificate("lbl", 3, payload, partials)
+            assert suite.verify_certificate(certificate, "lbl", 3)
+            assert len(suite._verdicts) <= 4
+
     def test_dealt_scheme_memo_matches_a_directly_dealt_scheme(self, config7):
         from repro.crypto import certificates
 
