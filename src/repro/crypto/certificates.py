@@ -125,9 +125,6 @@ class CryptoSuite:
         """Member tuple -> its canonical ``(tuple, frozenset)``."""
         self._by_id: dict[str, ThresholdScheme] = {}
         """Scheme id -> dealt scheme, for ids carried inside signatures."""
-        # Combined-certificate verdicts keyed by canonical message bytes
-        # (plus scheme id and the signature fields).
-        self._cert_cache: dict[tuple[str, bytes, int, int], bool] = {}
         # Statement identity -> (payload, canonical bytes, digest); see
         # _bound.  The stored strong reference keeps every id in a key
         # from being reused while its entry lives.
@@ -319,15 +316,14 @@ class CryptoSuite:
         label: str,
     ) -> bool:
         """Verify ``certificate`` as a ``label`` statement under
-        ``scheme`` (``None``: the scheme its signature names), memoized
-        by the statement's canonical bytes.
+        ``scheme`` (``None``: the scheme its signature names).  Not
+        memoized here: :meth:`verify_certificate` keeps one verdict per
+        certificate object, and a miss costs one modmul.
 
-        The key carries the scheme id and both signature fields, so a
-        doctored signature can never hit a stale ``True``.  This is the
-        one place a malformed certificate is rejected: a field of the
-        wrong type or shape, an unknown scheme id, an unhashable payload
-        or one the canonical encoder refuses yields ``False``, never an
-        exception.
+        This is the one place a malformed certificate is rejected: a
+        field of the wrong type or shape, an unknown scheme id, an
+        unhashable payload or one the canonical encoder refuses yields
+        ``False``, never an exception.
         """
         try:
             signature = certificate.signature
@@ -340,17 +336,10 @@ class CryptoSuite:
             ):
                 return False
             hash(certificate.payload)  # a list encodes like its tuple twin
-            encoded, digest = self._bound(label, certificate.payload)
-            key = (scheme.scheme_id, encoded, signature.digest, signature.value)
-            verdict = self._cert_cache.get(key)
-            if verdict is None:
-                verdict = signature.digest == digest and scheme.verify_value_digest(
-                    signature.value, digest
-                )
-                if len(self._cert_cache) >= self._CERT_CACHE_CAP:
-                    self._cert_cache.clear()
-                self._cert_cache[key] = verdict
-            return verdict
+            digest = self._bound_digest(label, certificate.payload)
+            return signature.digest == digest and scheme.verify_value_digest(
+                signature.value, digest
+            )
         except Exception:
             return False
 

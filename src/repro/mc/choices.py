@@ -101,6 +101,13 @@ class ChoiceSpace:
                 f"delay_levels must be >= 1, got {self.delay_levels}"
             )
 
+    @property
+    def opens_fault_points(self) -> bool:
+        """Whether a send can meet a per-copy choice point (a drop, a
+        duplicate or a delay verdict).  A space that cannot leaves every
+        copy of a multicast one fate, so the scheduler files it whole."""
+        return self.drop_budget > 0 or self.max_duplicates > 0 or self.delay_levels > 1
+
     def drop_eligible(self, sender: ProcessId, payload: object) -> bool:
         if self.drop_budget == 0:
             return False
@@ -269,10 +276,15 @@ def _distinct_orderings(
     """The first ``cap`` distinct permutations, in lexicographic index
     order (identity first), deduplicated by envelope equality.
 
-    Each envelope is keyed by the index of its first indistinguishable
+    Two envelopes with different ``(sender, sent_at)`` are never
+    indistinguishable, so when those heads are pairwise distinct every
+    permutation is distinct and no payload is keyed.  Otherwise each
+    envelope is keyed by the index of its first indistinguishable
     occurrence (via ``key``, the same repr-faithful key state
     fingerprints use), so duplicated copies of one message never
     inflate the option count with indistinguishable orderings."""
+    if len({(e.sender, e.sent_at) for e in envelopes}) == len(envelopes):
+        return list(itertools.islice(itertools.permutations(envelopes), cap))
     first: dict = {}
     canon = [first.setdefault(key(e), i) for i, e in enumerate(envelopes)]
     seen: set[tuple[int, ...]] = set()

@@ -23,7 +23,11 @@ run is aborted via :class:`PruneRun`.  Two soundness rules:
 * pruning only fires in the *free region* — once the scripted prefix is
   fully consumed.  Inside the prefix the script still mandates
   divergence from wherever the earlier visit went, so an equal
-  fingerprint does not imply an equal future.
+  fingerprint does not imply an equal future.  The ``"behavior"`` mode
+  does not even digest a tick inside the prefix: a prefix is an
+  ancestor run's decisions plus one sibling, so every tick before the
+  script ends replays a state that ancestor already recorded (the root
+  run has no prefix; the argument goes by induction down the DFS).
 * the digest must capture everything the future depends on.  The
   ``"behavior"`` mode digests the visible machine state (inboxes,
   pending deliveries, corruption state, decisions, trace, budget
@@ -128,16 +132,22 @@ class _Fingerprinter:
 
     def hook(self, choices: ChoiceSource):
         chained = 0
+        history = self.mode == "history"
 
         def tick_hook(simulation: Simulation, inboxes: dict) -> None:
             nonlocal chained
+            free = getattr(choices, "in_free_region", False)
+            if not (free or history):
+                # Inside the script a tick reproduces a state an
+                # ancestor run already recorded (module doc).
+                return
             digest = _state_digest(simulation, inboxes, choices)
-            if self.mode == "history":
+            if history:
                 chained = hash((chained, digest))
                 digest = chained
             key = (simulation.tick, digest)
             if key in self.seen:
-                if getattr(choices, "in_free_region", False):
+                if free:
                     raise PruneRun()
             else:
                 self.seen.add(key)
@@ -161,13 +171,16 @@ def _state_digest(
         tuple(sorted(
             (pid, tuple(map(key, box))) for pid, box in inboxes.items()
         )),
-        # The delivery wheel, one multiset of entries per slot.  Entry
+        # The delivery wheel, one multiset of wire copies per slot.  Copy
         # order is canonicalized away: delivery sorts each slot by
         # (delay, sender), so only the multiset matters for the future.
+        # A fan-out entry counts as its copies, so the digest does not
+        # depend on which path filed them.
         tuple(sorted(
             (tick, tuple(sorted(
-                (delay, sender, recipients, sent_at, payload_repr(payload))
+                (delay, sender, (to,), sent_at, payload_repr(payload))
                 for delay, sender, recipients, payload, sent_at in entries
+                for to in recipients
             )))
             for tick, entries in simulation._due.items()
         )),

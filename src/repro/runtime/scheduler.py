@@ -242,13 +242,21 @@ class Simulation:
                 "choices is mutually exclusive with fault_plan: one owner "
                 "per run's nondeterminism"
             )
+        if choices is not None and recovery is not None:
+            raise SchedulerError(
+                "recovery is not supported under a ChoiceSource: model-"
+                "checked runs must stay free of filesystem effects"
+            )
         self.fault_plan = fault_plan
         self.choices = choices
-        if choices is not None:
-            self._injector = FaultInjector(None, choices=choices)
-        elif fault_plan is not None:
+        self.recovery = recovery
+        if fault_plan is not None:
             self._injector = FaultInjector(fault_plan)
+        elif choices is not None and choices.space.opens_fault_points:
+            self._injector = FaultInjector(None, choices=choices)
         else:
+            # Nothing decides a copy's fate on the wire: a fault-free
+            # choice space draws inbox orders only, at delivery.
             self._injector = None
         self.stop_on_horizon = stop_on_horizon
         self.synchrony = resolve_synchrony(synchrony, fault_plan, recovery)
@@ -264,12 +272,6 @@ class Simulation:
         """Per-tick, per-edge send counter for the synchrony model's
         seeded/choice-point delivery draws (cleared every tick, so the
         draw coordinates ``(sender, receiver, tick, seq)`` stay pure)."""
-        self.recovery = recovery
-        if choices is not None and recovery is not None:
-            raise SchedulerError(
-                "recovery is not supported under a ChoiceSource: model-"
-                "checked runs must stay free of filesystem effects"
-            )
         self.tick_hook: TickHook | None = None
         self.tick = 0
         self._factories: dict[ProcessId, ProtocolFactory] = {}
@@ -282,14 +284,17 @@ class Simulation:
         """Whether every copy of a multicast shares its fate: no fault
         verdict, no choice-source draw and no paced delivery draw can
         tell one copy from its siblings (lockstep ``delta=1``, no
-        ``FaultPlan``, no ``ChoiceSource``)."""
+        ``FaultPlan``, no choice source that can open a per-copy fault
+        point).  A checked run's inbox orders are drawn at delivery,
+        per reader, so they leave the fan-out path open."""
         self._due: dict[int, list[_Entry]] = {}
         """Delivery wheel: tick -> its :data:`_Entry` list, in send order.
 
         On the fan-out path (``_fanout``) an entry is a whole multicast,
         filed in slot ``tick + 1``.  Otherwise a copy's fate can differ
-        from its siblings' — a fault verdict, a choice-source draw or a
-        paced delivery tick — so each wire copy is an entry of its own,
+        from its siblings' — a fault verdict (from a ``FaultPlan`` or a
+        choice source that can open a per-copy fault point) or a paced
+        delivery tick — so each wire copy is an entry of its own,
         ``recipients=(to,)``, in the slot of its delivery tick.  The
         delay (a fraction of ``delta``) only influences inbox position,
         never the delivery tick.  Envelopes are built only on delivery,
@@ -468,7 +473,12 @@ class Simulation:
         if self.choices is not None:
             # A checked run meets its inbox-order choice points in
             # first-send order, so the inboxes are keyed before the sort.
-            inboxes.update((to, []) for _, _, (to,), _, _ in entries if to in readers)
+            inboxes.update(
+                (to, [])
+                for _, _, recipients, _, _ in entries
+                for to in recipients
+                if to in readers
+            )
         entries.sort(key=itemgetter(0, 1))
         for _, sender, recipients, payload, sent_at in entries:
             envelope = None

@@ -1,5 +1,7 @@
 """Unit tests for the choice-point substrate (``repro.mc.choices``)."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ModelCheckError
@@ -34,6 +36,22 @@ class TestChoiceSpace:
             ChoiceSpace(max_duplicates=-1)
         with pytest.raises(ModelCheckError):
             ChoiceSpace(delay_levels=0)
+
+    @pytest.mark.parametrize(
+        "params, opens",
+        [
+            ({}, False),
+            (dict(reorder=False, perm_cap=1), False),
+            (dict(drop_budget=1), True),
+            (dict(drop_budget=1, droppable_payloads=frozenset()), True),
+            (dict(max_duplicates=1), True),
+            (dict(delay_levels=2), True),
+        ],
+    )
+    def test_opens_fault_points(self, params, opens):
+        """Whether a space can open a per-copy point is read from its
+        budgets alone: a drop budget scoped to no payload still counts."""
+        assert ChoiceSpace(**params).opens_fault_points is opens
 
     def test_drop_eligibility_filters(self):
         space = ChoiceSpace(
@@ -143,6 +161,49 @@ class TestDistinctOrderings:
         # 3! = 6 raw permutations, but swapping the two equal copies is
         # indistinguishable: only 3 distinct orderings remain.
         assert len(orderings) == 3
+
+    def test_distinct_heads_key_no_payload(self):
+        """Envelopes with pairwise distinct ``(sender, sent_at)`` are
+        never indistinguishable: the options are the first ``cap``
+        permutations, found without keying a single payload."""
+        envelopes = [_envelope(1), _envelope(2, tick=2), _envelope(2)]
+        keyed = []
+        orderings = _distinct_orderings(envelopes, 4, keyed.append)
+        assert keyed == []
+        assert orderings == list(itertools.permutations(envelopes))[:4]
+
+    def test_a_repeated_head_falls_back_to_payload_keys(self):
+        envelopes = [_envelope(1, "a"), _envelope(1, "b"), _envelope(1, "a")]
+        keys = []
+
+        def key(envelope):
+            keys.append(envelope)
+            return (envelope.sender, envelope.sent_at, repr(envelope.payload))
+
+        orderings = _distinct_orderings(envelopes, 6, key)
+        assert keys == envelopes
+        assert len(orderings) == 3  # 3! / 2! over the two equal copies
+
+    @pytest.mark.parametrize("cap", [1, 2, 6, 24])
+    def test_both_paths_agree_with_the_keyed_dedup(self, cap):
+        """Every inbox of up to four envelopes over a small pool: the
+        options are those of keying every envelope, as before."""
+        pool = [_envelope(1, "a"), _envelope(1, "b"), _envelope(2, "a"),
+                _envelope(2, "a", tick=2)]
+        key = SeededChoices(CLOSED_SPACE).envelope_key
+        for size in range(2, 5):
+            for inbox in itertools.product(pool, repeat=size):
+                envelopes = list(inbox)
+                canon = [
+                    [key(e) for e in envelopes].index(key(e)) for e in envelopes
+                ]
+                keyed, seen = [], set()
+                for indices in itertools.permutations(range(size)):
+                    shape = tuple(canon[i] for i in indices)
+                    if shape not in seen:
+                        seen.add(shape)
+                        keyed.append(tuple(envelopes[i] for i in indices))
+                assert _distinct_orderings(envelopes, cap, key) == keyed[:cap]
 
     def test_cap_truncates(self):
         envelopes = [_envelope(1), _envelope(2), _envelope(3)]

@@ -7,12 +7,13 @@ the word budget — and because the space is exhausted (``complete``),
 that is a theorem about the bounded space, not a sample.  The fast
 always-on variant caps inbox permutations at 2 per choice point; the
 ``mc_exhaustive``-marked variant widens to 3 and is part of tier-1 too
-(the full cap-6 space is 154k schedules, ~5 minutes — run it via
+(the full cap-6 space is 46 925 schedules — run it via
 ``repro mc explore``).
 """
 
 import pytest
 
+from repro.mc import explore
 from repro.mc.explore import explore_exhaustive, explore_random, run_schedule
 from repro.mc.scenario import make_scenario
 
@@ -135,6 +136,48 @@ class TestExhaustive:
             stats.runs, stats.terminal, stats.pruned, stats.truncated,
             stats.distinct_states,
         ) == table
+
+    @pytest.mark.parametrize(
+        "name, params, table",
+        [
+            ("weak-ba", dict(n=4, t=1, max_ticks=12, perm_cap=2), (84, 79, 148)),
+            ("weak-ba", dict(n=4, t=1, max_ticks=12, perm_cap=3), (777, 772, 346)),
+            ("civit-strong-ba", dict(perm_cap=2), (110, 105, 210)),
+        ],
+        ids=["weak-ba-cap2", "weak-ba-cap3", "civit-cap2"],
+    )
+    def test_skipped_prefix_digests_were_already_recorded(
+        self, name, params, table, monkeypatch
+    ):
+        """"behavior" mode takes no fingerprint while a run is still
+        inside its script: each such tick replays a state an ancestor
+        run recorded.  A fingerprinter that digests those ticks anyway
+        finds every one of them already in ``seen``, and the search is
+        the one the pinned tables describe."""
+        rechecked = []
+
+        class Rechecking(explore._Fingerprinter):
+            def hook(self, choices):
+                inner = super().hook(choices)
+
+                def tick_hook(simulation, inboxes):
+                    if not choices.in_free_region:
+                        digest = explore._state_digest(simulation, inboxes, choices)
+                        assert (simulation.tick, digest) in self.seen, (
+                            f"script {choices.script} reached an unrecorded "
+                            f"state at tick {simulation.tick}"
+                        )
+                        rechecked.append(simulation.tick)
+                    inner(simulation, inboxes)
+
+                return tick_hook
+
+        monkeypatch.setattr(explore, "_Fingerprinter", Rechecking)
+        result = explore_exhaustive(make_scenario(name, **params), max_runs=50_000)
+        assert result.complete and result.ok
+        stats = result.stats
+        assert (stats.runs, stats.pruned, stats.distinct_states) == table
+        assert rechecked
 
     def test_prune_modes_agree_on_verdict(self):
         # A tiny space (no reordering: the only open decisions are the

@@ -1,13 +1,18 @@
 """Fan-out delivery equals per-copy delivery.
 
-Under lockstep ``delta=1`` with no fault plan and no choice source the
-tick simulator slots each multicast whole and, when the inboxes are
-built, hands one envelope to all of its readers.  ``FaultPlan(seed=0)`` has
-every rate at zero, so it changes no copy's fate, but its injector
-sends every copy down the per-copy path.  The two runs must agree on
-everything a run exposes: canonical trace, bills, ticks, decisions,
-the recorded envelopes in send order and a rushing adversary's view.
+Under lockstep ``delta=1`` with no fault plan and no choice source that
+can open a per-copy fault point the tick simulator slots each multicast
+whole and, when the inboxes are built, hands one envelope to all of its
+readers.  ``FaultPlan(seed=0)`` has every rate at zero, so it changes no
+copy's fate, but its injector sends every copy down the per-copy path.
+The two runs must agree on everything a run exposes: canonical trace,
+bills, ticks, decisions, the recorded envelopes in send order and a
+rushing adversary's view.  Model-checked runs over a fault-free choice
+space must also agree with per-copy runs on their decision logs and
+their state digests.
 """
+
+import dataclasses
 
 import pytest
 
@@ -16,6 +21,9 @@ from repro.apps import ClientWorkload
 from repro.apps.clients import assign_queues
 from repro.config import SystemConfig
 from repro.faults import FaultPlan
+from repro.mc.choices import ChoiceSpace, ScriptedChoices, SeededChoices
+from repro.mc.explore import _state_digest
+from repro.mc.scenario import ATTACKS, make_scenario
 from repro.protocols.table import PROTOCOLS
 from repro.runtime import Simulation
 from tests.test_sparse_time import VALIDITY
@@ -185,3 +193,157 @@ def test_every_reader_of_a_multicast_holds_the_same_envelope(name):
     assert any(len(held) > 1 for *_, held in runs["fanout"].copies)
     assert all(len(held) == 1 for *_, held in runs["per_copy"].copies)
     assert runs["fanout"].inboxes == runs["per_copy"].inboxes
+
+
+# ----------------------------------------------------------------------
+# Under a choice source
+# ----------------------------------------------------------------------
+#
+# A choice space with no drop budget, no duplicates and one delay level
+# opens no per-copy choice point, so a model-checked run takes the
+# fan-out path and draws only inbox orders, at delivery.  The reference
+# space below keeps the run per-copy (a drop budget makes the scheduler
+# build a fault injector) but scopes drops to no payload type, so it
+# too opens no fault point: both must run the same schedules.
+
+MC_CASES = [
+    (name, "choose-silent")
+    for name in sorted(PROTOCOLS)
+    if PROTOCOLS[name].proposal is not None
+] + sorted(ATTACKS)
+DFS_RUNS = 6
+WALKS = 50
+
+
+def _mc_scenario(name, adversary):
+    """The ``test_mc_rows.py`` scenario of a row, with inbox reordering,
+    or one of the coalitions that send (whose low pids send after the
+    correct processes, so first-send order is not sender order)."""
+    if adversary != "choose-silent":
+        size = dict(n=7, t=3) if adversary == "cert-dealer" else {}
+        return make_scenario(name, adversary=adversary, perm_cap=2, **size)
+    size = dict(n=5, t=1) if name == "phase_king" else dict(n=4)
+    return make_scenario(
+        name, adversary=adversary, corrupt_ticks=[0, 2],
+        perm_cap=2, max_ticks=120, **size,
+    )
+
+
+def _per_copy(space):
+    return dataclasses.replace(space, drop_budget=1, droppable_payloads=frozenset())
+
+
+def _after_each_multicast(simulation, callback):
+    """Call ``callback()`` after every multicast ``simulation`` files."""
+    enqueue = simulation._enqueue
+
+    def filing(*args, **kwargs):
+        enqueue(*args, **kwargs)
+        callback()
+
+    simulation._enqueue = filing
+
+
+def _checked_run(scenario, choices):
+    """One schedule with recorded envelopes and the state digest at every
+    tick and after every multicast (under lockstep the wheel is empty
+    when a tick is digested, and holds this tick's sends after one)."""
+    digests = []
+    with scenario.active():
+        simulation = scenario.build(choices)
+        simulation.record_envelopes = True
+        simulation.tick_hook = lambda sim, inboxes: digests.append(
+            (sim.tick, _state_digest(sim, inboxes, choices))
+        )
+        _after_each_multicast(
+            simulation,
+            lambda: digests.append(_state_digest(simulation, {}, choices)),
+        )
+        result = simulation.run()
+    observables = (
+        [(entry.point, entry.chosen) for entry in choices.log],
+        result.trace.canonical(),
+        result.ledger.bills,
+        result.envelopes,
+        result.decisions,
+        result.ticks,
+        digests,
+    )
+    return simulation, observables
+
+
+def _both_paths(scenario, make_choices):
+    """Run one schedule on both paths; return its decision log."""
+    fanout, observed = _checked_run(scenario, make_choices(scenario.space))
+    per_copy, reference = _checked_run(
+        scenario, make_choices(_per_copy(scenario.space))
+    )
+    assert fanout._fanout and not per_copy._fanout
+    assert observed == reference
+    return observed[0]
+
+
+@pytest.mark.parametrize("name, adversary", MC_CASES)
+def test_fanout_equals_per_copy_under_a_choice_source(name, adversary):
+    scenario = _mc_scenario(name, adversary)
+    # The first DFS_RUNS schedules of the explorer's unpruned DFS.
+    stack, runs = [()], 0
+    while stack and runs < DFS_RUNS:
+        prefix = stack.pop()
+        log = _both_paths(scenario, lambda space: ScriptedChoices(space, prefix))
+        runs += 1
+        for j in range(len(prefix), len(log)):
+            point, chosen = log[j]
+            base = [c for _, c in log[:j]]
+            stack += [tuple(base + [o]) for o in range(chosen + 1, point.options)]
+    reordered = 0
+    for seed in range(WALKS):
+        log = _both_paths(scenario, lambda space: SeededChoices(space, seed))
+        reordered += any(point.kind == "order" for point, _ in log)
+    assert reordered, "no walk met an inbox-order choice point"
+
+
+def test_checked_inboxes_meet_their_order_points_in_first_send_order():
+    """p0 multicasts to (1, 3) before p1 multicasts to (2, 3), so the
+    inbox-order points come as 1, 3, 2 on both paths; keying a fan-out
+    entry by its first recipient alone would reach 2 before 3."""
+    sends = {0: (1, 3), 1: (2, 3), 2: (1,), 3: (2,)}
+
+    def protocol(pid):
+        def run(ctx):
+            ctx.multicast(sends[pid], f"m{pid}")
+            yield
+            return tuple(envelope.payload for envelope in ctx.inbox)
+
+        return run
+
+    logs, decisions = [], []
+    for space in (ChoiceSpace(perm_cap=2), _per_copy(ChoiceSpace(perm_cap=2))):
+        choices = SeededChoices(space, 1)
+        simulation = Simulation(SystemConfig(n=4, t=1), choices=choices)
+        for pid in sends:
+            simulation.add_process(pid, protocol(pid))
+        decisions.append(simulation.run().decisions)
+        logs.append([(entry.point, entry.chosen) for entry in choices.log])
+    assert [point.coords for point, _ in logs[0]] == [(1, 1), (3, 1), (2, 1)]
+    assert logs[0] == logs[1]
+    assert decisions[0] == decisions[1]
+
+
+def test_a_real_fault_point_keeps_copies_apart():
+    """A space that can drop, duplicate or delay a copy files every copy
+    as its own wheel entry; a fault-free one files whole multicasts."""
+    for space_params, fanout in ((dict(drop_budget=1), False), ({}, True)):
+        scenario = make_scenario("weak-ba", **space_params)
+        widths = set()
+        with scenario.active():
+            simulation = scenario.build(SeededChoices(scenario.space, 3))
+            _after_each_multicast(simulation, lambda: widths.update(
+                len(recipients)
+                for entries in simulation._due.values()
+                for _, _, recipients, _, _ in entries
+            ))
+            simulation.run()
+        assert simulation._fanout is fanout
+        assert scenario.space.opens_fault_points is not fanout
+        assert (widths == {1}) is not fanout
