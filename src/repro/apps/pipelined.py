@@ -65,15 +65,15 @@ def pipelined_smr_replica_protocol(
                         break
                 proposals[slot] = tuple(batch)
 
-            branches = [
-                byzantine_broadcast_protocol(
+            branches = {
+                f"smr/{slot}": byzantine_broadcast_protocol(
                     ctx,
                     slot % ctx.config.n,
                     proposals.get(slot),
                     session=f"smr/{slot}",
                 )
                 for slot in slots
-            ]
+            }
             decisions = yield from join(ctx, branches)
 
             for slot, decision in zip(slots, decisions):

@@ -54,6 +54,12 @@ class SchedulerError(RuntimeSimulationError):
     """The simulator itself was driven incorrectly (e.g. run twice)."""
 
 
+class JoinError(RuntimeSimulationError):
+    """:func:`~repro.runtime.concurrency.join` was handed branch sessions
+    that repeat, nest inside one another or are not strings, so some
+    traffic would have no single owning branch."""
+
+
 class ModelCheckError(ReproError):
     """The model checker was driven incorrectly (invalid decision space,
     out-of-range scripted decision, replay divergence)."""

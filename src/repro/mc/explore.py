@@ -46,7 +46,7 @@ skips a *continuation*, never the branches that diverge before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ModelCheckError
 from repro.mc.choices import ChoiceSource, LoggedChoice, ScriptedChoices, SeededChoices
@@ -155,6 +155,24 @@ class _Fingerprinter:
         return tick_hook
 
 
+def _wheel(
+    simulation: Simulation, payload_repr: Callable[[object], str]
+) -> tuple:
+    """The delivery wheel, one multiset of wire copies per slot.  Copy
+    order is canonicalized away: delivery sorts each slot by (delay,
+    sender), so only the multiset matters for the future.  A fan-out
+    entry counts as its copies, so the key does not depend on which path
+    filed them."""
+    return tuple(sorted(
+        (tick, tuple(sorted(
+            (delay, sender, (to,), sent_at, payload_repr(payload))
+            for delay, sender, recipients, payload, sent_at in entries
+            for to in recipients
+        )))
+        for tick, entries in simulation._due.items()
+    ))
+
+
 def _state_digest(
     simulation: Simulation, inboxes: dict, choices: ChoiceSource
 ) -> int:
@@ -166,24 +184,14 @@ def _state_digest(
     source memoizes them per payload object.
     """
     key = choices.envelope_key
-    payload_repr = choices.payload_repr
     return hash((
         tuple(sorted(
             (pid, tuple(map(key, box))) for pid, box in inboxes.items()
         )),
-        # The delivery wheel, one multiset of wire copies per slot.  Copy
-        # order is canonicalized away: delivery sorts each slot by
-        # (delay, sender), so only the multiset matters for the future.
-        # A fan-out entry counts as its copies, so the digest does not
-        # depend on which path filed them.
-        tuple(sorted(
-            (tick, tuple(sorted(
-                (delay, sender, (to,), sent_at, payload_repr(payload))
-                for delay, sender, recipients, payload, sent_at in entries
-                for to in recipients
-            )))
-            for tick, entries in simulation._due.items()
-        )),
+        # Under lockstep the hook runs after slot ``tick`` is popped and
+        # before anyone sends into ``tick + 1``: the wheel is empty
+        # there, and only paced runs walk it.
+        _wheel(simulation, choices.payload_repr) if simulation._paced else (),
         # Behavior reprs (dataclasses), not just pids: adversary
         # *parameters* chosen at build time — which victim a dealer
         # targets — and mutable behavior flags live inside these objects

@@ -39,8 +39,10 @@ def run_rounds(
     unprompted: a leader's first-round step.  So a round with nothing
     delivered and nothing pooled is skipped, a silent phase costs no
     resumption, and while the pool holds anything (a message for a
-    later round, another session's traffic, garbage) every round is
-    visited, exactly as a dense loop would."""
+    later round, garbage) every round is visited, exactly as a dense
+    loop would.  Another session's traffic does not keep rounds dense
+    inside :func:`~repro.runtime.concurrency.join`, which hands each
+    branch only its own session's envelopes."""
     start = now = ctx.now
     width = len(steps)
     ahead = iter(leads)

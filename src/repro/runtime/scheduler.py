@@ -150,9 +150,11 @@ class _ProcessPacer:
         self.buffer: list[Envelope] = []
 
     def fingerprint(self, key: Callable[[Envelope], object]) -> tuple:
+        # ``None`` hashes by address (Python < 3.12): a fixed int keeps
+        # digests equal across processes under one ``PYTHONHASHSEED``.
         return (
             self.round,
-            self.resume_at,
+            -1 if self.resume_at is None else self.resume_at,
             tuple((e.delivered_at, key(e)) for e in self.buffer),
         )
 

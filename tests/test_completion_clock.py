@@ -14,6 +14,7 @@ import asyncio
 
 import pytest
 
+from repro.apps.clients import Command
 from repro.asyncnet import run_async, run_over_tcp
 from repro.asyncnet.runner import AsyncNetwork
 from repro.config import RunParameters, SystemConfig
@@ -30,6 +31,14 @@ METAS = {
     "weak_ba": lambda pid: {"input": "v"},
     "bb": lambda pid: {"sender": 0, "input": "v"},
     "smr": lambda pid: {"num_slots": 2, "commands": [f"c{pid}.{i}" for i in range(2)]},
+    # Two BB slots in flight per wave: the routed ``join`` on both hosts.
+    "pipelined_smr": lambda pid: {
+        "num_slots": 4, "window": 2, "batch_size": 2,
+        "queue": tuple(
+            Command(client=f"c{pid}", seq=i, op=("set", f"k{pid}", i))
+            for i in range(2)
+        ),
+    },
 }
 
 

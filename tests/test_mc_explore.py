@@ -11,8 +11,14 @@ always-on variant caps inbox permutations at 2 per choice point; the
 ``repro mc explore``).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.mc import explore
 from repro.mc.explore import explore_exhaustive, explore_random, run_schedule
 from repro.mc.scenario import make_scenario
@@ -136,6 +142,61 @@ class TestExhaustive:
             stats.runs, stats.terminal, stats.pruned, stats.truncated,
             stats.distinct_states,
         ) == table
+
+    @pytest.mark.parametrize("name", ["weak-ba", "civit-strong-ba"])
+    def test_lockstep_hooks_see_an_empty_wheel(self, name, monkeypatch):
+        """The digest skips the delivery wheel under lockstep because
+        every tick hook there finds it empty: slot ``tick`` is popped
+        and nobody has sent into ``tick + 1`` yet."""
+        hooks, loaded = [0], []
+        hook = explore._Fingerprinter.hook
+
+        def checked(self, choices):
+            inner = hook(self, choices)
+
+            def tick_hook(simulation, inboxes):
+                hooks[0] += 1
+                if simulation._due:
+                    loaded.append((simulation.tick, dict(simulation._due)))
+                return inner(simulation, inboxes)
+
+            return tick_hook
+
+        monkeypatch.setattr(explore._Fingerprinter, "hook", checked)
+        explore_exhaustive(make_scenario(name), max_runs=300)
+        assert hooks[0] > 1000 and loaded == []
+
+    def test_paced_digests_agree_across_processes(self):
+        """Two interpreters under one ``PYTHONHASHSEED`` record the same
+        paced state digests: no term of a digest may hash by address
+        (``hash(None)`` does before Python 3.12)."""
+        script = (
+            "from repro.mc import explore\n"
+            "from repro.mc.scenario import make_scenario\n"
+            "seen = []\n"
+            "init = explore._Fingerprinter.__init__\n"
+            "def keep(self, mode):\n"
+            "    init(self, mode)\n"
+            "    seen.append(self.seen)\n"
+            "explore._Fingerprinter.__init__ = keep\n"
+            "explore.explore_exhaustive(make_scenario('psync-weak-ba', gst=3))\n"
+            "print(*sorted(seen[0]), sep='\\n')\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": "0",
+            "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+        }
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=120, env=env,
+                check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert digests[0] == digests[1]
+        assert len(digests[0].splitlines()) == 488
 
     @pytest.mark.parametrize(
         "name, params, table",

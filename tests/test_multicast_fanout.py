@@ -22,7 +22,7 @@ from repro.apps.clients import assign_queues
 from repro.config import SystemConfig
 from repro.faults import FaultPlan
 from repro.mc.choices import ChoiceSpace, ScriptedChoices, SeededChoices
-from repro.mc.explore import _state_digest
+from repro.mc.explore import _state_digest, _wheel
 from repro.mc.scenario import ATTACKS, make_scenario
 from repro.protocols.table import PROTOCOLS
 from repro.runtime import Simulation
@@ -245,9 +245,10 @@ def _after_each_multicast(simulation, callback):
 
 
 def _checked_run(scenario, choices):
-    """One schedule with recorded envelopes and the state digest at every
-    tick and after every multicast (under lockstep the wheel is empty
-    when a tick is digested, and holds this tick's sends after one)."""
+    """One schedule with recorded envelopes, the state digest at every
+    tick and the digest and the wheel after every multicast (under
+    lockstep the digest skips the wheel, empty when a tick is digested,
+    and the wheel holds this tick's sends after a multicast)."""
     digests = []
     with scenario.active():
         simulation = scenario.build(choices)
@@ -257,7 +258,10 @@ def _checked_run(scenario, choices):
         )
         _after_each_multicast(
             simulation,
-            lambda: digests.append(_state_digest(simulation, {}, choices)),
+            lambda: digests.append((
+                _state_digest(simulation, {}, choices),
+                _wheel(simulation, choices.payload_repr),
+            )),
         )
         result = simulation.run()
     observables = (

@@ -7,10 +7,12 @@ import pytest
 from repro.adversary.behaviors import SilentBehavior
 from repro.apps.clients import ClientWorkload
 from repro.apps.pipelined import run_pipelined_smr
-from repro.config import RunParameters
+from repro.config import RunParameters, SystemConfig
+from repro.core import byzantine_broadcast, weak_ba
 from repro.core.byzantine_broadcast import byzantine_broadcast_protocol
 from repro.faults import FaultPlan, ProcessCrash
 from repro.recovery import RecoveryManager
+from repro.runtime import rounds
 from repro.runtime.concurrency import join
 from repro.runtime.scheduler import Simulation
 
@@ -29,10 +31,10 @@ class TestJoinCombinator:
         def protocol(ctx):
             results = yield from join(
                 ctx,
-                [
-                    byzantine_broadcast_protocol(ctx, 0, "alpha", session="a"),
-                    byzantine_broadcast_protocol(ctx, 1, "beta", session="b"),
-                ],
+                {
+                    "a": byzantine_broadcast_protocol(ctx, 0, "alpha", session="a"),
+                    "b": byzantine_broadcast_protocol(ctx, 1, "beta", session="b"),
+                },
             )
             return tuple(results)
 
@@ -56,12 +58,12 @@ class TestJoinCombinator:
         def parallel(ctx):
             results = yield from join(
                 ctx,
-                [
-                    byzantine_broadcast_protocol(
+                {
+                    f"s{s}": byzantine_broadcast_protocol(
                         ctx, s % ctx.config.n, "v", session=f"s{s}"
                     )
                     for s in range(4)
-                ],
+                },
             )
             return tuple(results)
 
@@ -89,7 +91,7 @@ class TestJoinCombinator:
                 return name
 
             results = yield from join(
-                ctx, [branch("left", 1), branch("right", 2)]
+                ctx, {"left": branch("left", 1), "right": branch("right", 2)}
             )
             return tuple(results)
 
@@ -113,7 +115,9 @@ class TestJoinCombinator:
                     yield
                 return "long"
 
-            return (yield from join(ctx, [short(ctx), long(ctx)]))
+            return (
+                yield from join(ctx, {"short": short(ctx), "long": long(ctx)})
+            )
 
         simulation = Simulation(config5, seed=0)
         for pid in config5.processes:
@@ -156,6 +160,51 @@ class TestPipelinedSmr:
         )
         outcome = result.unanimous_decision()
         assert [c.key for c in outcome.log] == [("c0", 0)]
+
+    def test_work_per_slot_does_not_depend_on_the_window(self, monkeypatch):
+        """The benchmark's SMR shape (n=5, 40 slots, batch 2), every
+        round step of BB and weak BA counted.  Slots in flight at once
+        must not make each other's rounds dense: the count is the
+        sequential log's at every window."""
+        calls = [0]
+
+        def counted(steps):
+            def wrap(step):
+                def call(phase):
+                    calls[0] += 1
+                    return step(phase)
+
+                return call
+
+            return [wrap(step) for step in steps]
+
+        def run_phases(ctx, pool, steps, phases):
+            return rounds.run_phases(ctx, pool, counted(steps), phases)
+
+        def run_rounds(ctx, pool, steps, end, leads=()):
+            return rounds.run_rounds(ctx, pool, counted(steps), end, leads)
+
+        monkeypatch.setattr(byzantine_broadcast, "run_phases", run_phases)
+        monkeypatch.setattr(weak_ba, "run_phases", run_phases)
+        monkeypatch.setattr(weak_ba, "run_rounds", run_rounds)
+        config = SystemConfig.with_optimal_resilience(5)
+        workloads = [
+            ClientWorkload(
+                client=f"c{i}",
+                ops=tuple(("set", f"k{(i + j) % 16}", j) for j in range(8)),
+                replicas=(i % 5,),
+            )
+            for i in range(10)
+        ]
+        steps = {}
+        for window in (1, 2, 5, 8):
+            calls[0] = 0
+            result = run_pipelined_smr(
+                config, workloads, num_slots=40, window=window, batch_size=2
+            )
+            assert len(result.unanimous_decision().log) == 80
+            steps[window] = calls[0]
+        assert len(set(steps.values())) == 1, steps
 
     def test_pipelined_with_crashed_replica(self, config5):
         workloads = [workload(i, (i % 5, (i + 2) % 5)) for i in range(6)]

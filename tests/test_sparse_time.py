@@ -16,6 +16,8 @@ Three independent lines of evidence:
 
 import json
 import random
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +28,7 @@ from repro.config import RunParameters, SystemConfig
 from repro.core import byzantine_broadcast_protocol, strong_ba, weak_ba
 from repro.core.validity import ExternalValidity
 from repro.core.weak_ba import weak_ba_protocol
+from repro.errors import JoinError
 from repro.faults import FaultPlan, ProcessCrash
 from repro.obs import Observer
 from repro.protocols import get_backend
@@ -302,6 +305,41 @@ def _sender(at_tick, payload="ping"):
     return protocol
 
 
+@dataclass(frozen=True)
+class _Tagged:
+    """A payload carrying a ``session`` of any type."""
+
+    session: object
+
+
+class _Pairs(Mapping):
+    """A mapping view of ``(key, value)`` pairs whose keys may repeat."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def __getitem__(self, key):
+        return dict(self._pairs)[key]
+
+    def __iter__(self):
+        return (key for key, _ in self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+
+def _script(sends):
+    """p0: send each ``(tick, payload)`` to p1 at its tick."""
+
+    def protocol(ctx):
+        for tick, payload in sends:
+            yield from ctx.sleep(tick - ctx.now)
+            ctx.send(1, payload)
+        return ctx.now
+
+    return protocol
+
+
 class TestWaitingContract:
     def test_idle_returns_early_on_delivery_with_now_correct(self):
         seen = []
@@ -430,7 +468,7 @@ class TestWaitingContract:
         def joined(ctx):
             return (
                 yield from join(
-                    ctx, [branch("a", (5, 5))(ctx), branch("b", (7,))(ctx)]
+                    ctx, {"a": branch("a", (5, 5))(ctx), "b": branch("b", (7,))(ctx)}
                 )
             )
 
@@ -441,6 +479,82 @@ class TestWaitingContract:
         assert result.decisions[0] == ["a", "b"]
         assert log == [("a", 5), ("b", 7), ("a", 10)]
         assert resumed[0] == 4  # start, then ticks 5, 7 and 10 only
+
+    def test_join_routes_a_session_to_its_branch_alone(self):
+        """Traffic for one key neither wakes nor reaches the other
+        branch; traffic with no session, a non-``str`` one or one no
+        branch owns reaches both."""
+        seen, resumed = {}, {"x": [0], "y": [0]}
+
+        def branch(ctx, name):
+            got = yield from ctx.sleep(30)
+            seen[name] = [e.payload for e in got]
+            return name
+
+        def joined(ctx):
+            return (
+                yield from join(
+                    ctx,
+                    {key: _Counted(branch(ctx, key), resumed[key]) for key in "xy"},
+                )
+            )
+
+        mine, theirs = _Tagged("x/wba"), _Tagged("y")
+        shared = ["plain", _Tagged(7), _Tagged(None), _Tagged("z"), _Tagged("xy")]
+        sends = [(3, mine), (6, theirs), *((9 + i, p) for i, p in enumerate(shared))]
+        _, result = _pair(_script(sends), joined)
+        assert result.decisions[1] == ["x", "y"]
+        assert seen == {"x": [mine, *shared], "y": [theirs, *shared]}
+        # start, the own delivery, five shared deliveries, the deadline
+        assert resumed == {"x": [8], "y": [8]}
+
+    def test_join_never_routes_a_longer_slot_to_a_prefix(self):
+        seen = {}
+
+        def branch(ctx, name):
+            got = yield from ctx.sleep(10)
+            seen[name] = [e.payload.session for e in got]
+            return name
+
+        def joined(ctx):
+            return (
+                yield from join(
+                    ctx, {key: branch(ctx, key) for key in ("smr/3", "smr/30")}
+                )
+            )
+
+        sends = ["smr/30", "smr/30/wba", "smr/3/wba/afb", "smr/3"]
+        _pair(_script([(1 + i, _Tagged(s)) for i, s in enumerate(sends)]), joined)
+        assert seen == {
+            "smr/3": ["smr/3/wba/afb", "smr/3"],
+            "smr/30": ["smr/30", "smr/30/wba"],
+        }
+
+    def test_join_restores_the_hosts_inbox_when_a_branch_raises(self):
+        def branch(ctx, name):
+            yield from ctx.idle(10)
+            if name == "x":
+                raise RuntimeError(name)
+            yield from ctx.idle(10)
+            return name
+
+        def joined(ctx):
+            try:
+                yield from join(ctx, {"x": branch(ctx, "x"), "y": branch(ctx, "y")})
+            except RuntimeError:
+                return [e.payload for e in ctx.inbox]
+
+        both = [_Tagged("x"), _Tagged("y")]
+        _, result = _pair(_script([(3, p) for p in both]), joined)
+        assert result.decisions[1] == both
+
+    @pytest.mark.parametrize(
+        "keys", [("a", "a/b"), ("smr/3/wba", "smr/3"), ("a", "a"), ("a", 3)]
+    )
+    def test_join_refuses_sessions_without_a_single_owner(self, keys):
+        branches = _Pairs([(key, iter(())) for key in keys])
+        with pytest.raises(JoinError):
+            next(join(None, branches))
 
     def test_observer_sees_visited_ticks_and_totals_elapsed_ones(self):
         class Recording(Observer):
