@@ -71,26 +71,19 @@ class QuorumCertificate:
     """A threshold-signed statement: ``label`` holds for ``payload``.
 
     One word in the paper's complexity model regardless of the quorum
-    size that produced it.
+    size that produced it; checked only by
+    :meth:`CryptoSuite.verify_certificate`, against the scheme the
+    caller expects.
     """
 
     label: str
     payload: object
     signature: ThresholdSignature
 
-    @property
-    def signers(self) -> frozenset[ProcessId]:
-        return self.signature.signers
-
     def signatures(self) -> int:
-        """Individual signatures batched inside (lower-bound accounting)."""
-        return len(self.signature.signers)
-
-    def verify(self, suite: "CryptoSuite") -> bool:
-        """Whether the signature verifies under the scheme its id names,
-        whatever its quorum; ``False``, never an exception, on malformed
-        fields."""
-        return suite._verify_bound(None, self, self.label)
+        """Individual signatures batched inside (lower-bound accounting):
+        the quorum ``k``, which verification pins to the scheme's."""
+        return self.signature.k
 
 
 class CryptoSuite:
@@ -123,8 +116,6 @@ class CryptoSuite:
             tuple[ProcessId, ...], tuple[tuple[ProcessId, ...], frozenset[ProcessId]]
         ] = {}
         """Member tuple -> its canonical ``(tuple, frozenset)``."""
-        self._by_id: dict[str, ThresholdScheme] = {}
-        """Scheme id -> dealt scheme, for ids carried inside signatures."""
         # Statement identity -> (payload, canonical bytes, digest); see
         # _bound.  The stored strong reference keeps every id in a key
         # from being reused while its entry lives.
@@ -140,9 +131,13 @@ class CryptoSuite:
     def _scheme_id(
         label: str, k: int, members: frozenset[ProcessId] | None
     ) -> str:
+        """``label|k=K``, plus for a committee a fixed-width digest of
+        its sorted members: an id is O(1) bytes whatever the committee's
+        size, and nothing parses it back."""
         if members is None:
             return f"{label}|k={k}"
-        return f"{label}|k={k}|m={','.join(map(str, sorted(members)))}"
+        listing = ",".join(map(str, sorted(members))).encode()
+        return f"{label}|k={k}|m={hashlib.sha256(listing).hexdigest()[:32]}"
 
     def scheme(
         self,
@@ -162,22 +157,19 @@ class CryptoSuite:
         if existing is not None:
             return existing
         scheme_id = self._scheme_id(label, k, members)
-        existing = self._by_id.get(scheme_id)
+        cache_key = (self._master_seed, scheme_id)
+        existing = _SCHEME_CACHE.get(cache_key)
         if existing is None:
-            cache_key = (self._master_seed, scheme_id)
-            existing = _SCHEME_CACHE.get(cache_key)
-            if existing is None:
-                existing = ThresholdScheme(
-                    scheme_id=scheme_id,
-                    k=k,
-                    n=self.config.n,
-                    seed=self._master_seed,
-                    members=members,
-                )
-                if len(_SCHEME_CACHE) >= _SCHEME_CACHE_CAP:
-                    del _SCHEME_CACHE[next(iter(_SCHEME_CACHE))]
-                _SCHEME_CACHE[cache_key] = existing
-            self._by_id[scheme_id] = existing
+            existing = ThresholdScheme(
+                scheme_id=scheme_id,
+                k=k,
+                n=self.config.n,
+                seed=self._master_seed,
+                members=members,
+            )
+            if len(_SCHEME_CACHE) >= _SCHEME_CACHE_CAP:
+                del _SCHEME_CACHE[next(iter(_SCHEME_CACHE))]
+            _SCHEME_CACHE[cache_key] = existing
         self._schemes[key] = existing
         return existing
 
@@ -197,38 +189,6 @@ class CryptoSuite:
         if canonical is None:
             canonical = self._committees[key] = (key, frozenset(key))
         return canonical
-
-    def scheme_by_id(self, scheme_id: str) -> ThresholdScheme | None:
-        """Resolve a scheme id carried inside a signature.
-
-        The parameters are parsed back out so verification works even if
-        this suite instance has not dealt the scheme yet (schemes are
-        dealt deterministically from the master seed).
-        """
-        existing = self._by_id.get(scheme_id)
-        if existing is not None:
-            return existing
-        members: frozenset[ProcessId] | None = None
-        body = scheme_id
-        if "|m=" in body:
-            body, _, members_part = body.rpartition("|m=")
-            try:
-                members = frozenset(int(p) for p in members_part.split(","))
-            except ValueError:
-                return None
-        label, _, k_part = body.rpartition("|k=")
-        # isdigit() alone admits "²", which int() rejects.
-        if not label or not (k_part.isascii() and k_part.isdigit()):
-            return None
-        k = int(k_part)
-        holder_count = len(members) if members is not None else self.config.n
-        if not 1 <= k <= holder_count:
-            return None
-        if members is not None and any(
-            pid not in self.config.processes for pid in members
-        ):
-            return None
-        return self.scheme(label, k, members)
 
     def signer(self, pid: ProcessId) -> Signer:
         """The individual-signature capability of process ``pid``."""
@@ -310,29 +270,23 @@ class CryptoSuite:
         return verdict
 
     def _verify_bound(
-        self,
-        scheme: ThresholdScheme | None,
-        certificate: QuorumCertificate,
-        label: str,
+        self, scheme: ThresholdScheme, certificate: QuorumCertificate, label: str
     ) -> bool:
         """Verify ``certificate`` as a ``label`` statement under
-        ``scheme`` (``None``: the scheme its signature names).  Not
-        memoized here: :meth:`verify_certificate` keeps one verdict per
-        certificate object, and a miss costs one modmul.
+        ``scheme``.  Not memoized here: :meth:`verify_certificate` keeps
+        one verdict per certificate object, and a miss costs one modmul.
 
         This is the one place a malformed certificate is rejected: a
-        field of the wrong type or shape, an unknown scheme id, an
-        unhashable payload or one the canonical encoder refuses yields
-        ``False``, never an exception.
+        field of the wrong type or shape, another scheme id or quorum,
+        an unhashable payload or one the canonical encoder refuses
+        yields ``False``, never an exception.
         """
         try:
             signature = certificate.signature
-            if scheme is None:
-                scheme = self.scheme_by_id(signature.scheme_id)
             if (
-                scheme is None
-                or certificate.label != label
+                certificate.label != label
                 or signature.scheme_id != scheme.scheme_id
+                or signature.k != scheme.k
             ):
                 return False
             hash(certificate.payload)  # a list encodes like its tuple twin
@@ -354,10 +308,10 @@ class CryptoSuite:
         have been combined under the expected ``(k, n)`` scheme (with the
         expected committee, if any).
 
-        Protocols must use this (not bare :meth:`QuorumCertificate.verify`)
-        when a specific quorum size is semantically required — otherwise
-        an adversary could present a certificate from a lower-threshold
-        scheme of the same label.
+        This is the only way to verify a certificate: the caller names
+        the scheme, so an adversary cannot present a certificate from a
+        lower-threshold scheme of the same label, and a certificate that
+        verifies bills exactly that scheme's ``k`` signatures.
 
         Returns ``False`` and never raises on anything malformed: a
         non-certificate, another label or scheme, a garbled signature, an
@@ -396,18 +350,6 @@ class CryptoSuite:
         """Process ``pid``'s share toward ``QC_label(payload)``."""
         return self.scheme(label, k, members).partial_sign_digest(
             pid, self._bound_digest(label, payload)
-        )
-
-    def verify_partial(
-        self,
-        partial: PartialSignature,
-        label: str,
-        k: int,
-        payload: object,
-        members: frozenset[ProcessId] | None = None,
-    ) -> bool:
-        return self.scheme(label, k, members).verify_partial_digest(
-            partial, self._bound_digest(label, payload)
         )
 
     def combine_certificate(

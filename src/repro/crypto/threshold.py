@@ -71,19 +71,19 @@ class PartialSignature:
 class ThresholdSignature:
     """A combined ``(k, n)``-threshold signature: one word, any ``k``.
 
-    ``signers`` records which share-holders contributed — it is carried
-    for introspection and tests, not trusted for verification (the field
-    element ``value`` is self-authenticating against the dealer oracle).
+    Every field is O(1): the value ``s * H(m)`` is the same whichever
+    ``k`` shares were combined, so nothing records who contributed.
+    ``k`` is the scheme's quorum; verification rejects any other.
     """
 
     scheme_id: str
     digest: int
     value: int
-    signers: frozenset[ProcessId]
+    k: int
 
     def signatures(self) -> int:
-        """Lower-bound accounting: the batched individual signatures."""
-        return len(self.signers)
+        """Lower-bound accounting: the ``k`` batched individual signatures."""
+        return self.k
 
 
 class ThresholdScheme:
@@ -296,10 +296,7 @@ class ThresholdScheme:
                 (p.signer + 1, p.value) for p in subset
             )
         return ThresholdSignature(
-            scheme_id=self._scheme_id,
-            digest=digest,
-            value=value,
-            signers=frozenset(p.signer for p in subset),
+            scheme_id=self._scheme_id, digest=digest, value=value, k=self._k
         )
 
     # ------------------------------------------------------------------
@@ -312,7 +309,7 @@ class ThresholdScheme:
         This is the trusted verification oracle standing in for the
         public pairing check of a production scheme.
         """
-        if signature.scheme_id != self._scheme_id:
+        if signature.scheme_id != self._scheme_id or signature.k != self._k:
             return False
         digest = message_digest(payload)
         if signature.digest != digest:

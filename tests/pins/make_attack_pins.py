@@ -17,6 +17,11 @@ and every envelope a Byzantine process sent (so a forged certificate
 is pinned share for share); an exploration pins the explorer's stats
 and the violation kinds of every counterexample it found.  Texts are
 pinned by the first 16 hex digits of their sha256.
+
+Only the last column, the Byzantine envelopes, was re-pinned when a
+threshold signature traded its signer set for its quorum ``k`` and
+committee scheme ids became fixed-width digests (``tests/pins/diff.py``
+showed every other column, and every exploration, unmoved).
 """
 
 from __future__ import annotations

@@ -26,7 +26,12 @@ no ``events`` in the history); every other column, and every non-crash
 row, stayed byte-identical.  Only the ``wal`` column was re-pinned when
 envelopes dropped their ``receiver`` field (``inbox`` frames pickle the
 shorter envelope); ``history`` still spells each inbox copy with its
-receiver, now read from the WAL stem's pid, and did not move.
+receiver, now read from the WAL stem's pid, and did not move.  When a
+threshold signature traded its signer set for its quorum ``k`` and
+committee scheme ids became fixed-width digests, ``trace`` was re-pinned
+in the SMR-family rows (their idk decisions embed a certificate's repr)
+and ``wal``/``history`` in the crash rows; ``tests/pins/diff.py`` showed
+every other column unmoved.
 """
 
 from __future__ import annotations

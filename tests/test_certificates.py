@@ -1,9 +1,14 @@
 """Unit tests for CryptoSuite, quorum certificates, and collectors."""
 
-from dataclasses import replace
+import pickle
+from dataclasses import dataclass, fields, replace
 
 import pytest
 
+from repro.adversary.protocol_attacks import Reach, WeakBaLeader
+from repro.config import SystemConfig
+from repro.core.validity import ExternalValidity
+from repro.core.weak_ba import weak_ba_protocol
 from repro.crypto.canonical import encode
 from repro.crypto.certificates import (
     CertificateCollector,
@@ -11,9 +16,10 @@ from repro.crypto.certificates import (
     QuorumCertificate,
     _bind,
 )
-from repro.crypto.threshold import digest_from_bytes
+from repro.crypto.threshold import ThresholdSignature, digest_from_bytes
 from repro.errors import ThresholdError
-from repro.metrics.words import payload_words
+from repro.metrics.words import payload_signatures, payload_words
+from repro.runtime.scheduler import Simulation
 
 
 def make_cert(suite, label, k, payload, signers):
@@ -58,52 +64,23 @@ class TestSuiteSchemes:
         b = suite7.scheme("b", 3)
         assert a.scheme_id != b.scheme_id
 
-    def test_scheme_by_id_roundtrip(self, suite7):
-        scheme = suite7.scheme("label", 4)
-        assert suite7.scheme_by_id(scheme.scheme_id) is scheme
-
-    def test_scheme_by_id_parses_unseen(self, config7, suite7):
-        other = CryptoSuite(config7, seed=42)
-        scheme = other.scheme("fresh", 2)
-        resolved = suite7.scheme_by_id(scheme.scheme_id)
-        assert resolved is not None
-        assert resolved.k == 2
-
-    def test_scheme_by_id_with_members(self, suite7):
-        scheme = suite7.scheme("com", 2, frozenset({1, 2, 4}))
-        resolved = suite7.scheme_by_id(scheme.scheme_id)
-        assert resolved.members == frozenset({1, 2, 4})
-
-    def test_scheme_by_id_garbage(self, suite7):
-        assert suite7.scheme_by_id("nonsense") is None
-        assert suite7.scheme_by_id("a|k=999") is None
-        assert suite7.scheme_by_id("a|k=2|m=1,zzz") is None
-        # "²".isdigit() holds, but int("²") raises: only ASCII digits parse.
-        assert suite7.scheme_by_id("a|k=²") is None
-        cert = make_cert(suite7, "a", 2, "v", range(2))
-        hostile = replace(
-            cert, signature=replace(cert.signature, scheme_id="a|k=²")
-        )
-        assert not hostile.verify(suite7)
-
     def test_same_seed_same_schemes_across_instances(self, config7):
         a = CryptoSuite(config7, seed=7)
         b = CryptoSuite(config7, seed=7)
         cert = make_cert(a, "l", 3, "payload", range(3))
-        assert cert.verify(b)
+        assert b.verify_certificate(cert, "l", 3)
 
     def test_different_seed_rejects(self, config7):
         a = CryptoSuite(config7, seed=7)
         b = CryptoSuite(config7, seed=8)
         cert = make_cert(a, "l", 3, "payload", range(3))
-        assert not cert.verify(b)
+        assert not b.verify_certificate(cert, "l", 3)
 
 
 class TestCertificates:
     def test_roundtrip(self, config7, suite7):
         cert = make_cert(suite7, "commit", config7.commit_quorum, ("v", 1),
                          range(config7.commit_quorum))
-        assert cert.verify(suite7)
         assert suite7.verify_certificate(cert, "commit", config7.commit_quorum)
         assert payload_words(cert) == 1
         assert cert.signatures() == config7.commit_quorum
@@ -112,7 +89,7 @@ class TestCertificates:
         """A certificate from a k=1 scheme must not pass as a k=4 one —
         the downgrade-forgery guard."""
         low = make_cert(suite7, "commit", 1, "v", [0])
-        assert low.verify(suite7)  # valid under its own scheme
+        assert suite7.verify_certificate(low, "commit", 1)  # valid under its own scheme
         assert not suite7.verify_certificate(low, "commit", 4)
 
     def test_strict_verification_pins_label(self, suite7):
@@ -133,7 +110,7 @@ class TestCertificates:
     def test_payload_substitution_rejected(self, suite7):
         cert = make_cert(suite7, "l", 3, "real", range(3))
         fake = QuorumCertificate(label="l", payload="fake", signature=cert.signature)
-        assert not fake.verify(suite7)
+        assert not suite7.verify_certificate(fake, "l", 3)
 
     def test_non_certificate_rejected(self, suite7):
         assert not suite7.verify_certificate("garbage", "l", 3)
@@ -147,8 +124,116 @@ class TestCertificates:
         twin = replace(cert, payload=["a", "b"])
         assert encode(twin.payload) == encode(cert.payload)
         assert not suite7.verify_certificate(twin, "l", 3)
-        assert not twin.verify(suite7)
         assert suite7.verify_certificate(cert, "l", 3)
+
+
+
+class TestOneWordCertificates:
+    """A certificate is what the paper counts as one word: a scheme id, a
+    digest, a value and the quorum ``k``, all O(1) bytes whatever ``n``
+    is, checked only against the scheme its verifier expects."""
+
+    DOCTORED = (frozenset(range(1000)), 100_000, 1, 0, -1, 3.5, None, "x", ())
+
+    def test_no_doctored_signature_field_moves_the_bill(self, config7, suite7):
+        """Replace any one field of a valid signature: the certificate no
+        longer verifies, or it still bills exactly the scheme's ``k``."""
+        k = config7.commit_quorum
+        cert = make_cert(suite7, "commit", k, ("v", 1), range(k))
+        for field in fields(cert.signature):
+            honest = getattr(cert.signature, field.name)
+            step = {int: 1, str: "x"}.get(type(honest))
+            near = (honest,) if step is None else (honest, honest + step)
+            for value in self.DOCTORED + near:
+                doctored = replace(
+                    cert, signature=replace(cert.signature, **{field.name: value})
+                )
+                if suite7.verify_certificate(doctored, "commit", k):
+                    assert payload_signatures(doctored) == k, (field.name, value)
+
+    def test_any_quorum_of_signers_makes_one_certificate(self, config7, suite7):
+        """The value is ``s * H(m)`` whichever ``k`` shares combine, and no
+        field records who signed, so a receiver (and the model checker's
+        state digest) cannot tell the two apart."""
+        k = config7.commit_quorum
+        low = make_cert(suite7, "commit", k, ("v", 1), range(k))
+        n = config7.n
+        high = make_cert(suite7, "commit", k, ("v", 1), range(n - k, n))
+        assert low == high
+        assert hash(low) == hash(high)
+        assert repr(low) == repr(high)
+
+    def test_pickled_size_does_not_grow_with_n(self):
+        """A commit certificate and a committee partial pickle to the same
+        size at n = 11 and n = 401, within a few bytes (the quorum and the
+        pids are ints of a different width)."""
+
+        def sizes(n):
+            config = SystemConfig.with_optimal_resilience(n)
+            suite = CryptoSuite(config, seed=5)
+            k = config.commit_quorum
+            statement = ("commit", "v", 1)
+            partials = [
+                suite.partial_for_certificate(pid, "wba-commit:wba", k, statement)
+                for pid in range(k)
+            ]
+            cert = suite.combine_certificate("wba-commit:wba", k, statement, partials)
+            _, committee = suite.committee(range(n // 2))
+            partial = suite.partial_for_certificate(
+                n // 2 - 1, "gc", n // 4, "statement", committee
+            )
+            return len(pickle.dumps(cert)), len(pickle.dumps(partial))
+
+        for small, large in zip(sizes(11), sizes(401)):
+            assert abs(large - small) <= 4, (small, large)
+
+    @pytest.mark.parametrize("value", [100_000, frozenset(range(100_000))])
+    def test_a_doctored_certificate_is_never_billed_by_a_correct_relay(self, value):
+        """A Byzantine weak-BA leader sends each certificate it completes
+        with one signature field doctored.  No correct payload holds more
+        than two certificates and one share, so no correct copy carries
+        more than ``2n + 1`` signatures."""
+        config = SystemConfig.with_optimal_resilience(7)
+        validity = ExternalValidity(lambda v: isinstance(v, str))
+        for field in fields(ThresholdSignature):
+            leader = _DoctoringLeader(
+                ("v",), Reach.FINALIZE, frozenset({2, 3}), field=field.name,
+                doctored=value,
+            )
+            simulation = Simulation(config, seed=3)
+            simulation.add_byzantine(1, leader)
+            for pid in config.processes:
+                if pid != 1:
+                    simulation.add_process(
+                        pid,
+                        lambda ctx, pid=pid: weak_ba_protocol(
+                            ctx, f"own-{pid}", validity
+                        ),
+                    )
+            result = simulation.run()
+            assert leader.doctored_sent, field.name
+            assert len(set(result.decisions.values())) == 1
+            bills = [b for b in result.ledger.bills if b.sender_correct]
+            assert max(b.signatures for b in bills) <= 2 * config.n + 1, field.name
+
+
+@dataclass
+class _DoctoringLeader(WeakBaLeader):
+    """:class:`WeakBaLeader` that replaces ``field`` of every certificate
+    signature it sends with ``doctored``."""
+
+    field: str = "k"
+    doctored: object = None
+    doctored_sent: int = 0
+
+    def _message(self, api, offset, phase, value):
+        message = super()._message(api, offset, phase, value)
+        proof = getattr(message, "proof", None)
+        if proof is None:
+            return message
+        self.doctored_sent += 1
+        signature = replace(proof.signature, **{self.field: self.doctored})
+        return replace(message, proof=replace(proof, signature=signature))
 
 
 class TestStatementMemo:
@@ -220,7 +305,7 @@ class TestCollector:
             partial = suite7.partial_for_certificate(pid, "l", 3, "v")
             collector.add(partial)
         assert collector.complete
-        assert collector.certificate().verify(suite7)
+        assert suite7.verify_certificate(collector.certificate(), "l", 3)
 
     def test_ignores_duplicates(self, suite7):
         collector = CertificateCollector(suite7, "l", 3, "v")

@@ -178,7 +178,7 @@ class TestModelChecking:
              "--perm-cap", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "(5 terminal, 93 pruned, 0 truncated at the horizon)" in out
+        assert "(5 terminal, 92 pruned, 0 truncated at the horizon)" in out
         assert "PROVED over the bounded schedule space" in out
         assert "pruned" in out and "distinct states" in out
 
@@ -214,7 +214,7 @@ class TestModelChecking:
         ) == 0
         out = capsys.readouterr().out
         assert "horizon=24" in out
-        assert "(5 terminal, 105 pruned, 1 truncated at the horizon)" in out
+        assert "(5 terminal, 104 pruned, 1 truncated at the horizon)" in out
 
     def test_explore_any_table_row(self, capsys):
         assert main(

@@ -67,7 +67,7 @@ class FabricatedHelpForger:
             scheme_id=f"wba-fin:{self.session}|k={api.config.commit_quorum}",
             digest=12345,
             value=67890,
-            signers=frozenset(range(api.config.commit_quorum)),
+            k=api.config.commit_quorum,
         )
         fake_proof = QuorumCertificate(
             label=f"wba-fin:{self.session}",
@@ -96,7 +96,7 @@ class RebindingFallbackForger:
             scheme_id=f"wba-fb:{self.session}|k={api.config.small_quorum}",
             digest=1,
             value=2,
-            signers=frozenset(range(api.config.small_quorum)),
+            k=api.config.small_quorum,
         )
         api.broadcast(
             WbaFallbackCert(

@@ -26,7 +26,12 @@ import pytest
 
 from repro.config import RunParameters, SystemConfig
 from repro.core.validity import ExternalValidity
-from repro.core.weak_ba import run_weak_ba
+from repro.core.weak_ba import (
+    commit_label,
+    fallback_label,
+    finalize_label,
+    run_weak_ba,
+)
 from repro.crypto.certificates import CryptoSuite, QuorumCertificate
 from repro.faults import FaultPlan, ProcessCrash
 from repro.recovery import RecoveryManager, load_history, replay_wal
@@ -112,9 +117,8 @@ class TestCertificateReconstruction:
             ]
             assert pickle.dumps(certs[0]) == pickle.dumps(certs[1])
             # Cross-verification: each deployment accepts the other's.
-            assert certs[0].verify(rebuilt)
-            assert certs[1].verify(live)
             assert rebuilt.verify_certificate(certs[0], "prop:qc", q)
+            assert live.verify_certificate(certs[1], "prop:qc", q)
 
     def test_different_seed_suites_reject_each_other(self, test_seed):
         config = SystemConfig(n=4, t=1)
@@ -125,8 +129,8 @@ class TestCertificateReconstruction:
             "prop:qc", q, "v",
             [a.partial_for_certificate(pid, "prop:qc", q, "v") for pid in range(q)],
         )
-        assert cert.verify(a)
-        assert not cert.verify(b)
+        assert a.verify_certificate(cert, "prop:qc", q)
+        assert not b.verify_certificate(cert, "prop:qc", q)
 
 
 def _wal_certificates(history) -> list[QuorumCertificate]:
@@ -178,8 +182,16 @@ class TestReplayedCertificates:
             rebuilt = CryptoSuite(
                 SystemConfig(n=meta["n"], t=meta["t"]), seed=meta["seed"]
             )
+            config = rebuilt.config
+            quorums = {
+                commit_label("wba"): config.commit_quorum,
+                finalize_label("wba"): config.commit_quorum,
+                fallback_label("wba"): config.small_quorum,
+            }
             for cert in _wal_certificates(history):
-                assert cert.verify(rebuilt)
+                assert rebuilt.verify_certificate(
+                    cert, cert.label, quorums[cert.label]
+                )
                 checked += 1
         assert checked > 0, "no certificates crossed the wire?"
 

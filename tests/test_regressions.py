@@ -90,7 +90,7 @@ class TestQuorumDowngrade:
             "idk", 1, "stmt",
             [suite7.partial_for_certificate(3, "idk", 1, "stmt")],
         )
-        assert low.verify(suite7)  # fine under its own scheme
+        assert suite7.verify_certificate(low, "idk", 1)  # fine under its own scheme
         assert not suite7.verify_certificate(low, "idk", config7.small_quorum)
 
 
