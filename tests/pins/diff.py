@@ -10,8 +10,10 @@ this directory (``{case: [column, ...]}``, one row per line) and
 * exits 1 if a column outside ``--allow`` moved, 2 if the case ids or
   their order differ, and 0 otherwise.
 
-When either file is named ``sparse_time.json``, columns are named by
-:data:`make_sparse_pin.FIELDS`; otherwise they are named by position
+When either file bears the name of a pin made here (``sparse_time.json``,
+``paced.json``, ``attacks.json``, ``scale.json``), columns are named by
+that maker's ``FIELDS`` (``attacks.json`` names an exploration row's
+columns by ``EXPLORE_FIELDS``); otherwise they are named by position
 (``0``, ``1``, ...).  ``--allow`` takes either spelling.  A case whose
 row got shorter or longer moved in every column it lacks on one side.
 """
@@ -23,29 +25,49 @@ import json
 import sys
 from itertools import zip_longest
 from pathlib import Path
+from typing import Callable
 
 if __package__:
-    from .make_sparse_pin import FIELDS, PIN
+    from . import make_attack_pins, make_paced_pin, make_scale_pin, make_sparse_pin
 else:  # run as a script
-    from make_sparse_pin import FIELDS, PIN
+    import make_attack_pins
+    import make_paced_pin
+    import make_scale_pin
+    import make_sparse_pin
+
+MAKERS = {
+    maker.PIN.name: maker
+    for maker in (make_attack_pins, make_paced_pin, make_scale_pin, make_sparse_pin)
+}
+"""Pin file name -> the module that writes it."""
 
 _MISSING = object()
 
 
-def column_names(paths: tuple[Path, ...], width: int) -> list[str]:
-    """The names of the first ``width`` columns of the pins at ``paths``."""
-    known = FIELDS if any(path.name == PIN.name for path in paths) else ()
+def column_names(paths: tuple[Path, ...], case: str, width: int) -> list[str]:
+    """The names of the first ``width`` columns of ``case``'s row in the
+    pins at ``paths``."""
+    known: tuple[str, ...] = ()
+    for path in paths:
+        maker = MAKERS.get(path.name)
+        if maker is not None:
+            known = getattr(maker, "fields", lambda case: maker.FIELDS)(case)
+            break
     return [known[i] if i < len(known) else str(i) for i in range(width)]
 
 
-def moved_columns(old: dict, new: dict) -> dict[int, list[str]]:
-    """Column index -> the ids of the cases whose value there differs."""
-    moved: dict[int, list[str]] = {}
+def moved_columns(
+    old: dict, new: dict, names: Callable[[str, int], list[str]]
+) -> dict[tuple[int, str], list[str]]:
+    """``(position, name)`` of every column either pin has, in order of
+    first appearance -> the ids of the cases whose value there differs."""
+    moved: dict[tuple[int, str], list[str]] = {}
     for case, before in old.items():
-        pairs = zip_longest(before, new[case], fillvalue=_MISSING)
-        for i, (a, b) in enumerate(pairs):
+        pairs = list(zip_longest(before, new[case], fillvalue=_MISSING))
+        for i, (name, (a, b)) in enumerate(zip(names(case, len(pairs)), pairs)):
+            cases = moved.setdefault((i, name), [])
             if a != b:
-                moved.setdefault(i, []).append(case)
+                cases.append(case)
     return moved
 
 
@@ -68,14 +90,14 @@ def main(argv: list[str] | None = None) -> int:
             + ("" if only_old or only_new else "; same ids, another order")
         )
         return 2
-    width = max((len(row) for pin in (old, new) for row in pin.values()), default=0)
-    names = column_names((args.old, args.new), width)
+    paths = (args.old, args.new)
     allowed = {name for name in args.allow.split(",") if name}
-    moved = moved_columns(old, new)
+    moved = moved_columns(
+        old, new, lambda case, width: column_names(paths, case, width)
+    )
     print(f"{len(old)} cases, same ids in the same order")
     refused = False
-    for i, name in enumerate(names):
-        cases = moved.get(i, [])
+    for (i, name), cases in moved.items():
         ok = not cases or name in allowed or str(i) in allowed
         note = "" if ok else "  NOT ALLOWED"
         first = f"  {', '.join(cases[:3])}" if cases else ""

@@ -189,6 +189,21 @@ def cases() -> list[str]:
     return ids
 
 
+FIELDS = (
+    "trace", "words", "signatures", "bills", "ticks", "decisions", "halted_at",
+    "byzantine_envelopes",
+)
+"""What a run row lists, in order."""
+
+EXPLORE_FIELDS = ("stats", "complete", "kinds")
+"""What an exploration row lists, in order."""
+
+
+def fields(case: str) -> tuple[str, ...]:
+    """The names of ``case``'s columns."""
+    return EXPLORE_FIELDS if case.startswith("explore/") else FIELDS
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tests.pins import diff
 
 
@@ -57,10 +59,34 @@ def test_a_column_outside_allow_fails(tmp_path, capsys):
 
 
 def test_other_pins_name_columns_by_position(tmp_path, capsys):
-    old, new = _moved(tmp_path, "attacks.json", [("c/5/0", 3, "x")])
+    old, new = _moved(tmp_path, "other.json", [("c/5/0", 3, "x")])
     assert diff.main([str(old), str(new), "--allow", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1:] == ["0: 0 moved", "1: 0 moved", "2: 0 moved", "3: 1 moved  c/5/0"]
+
+
+@pytest.mark.parametrize("name", ["paced.json", "scale.json"])
+def test_paced_and_scale_pins_name_columns_by_their_fields(tmp_path, capsys, name):
+    old, new = _moved(tmp_path, name, [("b/5/0", 2, 99)])
+    assert diff.main([str(old), str(new), "--allow", "signatures"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:4] == ["trace: 0 moved", "words: 0 moved", "signatures: 1 moved  b/5/0"]
+
+
+def test_attack_pins_name_run_and_exploration_columns_apart(tmp_path, capsys):
+    rows = {"teasing/5/0": ["t0", 10, 20], "explore/weak-ba/x/0": [[1, 2], True, []]}
+    new = {"teasing/5/0": ["t0", 11, 20], "explore/weak-ba/x/0": [[1, 3], True, []]}
+    old = _pin(tmp_path / "old" / "attacks.json", rows)
+    new = _pin(tmp_path / "new" / "attacks.json", new)
+    assert diff.main([str(old), str(new), "--allow", "words,stats"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "trace: 0 moved",
+        "words: 1 moved  teasing/5/0",
+        "signatures: 0 moved",
+        "stats: 1 moved  explore/weak-ba/x/0",
+        "complete: 0 moved",
+        "kinds: 0 moved",
+    ]
 
 
 def test_a_row_that_changes_length_moves_the_missing_columns(tmp_path, capsys):
