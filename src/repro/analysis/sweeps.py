@@ -15,7 +15,7 @@ from repro.adversary.strategies import AdversaryStrategy, SilentStrategy
 from repro.config import RunParameters, SystemConfig
 from repro.protocols.table import get_protocol, run_protocol, string_validity
 from repro.runtime.result import RunResult
-from repro.runtime.synchrony import SynchronyModel, parse_synchrony
+from repro.runtime.synchrony import PartialSynchrony, parse_synchrony
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def sweep(
     strategy: AdversaryStrategy | None = None,
     seeds: Sequence[int] = (0,),
     value: object = None,
-    synchrony: SynchronyModel | None = None,
+    synchrony: PartialSynchrony | None = None,
 ) -> list[SweepPoint]:
     """Run table entry ``protocol`` (canonical name or CLI spelling)
     over the ``(n, f)`` grid.
@@ -113,7 +113,7 @@ def sweep(
         for seed in seeds:
             plan = strategy.plan(config, f, seed)
             # Reseed the timing model per grid point so seeded
-            # sub-schedules (pre-GST delays, link latencies, drift)
+            # sub-schedules (pre-GST delays, link latencies)
             # vary with the sweep seed.
             model = synchrony.reseeded(seed) if synchrony is not None else None
             result = run_protocol(

@@ -664,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--synchrony", default=None, metavar="SPEC",
-        help="timing model: 'lockstep[:delta]' (default lockstep:1) or "
+        help="timing model: 'lockstep' (the default, delta = 1) or "
         "'gst:<tick>[:delta]' for partial synchrony with a global "
         "stabilization time (incompatible with --wal-dir)",
     )
@@ -682,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--synchrony", default=None, metavar="SPEC",
-        help="timing model for every grid point: 'lockstep[:delta]' or "
-        "'gst:<tick>[:delta]' (e.g. `repro sweep weak-ba --synchrony "
+        help="timing model for every grid point: 'lockstep' (the default) "
+        "or 'gst:<tick>[:delta]' (e.g. `repro sweep weak-ba --synchrony "
         "gst:4`); the model is reseeded with each point's seed",
     )
     sweep_parser.set_defaults(func=cmd_sweep)

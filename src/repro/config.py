@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
     from repro.obs.observer import Observer
     from repro.recovery.manager import RecoveryManager
-    from repro.runtime.synchrony import SynchronyModel
+    from repro.runtime.synchrony import PartialSynchrony
 
 ProcessId = int
 """Processes are identified by integers ``0 .. n-1``."""
@@ -199,11 +199,11 @@ class RunParameters:
         fault plan schedules crash/restart faults — a crashed process
         can only rejoin by replaying durable state.
     synchrony:
-        Optional :class:`~repro.runtime.synchrony.SynchronyModel`
-        governing delivery ticks and round advancement (``None`` = the
-        paper's lockstep ``delta=1``).  Non-trivial models run the
-        paced certificate-∨-timeout scheduler and are mutually
-        exclusive with ``recovery``.
+        ``None`` (the default) is the paper's lockstep ``delta=1``; a
+        :class:`~repro.runtime.synchrony.PartialSynchrony` governs
+        delivery ticks and round advancement under GST partial
+        synchrony, runs the paced certificate-∨-timeout scheduler, and
+        is mutually exclusive with ``recovery``.
     """
 
     seed: int = 0
@@ -212,7 +212,7 @@ class RunParameters:
     fault_plan: "FaultPlan | None" = None
     observer: "Observer | None" = None
     recovery: "RecoveryManager | None" = None
-    synchrony: "SynchronyModel | None" = None
+    synchrony: "PartialSynchrony | None" = None
 
     def phases_for(self, config: SystemConfig) -> int:
         """Resolve ``num_phases`` against a concrete configuration."""

@@ -209,7 +209,7 @@ def _state_digest(
         )),
         choices.drops_used,
         # Paced-round state (round index, timeout, retries, buffered
-        # deliveries per process) — () under the trivial lockstep model.
+        # deliveries per process) — () under lockstep.
         # Without it, two psync states with equal wheels but different
         # round clocks would alias and pruning would be unsound.
         simulation.pacer_fingerprint(key),

@@ -160,7 +160,7 @@ _COMMON = dict(
     perm_cap=6,
     word_constant=30.0,
 )
-_LOCKSTEP = dict(corrupt_ticks=[0], max_ticks=120)
+_SYNCHRONOUS = dict(corrupt_ticks=[0], max_ticks=120)
 _MUTATIONS = dict(quorum_delta=0, echo_fallback=True, chatty_leaders=False)
 """Mutation knobs, offered by rows whose ``build`` takes the code
 keywords ``commit_quorum`` and ``echo_fallback_certificate``."""
@@ -182,7 +182,7 @@ ROW_DEFAULTS: dict[str, dict[str, Any]] = {
     "adaptive_strong_ba": dict(word_constant=45.0),
     "civit_adaptive_strong_ba": dict(word_constant=45.0),
 }
-"""Per-row overrides of :data:`_COMMON` and :data:`_LOCKSTEP`.  Weak BA
+"""Per-row overrides of :data:`_COMMON` and :data:`_SYNCHRONOUS`.  Weak BA
 also offers the drop/duplicate/delay knobs of its schedule space."""
 
 PRESETS: dict[str, tuple[str, dict[str, Any]]] = {
@@ -218,7 +218,7 @@ def _defaults(name: str, row: Protocol) -> dict[str, Any]:
     common = {**_COMMON, "input_mode": "binary" if row.binary else "distinct"}
     if name in PRESETS:
         return {**common, **PRESETS[name][1]}
-    defaults = {**common, **_LOCKSTEP, **ROW_DEFAULTS.get(row.name, {})}
+    defaults = {**common, **_SYNCHRONOUS, **ROW_DEFAULTS.get(row.name, {})}
     if "commit_quorum" in inspect.signature(row.build).parameters:
         defaults.update(_MUTATIONS)
     return defaults
@@ -401,7 +401,7 @@ def make_scenario(name: str, **params: Any) -> Scenario:
             check_fallback_sync=not result.truncated,
         )
         if result.truncated and not psync:
-            # Lockstep horizons bound the space, not the protocol; under
+            # Synchronous horizons bound the space, not the protocol; under
             # a GST the horizon *is* the liveness claim.
             report.violations = [
                 v for v in report.violations if v.kind != "termination"

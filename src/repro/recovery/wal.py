@@ -20,9 +20,11 @@ protocol instance's state machine after a crash:
 
 That is all replay reads, and all a host writes.  Protocol events live
 in the run's :class:`~repro.runtime.trace.Trace` only: re-driving the
-logged inboxes regenerates every one of them.  Older WALs mirrored each
-event in an ``event`` record; :meth:`ProcessHistory.absorb` skips that
-kind like any other it does not read, so they still load and replay.
+logged inboxes regenerates every one of them.
+
+Every ``meta`` record carries ``wal_format`` (:data:`WAL_FORMAT_VERSION`),
+and :func:`load_history` refuses a WAL of another format: its pickled
+payloads are not the ones this version's protocols verify.
 
 Frame format
 ------------
@@ -62,7 +64,10 @@ from repro.errors import RecoveryError
 
 _HEADER = struct.Struct(">II")
 
-WAL_FORMAT_VERSION = 1
+WAL_FORMAT_VERSION = 2
+"""Bumped whenever what a WAL pickles changes shape: format 2 pickles
+threshold signatures as ``(scheme_id, digest, value, k)``; format 1
+pickled their signer set."""
 
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 """Upper bound on one frame's body; a length beyond it is corruption,
@@ -339,9 +344,11 @@ class ProcessWal:
 def load_history(stem: str | Path, *, strict: bool = False) -> ProcessHistory:
     """Rebuild a :class:`ProcessHistory` from ``<stem>.wal``.
 
-    Refuses a WAL whose ``meta`` carries ``snapshot_through``: an older
-    snapshotting writer truncated it, so on its own it lacks every tick
-    up to that one and would replay a history missing its start.
+    Refuses a WAL whose ``meta`` names a ``wal_format`` other than
+    :data:`WAL_FORMAT_VERSION` (one without it loads), and one whose
+    ``meta`` carries ``snapshot_through``: an older snapshotting writer
+    truncated it, so on its own it lacks every tick up to that one and
+    would replay a history missing its start.
     """
     stem = Path(stem)
     wal_path = stem.with_suffix(".wal")
@@ -350,6 +357,13 @@ def load_history(stem: str | Path, *, strict: bool = False) -> ProcessHistory:
     scan = load_wal(wal_path, strict=strict)
     history = ProcessHistory(damage=scan.damage)
     history.absorb(scan.records)
+    found = history.meta.get("wal_format", WAL_FORMAT_VERSION)
+    if found != WAL_FORMAT_VERSION:
+        raise RecoveryError(
+            f"{wal_path}: WAL format {found}, but this version reads only "
+            f"format {WAL_FORMAT_VERSION}; its certificates cannot be "
+            f"replayed"
+        )
     through = history.meta.get("snapshot_through")
     if through is not None:
         raise RecoveryError(

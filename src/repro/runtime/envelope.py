@@ -49,13 +49,6 @@ class Envelope:
         fields["sent_at"] = sent_at
         fields["delivered_at"] = delivered_at
 
-    def __setstate__(self, state: dict) -> None:
-        # WALs written while envelopes still named their receiver
-        # pickled a ``receiver`` entry; the inbox record it sits in
-        # already says whose it is.
-        state.pop("receiver", None)
-        self.__dict__.update(state)
-
     def __repr__(self) -> str:  # compact traces
         return (
             f"Envelope({self.sender} @{self.delivered_at}: "

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 from repro.config import ProcessId
 from repro.errors import SchedulerError
 from repro.runtime.context import ProcessContext
-from repro.runtime.synchrony import LOCKSTEP, SynchronyModel
+from repro.runtime.synchrony import PartialSynchrony
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
@@ -57,18 +57,18 @@ def check_seed(seed: object) -> None:
 
 
 def resolve_synchrony(
-    synchrony: SynchronyModel | None,
+    synchrony: PartialSynchrony | None,
     fault_plan: "FaultPlan | None",
     recovery: "RecoveryManager | None",
-) -> SynchronyModel:
+) -> PartialSynchrony | None:
     """Cross-check a host's run options and return its synchrony model
     (``None`` is the lockstep ``delta=1`` default)."""
-    model = synchrony if synchrony is not None else LOCKSTEP
-    if not isinstance(model, SynchronyModel):
+    if synchrony is not None and not isinstance(synchrony, PartialSynchrony):
         raise SchedulerError(
-            f"synchrony must be a SynchronyModel, got {type(model).__name__}"
+            f"synchrony must be None or a PartialSynchrony, got "
+            f"{type(synchrony).__name__}"
         )
-    if not model.trivial and recovery is not None:
+    if synchrony is not None and recovery is not None:
         raise SchedulerError(
             "crash recovery requires the lockstep delta=1 model: WAL "
             "replay is round-aligned, paced rounds and delivery laws are "
@@ -80,7 +80,7 @@ def resolve_synchrony(
             "has no RecoveryManager: a crashed process can only rejoin "
             "by replaying durable state (pass recovery=...)"
         )
-    return model
+    return synchrony
 
 
 _PID_TYPES = frozenset({int})

@@ -1,7 +1,7 @@
 """The tick-based scheduler.
 
-Execution model per tick ``T`` (the historical lockstep ``delta=1``
-model, :data:`~repro.runtime.synchrony.LOCKSTEP`):
+Execution model per tick ``T`` (the paper's lockstep ``delta=1``
+model, ``synchrony=None``):
 
 1. scheduled mid-run corruptions for ``T`` are applied (the adaptive
    adversary of Section 2);
@@ -23,18 +23,17 @@ dense under a ``tick_hook`` (the model checker fingerprints each one), a
 non-passive Byzantine behavior (stepped each one) or a paced model —
 there only resumptions are skipped (``docs/runtime.md``, "Waiting").
 
-Under any other :class:`~repro.runtime.synchrony.SynchronyModel` the
-scheduler runs **paced**: delivery ticks come from the model (``delta``
-bounds, or GST partial synchrony with adversarial pre-GST delays), and
-correct processes are resumed not every tick but when the shared
-:class:`_RoundClock` ends the round — by **certificate** (a quorum of
-distinct senders reached some correct process) or by **timeout**
-(exponential back-off on late traffic), whichever first; each process
-resumes at the advance tick plus its bounded clock drift.  ``ctx.now``
-then counts *rounds*, not ticks, so protocol timers written in round
-units ("wait until ``now + 2``") keep their meaning.  Byzantine
-behaviors still step every tick — the adversary is never slowed by
-honest clocks.
+Under :class:`~repro.runtime.synchrony.PartialSynchrony` the scheduler
+runs **paced**: delivery ticks come from the model (adversarial
+pre-GST delays, ``delta``-bounded link latencies after GST), and
+correct processes are resumed together at tick 0 and then whenever the
+shared :class:`_RoundClock` ends the round — by **certificate** (a
+quorum of distinct senders reached some correct process) or by
+**timeout** (exponential back-off on late traffic), whichever first.
+``ctx.now`` then counts *rounds*, not ticks, so protocol timers written
+in round units ("wait until ``now + 2``") keep their meaning.
+Byzantine behaviors still step every tick — the adversary is never
+slowed by honest clocks.
 
 The run ends when every correct process's generator has returned; the
 generators' return values are the decisions.
@@ -65,7 +64,7 @@ from repro.runtime.host import (
     wake_tick,
 )
 from repro.runtime.result import RunResult
-from repro.runtime.synchrony import SynchronyModel
+from repro.runtime.synchrony import PartialSynchrony
 from repro.runtime.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a cycle via repro.mc
@@ -101,62 +100,26 @@ class _RoundClock:
     senders — the network-layer idealization of the certificate gossip
     real view synchronizers broadcast, see docs/partial_synchrony.md) or
     when the shared per-round timeout fires.  The timeout escalates
-    (``backoff``, capped) on rounds that saw traffic but no certificate
-    — the network is slower than the current estimate — and resets to
-    base on certificate progress; silent rounds (no traffic at all) are
-    protocol sleep and keep the estimate.  Sharing the clock is what
+    (:meth:`~repro.runtime.synchrony.PartialSynchrony.next_timeout`) on
+    rounds that time out holding traffic more than a round old — the
+    network is slower than the current estimate — and resets to
+    ``delta`` on certificate progress; silent rounds (no traffic at all)
+    are protocol sleep and keep the estimate.  Sharing the clock is what
     makes honest clocks bounded-drift in the DLS sense: traffic-local
     timeout state would amount to unbounded clock drift and desyncs the
     paper's round-indexed phase schedules even *after* GST.
     """
 
-    __slots__ = ("round", "started_at", "timeout", "retries", "launched")
+    __slots__ = ("round", "started_at", "timeout", "retries")
 
     def __init__(self, timeout: int) -> None:
         self.round = 0
         self.started_at = 0
         self.timeout = timeout
         self.retries = 0
-        self.launched = False
 
     def fingerprint(self) -> tuple:
-        return (
-            self.round,
-            self.started_at,
-            self.timeout,
-            self.retries,
-            self.launched,
-        )
-
-
-class _ProcessPacer:
-    """Per-process paced-run state.
-
-    ``buffer`` accumulates deliveries between resumes, each tick's
-    already in delivery order (:meth:`Simulation._deliver`), so it is
-    in ``(tick, delay, sender)`` order; on resume it becomes the round's
-    inbox.  ``resume_at`` is the tick this process actually
-    resumes the clock's current round (the shared advance tick plus its
-    bounded clock drift); ``None`` once resumed.  ``round`` is the last
-    round the process resumed — what :attr:`ProcessContext.now`
-    reports, so protocols keep counting in round units.
-    """
-
-    __slots__ = ("round", "resume_at", "buffer")
-
-    def __init__(self) -> None:
-        self.round = 0
-        self.resume_at: int | None = 0
-        self.buffer: list[Envelope] = []
-
-    def fingerprint(self, key: Callable[[Envelope], object]) -> tuple:
-        # ``None`` hashes by address (Python < 3.12): a fixed int keeps
-        # digests equal across processes under one ``PYTHONHASHSEED``.
-        return (
-            self.round,
-            -1 if self.resume_at is None else self.resume_at,
-            tuple((e.delivered_at, key(e)) for e in self.buffer),
-        )
+        return (self.round, self.started_at, self.timeout, self.retries)
 
 
 class Simulation:
@@ -174,7 +137,7 @@ class Simulation:
         stop_on_horizon: bool = False,
         observer: Observer | None = None,
         recovery: "RecoveryManager | None" = None,
-        synchrony: SynchronyModel | None = None,
+        synchrony: PartialSynchrony | None = None,
     ) -> None:
         """Each tick's inbox is delivered sorted by sender id unless a
         fault plan or a choice source reorders it.
@@ -217,12 +180,12 @@ class Simulation:
         (:func:`~repro.recovery.replay.replay_generator`) and rejoins
         tick-aligned.
 
-        ``synchrony``: the :class:`~repro.runtime.synchrony.SynchronyModel`
-        governing delivery ticks and round advancement.  ``None`` (and
-        ``Lockstep(delta=1)``) is the historical lockstep scheduler,
-        byte-identical; any other model runs the paced execution model
-        (module docstring).  Mutually exclusive with ``recovery``: WAL
-        replay is tick-aligned and paced rounds are not."""
+        ``synchrony``: ``None`` is the paper's lockstep ``delta=1``
+        scheduler; a :class:`~repro.runtime.synchrony.PartialSynchrony`
+        governs delivery ticks and round advancement in the paced
+        execution model (module docstring).  Mutually exclusive with
+        ``recovery``: WAL replay is tick-aligned and paced rounds are
+        not."""
         check_seed(seed)
         if max_ticks < 1:
             raise SchedulerError(f"max_ticks must be >= 1, got {max_ticks}")
@@ -262,11 +225,15 @@ class Simulation:
             self._injector = None
         self.stop_on_horizon = stop_on_horizon
         self.synchrony = resolve_synchrony(synchrony, fault_plan, recovery)
-        self._paced = not self.synchrony.trivial
+        self._paced = self.synchrony is not None
         self._clock: _RoundClock | None = (
-            _RoundClock(self.synchrony.timeout_base()) if self._paced else None
+            _RoundClock(self.synchrony.delta) if self._paced else None
         )
-        self._pacers: dict[ProcessId, _ProcessPacer] = {}
+        self._buffers: dict[ProcessId, list[Envelope]] = {}
+        """Paced mode: each live correct process's deliveries since its
+        last resume, each tick's already in delivery order
+        (:meth:`_deliver`), so in ``(tick, delay, sender)`` order; on
+        resume a buffer becomes the round's inbox."""
         self._sent_now: dict[ProcessId, list[Envelope]] = {}
         """Paced-mode rushing view: this tick's on-the-wire sends by
         receiver (the wheel slot ``tick + 1`` no longer holds them)."""
@@ -424,7 +391,7 @@ class Simulation:
         envelopes = self.envelopes if self.record_envelopes else None
         for to in recipients:
             if not paced:
-                # Lockstep delta=1 delivers next tick.
+                # Under lockstep delta=1 a copy lands next tick.
                 delivered_at = tick + 1
             else:
                 edge = (sender, to)
@@ -433,11 +400,6 @@ class Simulation:
                 delivered_at = self.synchrony.delivery_tick(
                     sender, to, tick, seq, chooser=self.choices
                 )
-                if delivered_at <= tick:
-                    raise SchedulerError(
-                        f"synchrony model {self.synchrony.describe()} scheduled "
-                        f"delivery at {delivered_at} <= send tick {tick}"
-                    )
             if injector is None:
                 copies: Sequence[float] = _ONE_COPY
             else:  # the ledger bills the *send*; faults act on the wire
@@ -506,117 +468,92 @@ class Simulation:
         ]
 
     # ------------------------------------------------------------------
-    # Paced rounds (non-trivial synchrony models)
+    # Paced rounds (partial synchrony)
     # ------------------------------------------------------------------
 
     def process_now(self, pid: ProcessId) -> int:
         """What ``ctx.now`` reports for ``pid``: the global tick under
-        lockstep ``delta=1``, the process's *round index* under a paced
-        model — so protocol timers written in round units ("wait until
-        ``now + 2``") keep their meaning when rounds span many ticks."""
-        if not self._paced:
-            return self.tick
-        pacer = self._pacers.get(pid)
-        return pacer.round if pacer is not None else self.tick
+        lockstep ``delta=1``, the shared *round index* for a live correct
+        process of a paced run — so protocol timers written in round
+        units ("wait until ``now + 2``") keep their meaning when rounds
+        span many ticks."""
+        if pid in self._buffers:
+            return self._clock.round
+        return self.tick
 
     def pacer_fingerprint(self, key: Callable[[Envelope], object]) -> tuple:
         """Paced-round state for model-checking state digests, buffered
-        envelopes keyed by ``key``: ``()`` under the trivial model (where
-        the digest's existing components already capture everything)."""
+        envelopes keyed by ``key``: ``()`` under lockstep (where the
+        digest's existing components already capture everything)."""
         if not self._paced:
             return ()
-        assert self._clock is not None
         return (
             self._clock.fingerprint(),
             tuple(sorted(
-                (pid, pacer.fingerprint(key))
-                for pid, pacer in self._pacers.items()
+                (pid, tuple((e.delivered_at, key(e)) for e in buffer))
+                for pid, buffer in self._buffers.items()
             )),
         )
 
     def _clock_advance_reason(self) -> str | None:
         """Why the shared round ends this tick, or ``None`` to keep
-        waiting: ``"start"`` (tick 0), ``"certificate"`` (some live
-        correct process holds a quorum of distinct senders in its
-        current-round buffer), ``"timeout"`` (the shared per-round
-        timeout expired).  The clock never advances while a drifted
-        process still owes a resume of the current round — a
-        certificate presupposes current-round participation."""
+        waiting: ``"certificate"`` (some live correct process holds a
+        quorum of distinct senders in its current-round buffer) or
+        ``"timeout"`` (the shared per-round timeout expired)."""
         clock = self._clock
-        assert clock is not None
-        if not clock.launched:
-            return "start"
-        if any(p.resume_at is not None for p in self._pacers.values()):
-            return None
-        if self.synchrony.early_advance:
-            quorum = self.config.n - self.config.t
-            for pacer in self._pacers.values():
-                senders = {envelope.sender for envelope in pacer.buffer}
-                if len(senders) >= quorum:
-                    return "certificate"
+        quorum = self.config.n - self.config.t
+        for buffer in self._buffers.values():
+            if len({envelope.sender for envelope in buffer}) >= quorum:
+                return "certificate"
         if self.tick >= clock.started_at + clock.timeout:
             return "timeout"
         return None
 
     def _clock_advance(self, reason: str) -> None:
-        """End the shared round for ``reason``: bump the clock, adjust
-        the timeout estimate, and schedule every live correct process's
-        resume at ``tick + drift`` (bounded clock skew)."""
+        """End the shared round for ``reason``: bump the clock and
+        adjust the timeout estimate; every live correct process then
+        resumes this tick."""
         clock = self._clock
-        assert clock is not None
         obs = self.observer
-        if reason == "start":
-            clock.launched = True
-        else:
-            prev_started_at = clock.started_at
-            clock.round += 1
-            if reason == "certificate":
-                # PBFT-style: progress proves the timeout estimate is
-                # adequate again, so the back-off resets.
-                clock.timeout = self.synchrony.timeout_base()
-                if obs is not None:
-                    obs.count("sync.cert_advance")
-            else:
-                # Escalate only on evidence the network outpaces the
-                # round length: a buffered envelope sent before the
-                # *previous* round began took more than a full round to
-                # arrive.  (Sent-last-round arrivals are the normal
-                # cross-boundary case; silent rounds are protocol
-                # sleep.)  Lockstep's next_timeout is the identity, so
-                # delta>1 lockstep pacing never drifts from delta.
-                late = any(
-                    envelope.sent_at < prev_started_at
-                    for pacer in self._pacers.values()
-                    for envelope in pacer.buffer
-                )
-                if late:
-                    clock.retries += 1
-                    clock.timeout = self.synchrony.next_timeout(clock.timeout)
-                    if obs is not None:
-                        obs.count("sync.round_retries")
-                if obs is not None:
-                    obs.count("sync.timeout_fired")
+        prev_started_at = clock.started_at
+        clock.round += 1
+        if reason == "certificate":
+            # PBFT-style: progress proves the timeout estimate is
+            # adequate again, so the back-off resets.
+            clock.timeout = self.synchrony.delta
             if obs is not None:
-                obs.event(
-                    "round_advanced", tick=self.tick, round=clock.round,
-                    reason=reason, timeout=clock.timeout,
-                )
-        clock.started_at = self.tick
-        for pid, pacer in self._pacers.items():
-            pacer.resume_at = self.tick + self.synchrony.drift_for(
-                pid, clock.round
+                obs.count("sync.cert_advance")
+        else:
+            # Escalate only on evidence the network outpaces the round
+            # length: a buffered envelope sent before the *previous*
+            # round began took more than a full round to arrive.
+            # (Sent-last-round arrivals are the normal cross-boundary
+            # case; silent rounds are protocol sleep.)
+            late = any(
+                envelope.sent_at < prev_started_at
+                for buffer in self._buffers.values()
+                for envelope in buffer
             )
+            if late:
+                clock.retries += 1
+                clock.timeout = self.synchrony.next_timeout(clock.timeout)
+                if obs is not None:
+                    obs.count("sync.round_retries")
+            if obs is not None:
+                obs.count("sync.timeout_fired")
+        if obs is not None:
+            obs.event(
+                "round_advanced", tick=self.tick, round=clock.round,
+                reason=reason, timeout=clock.timeout,
+            )
+        clock.started_at = self.tick
 
     def _paced_inbox(self, pid: ProcessId) -> list[Envelope]:
         """Drain ``pid``'s buffer (already in delivery order) into the
         new round's inbox, then fault-plan / choice-source reorder it
         exactly like a lockstep inbox."""
-        pacer = self._pacers[pid]
-        assert self._clock is not None
-        pacer.round = self._clock.round
-        pacer.resume_at = None
-        inbox = pacer.buffer
-        pacer.buffer = []
+        inbox = self._buffers[pid]
+        self._buffers[pid] = []
         if self.choices is not None:
             return self.choices.order_inbox(pid, self.tick, inbox)
         if self.fault_plan is not None:
@@ -642,7 +579,7 @@ class Simulation:
             generators[pid] = factory(ctx)
             self._wait(pid, 0)
             if self._paced:
-                self._pacers[pid] = _ProcessPacer()
+                self._buffers[pid] = []
 
         decisions: dict[ProcessId, Any] = {}
         halted_at: dict[ProcessId, int] = {}
@@ -683,7 +620,7 @@ class Simulation:
                 if pid in generators:
                     generators.pop(pid).close()
                     contexts.pop(pid)
-                    self._pacers.pop(pid, None)
+                    self._buffers.pop(pid, None)
                 if pid not in self._behaviors:
                     self._corrupt(pid, behavior)
                     ever_corrupted.add(pid)
@@ -725,23 +662,23 @@ class Simulation:
             if self._paced:
                 # Deliveries to correct processes land in their buffers;
                 # the shared round clock ends rounds by certificate or
-                # timeout, not at the tick boundary, and each process
-                # resumes at the advance tick plus its bounded clock
-                # drift.  Byzantine inboxes stay per-tick: the
-                # adversary's view is never paced by honest clocks.
-                inboxes = self._deliver(self.tick, {*self._pacers, *self._behaviors})
-                for pid, pacer in self._pacers.items():
-                    pacer.buffer += inboxes.pop(pid, ())
-                if generators:
+                # timeout, not at the tick boundary.  Every live process
+                # resumes at tick 0 and at each advance tick.  Byzantine
+                # inboxes stay per-tick: the adversary's view is never
+                # paced by honest clocks.
+                inboxes = self._deliver(self.tick, {*self._buffers, *self._behaviors})
+                for pid, buffer in self._buffers.items():
+                    buffer += inboxes.pop(pid, ())
+                resuming = []
+                if generators and self.tick > 0:
                     reason = self._clock_advance_reason()
                     if reason is not None:
                         self._clock_advance(reason)
-                resuming = []
-                for pid in sorted(generators):
-                    pacer = self._pacers[pid]
-                    if pacer.resume_at is not None and self.tick >= pacer.resume_at:
-                        inboxes[pid] = self._paced_inbox(pid)
-                        resuming.append(pid)
+                        resuming = sorted(generators)
+                elif generators:
+                    resuming = sorted(generators)
+                for pid in resuming:
+                    inboxes[pid] = self._paced_inbox(pid)
             else:
                 if self.tick_hook is not None or self.choices is not None:
                     # A hook sees the whole map, and every correct
@@ -772,13 +709,13 @@ class Simulation:
                 self.tick_hook(self, inboxes)
 
             if resuming is None:
-                # Lockstep: only a delivery or the wake wheel makes a pid due.
+                # Under lockstep only a delivery or the wake wheel makes a pid due.
                 resuming = sorted({*inboxes, *self._wake.pop(self.tick, ())})
             for pid in resuming:
                 if pid not in generators:
                     continue  # decided, corrupted or down: mail, no process
                 inbox = inboxes.get(pid, [])
-                now = self._pacers[pid].round if self._paced else self.tick
+                now = self._clock.round if self._paced else self.tick
                 if not due(inbox, now, self._deadline[pid]):
                     continue
                 ctx = contexts[pid]
@@ -794,7 +731,7 @@ class Simulation:
                     halted_at[pid] = self.tick
                     del generators[pid]
                     del contexts[pid]
-                    self._pacers.pop(pid, None)
+                    self._buffers.pop(pid, None)
                 else:
                     deadline = wake_tick(yielded, now)
                     # A deadline already past still means the next tick.

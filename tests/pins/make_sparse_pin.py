@@ -31,7 +31,10 @@ threshold signature traded its signer set for its quorum ``k`` and
 committee scheme ids became fixed-width digests, ``trace`` was re-pinned
 in the SMR-family rows (their idk decisions embed a certificate's repr)
 and ``wal``/``history`` in the crash rows; ``tests/pins/diff.py`` showed
-every other column unmoved.
+every other column unmoved.  The crash rows' ``wal``/``history`` moved
+once more, alone, when the WAL format became 2 (each ``meta`` record
+stamps ``wal_format=2``; ``diff.py OLD NEW --allow wal,history`` exits
+0).
 """
 
 from __future__ import annotations

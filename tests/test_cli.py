@@ -67,11 +67,13 @@ class TestRun:
         ) == 0
         assert "decided" in capsys.readouterr().out
 
-    def test_run_under_stretched_lockstep(self, capsys):
-        assert main(
-            ["run", "bb", "--n", "5", "--synchrony", "lockstep:2"]
-        ) == 0
-        assert "decided" in capsys.readouterr().out
+    def test_run_under_stretched_lockstep(self):
+        """Lockstep has one delay bound, ``delta = 1``: a stretched
+        ``lockstep:N`` spec is refused, naming the accepted ones."""
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="'lockstep' or"):
+            main(["run", "bb", "--n", "5", "--synchrony", "lockstep:2"])
 
     def test_rejects_bad_synchrony_spec(self):
         from repro.errors import ConfigurationError
@@ -84,6 +86,7 @@ MISCONFIGURED = [
     ["run", "weak-ba", "--n", "4"],
     ["run", "weak-ba", "--n", "5", "--f", "3"],
     ["run", "weak-ba", "--n", "5", "--synchrony", "gst:3", "--wal-dir", "{wal}"],
+    ["run", "bb", "--n", "5", "--synchrony", "lockstep:2"],
     ["run", "strong-ba", "--n", "5", "--crash", "9:1:3", "--wal-dir", "{wal}"],
     ["mc", "explore", "--scenario", "nope"],
     ["mc", "explore", "--scenario", "psync-weak-ba", "--max-ticks", "12"],

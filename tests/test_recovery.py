@@ -12,7 +12,6 @@ highwater marks disagree with the replayed machine is rejected loudly.
 from __future__ import annotations
 
 import asyncio
-import copy
 import json
 
 import pytest
@@ -142,32 +141,37 @@ class TestOneRecordPerFact:
         assert report.decided
         assert report.decision == result.decisions[CRASH.pid]
 
-    def test_wal_with_five_field_envelopes_still_replays(self, tmp_path):
-        """A WAL whose ``inbox`` frames pickled each envelope with its
-        ``receiver`` (before envelopes dropped it) loads to the same
-        history and replays to the same decision."""
-        result, _ = run_with_crash(tmp_path)
+    def test_a_format_1_wal_is_refused_naming_both_formats(self, tmp_path, capsys):
+        """A WAL whose ``meta`` says format 1 (certificates pickled with
+        their signer set) is refused by ``load_history``, ``replay_wal``
+        and both ``repro recover`` commands, with one message naming the
+        path, the format found and the format this version reads."""
+        from repro.cli import main
+
+        run_with_crash(tmp_path)
         stem = tmp_path / f"p{CRASH.pid}"
-
-        def legacy(envelope):
-            old = copy.copy(envelope)
-            old.__dict__["receiver"] = CRASH.pid
-            return old
-
         records = [
-            ("inbox", r[1], [legacy(e) for e in r[2]]) if r[0] == "inbox" else r
+            ("meta", dict(r[1], wal_format=1)) if r[0] == "meta" else r
             for r in scan_wal(stem.with_suffix(".wal")).records
         ]
-        old = tmp_path / "parent" / f"p{CRASH.pid}"
+        old = tmp_path / "format1" / f"p{CRASH.pid}"
         old.parent.mkdir()
         old.with_suffix(".wal").write_bytes(
             b"".join(_encode(record) for record in records)
         )
-        assert old.with_suffix(".wal").read_bytes().count(b"receiver") > 0
-        assert load_history(old) == load_history(stem)
-        report = replay_wal(old)
-        assert report.decided
-        assert report.decision == result.decisions[CRASH.pid]
+        expected = (
+            f"{old.with_suffix('.wal')}: WAL format 1, but this version "
+            f"reads only format 2"
+        )
+        for load in (load_history, replay_wal):
+            with pytest.raises(RecoveryError) as excinfo:
+                load(old)
+            assert expected in str(excinfo.value)
+        assert main(["recover", "inspect", str(old)]) == 1
+        assert expected in capsys.readouterr().out
+        assert main(["recover", "replay", str(old)]) == 1
+        assert expected in capsys.readouterr().out
+        assert load_history(stem).meta["wal_format"] == 2
 
     def test_observer_logs_each_trace_event_once(self, tmp_path):
         observer = Observer()

@@ -53,22 +53,6 @@ class TestEnvelope:
         e = env(payload=("vote", 7))
         assert pickle.loads(pickle.dumps(e)) == e
 
-    def test_a_pickled_five_field_envelope_loads_without_its_receiver(self):
-        """Envelopes pickled while they named their receiver (older WAL
-        ``inbox`` frames) load, and the receiver is dropped: these bytes
-        are ``pickle.dumps(Envelope(0, 3, ("vote", 7), 2, 3))`` from the
-        five-field class."""
-        legacy = (
-            b"\x80\x04\x95y\x00\x00\x00\x00\x00\x00\x00\x8c\x16"
-            b"repro.runtime.envelope\x94\x8c\x08Envelope\x94\x93\x94)\x81"
-            b"\x94}\x94(\x8c\x06sender\x94K\x00\x8c\x08receiver\x94K\x03"
-            b"\x8c\x07payload\x94\x8c\x04vote\x94K\x07\x86\x94\x8c\x07"
-            b"sent_at\x94K\x02\x8c\x0cdelivered_at\x94K\x03ub."
-        )
-        loaded = pickle.loads(legacy)
-        assert loaded == Envelope(0, ("vote", 7), 2, 3)
-        assert not hasattr(loaded, "receiver")
-
     def test_replace(self):
         e = env()
         moved = dataclasses.replace(e, sender=4, delivered_at=9)

@@ -1,12 +1,13 @@
-"""Synchrony models and the paced round scheduler.
+"""The partial-synchrony model and the paced round scheduler.
 
-Covers the ISSUE-9 tentpole surface: the :mod:`repro.runtime.synchrony`
-model algebra (delivery laws, timeout policy, seeded purity,
-reseeding), the scheduler's shared round clock (certificate-∨-timeout
-advancement, drift staggering, round-unit ``ctx.now``), and the
-satellite regressions — δ=2 lockstep billing identically to δ=1, and
-``gst=0`` partial synchrony reproducing the lockstep trajectory.
+Covers the :mod:`repro.runtime.synchrony` model algebra (delivery laws,
+timeout policy, seeded purity, reseeding), the spec parser, and the
+scheduler's shared round clock (certificate-∨-timeout advancement,
+round-unit ``ctx.now``), including ``gst=0`` partial synchrony
+reproducing the lockstep trajectory.
 """
+
+from dataclasses import fields
 
 import pytest
 
@@ -15,13 +16,7 @@ from repro.core.validity import ExternalValidity
 from repro.core.weak_ba import run_weak_ba
 from repro.errors import ConfigurationError, SchedulerError
 from repro.runtime.scheduler import Simulation
-from repro.runtime.synchrony import (
-    LOCKSTEP,
-    PRE_GST_CAP,
-    Lockstep,
-    PartialSynchrony,
-    parse_synchrony,
-)
+from repro.runtime.synchrony import PRE_GST_CAP, PartialSynchrony, parse_synchrony
 
 config5 = SystemConfig(n=5, t=1)
 
@@ -42,39 +37,23 @@ def run_weak(model, max_ticks=5000, seed=0):
 
 
 class TestModelAlgebra:
-    def test_lockstep_delta1_is_trivial(self):
-        assert LOCKSTEP.trivial
-        assert Lockstep(delta=1).trivial
-        assert not Lockstep(delta=2).trivial
-        assert not PartialSynchrony(gst=0).trivial
-
-    def test_lockstep_delivery_law(self):
-        model = Lockstep(delta=3)
-        assert model.delivery_tick(0, 0, 10, 0) == 11  # self: local hop
-        assert model.delivery_tick(0, 1, 10, 0) == 13
-
-    def test_lockstep_never_escalates(self):
-        model = Lockstep(delta=2)
-        assert model.timeout_base() == 2
-        assert model.next_timeout(2) == 2
-        assert not model.early_advance
+    def test_fields(self):
+        """GST, the delay bound, the seed and the pre-GST choice arity
+        are the whole model: back-off and timeout are constants."""
+        assert [f.name for f in fields(PartialSynchrony)] == [
+            "gst", "delta", "seed", "pre_gst_levels",
+        ]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            Lockstep(delta=0)
+            PartialSynchrony(delta=0)
         with pytest.raises(ConfigurationError):
             PartialSynchrony(gst=-1)
         with pytest.raises(ConfigurationError):
             PartialSynchrony(pre_gst_levels=1)
-        with pytest.raises(ConfigurationError):
-            PartialSynchrony(backoff=0.5)
-        with pytest.raises(ConfigurationError):
-            PartialSynchrony(timeout=0)
-        with pytest.raises(ConfigurationError):
-            PartialSynchrony(drift=-1)
 
     def test_backoff_escalates_and_caps(self):
-        model = PartialSynchrony(gst=0, timeout=1, backoff=2.0)
+        model = PartialSynchrony()
         seen = [1]
         while True:
             grown = model.next_timeout(seen[-1])
@@ -138,9 +117,9 @@ class TestModelAlgebra:
         assert model._delay_options(5, 6) == [5, 6]
 
     def test_reseeded_rederives_every_subschedule(self):
-        base = PartialSynchrony(gst=8, delta=3, seed=1, drift=2)
+        base = PartialSynchrony(gst=8, delta=3, seed=1)
         other = base.reseeded(2)
-        assert other == PartialSynchrony(gst=8, delta=3, seed=2, drift=2)
+        assert other == PartialSynchrony(gst=8, delta=3, seed=2)
         # Same laws, different draws somewhere in each seeded stream.
         assert any(
             base.delivery_tick(s, r, t, 0) != other.delivery_tick(s, r, t, 0)
@@ -149,36 +128,18 @@ class TestModelAlgebra:
             for t in range(8)
             if s != r
         )
-        assert any(
-            base.drift_for(p, k) != other.drift_for(p, k)
-            for p in config5.processes
-            for k in range(16)
-        )
         assert base.reseeded(1) == base
-
-    def test_drift_is_bounded(self):
-        model = PartialSynchrony(gst=0, drift=3, seed=13)
-        draws = {
-            model.drift_for(p, k) for p in config5.processes for k in range(50)
-        }
-        assert draws <= set(range(4))
-        assert len(draws) > 1
-
-    def test_describe(self):
-        assert "delta=2" in Lockstep(delta=2).describe()
-        text = PartialSynchrony(gst=5, seed=3).describe()
-        assert "gst=5" in text and "seed=3" in text
 
 
 class TestParseSynchrony:
     def test_specs(self):
-        assert parse_synchrony("lockstep") == Lockstep()
-        assert parse_synchrony("lockstep:3") == Lockstep(delta=3)
+        assert parse_synchrony("lockstep") is None
         assert parse_synchrony("gst:4") == PartialSynchrony(gst=4)
         assert parse_synchrony("gst:4:2") == PartialSynchrony(gst=4, delta=2)
 
     @pytest.mark.parametrize(
-        "spec", ["", "gst", "gst:x", "lockstep:2:3", "banana", "gst:1:2:3"]
+        "spec",
+        ["", "gst", "gst:x", "lockstep:2", "lockstep:2:3", "banana", "gst:1:2:3"],
     )
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ConfigurationError):
@@ -201,21 +162,9 @@ class TestSchedulerIntegration:
         with pytest.raises(SchedulerError, match="lockstep"):
             Simulation(
                 config5,
-                synchrony=Lockstep(delta=2),
+                synchrony=PartialSynchrony(gst=0),
                 recovery=RecoveryManager(tmp_path),
             )
-
-    def test_delta2_lockstep_bills_identically_to_delta1(self):
-        """Satellite regression: stretching every round 2× in ticks is
-        protocol-invisible — same decisions, same word bill, same
-        per-scope breakdown, twice the wall-clock ticks (minus the
-        stretch-free decision tick)."""
-        base = run_weak(None)
-        stretched = run_weak(Lockstep(delta=2))
-        assert stretched.decisions == base.decisions
-        assert stretched.ledger.total_words == base.ledger.total_words
-        assert stretched.ledger.words_by_scope() == base.ledger.words_by_scope()
-        assert stretched.ticks > base.ticks
 
     def test_gst_zero_matches_lockstep_trajectory(self):
         """Fully synchronous timing under the paced scheduler: the
@@ -232,10 +181,6 @@ class TestSchedulerIntegration:
         result = run_weak(PartialSynchrony(gst=gst))
         assert set(result.decisions.values()) == {"v"}
         assert not result.truncated
-
-    def test_drift_staggered_run_still_decides(self):
-        result = run_weak(PartialSynchrony(gst=3, drift=2, seed=4))
-        assert set(result.decisions.values()) == {"v"}
 
     def test_gst_run_is_seed_deterministic(self):
         a = run_weak(PartialSynchrony(gst=4, seed=7))
@@ -257,7 +202,7 @@ class TestSchedulerIntegration:
             return "done"
 
         sim = Simulation(
-            config5, synchrony=Lockstep(delta=3), max_ticks=100
+            config5, synchrony=PartialSynchrony(delta=3), max_ticks=100
         )
         for pid in config5.processes:
             sim.add_process(pid, clockwatcher)
